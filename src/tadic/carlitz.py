@@ -9,10 +9,10 @@ reduced mod T^k only at the end, so the divisions by D_i never lose bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dynamics import FunctionTable, LevelVerdicts
-from .gf2ps import Residue, clmul, clmul_trunc, exact_div, parse_hex, to_hex, trunc
+from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse, unwrap_point
+from .gf2ps import clmul, clmul_trunc, exact_div, trunc
 
 __all__ = [
     "CarlitzCoefficients",
@@ -242,47 +242,10 @@ class CarlitzContext:
         return row
 
 
-@dataclass(frozen=True)
-class CarlitzCoefficients:
+class CarlitzCoefficients(SparseCoefficients):
     """Sparse coefficients a_n mod T^k; missing indices are zero."""
 
-    precision: int
-    a: dict = field(repr=False)
-
-    def __post_init__(self):
-        k = self.precision
-        if k < 1:
-            raise ValueError("precision must be a positive integer")
-        clean = {}
-        for n, v in self.a.items():
-            n, v = int(n), int(v)
-            if n < 0:
-                raise ValueError("index must be non-negative")
-            if not 0 <= v < (1 << k):
-                raise ValueError("coefficient out of range for precision %d" % k)
-            # explicit zeros survive past 2^k: they mark indices whose
-            # Lipschitz bound the precision cannot certify
-            if v or n >= (1 << k):
-                clean[n] = v
-        object.__setattr__(self, "a", clean)
-
-    def coeff(self, n):
-        return self.a.get(n, 0)
-
-    def json_dict(self):
-        return {
-            "ring": "F2T",
-            "basis": "carlitz",
-            "precision": self.precision,
-            "coeffs": {str(n): to_hex(v) for n, v in sorted(self.a.items())},
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("ring") != "F2T" or obj.get("basis") != "carlitz":
-            raise ValueError("expected ring F2T with basis carlitz")
-        k = int(obj["precision"])
-        return cls(k, {int(n): parse_hex(v) for n, v in obj.get("coeffs", {}).items()})
+    ring, basis = "F2T", "carlitz"
 
 
 def _mask_of(alpha):
@@ -318,14 +281,8 @@ def to_carlitz(t, ctx=None):
 
 def from_carlitz(c, x, ctx=None):
     """Evaluate sum of a_n G_n at a canonical point, mod T^k."""
-    as_residue = isinstance(x, Residue)
-    if as_residue:
-        if x.precision != c.precision:
-            raise ValueError("precision mismatch")
-        x = x.value
+    x, wrap = unwrap_point(x, c.precision)
     k = c.precision
-    if not 0 <= x < (1 << k):
-        raise ValueError("point out of range for precision %d" % k)
     if ctx is None:
         ctx = CarlitzContext(k)
     elif ctx.precision != k:
@@ -335,7 +292,7 @@ def from_carlitz(c, x, ctx=None):
         g = ctx.G_trunc(n, x)
         if g:
             acc ^= clmul_trunc(g, v, k)
-    return Residue(acc, k) if as_residue else acc
+    return wrap(acc)
 
 
 def carlitz_table(c, ctx=None):
@@ -363,13 +320,7 @@ def carlitz_table(c, ctx=None):
     return FunctionTable(k, tuple(out))
 
 
-def restrict(c, prec):
-    """Truncate the coefficients to a lower precision."""
-    if not 1 <= prec <= c.precision:
-        raise ValueError("precision must be between 1 and %d" % c.precision)
-    mask = (1 << prec) - 1
-    kept = {n: v & mask for n, v in c.a.items() if (v & mask) or n >= (1 << prec)}
-    return CarlitzCoefficients(prec, kept)
+restrict = restrict_sparse
 
 
 def check_lipschitz_carlitz(c):

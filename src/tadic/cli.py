@@ -3,7 +3,10 @@
 Exit codes: 0 the property holds (or the product was emitted), 1 the
 property fails, 2 usage or data errors.  Reports are JSON on stdout;
 keystream emits plain hex lines.  All verdicts come straight from the
-library calls, the front end adds no logic of its own.
+library calls, the front end adds no logic of its own: every command looks
+its coefficient format up in one table keyed by (ring, basis), which holds
+the loader, expansion, evaluator, synthesiser, restrictor and the
+criterion behind each --check.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import carlitz, cyclegen, dynamics, vanderput, z2compare
 from .gf2ps import parse_hex, to_hex
@@ -19,6 +24,7 @@ __all__ = ["main", "run"]
 
 _RING = {"f2t": "F2T", "z2": "Z2"}
 _BASIS = {"vdp": "vanderput", "carlitz": "carlitz", "mahler": "mahler"}
+_FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
 
 
 class _CliError(Exception):
@@ -78,38 +84,91 @@ def _build_parser():
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise _CliError("cannot read %s: %s" % (path, exc.strerror or exc))
     except json.JSONDecodeError as exc:
         raise _CliError("invalid JSON in %s: %s" % (path, exc))
+    if not isinstance(obj, dict):
+        raise _CliError("expected a JSON object in %s" % path)
+    return obj
+
+
+def _flag(check):
+    """A criterion that returns a bare bool."""
+    return lambda c: (check(c), {})
+
+
+def _levels(check):
+    """A per-level criterion: it holds unless some level is False, and the report lists the levels.
+
+    check_mp_vdp decides every level, so for it this means every level is True.
+    """
+
+    def run(c):
+        levels = check(c)
+        return levels.overall is not False, {"levels": levels.json_dict()}
+
+    return run
+
+
+def _carlitz_lipschitz(c):
+    undetermined = list(carlitz.undetermined_lipschitz_indices(c))
+    return carlitz.check_lipschitz_carlitz(c), {"undetermined_indices": undetermined}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What the front end does with one (ring, basis) coefficient format."""
+
+    coeffs: type
+    expand: Callable  # table -> coefficients, or None when the basis has no expansion
+    evaluate: Callable  # (coefficients, x) -> value
+    synthesize: Callable  # coefficients -> table
+    restrict: Callable  # (coefficients, precision) -> coefficients
+    checks: dict  # --check name -> coefficients -> (verdict, extra report fields)
+
+
+_KINDS = {
+    ("F2T", "vanderput"): _Kind(
+        vanderput.VdpCoefficients, vanderput.to_vdp, vanderput.from_vdp, vanderput.vdp_table, vanderput.restrict,
+        {
+            "lipschitz": _flag(vanderput.check_lipschitz_vdp),
+            "mp": _levels(vanderput.check_mp_vdp),
+            "ergodic": _levels(vanderput.check_ergodic_vdp),
+        },
+    ),
+    ("F2T", "carlitz"): _Kind(
+        carlitz.CarlitzCoefficients, carlitz.to_carlitz, carlitz.from_carlitz, carlitz.carlitz_table, carlitz.restrict,
+        {"lipschitz": _carlitz_lipschitz, "ergodic": _levels(carlitz.check_ergodic_carlitz)},
+    ),
+    ("Z2", "vanderput"): _Kind(
+        vanderput.Z2VdpCoefficients, vanderput.to_vdp, vanderput.from_vdp, vanderput.vdp_table, vanderput.restrict,
+        {"mp": _flag(z2compare.check_mp_z2), "ergodic": _levels(z2compare.check_ergodic_z2)},
+    ),
+    ("Z2", "mahler"): _Kind(
+        z2compare.MahlerCoefficients, None, z2compare.mahler_eval, z2compare.mahler_table, z2compare.restrict_mahler_z2,
+        {"ergodic": _flag(z2compare.check_ergodic_mahler_z2)},
+    ),
+}
 
 
 def _load_table(path):
     obj = _read_json(path)
-    ring = obj.get("ring")
-    if ring == "F2T":
-        return dynamics.FunctionTable.from_json_dict(obj)
-    if ring == "Z2":
-        return z2compare.Z2FunctionTable.from_json_dict(obj)
-    raise _CliError("unsupported ring %r in %s" % (ring, path))
-
-
-_COEFF_KINDS = {
-    ("F2T", "vanderput"): vanderput.VdpCoefficients,
-    ("F2T", "carlitz"): carlitz.CarlitzCoefficients,
-    ("Z2", "vanderput"): z2compare.Z2VdpCoefficients,
-    ("Z2", "mahler"): z2compare.MahlerCoefficients,
-}
+    ring = vanderput.RINGS.get(obj.get("ring"))
+    if ring is None:
+        raise _CliError("unsupported ring %r in %s" % (obj.get("ring"), path))
+    return ring.table.from_json_dict(obj)
 
 
 def _load_coeffs(path):
     obj = _read_json(path)
     kind = (obj.get("ring"), obj.get("basis"))
-    cls = _COEFF_KINDS.get(kind)
-    if cls is None:
+    if kind not in _KINDS:
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
-    return kind, cls.from_json_dict(obj)
+    if not isinstance(obj.get("coeffs", {}), dict):
+        raise _CliError("expected \"coeffs\" to be a JSON object in %s" % path)
+    return kind, _KINDS[kind].coeffs.from_json_dict(obj)
 
 
 def _restricted(kind, c, prec):
@@ -117,13 +176,7 @@ def _restricted(kind, c, prec):
         return c
     if not 1 <= prec <= c.precision:
         raise _CliError("--prec must be between 1 and the file precision %d" % c.precision)
-    if kind == ("F2T", "vanderput"):
-        return vanderput.restrict(c, prec)
-    if kind == ("F2T", "carlitz"):
-        return carlitz.restrict(c, prec)
-    if kind == ("Z2", "vanderput"):
-        return z2compare.restrict_vdp_z2(c, prec)
-    return z2compare.restrict_mahler_z2(c, prec)
+    return _KINDS[kind].restrict(c, prec)
 
 
 def _emit(args, report):
@@ -143,7 +196,7 @@ def _cmd_verify(args):
         _emit(args, {
             "command": "verify",
             "mode": "exhaustive",
-            "ring": "f2t" if isinstance(t, dynamics.FunctionTable) else "z2",
+            "ring": _FLAG_OF[t.ring],
             "precision": t.precision,
             "compatible": comp.json_dict(),
             "bijective": bij.json_dict(),
@@ -157,32 +210,10 @@ def _cmd_verify(args):
     want = (_RING[args.ring], _BASIS[args.basis])
     if kind != want:
         raise _CliError("coefficient file is %s/%s but flags say %s/%s" % (kind + want))
-    levels = None
-    undetermined = None
-    combo = (args.ring, args.basis, args.check)
-    if combo == ("f2t", "vdp", "lipschitz"):
-        verdict = vanderput.check_lipschitz_vdp(c)
-    elif combo == ("f2t", "vdp", "mp"):
-        levels = vanderput.check_mp_vdp(c)
-        verdict = levels.overall is True
-    elif combo == ("f2t", "vdp", "ergodic"):
-        levels = vanderput.check_ergodic_vdp(c)
-        verdict = levels.overall is not False
-    elif combo == ("f2t", "carlitz", "lipschitz"):
-        verdict = carlitz.check_lipschitz_carlitz(c)
-        undetermined = list(carlitz.undetermined_lipschitz_indices(c))
-    elif combo == ("f2t", "carlitz", "ergodic"):
-        levels = carlitz.check_ergodic_carlitz(c)
-        verdict = levels.overall is not False
-    elif combo == ("z2", "vdp", "mp"):
-        verdict = z2compare.check_mp_z2(c)
-    elif combo == ("z2", "vdp", "ergodic"):
-        levels = z2compare.check_ergodic_z2(c)
-        verdict = levels.overall is not False
-    elif combo == ("z2", "mahler", "ergodic"):
-        verdict = z2compare.check_ergodic_mahler_z2(c)
-    else:
-        raise _CliError("unsupported combination: --ring %s --basis %s --check %s" % combo)
+    check = _KINDS[kind].checks.get(args.check)
+    if check is None:
+        raise _CliError("unsupported combination: --ring %s --basis %s --check %s" % (args.ring, args.basis, args.check))
+    verdict, extra = check(c)
     report = {
         "command": "verify",
         "ring": args.ring,
@@ -191,24 +222,17 @@ def _cmd_verify(args):
         "precision": c.precision,
         "verdict": verdict,
     }
-    if levels is not None:
-        report["levels"] = levels.json_dict()
-    if undetermined is not None:
-        report["undetermined_indices"] = undetermined
+    report.update(extra)
     _emit(args, report)
     return 0 if verdict else 1
 
 
 def _cmd_expand(args):
     t = _load_table(args.table)
-    f2t = isinstance(t, dynamics.FunctionTable)
-    if args.basis == "vdp":
-        out = vanderput.to_vdp(t) if f2t else z2compare.to_vdp_z2(t)
-    elif f2t:
-        out = carlitz.to_carlitz(t)
-    else:
-        raise _CliError("carlitz expansion needs an F2T table")
-    _emit(args, out.json_dict())
+    kind = _KINDS.get((t.ring, _BASIS[args.basis]))
+    if kind is None or kind.expand is None:
+        raise _CliError("%s expansion needs an F2T table" % args.basis)
+    _emit(args, kind.expand(t).json_dict())
     return 0
 
 
@@ -219,18 +243,11 @@ def _cmd_eval(args):
     x = parse_hex(args.x)
     if x >> k:
         raise _CliError("--x out of range for precision %d" % k)
-    if kind == ("F2T", "vanderput"):
-        value = vanderput.from_vdp(c, x)
-    elif kind == ("F2T", "carlitz"):
-        value = carlitz.from_carlitz(c, x)
-    elif kind == ("Z2", "vanderput"):
-        value = z2compare.from_vdp_z2(c, x)
-    else:
-        value = z2compare.mahler_eval(c, x)
+    value = _KINDS[kind].evaluate(c, x)
     _emit(args, {
         "command": "eval",
-        "ring": "f2t" if kind[0] == "F2T" else "z2",
-        "basis": {v: f for f, v in _BASIS.items()}[kind[1]],
+        "ring": _FLAG_OF[kind[0]],
+        "basis": _FLAG_OF[kind[1]],
         "precision": k,
         "x": to_hex(x),
         "value": to_hex(value),
@@ -244,10 +261,7 @@ def _cmd_convert(args):
     kind, c = _load_coeffs(args.coeffs)
     if kind != ("F2T", _BASIS[args.from_basis]):
         raise _CliError("coefficient file is %s/%s but --from says %s" % (kind + (args.from_basis,)))
-    if args.from_basis == "vdp":
-        out = carlitz.to_carlitz(vanderput.vdp_table(c))
-    else:
-        out = vanderput.to_vdp(carlitz.carlitz_table(c))
+    out = _KINDS[("F2T", _BASIS[args.to_basis])].expand(_KINDS[kind].synthesize(c))
     _emit(args, out.json_dict())
     return 0
 
@@ -282,14 +296,7 @@ def _cmd_keystream(args):
         raise _CliError("--steps must be positive")
     if args.bit is not None and not 0 <= args.bit < k:
         raise _CliError("--bit must be between 0 and %d" % (k - 1))
-    if kind == ("F2T", "vanderput"):
-        t = vanderput.vdp_table(c)
-    elif kind == ("F2T", "carlitz"):
-        t = carlitz.carlitz_table(c)
-    elif kind == ("Z2", "vanderput"):
-        t = z2compare.vdp_table_z2(c)
-    else:
-        t = z2compare.mahler_table(c)
+    t = _KINDS[kind].synthesize(c)
     xs = dynamics.orbit(t, x0, args.steps)
     if not args.quiet:
         for x in xs:

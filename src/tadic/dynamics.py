@@ -1,7 +1,11 @@
-"""Finite-model dynamics: function tables on F2[[T]]/T^k and their oracles.
+"""Finite-model dynamics: function tables on F2[[T]]/T^k and Z/2^k and their oracles.
 
 A transformation is stored as an explicit table of 2^k residues.  The
-checks here are exhaustive brute-force references: per-level
+table type carries its ring as a tag: `Z2FunctionTable` is a
+`FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
+same bit mask on canonical values, so every check here serves both rings.
+The sparse coefficient type shared by the Carlitz and Mahler bases lives
+here too.  The checks are exhaustive brute-force references: per-level
 compatibility, bijectivity, single-cycle transitivity, the parity
 criterion that decides whether a single cycle lifts one level, and
 plain orbit iteration.
@@ -16,6 +20,8 @@ from .gf2ps import Residue, parse_hex, to_hex
 __all__ = [
     "FunctionTable",
     "LevelVerdicts",
+    "Z2FunctionTable",
+    "Z2Residue",
     "is_bijective_mod",
     "is_compatible",
     "is_transitive_mod",
@@ -61,9 +67,44 @@ class LevelVerdicts:
 
 
 @dataclass(frozen=True)
+class Z2Residue:
+    """An integer mod 2^k."""
+
+    value: int
+    precision: int
+
+    def __post_init__(self):
+        if self.precision < 1:
+            raise ValueError("precision must be a positive integer")
+        if not 0 <= self.value < (1 << self.precision):
+            raise ValueError("value out of range for precision %d" % self.precision)
+
+    @property
+    def hex(self):
+        return to_hex(self.value)
+
+
+def unwrap_point(x, k):
+    """Canonical int of a point mod T^k or 2^k, and the function that wraps results like x.
+
+    A `Residue` or `Z2Residue` must carry precision k, and results come
+    back in its type; a plain int gets plain ints back.
+    """
+    kind = type(x) if isinstance(x, (Residue, Z2Residue)) else None
+    if kind is not None:
+        if x.precision != k:
+            raise ValueError("precision mismatch")
+        x = x.value
+    if not 0 <= x < (1 << k):
+        raise ValueError("point out of range for precision %d" % k)
+    return x, (lambda v: v) if kind is None else (lambda v: kind(v, k))
+
+
+@dataclass(frozen=True)
 class FunctionTable:
     """Transformation of F2[[T]]/T^k as a table: entry m is f(residue m)."""
 
+    ring = "F2T"
     precision: int
     table: tuple = field(repr=False)
 
@@ -82,16 +123,77 @@ class FunctionTable:
 
     def json_dict(self):
         return {
-            "ring": "F2T",
+            "ring": self.ring,
             "precision": self.precision,
             "table": [to_hex(v) for v in self.table],
         }
 
     @classmethod
     def from_json_dict(cls, obj):
-        if obj.get("ring") != "F2T":
-            raise ValueError("expected ring F2T, got %r" % obj.get("ring"))
+        if obj.get("ring") != cls.ring:
+            raise ValueError("expected ring %s, got %r" % (cls.ring, obj.get("ring")))
         return cls(int(obj["precision"]), tuple(parse_hex(v) for v in obj["table"]))
+
+
+class Z2FunctionTable(FunctionTable):
+    """Values of f on all residues mod 2^k, canonically indexed."""
+
+    ring = "Z2"
+
+
+@dataclass(frozen=True)
+class SparseCoefficients:
+    """Sparse coefficients a_n mod T^k or 2^k; missing indices are zero.
+
+    Subclasses set only the `ring` and `basis` tags that their JSON carries.
+    """
+
+    ring = basis = None
+    precision: int
+    a: dict = field(repr=False)
+
+    def __post_init__(self):
+        k = self.precision
+        if k < 1:
+            raise ValueError("precision must be a positive integer")
+        clean = {}
+        for n, v in self.a.items():
+            n, v = int(n), int(v)
+            if n < 0:
+                raise ValueError("index must be non-negative")
+            if not 0 <= v < (1 << k):
+                raise ValueError("coefficient out of range for precision %d" % k)
+            # explicit zeros survive past 2^k: they mark indices whose
+            # Lipschitz bound the precision cannot certify
+            if v or n >= (1 << k):
+                clean[n] = v
+        object.__setattr__(self, "a", clean)
+
+    def coeff(self, n):
+        return self.a.get(n, 0)
+
+    def json_dict(self):
+        return {
+            "ring": self.ring,
+            "basis": self.basis,
+            "precision": self.precision,
+            "coeffs": {str(n): to_hex(v) for n, v in sorted(self.a.items())},
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj):
+        if obj.get("ring") != cls.ring or obj.get("basis") != cls.basis:
+            raise ValueError("expected ring %s with basis %s" % (cls.ring, cls.basis))
+        k = int(obj["precision"])
+        return cls(k, {int(n): parse_hex(v) for n, v in obj.get("coeffs", {}).items()})
+
+
+def restrict_sparse(c, prec):
+    """Truncate sparse coefficients to a lower precision."""
+    if not 1 <= prec <= c.precision:
+        raise ValueError("precision must be between 1 and %d" % c.precision)
+    mask = (1 << prec) - 1
+    return type(c)(prec, {n: v & mask for n, v in c.a.items()})
 
 
 def is_compatible(t):
@@ -162,17 +264,10 @@ def parity_lift(t, n):
 
 def orbit(t, x0, steps):
     """The first `steps` points of the trajectory of x0 under the table."""
-    as_residue = isinstance(x0, Residue)
-    x = x0.value if as_residue else x0
-    if as_residue and x0.precision != t.precision:
-        raise ValueError("precision mismatch")
-    if not 0 <= x < (1 << t.precision):
-        raise ValueError("starting point out of range")
+    x, wrap = unwrap_point(x0, t.precision)
     values = t.table
     seq = []
     for _ in range(steps):
-        seq.append(x)
+        seq.append(wrap(x))
         x = values[x]
-    if as_residue:
-        return [Residue(v, t.precision) for v in seq]
     return seq

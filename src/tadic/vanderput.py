@@ -1,21 +1,30 @@
-"""Van der Put basis over F2[[T]]: ball indicators, expansion, criteria.
+"""Van der Put basis over F2[[T]] and Z2: ball indicators, expansion, criteria.
 
-A function on F2[[T]]/T^k is written as f(x) = sum of B_alpha * chi(alpha, x)
-over polynomials alpha of degree below k.  Coefficients are finite
-differences of f, so expansion and evaluation are XOR accumulations.
-The criteria decide 1-Lipschitz continuity, measure preservation, and
-ergodicity per level from the scaled coefficients b_alpha.
+A function on residues mod T^k (or 2^k) is written as f(x) = sum of
+B_alpha * chi(alpha, x) over indices alpha below 2^k.  Coefficients are
+finite differences of f, so expansion and evaluation accumulate with the
+ring's addition: XOR in F2[[T]], carrying addition in Z2.  The types carry
+the ring as a tag (`Z2VdpCoefficients` is a `VdpCoefficients` tagged "Z2")
+and every function here reads the ring off its argument.  The criteria
+decide 1-Lipschitz continuity, measure preservation, and ergodicity per
+level from the scaled coefficients b_alpha.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .dynamics import FunctionTable, LevelVerdicts
+from .dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, unwrap_point
 from .gf2ps import Residue, order, parse_hex, to_hex
 
 __all__ = [
+    "RINGS",
+    "Ring",
     "VdpCoefficients",
+    "Z2VdpCoefficients",
     "check_ergodic_vdp",
     "check_lipschitz_vdp",
     "check_mp_vdp",
@@ -31,6 +40,7 @@ __all__ = [
 class VdpCoefficients:
     """Coefficients B_alpha indexed by the canonical integer of alpha."""
 
+    ring = "F2T"
     precision: int
     B: tuple = field(repr=False)
 
@@ -45,18 +55,18 @@ class VdpCoefficients:
             raise ValueError("coefficient out of range for precision %d" % k)
 
     def b(self, m):
-        """Scaled coefficient b_alpha = B_alpha / T^{deg alpha}; errors when not divisible."""
+        """Scaled coefficient b_alpha = B_alpha / pi^{deg alpha} (pi = T or 2); errors when not divisible."""
         v = self.B[m]
         d = m.bit_length() - 1
         if d <= 0:
             return v
         if v & ((1 << d) - 1):
-            raise ValueError("T^%d does not divide B_%d" % (d, m))
+            raise ValueError(_indivisible(self, m))
         return v >> d
 
     def json_dict(self):
         return {
-            "ring": "F2T",
+            "ring": self.ring,
             "basis": "vanderput",
             "precision": self.precision,
             "coeffs": {str(m): to_hex(v) for m, v in enumerate(self.B) if v},
@@ -64,13 +74,48 @@ class VdpCoefficients:
 
     @classmethod
     def from_json_dict(cls, obj):
-        if obj.get("ring") != "F2T" or obj.get("basis") != "vanderput":
-            raise ValueError("expected ring F2T with basis vanderput")
+        if obj.get("ring") != cls.ring or obj.get("basis") != "vanderput":
+            raise ValueError("expected ring %s with basis vanderput" % cls.ring)
         k = int(obj["precision"])
         B = [0] * (1 << k)
         for key, v in obj.get("coeffs", {}).items():
-            B[int(key)] = parse_hex(v)
+            m = int(key)
+            if not 0 <= m < len(B):
+                raise ValueError("coefficient index %s out of range for precision %d" % (key, k))
+            B[m] = parse_hex(v)
         return cls(k, tuple(B))
+
+
+class Z2VdpCoefficients(VdpCoefficients):
+    """Coefficients B_m of the ball-indicator expansion mod 2^k."""
+
+    ring = "Z2"
+
+
+@dataclass(frozen=True)
+class Ring:
+    """One coefficient ring: its tag, uniformizer pi, addition, tagged types, and lift target.
+
+    `lift(m)` is the value mod pi^2 that the scaled band sum over
+    deg alpha = m-2 must take for a single cycle to lift to level m >= 3.
+    """
+
+    name: str
+    pi: str
+    add: Callable
+    sub: Callable
+    table: type
+    vdp: type
+    lift: Callable
+
+
+RINGS = {
+    r.name: r
+    for r in (
+        Ring("F2T", "T", operator.xor, operator.xor, FunctionTable, VdpCoefficients, lambda m: 2),
+        Ring("Z2", "2", operator.add, operator.sub, Z2FunctionTable, Z2VdpCoefficients, lambda m: 2 if m == 3 else 0),
+    )
+}
 
 
 def chi(alpha, x, prec=None):
@@ -91,40 +136,52 @@ def chi(alpha, x, prec=None):
 
 
 def to_vdp(t):
-    """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
+    """Read coefficients off the table: values at 0 and 1, then top-bit differences.
+
+    B_m = f(m) - f(m - 2^{deg m}) in the table's ring, one degree block at a time.
+    """
+    ring = RINGS[t.ring]
+    k = t.precision
     values = t.table
-    B = [values[0], values[1]]
-    for m in range(2, len(values)):
-        B.append(values[m] ^ values[m ^ (1 << (m.bit_length() - 1))])
-    return VdpCoefficients(t.precision, tuple(B))
+    B = list(values[:2])
+    for d in range(1, k):
+        lo = 1 << d
+        B += map(ring.sub, values[lo : 2 * lo], values[:lo])
+    mask = (1 << k) - 1
+    return ring.vdp(k, tuple(v & mask for v in B))
 
 
 def from_vdp(c, x):
     """Evaluate the expansion at x; nested balls leave at most k nonzero terms."""
-    as_residue = isinstance(x, Residue)
-    if as_residue:
-        if x.precision != c.precision:
-            raise ValueError("precision mismatch")
-        x = x.value
-    k = c.precision
-    if not 0 <= x < (1 << k):
-        raise ValueError("point out of range for precision %d" % k)
+    x, wrap = unwrap_point(x, c.precision)
+    add = RINGS[c.ring].add
     B = c.B
     acc = B[x & 1]
     n = x >> 1
     shift = 1
     while n:
         if n & 1:
-            acc ^= B[x & ((2 << shift) - 1)]
+            acc = add(acc, B[x & ((2 << shift) - 1)])
         n >>= 1
         shift += 1
-    acc &= (1 << k) - 1
-    return Residue(acc, k) if as_residue else acc
+    return wrap(acc & ((1 << c.precision) - 1))
 
 
 def vdp_table(c):
-    """Synthesize the full table of the expansion at its own precision."""
-    return FunctionTable(c.precision, tuple(from_vdp(c, x) for x in range(1 << c.precision)))
+    """Synthesize the full table of the expansion at its own precision.
+
+    Inverts the recurrence of to_vdp: f(m) = f(m - 2^{deg m}) + B_m in the
+    coefficients' ring, one degree block at a time.
+    """
+    ring = RINGS[c.ring]
+    k = c.precision
+    B = c.B
+    values = list(B[:2])
+    for d in range(1, k):
+        lo = 1 << d
+        values += map(ring.add, values[:lo], B[lo : 2 * lo])
+    mask = (1 << k) - 1
+    return ring.table(k, tuple(v & mask for v in values))
 
 
 def restrict(c, prec):
@@ -132,17 +189,27 @@ def restrict(c, prec):
     if not 1 <= prec <= c.precision:
         raise ValueError("precision must be between 1 and %d" % c.precision)
     mask = (1 << prec) - 1
-    return VdpCoefficients(prec, tuple(v & mask for v in c.B[: 1 << prec]))
+    return type(c)(prec, tuple(v & mask for v in c.B[: 1 << prec]))
+
+
+def _off_floor(c):
+    """The indices alpha of nonzero degree with ord(B_alpha) < deg alpha."""
+    return (m for m in range(2, len(c.B)) if order(c.B[m]) < m.bit_length() - 1)
 
 
 def check_lipschitz_vdp(c):
     """True iff ord(B_alpha) >= deg alpha for every nonzero-degree index."""
-    return all(order(c.B[m]) >= m.bit_length() - 1 for m in range(2, len(c.B)))
+    return next(_off_floor(c), None) is None
 
 
 def _require_lipschitz(c):
-    if not check_lipschitz_vdp(c):
-        raise ValueError("coefficients are not 1-Lipschitz")
+    m = next(_off_floor(c), None)
+    if m is not None:
+        raise ValueError("coefficients are not 1-Lipschitz: %s" % _indivisible(c, m))
+
+
+def _indivisible(c, m):
+    return "%s^%d does not divide B_%d" % (RINGS[c.ring].pi, m.bit_length() - 1, m)
 
 
 def check_mp_vdp(c):
@@ -150,7 +217,8 @@ def check_mp_vdp(c):
 
     Level m holds iff b_0 + b_1 is a unit and b_alpha is a unit for every
     alpha of degree below m; this matches bijectivity mod T^m exactly, so
-    all k levels are decided booleans.
+    all k levels are decided booleans.  Units and the parity of b_0 + b_1
+    are the same bit tests in both rings.
     """
     _require_lipschitz(c)
     k = c.precision
@@ -169,28 +237,29 @@ def check_ergodic_vdp(c):
     """Single-cycle criterion per level, three-valued.
 
     Level 1 needs b_0 and b_0 + b_1 odd.  Each next level m adds the unit
-    conditions at degree m-1 and a lift clause: the T coefficient of
-    b_0 + b_1 for m = 2, and sum of b_alpha over deg alpha = m-2 equal to
-    T mod T^2 for m >= 3 (the same sums the block conditions prescribe,
-    each checked once).  A True verdict at level m is only reported for
-    m <= k-1; level k stays undecided unless some clause fails outright.
+    conditions at degree m-1 and a lift clause: b_0 + b_1 = 1 + pi mod pi^2
+    for m = 2, and for m >= 3 the sum of b_alpha over deg alpha = m-2 equal
+    to the ring's lift target mod pi^2 (T in F2[[T]]; 2 at m = 3 and 0
+    beyond in Z2), each sum checked once.  A True verdict at level m is only
+    reported for m <= k-1; level k stays undecided unless some clause fails
+    outright.
     """
     _require_lipschitz(c)
+    ring = RINGS[c.ring]
     k = c.precision
     B = c.B
-    ok = bool(B[0] & 1) and bool((B[0] ^ B[1]) & 1)
+    s01 = ring.add(B[0], B[1])
+    ok = bool(B[0] & 1) and bool(s01 & 1)
     raw = [ok]
     for m in range(2, k + 1):
         d = m - 1
         ok = ok and all((B[a] >> d) & 1 for a in range(1 << d, 2 << d))
         if m == 2:
-            ok = ok and bool((B[0] ^ B[1]) & 2)
+            ok = ok and bool(s01 & 2)
         else:
-            s = 0
-            for a in range(1 << (m - 2), 1 << (m - 1)):
-                s ^= B[a]
-            # scaled sum must equal T mod T^2: bits m-2 and m-1 of the raw sum
-            ok = ok and (s >> (m - 2)) & 3 == 2
+            # the scaled sum mod pi^2 is bits m-2 and m-1 of the raw sum
+            s = functools.reduce(ring.add, B[1 << (m - 2) : 1 << (m - 1)])
+            ok = ok and (s >> (m - 2)) & 3 == ring.lift(m)
         raw.append(ok)
     levels = [v if (v is False or m <= k - 1) else None for m, v in enumerate(raw, start=1)]
     return LevelVerdicts(tuple(levels))

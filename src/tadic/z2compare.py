@@ -2,18 +2,20 @@
 
 Residues mod 2^k share their bit patterns with the series side, so the
 mask-based compatibility, bijectivity, and cycle walks carry over as is;
-only the ring addition differs (carries instead of XOR).  Provides Van der
-Put coefficients with the odd/mod-4 single-cycle criterion, the Mahler
-basis criterion at p=2, and brute-force transitivity oracles.
+only the ring addition differs (carries instead of XOR).  The Z2 table
+and Van der Put types are the F2[[T]] ones tagged with the ring "Z2";
+they live beside their parents in `dynamics` and `vanderput` and are
+re-exported here, and the Z2 Van der Put functions, criteria and oracle
+are the generic ones under their Z2 names.  What is 2-adic only lives
+here: the Mahler basis and its single-cycle criterion at p=2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .dynamics import LevelVerdicts, single_cycle_levels
-from .gf2ps import parse_hex, to_hex
+from .dynamics import SparseCoefficients, Z2FunctionTable, Z2Residue, is_transitive_mod, restrict_sparse, unwrap_point
+from .vanderput import Z2VdpCoefficients, check_ergodic_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
 
 __all__ = [
     "MahlerCoefficients",
@@ -33,260 +35,37 @@ __all__ = [
     "vdp_table_z2",
 ]
 
-
-@dataclass(frozen=True)
-class Z2Residue:
-    """An integer mod 2^k."""
-
-    value: int
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be a positive integer")
-        if not 0 <= self.value < (1 << self.precision):
-            raise ValueError("value out of range for precision %d" % self.precision)
-
-    @property
-    def hex(self):
-        return to_hex(self.value)
+# The ring travels with the argument, so the Z2 names are the generic functions.
+to_vdp_z2 = to_vdp
+from_vdp_z2 = from_vdp
+vdp_table_z2 = vdp_table
+restrict_vdp_z2 = restrict
+check_ergodic_z2 = check_ergodic_vdp
+is_transitive_mod_z2 = is_transitive_mod
+restrict_mahler_z2 = restrict_sparse
 
 
-@dataclass(frozen=True)
-class Z2FunctionTable:
-    """Values of f on all residues mod 2^k, canonically indexed."""
-
-    precision: int
-    table: tuple = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        k = self.precision
-        if k < 1:
-            raise ValueError("precision must be a positive integer")
-        if len(self.table) != 1 << k:
-            raise ValueError("need exactly 2^%d values" % k)
-        if any(not 0 <= v < (1 << k) for v in self.table):
-            raise ValueError("table value out of range for precision %d" % k)
-
-    def __call__(self, x):
-        return self.table[x]
-
-    def json_dict(self):
-        return {
-            "ring": "Z2",
-            "precision": self.precision,
-            "table": [to_hex(v) for v in self.table],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("ring") != "Z2":
-            raise ValueError("expected ring Z2")
-        k = int(obj["precision"])
-        return cls(k, tuple(parse_hex(v) for v in obj["table"]))
-
-
-@dataclass(frozen=True)
-class Z2VdpCoefficients:
-    """Coefficients B_m of the ball-indicator expansion mod 2^k."""
-
-    precision: int
-    B: tuple = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "B", tuple(self.B))
-        k = self.precision
-        if k < 1:
-            raise ValueError("precision must be a positive integer")
-        if len(self.B) != 1 << k:
-            raise ValueError("need exactly 2^%d coefficients" % k)
-        if any(not 0 <= v < (1 << k) for v in self.B):
-            raise ValueError("coefficient out of range for precision %d" % k)
-
-    def b(self, m):
-        """Scaled coefficient b_m = B_m / 2^{floor(log2 m)}; errors when not divisible."""
-        v = self.B[m]
-        w = m.bit_length() - 1
-        if w <= 0:
-            return v
-        if v & ((1 << w) - 1):
-            raise ValueError("2^%d does not divide B_%d" % (w, m))
-        return v >> w
-
-    def json_dict(self):
-        return {
-            "ring": "Z2",
-            "basis": "vanderput",
-            "precision": self.precision,
-            "coeffs": {str(m): to_hex(v) for m, v in enumerate(self.B) if v},
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("ring") != "Z2" or obj.get("basis") != "vanderput":
-            raise ValueError("expected ring Z2 with basis vanderput")
-        k = int(obj["precision"])
-        B = [0] * (1 << k)
-        for key, v in obj.get("coeffs", {}).items():
-            B[int(key)] = parse_hex(v)
-        return cls(k, tuple(B))
-
-
-@dataclass(frozen=True)
-class MahlerCoefficients:
+class MahlerCoefficients(SparseCoefficients):
     """Sparse binomial-basis coefficients a_i mod 2^k; missing indices are zero."""
 
-    precision: int
-    a: dict = field(repr=False)
-
-    def __post_init__(self):
-        k = self.precision
-        if k < 1:
-            raise ValueError("precision must be a positive integer")
-        clean = {}
-        for i, v in self.a.items():
-            i, v = int(i), int(v)
-            if i < 0:
-                raise ValueError("index must be non-negative")
-            if not 0 <= v < (1 << k):
-                raise ValueError("coefficient out of range for precision %d" % k)
-            if v:
-                clean[i] = v
-        object.__setattr__(self, "a", clean)
-
-    def coeff(self, i):
-        return self.a.get(i, 0)
-
-    def json_dict(self):
-        return {
-            "ring": "Z2",
-            "basis": "mahler",
-            "precision": self.precision,
-            "coeffs": {str(i): to_hex(v) for i, v in sorted(self.a.items())},
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("ring") != "Z2" or obj.get("basis") != "mahler":
-            raise ValueError("expected ring Z2 with basis mahler")
-        k = int(obj["precision"])
-        return cls(k, {int(i): parse_hex(v) for i, v in obj.get("coeffs", {}).items()})
-
-
-def to_vdp_z2(t):
-    """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
-    values = t.table
-    k = t.precision
-    mask = (1 << k) - 1
-    B = [values[0], values[1]]
-    for m in range(2, len(values)):
-        B.append((values[m] - values[m ^ (1 << (m.bit_length() - 1))]) & mask)
-    return Z2VdpCoefficients(k, tuple(B))
-
-
-def from_vdp_z2(c, x):
-    """Evaluate the expansion at x with carrying addition mod 2^k."""
-    as_residue = isinstance(x, Z2Residue)
-    if as_residue:
-        if x.precision != c.precision:
-            raise ValueError("precision mismatch")
-        x = x.value
-    k = c.precision
-    if not 0 <= x < (1 << k):
-        raise ValueError("point out of range for precision %d" % k)
-    B = c.B
-    acc = B[x & 1]
-    n = x >> 1
-    shift = 1
-    while n:
-        if n & 1:
-            acc += B[x & ((2 << shift) - 1)]
-        n >>= 1
-        shift += 1
-    acc &= (1 << k) - 1
-    return Z2Residue(acc, k) if as_residue else acc
-
-
-def vdp_table_z2(c):
-    """Synthesize the full table of the expansion at its own precision."""
-    return Z2FunctionTable(c.precision, tuple(from_vdp_z2(c, x) for x in range(1 << c.precision)))
-
-
-def restrict_vdp_z2(c, prec):
-    """Truncate the expansion to a lower precision."""
-    if not 1 <= prec <= c.precision:
-        raise ValueError("precision must be between 1 and %d" % c.precision)
-    mask = (1 << prec) - 1
-    return Z2VdpCoefficients(prec, tuple(v & mask for v in c.B[: 1 << prec]))
-
-
-def _scaled(c):
-    """All b_m, raising when some 2-power divisibility fails."""
-    return [c.b(m) for m in range(1 << c.precision)]
+    ring, basis = "Z2", "mahler"
 
 
 def check_mp_z2(c):
     """Bijective mod 2^k at every level: b_0 + b_1 odd and all b_m odd."""
-    b = _scaled(c)
-    return bool((b[0] + b[1]) & 1) and all(v & 1 for v in b[2:])
-
-
-def check_ergodic_z2(c):
-    """Single-cycle criterion per level, three-valued.
-
-    Level 1 needs b_0 and b_0 + b_1 odd; level 2 sharpens the sum to
-    3 mod 4; level 3 needs b_2 + b_3 = 2 mod 4; from level 4 on the
-    previous block must sum to 0 mod 4.  Every level m needs the band
-    b_m odd across floor(log2 m) = m-1.  True is only reported below the
-    precision; level k stays undecided unless a clause fails outright.
-    """
-    b = _scaled(c)
-    k = c.precision
-    ok = bool(b[0] & 1) and bool((b[0] + b[1]) & 1)
-    raw = [ok]
-    for m in range(2, k + 1):
-        ok = ok and all(b[a] & 1 for a in range(1 << (m - 1), 1 << m))
-        if m == 2:
-            ok = ok and (b[0] + b[1]) % 4 == 3
-        elif m == 3:
-            ok = ok and (b[2] + b[3]) % 4 == 2
-        else:
-            ok = ok and sum(b[1 << (m - 2) : 1 << (m - 1)]) % 4 == 0
-        raw.append(ok)
-    levels = [v if (v is False or m <= k - 1) else None for m, v in enumerate(raw, start=1)]
-    return LevelVerdicts(tuple(levels))
+    return check_mp_vdp(c).overall is True
 
 
 def mahler_eval(c, x):
     """Sum of a_i * binom(x, i) with exact integer binomials, mod 2^k."""
-    as_residue = isinstance(x, Z2Residue)
-    if as_residue:
-        if x.precision != c.precision:
-            raise ValueError("precision mismatch")
-        x = x.value
-    k = c.precision
-    if not 0 <= x < (1 << k):
-        raise ValueError("point out of range for precision %d" % k)
-    acc = 0
-    for i, v in c.a.items():
-        if i <= x:
-            acc += v * math.comb(x, i)
-    acc &= (1 << k) - 1
-    return Z2Residue(acc, k) if as_residue else acc
+    x, wrap = unwrap_point(x, c.precision)
+    acc = sum(v * math.comb(x, i) for i, v in c.a.items() if i <= x)
+    return wrap(acc & ((1 << c.precision) - 1))
 
 
 def mahler_table(c):
     """Synthesize the full table of the expansion at its own precision."""
     return Z2FunctionTable(c.precision, tuple(mahler_eval(c, x) for x in range(1 << c.precision)))
-
-
-def restrict_mahler_z2(c, prec):
-    """Truncate the coefficients to a lower precision."""
-    if not 1 <= prec <= c.precision:
-        raise ValueError("precision must be between 1 and %d" % c.precision)
-    mask = (1 << prec) - 1
-    return MahlerCoefficients(prec, {i: v & mask for i, v in c.a.items() if v & mask})
 
 
 def check_ergodic_mahler_z2(c):
@@ -307,8 +86,3 @@ def check_ergodic_mahler_z2(c):
         if v & ((1 << w) - 1):
             return False
     return True
-
-
-def is_transitive_mod_z2(t):
-    """Single-cycle verdict at every modulus 2^m up to the precision."""
-    return single_cycle_levels(t.table, t.precision)

@@ -244,3 +244,56 @@ def test_installed_entry_points(files):
                              capture_output=True, text=True)
         assert got.returncode == 0
         assert got.stdout.split() == ["0x0", "0x1", "0x2", "0x3", "0x0"]
+
+
+def _one_error_line(capsys):
+    out, err = capsys.readouterr()
+    return out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ring", ["F2T", "Z2"])
+@pytest.mark.parametrize("key", ["-1", "4", "9"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--x", "0x3"],
+    ["keystream", "--x0", "0x0", "--steps", "2"],
+    ["verify", "--basis", "vdp", "--check", "ergodic"],
+])
+def test_vdp_keys_outside_the_precision_exit_two(files, capsys, ring, key, command):
+    path = _write(files["tmp"], "keys.json", {
+        "ring": ring, "basis": "vanderput", "precision": 2, "coeffs": {key: "0x1"}})
+    if command[0] == "verify":
+        command = command + ["--ring", ring.lower()]
+    assert run(command + ["--coeffs", path]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--exhaustive", "--table"],
+    ["expand", "--basis", "vdp", "--table"],
+    ["eval", "--x", "0x0", "--coeffs"],
+    ["keystream", "--x0", "0x0", "--steps", "1", "--coeffs"],
+    ["verify", "--ring", "z2", "--basis", "vdp", "--check", "mp", "--coeffs"],
+    ["convert", "--from", "vdp", "--to", "carlitz", "--coeffs"],
+    ["gen-cycle", "--data"],
+])
+def test_top_level_json_list_exits_two(files, capsys, argv):
+    path = _write(files["tmp"], "list.json", [{"ring": "F2T"}, 1])
+    assert run(argv + [path]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("ring, basis", [("F2T", "vanderput"), ("F2T", "carlitz"), ("Z2", "vanderput"), ("Z2", "mahler")])
+def test_coeffs_that_are_not_an_object_exit_two(files, capsys, ring, basis):
+    path = _write(files["tmp"], "coeffs_list.json", {"ring": ring, "basis": basis, "precision": 2, "coeffs": ["0x1"]})
+    assert run(["eval", "--x", "0x1", "--coeffs", path]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_malformed_input_prints_no_traceback(files):
+    path = _write(files["tmp"], "neg.json", {
+        "ring": "Z2", "basis": "vanderput", "precision": 2, "coeffs": {"-1": "0x1"}})
+    got = subprocess.run([sys.executable, "-m", "tadic", "eval", "--x", "0x3", "--coeffs", path],
+                         capture_output=True, text=True)
+    assert got.returncode == 2
+    assert got.stdout == ""
+    assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1

@@ -1,5 +1,6 @@
 """Ball-indicator basis: expansion, evaluation, and the per-level criteria."""
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from tadic.dynamics import FunctionTable, is_bijective_mod, is_transitive_mod
 from tadic.gf2ps import Residue
 from tadic.vanderput import (
     VdpCoefficients,
+    Z2VdpCoefficients,
     check_ergodic_vdp,
     check_lipschitz_vdp,
     check_mp_vdp,
@@ -178,3 +180,18 @@ def test_exhaustive_level_bridges_at_k3():
 
 def test_reference_table_is_pinned():
     assert reference_table(4).table == REFERENCE_TABLE_K4
+
+
+@pytest.mark.parametrize("cls", [VdpCoefficients, Z2VdpCoefficients], ids=["F2T", "Z2"])
+def test_block_synthesis_matches_pointwise_evaluation_in_both_rings(cls):
+    """vdp_table equals per-point from_vdp, and to_vdp inverts it keeping the ring."""
+    sets = [cls(2, B) for B in itertools.product(range(4), repeat=4)]
+    rng = random.Random(8)
+    sets += [cls(k, tuple(rng.getrandbits(k) for _ in range(1 << k))) for k in range(1, 9) for _ in range(6)]
+    for c in sets:
+        t = vdp_table(c)
+        assert t.ring == c.ring
+        assert t.table == tuple(from_vdp(c, x) for x in range(1 << c.precision))
+        back = to_vdp(t)
+        assert type(back) is cls and back == c
+    assert len(sets) == 256 + 48

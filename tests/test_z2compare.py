@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from helpers import random_z2_compatible, random_z2_table
+from helpers import corrupt_z2, random_z2_compatible, random_z2_ergodic, random_z2_table
 from tadic.dynamics import is_bijective_mod
+from tadic.vanderput import check_mp_vdp
 from tadic.z2compare import (
     MahlerCoefficients,
     Z2FunctionTable,
@@ -176,3 +177,18 @@ def test_mahler_table_matches_pointwise_evaluation():
         c = MahlerCoefficients(4, {i: rng.getrandbits(4) for i in range(6)})
         t = mahler_table(c)
         assert t.table == tuple(mahler_eval(c, x) for x in range(16))
+
+
+def test_check_mp_z2_is_the_vdp_bit_test_and_matches_bijectivity():
+    rng = random.Random(25)
+    for k in range(1, 8):
+        for i in range(120):
+            if k >= 2 and i % 3 == 0:
+                c = random_z2_ergodic(rng, k)
+            elif k >= 2 and i % 3 == 1:
+                c = corrupt_z2(rng, random_z2_ergodic(rng, k))
+            else:
+                c = random_z2_compatible(rng, k)
+            got = check_mp_z2(c)
+            assert got == (check_mp_vdp(c).overall is True)
+            assert got == (is_bijective_mod(vdp_table_z2(c)).overall is True)
