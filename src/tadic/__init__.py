@@ -9,7 +9,6 @@ a constructive generator of transitive maps, keystream orbits, and the
 from .carlitz import (
     CarlitzCoefficients,
     CarlitzConstants,
-    CarlitzContext,
     carlitz_table,
     check_ergodic_carlitz,
     check_lipschitz_carlitz,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CarlitzCoefficients",
     "CarlitzConstants",
-    "CarlitzContext",
     "CycleData",
     "FunctionTable",
     "LevelVerdicts",

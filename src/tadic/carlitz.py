@@ -3,8 +3,12 @@
 Constants [i], L_i, D_i and the factorial Pi(n); the polynomials e_d, E_i,
 G_n, G'_n, H_n; Lucas binomials; coefficient extraction from a function
 table and evaluation back; Lipschitz and single-cycle criteria read off
-the coefficients.  All basis values are computed exactly over F2[T] and
-reduced mod T^k only at the end, so the divisions by D_i never lose bits.
+the coefficients.  The eval_* functions are exact over F2[T].  The
+transform pair and point evaluation work mod T^k with the recurrence
+E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
+level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
+exact mod T^k.  Both directions of the transform are one top-digit
+butterfly over the canonical points, O(k^2 2^k) truncated products.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .gf2ps import clmul, clmul_trunc, exact_div, trunc
 __all__ = [
     "CarlitzCoefficients",
     "CarlitzConstants",
-    "CarlitzContext",
     "DigitData",
     "binom_mod2",
     "carlitz_factorial",
@@ -165,159 +168,100 @@ def eval_H(n, x):
     return exact_div(clmul(constants(nu).L, eval_G(n + 1, x)), x)
 
 
-class CarlitzContext:
-    """Reduced basis values for every canonical point at one precision.
-
-    Level i holds E_i mod T^k indexed by the high bits x >> i; the defining
-    product over a full degree-below-i block absorbs the low bits, so each
-    level is half the previous one and stays exact until the division.
-    """
-
-    def __init__(self, precision):
-        if precision < 1:
-            raise ValueError("precision must be a positive integer")
-        self.precision = precision
-        k = precision
-        levels = []
-        exact = list(range(1 << k))
-        D = 1
-        for i in range(k):
-            levels.append([trunc(exact_div(e, D), k) for e in exact])
-            if i + 1 < k:
-                exact = [clmul(exact[2 * h], exact[2 * h + 1]) for h in range(len(exact) >> 1)]
-                br = _bracket(i + 1)
-                D = clmul(br, clmul(D, D))
-        self._levels = levels
-        self._gp_rows = {}
-        self._g_rows = {}
-        self._g_memo = {}
-
-    def E_trunc(self, i, x):
-        """E_i at the canonical point x, mod T^k."""
-        return self._levels[i][x >> i]
-
-    def G_trunc(self, n, x):
-        """G_n at the canonical point x, mod T^k."""
-        key = (n, x)
-        got = self._g_memo.get(key)
-        if got is not None:
-            return got
-        k = self.precision
-        res = 1
-        m, i = n, 0
-        while m and res:
-            if m & 1:
-                if i >= k:
-                    res = 0
-                    break
-                f = self._levels[i][x >> i]
-                res = clmul_trunc(res, f, k) if f else 0
-            m >>= 1
-            i += 1
-        self._g_memo[key] = res
-        return res
-
-    def gprime_row(self, x):
-        """G'_s(x) mod T^k for every s below twice the top bit of x."""
-        row = self._gp_rows.get(x)
-        if row is None:
-            k = self.precision
-            vals = [1]
-            for i in range(x.bit_length()):
-                f = self._levels[i][x >> i] ^ 1
-                vals += [clmul_trunc(v, f, k) for v in vals]
-            row = self._gp_rows[x] = tuple(vals)
-        return row
-
-    def g_row(self, x):
-        """G_s(x) mod T^k for every s below twice the top bit of x."""
-        row = self._g_rows.get(x)
-        if row is None:
-            k = self.precision
-            vals = [1]
-            for i in range(x.bit_length()):
-                f = self._levels[i][x >> i]
-                vals += [clmul_trunc(v, f, k) for v in vals]
-            row = self._g_rows[x] = tuple(vals)
-        return row
-
-
 class CarlitzCoefficients(SparseCoefficients):
     """Sparse coefficients a_n mod T^k; missing indices are zero."""
 
     ring, basis = "F2T", "carlitz"
 
 
-def _mask_of(alpha):
-    """Index mask for G'_s(alpha): s only matters up to twice the top bit."""
-    return (2 << (alpha.bit_length() - 1)) - 1 if alpha else 0
+def _E_values(x, k):
+    """E_0(x), ..., E_{k-1}(x) mod T^k at one point, by the Carlitz recurrence.
+
+    E_i = (E_{i-1}^2 + E_{i-1}) / [i] with [i] = T (1 + T^(2^i - 1)).  The
+    division by T is a shift that costs one digit, so E_0 = x starts with
+    k - 1 guard digits and E_i is exact mod T^(2k-1-i); the unit is
+    inverted as the geometric series of T^(2^i - 1).  E_i vanishes once
+    2^i > x, so the recurrence stops at the degree of x.
+    """
+    p = 2 * k - 1
+    e = trunc(x, p)
+    out = [trunc(e, k)]
+    for i in range(1, min(k, x.bit_length())):
+        e = trunc(clmul(e, e) ^ e, p) >> 1
+        p -= 1
+        step = (1 << i) - 1
+        if step < p:
+            e = clmul_trunc(e, sum(1 << j for j in range(0, p, step)), p)
+        out.append(trunc(e, k))
+    return out + [0] * (k - len(out))
 
 
-def to_carlitz(t, ctx=None):
+def _shift(v, lo, c, k):
+    """Apply the Kronecker product of the shifts [[1, c_i], [0, 1]] to v[lo : lo + 2^len(c)]."""
+    for i, ci in enumerate(c):
+        if not ci:
+            continue
+        b = 1 << i
+        for base in range(lo, lo + (1 << len(c)), 2 * b):
+            for n in range(base + b, base + 2 * b):
+                if v[n]:
+                    v[n - b] ^= clmul_trunc(ci, v[n], k)
+
+
+def _butterfly(v, k, synthesize):
+    """Coefficients to table (synthesize) or table to coefficients, in place.
+
+    A level splits blocks of 2h points, h = 2^j, on the top digit: on the
+    upper half x + T^j (deg x < j) linearity gives E_i(x) + c_i for i < j,
+    c_i = E_i(T^j), and E_j = 1.  Per block, synthesis is
+    hi <- shift_c(lo + hi) from the top level down; expansion undoes it,
+    hi <- lo + shift_c(hi) from the bottom level up, since each shift is
+    its own inverse in characteristic 2.
+    """
+    levels = [(1 << j, _E_values(1 << j, k)[:j]) for j in range(k)]
+    for h, c in reversed(levels) if synthesize else levels:
+        for s in range(0, 1 << k, 2 * h):
+            if not synthesize:
+                _shift(v, s + h, c, k)
+            for t in range(s, s + h):
+                v[t + h] ^= v[t]
+            if synthesize:
+                _shift(v, s + h, c, k)
+    return v
+
+
+def to_carlitz(t):
     """Extract a_n mod T^k for n < 2^k from the full table."""
     k = t.precision
-    if ctx is None:
-        ctx = CarlitzContext(k)
-    elif ctx.precision != k:
-        raise ValueError("context precision mismatch")
-    values = t.table
-    full = (1 << k) - 1
-    rows = [ctx.gprime_row(alpha) for alpha in range(1 << k)]
-    masks = [_mask_of(alpha) for alpha in range(1 << k)]
-    a = {}
-    for n in range(1 << k):
-        s = full ^ n
-        acc = 0
-        for alpha in range(1 << k):
-            fv = values[alpha]
-            if fv:
-                g = rows[alpha][s & masks[alpha]]
-                if g:
-                    acc ^= clmul_trunc(g, fv, k)
-        if acc:
-            a[n] = acc
-    return CarlitzCoefficients(k, a)
+    a = _butterfly(list(t.table), k, synthesize=False)
+    return CarlitzCoefficients(k, dict(enumerate(a)))
 
 
-def from_carlitz(c, x, ctx=None):
-    """Evaluate sum of a_n G_n at a canonical point, mod T^k."""
+def from_carlitz(c, x):
+    """Evaluate sum of a_n G_n at a canonical point, mod T^k, without a table.
+
+    Indices n >= 2^k contribute 0 at canonical points and are skipped.
+    """
     x, wrap = unwrap_point(x, c.precision)
     k = c.precision
-    if ctx is None:
-        ctx = CarlitzContext(k)
-    elif ctx.precision != k:
-        raise ValueError("context precision mismatch")
+    E = _E_values(x, k)
     acc = 0
     for n, v in c.a.items():
-        g = ctx.G_trunc(n, x)
-        if g:
-            acc ^= clmul_trunc(g, v, k)
+        if n >> k:
+            continue
+        while n and v:
+            low = n & -n
+            v = clmul_trunc(v, E[low.bit_length() - 1], k)
+            n ^= low
+        acc ^= v
     return wrap(acc)
 
 
-def carlitz_table(c, ctx=None):
+def carlitz_table(c):
     """Synthesize the full table of the expansion at its own precision."""
     k = c.precision
-    if ctx is None:
-        ctx = CarlitzContext(k)
-    elif ctx.precision != k:
-        raise ValueError("context precision mismatch")
-    items = sorted(c.a.items())
-    if len(items) <= max(2 * k, 4) or k > 9:
-        return FunctionTable(k, tuple(from_carlitz(c, x, ctx) for x in range(1 << k)))
-    # dense sets: one shared G row per point beats per-index digit products
-    out = []
-    for x in range(1 << k):
-        row = ctx.g_row(x)
-        bound = len(row)
-        acc = 0
-        for n, v in items:
-            if n < bound:
-                g = row[n]
-                if g:
-                    acc ^= clmul_trunc(g, v, k)
-        out.append(acc)
-    return FunctionTable(k, tuple(out))
+    v = [c.coeff(n) for n in range(1 << k)]
+    return FunctionTable(k, tuple(_butterfly(v, k, synthesize=True)))
 
 
 restrict = restrict_sparse
@@ -329,17 +273,8 @@ def check_lipschitz_carlitz(c):
     Indices with floor(log2 n) >= k can only be refuted, never confirmed,
     at precision k; undetermined_lipschitz_indices lists the survivors.
     """
-    k = c.precision
-    for n, v in c.a.items():
-        if n < 2:
-            continue
-        bound = n.bit_length() - 1
-        if bound < k:
-            if v & ((1 << bound) - 1):
-                return False
-        elif v:
-            return False
-    return True
+    # a_n < 2^k, so past the precision the floor refutes any nonzero a_n
+    return not any(v & ((1 << (n.bit_length() - 1)) - 1) for n, v in c.a.items() if n > 1)
 
 
 def undetermined_lipschitz_indices(c):
@@ -353,22 +288,21 @@ def check_ergodic_carlitz(c):
 
     Level 1 needs a_0 and a_1 odd.  Level m adds ord(a_n) >= m across the
     band floor(log2 n) = m-1 and a lift clause pinning the next coefficient
-    of the chain a_{2^j - 1}: the T digit of a_1 for m = 2, the T^{m-1}
-    digit of a_{2^{m-1}-1} beyond.  True is only reported below the
-    precision; level k stays undecided unless a clause fails outright.
+    of the chain a_{2^j - 1}: the T^{m-1} digit of a_{2^{m-1}-1} (the T
+    digit of a_1 at m = 2).  True is only reported below the precision;
+    level k stays undecided unless a clause fails outright.  Each clause
+    reads only stored indices, so the cost is linear in the set.
     """
     if not check_lipschitz_carlitz(c):
         raise ValueError("coefficients are not 1-Lipschitz")
     k = c.precision
+    # one pass over the stored indices: band m fails when some a_n with
+    # floor(log2 n) = m-1 has a digit below T^m
+    bad_bands = {n.bit_length() for n, v in c.a.items() if v & ((1 << n.bit_length()) - 1)}
     ok = bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
     raw = [ok]
     for m in range(2, k + 1):
-        band_mask = (1 << m) - 1
-        ok = ok and all(not c.a.get(n, 0) & band_mask for n in range(1 << (m - 1), 1 << m))
-        if m == 2:
-            ok = ok and bool(c.coeff(1) & 2)
-        else:
-            ok = ok and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
+        ok = ok and m not in bad_bands and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
         raw.append(ok)
     levels = [v if (v is False or m <= k - 1) else None for m, v in enumerate(raw, start=1)]
     return LevelVerdicts(tuple(levels))

@@ -25,6 +25,10 @@ __all__ = ["main", "run"]
 _RING = {"f2t": "F2T", "z2": "Z2"}
 _BASIS = {"vdp": "vanderput", "carlitz": "carlitz", "mahler": "mahler"}
 _FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
+# Budget for the 2^k-entry tables a file's precision makes a command build
+# (reading a vdp file, synthesising a table): past it the command exits 2
+# instead of running out of memory.  Table-free commands have no limit.
+_MAX_TABLE_PRECISION = 24
 
 
 class _CliError(Exception):
@@ -161,6 +165,11 @@ def _load_table(path):
     return ring.table.from_json_dict(obj)
 
 
+def _check_budget(k):
+    if k > _MAX_TABLE_PRECISION:
+        raise _CliError("precision %d needs a table of 2^%d entries, over the budget of 2^%d" % (k, k, _MAX_TABLE_PRECISION))
+
+
 def _load_coeffs(path):
     obj = _read_json(path)
     kind = (obj.get("ring"), obj.get("basis"))
@@ -168,7 +177,14 @@ def _load_coeffs(path):
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
     if not isinstance(obj.get("coeffs", {}), dict):
         raise _CliError("expected \"coeffs\" to be a JSON object in %s" % path)
+    if kind[1] == "vanderput":
+        _check_budget(int(obj["precision"]))
     return kind, _KINDS[kind].coeffs.from_json_dict(obj)
+
+
+def _synthesize(kind, c):
+    _check_budget(c.precision)
+    return _KINDS[kind].synthesize(c)
 
 
 def _restricted(kind, c, prec):
@@ -261,7 +277,7 @@ def _cmd_convert(args):
     kind, c = _load_coeffs(args.coeffs)
     if kind != ("F2T", _BASIS[args.from_basis]):
         raise _CliError("coefficient file is %s/%s but --from says %s" % (kind + (args.from_basis,)))
-    out = _KINDS[("F2T", _BASIS[args.to_basis])].expand(_KINDS[kind].synthesize(c))
+    out = _KINDS[("F2T", _BASIS[args.to_basis])].expand(_synthesize(kind, c))
     _emit(args, out.json_dict())
     return 0
 
@@ -296,7 +312,7 @@ def _cmd_keystream(args):
         raise _CliError("--steps must be positive")
     if args.bit is not None and not 0 <= args.bit < k:
         raise _CliError("--bit must be between 0 and %d" % (k - 1))
-    t = _KINDS[kind].synthesize(c)
+    t = _synthesize(kind, c)
     xs = dynamics.orbit(t, x0, args.steps)
     if not args.quiet:
         for x in xs:

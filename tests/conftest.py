@@ -1,8 +1,4 @@
-"""Shared fixtures: one Carlitz basis context per precision per session."""
-
-import pytest
-
-from tadic.carlitz import CarlitzContext
+"""Shared test settings: a deterministic hypothesis profile."""
 
 try:
     from hypothesis import settings
@@ -11,17 +7,3 @@ try:
     settings.load_profile("suite")
 except ImportError:  # pragma: no cover - hypothesis is a test dependency
     pass
-
-_CONTEXTS = {}
-
-
-@pytest.fixture(scope="session")
-def ctx_for():
-    """Factory returning a cached CarlitzContext for a precision."""
-
-    def get(k):
-        if k not in _CONTEXTS:
-            _CONTEXTS[k] = CarlitzContext(k)
-        return _CONTEXTS[k]
-
-    return get

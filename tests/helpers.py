@@ -6,10 +6,12 @@ criterion by construction; both verdict directions get exercised at
 every level.
 """
 
+import functools
 import itertools
 
-from tadic.carlitz import CarlitzCoefficients, carlitz_table
+from tadic.carlitz import CarlitzCoefficients, carlitz_table, eval_Gprime
 from tadic.dynamics import FunctionTable
+from tadic.gf2ps import clmul_trunc, trunc
 from tadic.vanderput import VdpCoefficients
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients
 
@@ -22,9 +24,32 @@ def reference_coefficients(k):
     return CarlitzCoefficients(k, a)
 
 
-def reference_table(k, ctx=None):
+def reference_table(k):
     """Full table of the reference set at precision k."""
-    return carlitz_table(reference_coefficients(k), ctx)
+    return carlitz_table(reference_coefficients(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_rows(k):
+    # row n holds G'_{2^k-1-n}(alpha) mod T^k for every canonical alpha
+    full = (1 << k) - 1
+    return tuple(tuple(trunc(eval_Gprime(full ^ n, alpha), k) for alpha in range(1 << k)) for n in range(1 << k))
+
+
+def dual_basis_coefficients(t):
+    """Oracle for to_carlitz: a_n = sum over alpha of G'_{2^k-1-n}(alpha) f(alpha) mod T^k.
+
+    Built on the exact eval_Gprime, so it costs 4^k products after the
+    rows; keep k small.
+    """
+    k = t.precision
+    a = {}
+    for n, row in enumerate(_dual_rows(k)):
+        acc = 0
+        for g, v in zip(row, t.table):
+            acc ^= clmul_trunc(g, v, k)
+        a[n] = acc
+    return CarlitzCoefficients(k, a)
 
 
 # the reference table at k=4, pinned by hand from the coefficient sum

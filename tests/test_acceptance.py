@@ -47,7 +47,7 @@ from tadic.dynamics import (
     orbit,
     parity_lift,
 )
-from tadic.gf2ps import clmul, clmul_trunc
+from tadic.gf2ps import clmul, clmul_trunc, trunc
 from tadic.vanderput import (
     check_ergodic_vdp,
     check_lipschitz_vdp,
@@ -66,11 +66,10 @@ from tadic.z2compare import (
 )
 
 
-def test_criterion_01_reference_function_certified_and_transitive_at_k12(ctx_for):
+def test_criterion_01_reference_function_certified_and_transitive_at_k12():
     start = time.monotonic()
-    ctx = ctx_for(12)
     c = reference_coefficients(12)
-    t = carlitz_table(c, ctx)
+    t = carlitz_table(c)
     assert is_transitive_mod(t).levels == (True,) * 12
     carl = check_ergodic_carlitz(c)
     assert carl.levels == (True,) * 11 + (None,)
@@ -118,7 +117,7 @@ def test_criterion_03_ergodic_verdicts_equal_transitivity_on_random_lipschitz_se
     assert determined >= 1200
 
 
-def test_criterion_04_vdp_and_carlitz_verdicts_agree_on_sampled_tables_to_k6(ctx_for):
+def test_criterion_04_vdp_and_carlitz_verdicts_agree_on_sampled_tables_to_k6():
     rng = random.Random(0xC4)
     lipschitz_cases = ergodic_true = 0
     for k in range(1, 7):
@@ -127,10 +126,9 @@ def test_criterion_04_vdp_and_carlitz_verdicts_agree_on_sampled_tables_to_k6(ctx
             pool += [vdp_table(random_lipschitz_vdp(rng, k)) for _ in range(60)]
             pool += [vdp_table(random_mp_vdp(rng, k)) for _ in range(20)]
             pool += [vdp_table(random_ergodic_vdp(rng, k)) for _ in range(20)]
-        ctx = ctx_for(k)
         for t in pool:
             cv = to_vdp(t)
-            cc = to_carlitz(t, ctx)
+            cc = to_carlitz(t)
             expect = all(v is True for v in is_compatible(t).levels)
             assert check_lipschitz_vdp(cv) == check_lipschitz_carlitz(cc) == expect
             if expect:
@@ -149,9 +147,8 @@ def test_criterion_04_vdp_and_carlitz_verdicts_agree_on_sampled_tables_to_k6(ctx
     assert ergodic_true >= 100
 
 
-def test_criterion_05_carlitz_lipschitz_verdict_equals_table_compatibility_at_k5(ctx_for):
+def test_criterion_05_carlitz_lipschitz_verdict_equals_table_compatibility_at_k5():
     rng = random.Random(0xC5)
-    ctx = ctx_for(5)
     seen = Counter()
     for i in range(550):
         if i % 11 < 4:
@@ -162,20 +159,20 @@ def test_criterion_05_carlitz_lipschitz_verdict_equals_table_compatibility_at_k5
                 vals = list(t.table)
                 vals[rng.randrange(32)] ^= 1 << rng.randrange(5)
                 t = FunctionTable(5, tuple(vals))
-        got = check_lipschitz_carlitz(to_carlitz(t, ctx))
+        got = check_lipschitz_carlitz(to_carlitz(t))
         want = all(v is True for v in is_compatible(t).levels)
         assert got == want
         seen[want] += 1
     assert seen[True] >= 150 and seen[False] >= 150
 
 
-def test_criterion_06_parity_lift_predicts_next_level_transitivity(ctx_for):
+def test_criterion_06_parity_lift_predicts_next_level_transitivity():
     rng = random.Random(0xC6)
     applicable = 0
     for k in (4, 6, 8):
         pool = [vdp_table(random_mp_vdp(rng, k)) for _ in range(40)]
         pool += [vdp_table(random_ergodic_vdp(rng, k)) for _ in range(25)]
-        pool.append(reference_table(k, ctx_for(k)))
+        pool.append(reference_table(k))
         pool.append(gen_cycle(random_data(k, k - 1))[1])
         for t in pool:
             trans = is_transitive_mod(t)
@@ -293,40 +290,35 @@ def test_criterion_10_2adic_checkers_match_brute_force_transitivity():
     assert true_cases >= 250
 
 
-def test_criterion_11_basis_roundtrips_sampled_to_k8_and_exhaustive_to_k3(ctx_for):
+def test_criterion_11_basis_roundtrips_sampled_to_k8_and_exhaustive_to_k3():
     rng = random.Random(0xCB)
     # sampled identities, both directions of both expansions
     total = 0
     for k, cnt in {1: 150, 2: 150, 3: 150, 4: 300, 5: 250, 6: 150, 7: 100, 8: 50}.items():
-        ctx = ctx_for(k)
         for _ in range(cnt):
             t = random_table(rng, k)
             assert vdp_table(to_vdp(t)).table == t.table
-            assert carlitz_table(to_carlitz(t, ctx), ctx).table == t.table
+            assert carlitz_table(to_carlitz(t)).table == t.table
             total += 1
     assert total >= 1000
     # exhaustive at k = 1 and k = 2 straight through the library
     for k in (1, 2):
-        ctx = ctx_for(k)
         size = 1 << k
         for packed in range(1 << (k * size)):
             vals = tuple((packed >> (k * e)) & (size - 1) for e in range(size))
             t = FunctionTable(k, vals)
             assert vdp_table(to_vdp(t)).table == vals
-            assert carlitz_table(to_carlitz(t, ctx), ctx).table == vals
+            assert carlitz_table(to_carlitz(t)).table == vals
     # k = 3: numpy replica of both expansions, swept over all 2^24 tables
-    ctx3 = ctx_for(3)
     CL = np.zeros((8, 8), dtype=np.uint8)
     for g in range(8):
         for v in range(8):
             CL[g, v] = clmul_trunc(g, v, 3)
     GP = [[0] * 8 for _ in range(8)]
     for alpha in range(8):
-        row = ctx3.gprime_row(alpha)
-        mask = (2 << (alpha.bit_length() - 1)) - 1 if alpha else 0
         for n in range(8):
-            GP[alpha][n] = row[(7 ^ n) & mask]
-    GV = [[ctx3.G_trunc(n, x) for x in range(8)] for n in range(8)]
+            GP[alpha][n] = trunc(eval_Gprime(7 ^ n, alpha), 3)
+    GV = [[trunc(eval_G(n, x), 3) for x in range(8)] for n in range(8)]
     parent = [0, 1] + [m ^ (1 << (m.bit_length() - 1)) for m in range(2, 8)]
     balls = [[x & 1] + [x & ((2 << d) - 1) for d in (1, 2) if (x >> d) & 1]
              for x in range(8)]
@@ -343,7 +335,7 @@ def test_criterion_11_basis_roundtrips_sampled_to_k8_and_exhaustive_to_k3(ctx_fo
             for alpha in range(8):
                 acc ^= clmul_trunc(GP[alpha][n], vals[alpha], 3)
             a.append(acc)
-        assert {n: v for n, v in enumerate(a) if v} == to_carlitz(t, ctx3).a
+        assert {n: v for n, v in enumerate(a) if v} == to_carlitz(t).a
         for x in range(8):
             back = 0
             for n in range(8):
@@ -378,13 +370,12 @@ def test_criterion_11_basis_roundtrips_sampled_to_k8_and_exhaustive_to_k3(ctx_fo
     assert swept == 1 << 24
 
 
-def test_criterion_12_perturbed_reference_keystreams_have_full_period(ctx_for):
+def test_criterion_12_perturbed_reference_keystreams_have_full_period():
     rng = random.Random(0xCC)
-    ctx = ctx_for(12)
     for i in range(20):
         c = perturbed_reference(rng, 12)
         assert check_ergodic_carlitz(c).all_determined_true()
-        t = carlitz_table(c, ctx)
+        t = carlitz_table(c)
         # every level-m walk returns to its start first at step 2^m
         assert is_transitive_mod(t).levels == (True,) * 12
         if i == 0:

@@ -1,13 +1,13 @@
 """Carlitz basis: constants, special polynomials, extraction, criteria."""
 
 import random
+import time
 
 import pytest
 
-from helpers import REFERENCE_TABLE_K4, random_table, reference_coefficients
+from helpers import REFERENCE_TABLE_K4, dual_basis_coefficients, perturbed_reference, random_table, reference_coefficients
 from tadic.carlitz import (
     CarlitzCoefficients,
-    CarlitzContext,
     DigitData,
     binom_mod2,
     carlitz_factorial,
@@ -136,52 +136,76 @@ def test_to_carlitz_reference_table():
     assert c.a == {0: 1, 1: 3, 3: 4, 7: 8}
 
 
-def test_from_carlitz_known_values(ctx_for):
+def test_from_carlitz_known_values():
     assert from_carlitz(CarlitzCoefficients(3, {1: 1}), 5) == 5
     assert from_carlitz(CarlitzCoefficients(3, {0: 1}), 6) == 1
-    assert from_carlitz(reference_coefficients(4), 2, ctx_for(4)) == 0xF
-    got = from_carlitz(reference_coefficients(4), Residue(2, 4), ctx_for(4))
+    assert from_carlitz(reference_coefficients(4), 2) == 0xF
+    got = from_carlitz(reference_coefficients(4), Residue(2, 4))
     assert got == Residue(0xF, 4)
 
 
-def test_context_matches_exact_evaluation(ctx_for):
-    k = 4
-    ctx = ctx_for(k)
-    for i in range(k):
-        for x in range(1 << k):
-            assert ctx.E_trunc(i, x) == trunc(eval_E(i, x), k)
-    for n in range(1 << k):
-        for x in range(1 << k):
-            assert ctx.G_trunc(n, x) == trunc(eval_G(n, x), k)
-    for x in range(1 << k):
-        grow = ctx.g_row(x)
-        gprow = ctx.gprime_row(x)
-        for s in range(len(grow)):
-            assert grow[s] == trunc(eval_G(s, x), k)
-            assert gprow[s] == trunc(eval_Gprime(s, x), k)
+def test_to_carlitz_matches_the_dual_basis_oracle():
+    rng = random.Random(12)
+    for k in range(1, 8):
+        for _ in range(4):
+            t = random_table(rng, k)
+            assert to_carlitz(t) == dual_basis_coefficients(t)
 
 
-def test_context_precision_is_enforced(ctx_for):
-    c = reference_coefficients(4)
-    with pytest.raises(ValueError, match="context precision"):
-        from_carlitz(c, 1, ctx_for(3))
-    with pytest.raises(ValueError, match="context precision"):
-        carlitz_table(c, ctx_for(5))
-    with pytest.raises(ValueError, match="context precision"):
-        to_carlitz(FunctionTable(4, REFERENCE_TABLE_K4), ctx_for(3))
-
-
-def test_dense_and_sparse_table_paths_agree(ctx_for):
+def test_dense_and_sparse_table_paths_agree():
     rng = random.Random(13)
     k = 4
-    ctx = ctx_for(k)
     for _ in range(25):
         t = random_table(rng, k)
-        c = to_carlitz(t, ctx)
-        rebuilt = carlitz_table(c, ctx)  # dense path once the set is big
-        pointwise = tuple(from_carlitz(c, x, ctx) for x in range(1 << k))
+        c = to_carlitz(t)
+        rebuilt = carlitz_table(c)
+        pointwise = tuple(from_carlitz(c, x) for x in range(1 << k))
         assert rebuilt.table == pointwise
         assert rebuilt.table == t.table
+    # sparse sets, with stored indices past 2^k that vanish at canonical points
+    for k in range(1, 11):
+        for _ in range(3):
+            a = {rng.randrange(1 << (k + 1)): rng.getrandbits(k) for _ in range(rng.randrange(1, 2 * k + 2))}
+            c = CarlitzCoefficients(k, a)
+            assert carlitz_table(c).table == tuple(from_carlitz(c, x) for x in range(1 << k))
+
+
+def _word_precision_set(rng, k):
+    """A 1-Lipschitz set at precision k mixing low indices with indices up to 2^k."""
+    a = dict(perturbed_reference(rng, 12).a)
+    for _ in range(12):
+        n = rng.randrange(2, 1 << rng.choice((5, 10, k)))
+        bound = n.bit_length() - 1
+        a[n] = rng.getrandbits(k - bound) << bound if bound < k else 0
+    return CarlitzCoefficients(k, a)
+
+
+@pytest.mark.parametrize("k", [32, 64])
+def test_from_carlitz_equals_the_exact_sum_at_word_precision(k):
+    rng = random.Random(k)
+    c = _word_precision_set(rng, k)
+    for x in [0, 1, 2, 0x155, 0x3FF] + [rng.randrange(1 << 10) for _ in range(3)]:
+        exact = 0
+        for n, v in c.a.items():
+            exact ^= clmul(v, eval_G(n, x))
+        assert from_carlitz(c, x) == trunc(exact, k)
+
+
+@pytest.mark.parametrize("k", [40, 64])
+def test_from_carlitz_commutes_with_restriction(k):
+    rng = random.Random(k)
+    # reduction mod T^24 is a ring map, so reducing the set or the value
+    # must agree at full-degree points; too few guard digits break this
+    c = CarlitzCoefficients(k, {n: rng.getrandbits(k) for n in [rng.randrange(1 << 24) for _ in range(30)]})
+    cut = restrict(c, 24)
+    for x in [(1 << 24) - 1] + [rng.getrandbits(24) | (1 << 23) for _ in range(10)]:
+        assert from_carlitz(cut, x) == trunc(from_carlitz(c, x), 24)
+    # a 1-Lipschitz set reads mod T^8 like its k = 8 table at x mod T^8
+    c = _word_precision_set(rng, k)
+    assert check_lipschitz_carlitz(c)
+    low = carlitz_table(restrict(c, 8)).table
+    for x in [rng.getrandbits(k) for _ in range(40)] + [(1 << k) - 1, 0xFF]:
+        assert trunc(from_carlitz(c, x), 8) == low[x & 0xFF]
 
 
 def test_lipschitz_criterion_known_values():
@@ -211,6 +235,50 @@ def test_ergodic_criterion_known_values():
         check_ergodic_carlitz(CarlitzCoefficients(3, {2: 1}))
 
 
+def _ergodic_by_band_scan(c):
+    # the per-level clauses with every band scanned index by index
+    k = c.precision
+    ok = bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
+    raw = [ok]
+    for m in range(2, k + 1):
+        ok = ok and all(not c.coeff(n) & ((1 << m) - 1) for n in range(1 << (m - 1), 1 << m))
+        ok = ok and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
+        raw.append(ok)
+    return tuple(v if (v is False or m < k) else None for m, v in enumerate(raw, start=1))
+
+
+def test_ergodic_criterion_matches_a_band_scan_on_sparse_sets():
+    rng = random.Random(21)
+    falses = 0
+    for k in range(2, 11):
+        for _ in range(30):
+            a = dict(perturbed_reference(rng, k).a)
+            for _ in range(rng.randrange(3)):
+                # a coefficient sitting exactly on its Lipschitz floor breaks its band
+                n = rng.randrange(2, 1 << k)
+                a[n] = 1 << (n.bit_length() - 1)
+            if rng.random() < 0.3:
+                a[1] = a.get(1, 0) ^ 2
+            c = CarlitzCoefficients(k, a)
+            got = check_ergodic_carlitz(c).levels
+            assert got == _ergodic_by_band_scan(c)
+            falses += False in got
+    assert 50 < falses < 250
+
+
+@pytest.mark.parametrize("k", [40, 64])
+def test_ergodic_criterion_is_linear_in_the_stored_indices(k):
+    start = time.monotonic()
+    assert check_ergodic_carlitz(reference_coefficients(k)).levels == (True,) * (k - 1) + (None,)
+    if k == 40:
+        deep = dict(reference_coefficients(k).a)
+        deep[(1 << 30) + 5] = 1 << 30
+        c = CarlitzCoefficients(k, deep)
+        assert check_lipschitz_carlitz(c)
+        assert check_ergodic_carlitz(c).levels == (True,) * 30 + (False,) * 10
+    assert time.monotonic() - start < 1.0
+
+
 def test_restrict_keeps_deep_markers():
     c = reference_coefficients(4)
     cut = restrict(c, 2)
@@ -237,8 +305,3 @@ def test_coefficient_validation():
     with pytest.raises(ValueError):
         CarlitzCoefficients(2, {0: 4})
     assert CarlitzCoefficients(2, {0: 0, 1: 2}).a == {1: 2}
-
-
-def test_context_validation():
-    with pytest.raises(ValueError):
-        CarlitzContext(0)

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import reference_coefficients, reference_table
 from tadic.cli import run
-from tadic.carlitz import CarlitzCoefficients, to_carlitz
+from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable
 from tadic.vanderput import VdpCoefficients, to_vdp
@@ -289,11 +289,50 @@ def test_coeffs_that_are_not_an_object_exit_two(files, capsys, ring, basis):
     assert _one_error_line(capsys)
 
 
+def _deep_files(tmp):
+    # precision-40 files: a Carlitz set needs no table, a vdp set is one
+    return {
+        "carlitz": _write(tmp, "deep_car.json", reference_coefficients(40).json_dict()),
+        "vdp": _write(tmp, "deep_vdp.json", {"ring": "F2T", "basis": "vanderput", "precision": 40, "coeffs": {"0": "0x1"}}),
+    }
+
+
+@pytest.mark.parametrize("basis, argv", [
+    ("carlitz", ["keystream", "--x0", "0x0", "--steps", "2"]),
+    ("carlitz", ["convert", "--from", "carlitz", "--to", "vdp"]),
+    ("vdp", ["eval", "--x", "0x3"]),
+    ("vdp", ["keystream", "--x0", "0x0", "--steps", "2", "--prec", "4"]),
+    ("vdp", ["verify", "--ring", "f2t", "--basis", "vdp", "--check", "ergodic"]),
+    ("vdp", ["convert", "--from", "vdp", "--to", "carlitz"]),
+])
+def test_tables_over_the_size_budget_exit_two(files, capsys, basis, argv):
+    path = _deep_files(files["tmp"])[basis]
+    assert run(argv + ["--coeffs", path]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("k", [40, 64])
+def test_table_free_commands_have_no_size_budget(files, capsys, k):
+    c = reference_coefficients(k)
+    path = _write(files["tmp"], "car%d.json" % k, c.json_dict())
+    x = (1 << k) - 3
+    assert run(["eval", "--coeffs", path, "--x", hex(x)]) == 0
+    assert _json_out(capsys)["value"] == hex(from_carlitz(c, x))
+    assert run(["verify", "--ring", "f2t", "--basis", "carlitz", "--check", "ergodic", "--coeffs", path]) == 0
+    assert _json_out(capsys)["levels"][str(k)] is None
+    assert run(["keystream", "--coeffs", path, "--x0", "0x0", "--prec", "2", "--steps", "5"]) == 0
+    assert capsys.readouterr().out.split() == ["0x0", "0x1", "0x2", "0x3", "0x0"]
+
+
 def test_malformed_input_prints_no_traceback(files):
     path = _write(files["tmp"], "neg.json", {
         "ring": "Z2", "basis": "vanderput", "precision": 2, "coeffs": {"-1": "0x1"}})
-    got = subprocess.run([sys.executable, "-m", "tadic", "eval", "--x", "0x3", "--coeffs", path],
-                         capture_output=True, text=True)
-    assert got.returncode == 2
-    assert got.stdout == ""
-    assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1
+    deep = _deep_files(files["tmp"])
+    for argv in (["eval", "--x", "0x3", "--coeffs", path],
+                 ["eval", "--x", "0x3", "--coeffs", deep["vdp"]],
+                 ["keystream", "--x0", "0x0", "--steps", "2", "--coeffs", deep["carlitz"]],
+                 ["convert", "--from", "carlitz", "--to", "vdp", "--coeffs", deep["carlitz"]]):
+        got = subprocess.run([sys.executable, "-m", "tadic", *argv], capture_output=True, text=True)
+        assert got.returncode == 2
+        assert got.stdout == ""
+        assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1
