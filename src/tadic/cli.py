@@ -12,23 +12,27 @@ criterion behind each --check.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from . import carlitz, cyclegen, dynamics, vanderput, z2compare
-from .gf2ps import parse_hex, to_hex
+from .gf2ps import check_residues, parse_hex, to_hex
 
 __all__ = ["main", "run"]
 
 _RING = {"f2t": "F2T", "z2": "Z2"}
 _BASIS = {"vdp": "vanderput", "carlitz": "carlitz", "mahler": "mahler"}
 _FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
-# Budget for the 2^k-entry tables a file's precision makes a command build
-# (reading a vdp file, synthesising a table): past it the command exits 2
-# instead of running out of memory.  Table-free commands have no limit.
+# Budget for the 2^k-entry tables a precision makes a command build or read
+# (a vdp or table file, a synthesised table, a generated cycle): past it the
+# command exits 2 instead of running out of memory.
 _MAX_TABLE_PRECISION = 24
+# Cap on the precision of the files that need no table (Carlitz and Mahler
+# coefficients): their cost is polynomial in k, under a second up to here.
+_MAX_PRECISION = 1024
 
 
 class _CliError(Exception):
@@ -93,6 +97,8 @@ def _read_json(path):
         raise _CliError("cannot read %s: %s" % (path, exc.strerror or exc))
     except json.JSONDecodeError as exc:
         raise _CliError("invalid JSON in %s: %s" % (path, exc))
+    except RecursionError:
+        raise _CliError("JSON nested too deeply in %s" % path)
     if not isinstance(obj, dict):
         raise _CliError("expected a JSON object in %s" % path)
     return obj
@@ -104,10 +110,7 @@ def _flag(check):
 
 
 def _levels(check):
-    """A per-level criterion: it holds unless some level is False, and the report lists the levels.
-
-    check_mp_vdp decides every level, so for it this means every level is True.
-    """
+    """A per-level criterion: it holds unless some level is False (check_mp_vdp decides them all)."""
 
     def run(c):
         levels = check(c)
@@ -162,7 +165,7 @@ def _load_table(path):
     ring = vanderput.RINGS.get(obj.get("ring"))
     if ring is None:
         raise _CliError("unsupported ring %r in %s" % (obj.get("ring"), path))
-    return ring.table.from_json_dict(obj)
+    return ring.table.from_json_dict(obj, _MAX_TABLE_PRECISION)
 
 
 def _check_budget(k):
@@ -177,22 +180,13 @@ def _load_coeffs(path):
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
     if not isinstance(obj.get("coeffs", {}), dict):
         raise _CliError("expected \"coeffs\" to be a JSON object in %s" % path)
-    if kind[1] == "vanderput":
-        _check_budget(int(obj["precision"]))
-    return kind, _KINDS[kind].coeffs.from_json_dict(obj)
+    most = _MAX_TABLE_PRECISION if kind[1] == "vanderput" else _MAX_PRECISION
+    return kind, _KINDS[kind].coeffs.from_json_dict(obj, most)
 
 
 def _synthesize(kind, c):
     _check_budget(c.precision)
     return _KINDS[kind].synthesize(c)
-
-
-def _restricted(kind, c, prec):
-    if prec is None:
-        return c
-    if not 1 <= prec <= c.precision:
-        raise _CliError("--prec must be between 1 and the file precision %d" % c.precision)
-    return _KINDS[kind].restrict(c, prec)
 
 
 def _emit(args, report):
@@ -254,17 +248,15 @@ def _cmd_expand(args):
 
 def _cmd_eval(args):
     kind, c = _load_coeffs(args.coeffs)
-    c = _restricted(kind, c, args.prec)
-    k = c.precision
+    if args.prec is not None:
+        c = _KINDS[kind].restrict(c, args.prec)
     x = parse_hex(args.x)
-    if x >> k:
-        raise _CliError("--x out of range for precision %d" % k)
     value = _KINDS[kind].evaluate(c, x)
     _emit(args, {
         "command": "eval",
         "ring": _FLAG_OF[kind[0]],
         "basis": _FLAG_OF[kind[1]],
-        "precision": k,
+        "precision": c.precision,
         "x": to_hex(x),
         "value": to_hex(value),
     })
@@ -284,14 +276,13 @@ def _cmd_convert(args):
 
 def _cmd_gen_cycle(args):
     if args.data:
-        d = cyclegen.CycleData.from_json_dict(_read_json(args.data))
+        d = cyclegen.CycleData.from_json_dict(_read_json(args.data), _MAX_TABLE_PRECISION)
         if args.n is not None and args.n != d.n:
             raise _CliError("--n %d disagrees with the data file depth %d" % (args.n, d.n))
     elif args.n is None:
         raise _CliError("gen-cycle needs --n N or --data FILE")
-    elif args.n < 0:
-        raise _CliError("--n must be non-negative")
     else:
+        _check_budget(args.n + 1)
         d = cyclegen.random_data(args.seed, args.n)
     seq, t = cyclegen.gen_cycle(d)
     report = t.json_dict()
@@ -303,19 +294,18 @@ def _cmd_gen_cycle(args):
 
 def _cmd_keystream(args):
     kind, c = _load_coeffs(args.coeffs)
-    c = _restricted(kind, c, args.prec)
+    if args.prec is not None:
+        c = _KINDS[kind].restrict(c, args.prec)
     k = c.precision
     x0 = parse_hex(args.x0)
-    if x0 >> k:
-        raise _CliError("--x0 out of range for precision %d" % k)
+    check_residues(k, (x0,), "--x0")
     if args.steps < 1:
         raise _CliError("--steps must be positive")
     if args.bit is not None and not 0 <= args.bit < k:
         raise _CliError("--bit must be between 0 and %d" % (k - 1))
-    t = _synthesize(kind, c)
-    xs = dynamics.orbit(t, x0, args.steps)
-    if not args.quiet:
-        for x in xs:
+    # print as the orbit is walked, so memory does not grow with --steps
+    for x in itertools.islice(dynamics.trajectory(_synthesize(kind, c), x0), args.steps):
+        if not args.quiet:
             print("%d" % ((x >> args.bit) & 1) if args.bit is not None else to_hex(x))
     return 0
 
@@ -339,10 +329,8 @@ def run(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    # OverflowError: a value too large to compute, such as a Mahler binomial C(x, i) with min(i, x - i) past 2^63
+    except (_CliError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

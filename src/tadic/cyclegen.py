@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .dynamics import FunctionTable
+from .gf2ps import read_header
 
 __all__ = ["CycleData", "gen_cycle", "random_data"]
 
@@ -45,8 +46,9 @@ class CycleData:
         }
 
     @classmethod
-    def from_json_dict(cls, obj):
-        n = int(obj["n"])
+    def from_json_dict(cls, obj, max_precision=None):
+        # max_precision caps the precision n + 1 of the generated table
+        n = read_header(obj, "n", None if max_precision is None else max_precision - 1)
         levels = obj.get("levels", {})
         bits = tuple(tuple(int(ch) for ch in levels[str(k)]) for k in range(1, n + 1))
         return cls(n, bits)

@@ -13,9 +13,10 @@ plain orbit iteration.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .gf2ps import Residue, parse_hex, to_hex
+from .gf2ps import Residue, Z2Residue, check_residues, parse_hex, read_header, to_hex
 
 __all__ = [
     "FunctionTable",
@@ -28,6 +29,7 @@ __all__ = [
     "orbit",
     "parity_lift",
     "single_cycle_levels",
+    "trajectory",
 ]
 
 
@@ -66,37 +68,18 @@ class LevelVerdicts:
         return {str(m): v for m, v in enumerate(self.levels, start=1)}
 
 
-@dataclass(frozen=True)
-class Z2Residue:
-    """An integer mod 2^k."""
-
-    value: int
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be a positive integer")
-        if not 0 <= self.value < (1 << self.precision):
-            raise ValueError("value out of range for precision %d" % self.precision)
-
-    @property
-    def hex(self):
-        return to_hex(self.value)
-
-
 def unwrap_point(x, k):
     """Canonical int of a point mod T^k or 2^k, and the function that wraps results like x.
 
-    A `Residue` or `Z2Residue` must carry precision k, and results come
+    A `Residue` (of either ring) must carry precision k, and results come
     back in its type; a plain int gets plain ints back.
     """
-    kind = type(x) if isinstance(x, (Residue, Z2Residue)) else None
+    kind = type(x) if isinstance(x, Residue) else None
     if kind is not None:
         if x.precision != k:
             raise ValueError("precision mismatch")
         x = x.value
-    if not 0 <= x < (1 << k):
-        raise ValueError("point out of range for precision %d" % k)
+    check_residues(k, (x,), "point")
     return x, (lambda v: v) if kind is None else (lambda v: kind(v, k))
 
 
@@ -111,12 +94,9 @@ class FunctionTable:
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
         k = self.precision
-        if k < 1:
-            raise ValueError("precision must be a positive integer")
+        check_residues(k, self.table, "table entry")
         if len(self.table) != 1 << k:
             raise ValueError("table must have exactly 2^%d entries" % k)
-        if any(not 0 <= v < (1 << k) for v in self.table):
-            raise ValueError("table entry out of range for precision %d" % k)
 
     def __call__(self, x):
         return self.table[x]
@@ -129,10 +109,9 @@ class FunctionTable:
         }
 
     @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("ring") != cls.ring:
-            raise ValueError("expected ring %s, got %r" % (cls.ring, obj.get("ring")))
-        return cls(int(obj["precision"]), tuple(parse_hex(v) for v in obj["table"]))
+    def from_json_dict(cls, obj, max_precision=None):
+        k = read_header(obj, most=max_precision, ring=cls.ring)
+        return cls(k, tuple(parse_hex(v) for v in obj["table"]))
 
 
 class Z2FunctionTable(FunctionTable):
@@ -154,20 +133,13 @@ class SparseCoefficients:
 
     def __post_init__(self):
         k = self.precision
-        if k < 1:
-            raise ValueError("precision must be a positive integer")
-        clean = {}
-        for n, v in self.a.items():
-            n, v = int(n), int(v)
-            if n < 0:
-                raise ValueError("index must be non-negative")
-            if not 0 <= v < (1 << k):
-                raise ValueError("coefficient out of range for precision %d" % k)
-            # explicit zeros survive past 2^k: they mark indices whose
-            # Lipschitz bound the precision cannot certify
-            if v or n >= (1 << k):
-                clean[n] = v
-        object.__setattr__(self, "a", clean)
+        a = {int(n): int(v) for n, v in self.a.items()}
+        check_residues(k, a.values(), "coefficient")
+        if a and min(a) < 0:
+            raise ValueError("index must be non-negative")
+        # explicit zeros survive past 2^k: they mark indices whose
+        # Lipschitz bound the precision cannot certify
+        object.__setattr__(self, "a", {n: v for n, v in a.items() if v or n >> k})
 
     def coeff(self, n):
         return self.a.get(n, 0)
@@ -181,18 +153,21 @@ class SparseCoefficients:
         }
 
     @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("ring") != cls.ring or obj.get("basis") != cls.basis:
-            raise ValueError("expected ring %s with basis %s" % (cls.ring, cls.basis))
-        k = int(obj["precision"])
+    def from_json_dict(cls, obj, max_precision=None):
+        k = read_header(obj, most=max_precision, ring=cls.ring, basis=cls.basis)
         return cls(k, {int(n): parse_hex(v) for n, v in obj.get("coeffs", {}).items()})
+
+
+def truncation_mask(c, prec):
+    """The mask that truncates c's values mod pi^prec, for a precision 1..c.precision."""
+    if not 1 <= prec <= c.precision:
+        raise ValueError("precision must be between 1 and %d" % c.precision)
+    return (1 << prec) - 1
 
 
 def restrict_sparse(c, prec):
     """Truncate sparse coefficients to a lower precision."""
-    if not 1 <= prec <= c.precision:
-        raise ValueError("precision must be between 1 and %d" % c.precision)
-    mask = (1 << prec) - 1
+    mask = truncation_mask(c, prec)
     return type(c)(prec, {n: v & mask for n, v in c.a.items()})
 
 
@@ -262,12 +237,19 @@ def parity_lift(t, n):
     return bool(count & 1)
 
 
-def orbit(t, x0, steps):
-    """The first `steps` points of the trajectory of x0 under the table."""
+def trajectory(t, x0):
+    """x0, f(x0), f(f(x0)), ... as an endless iterator in the type of x0, which is checked at once."""
     x, wrap = unwrap_point(x0, t.precision)
     values = t.table
-    seq = []
-    for _ in range(steps):
-        seq.append(wrap(x))
-        x = values[x]
-    return seq
+
+    def walk(x):
+        while True:
+            yield wrap(x)
+            x = values[x]
+
+    return walk(x)
+
+
+def orbit(t, x0, steps):
+    """The first `steps` points of the trajectory of x0 under the table."""
+    return list(itertools.islice(trajectory(t, x0), steps))

@@ -5,6 +5,8 @@ of T^i.  An exact element of F2[T] is any such int; a Residue pairs a
 value reduced mod T^k with its precision k.  The encoding makes the
 digit-for-digit correspondence with 2-adic integers the identity on bit
 patterns, and it is the encoding used by every file format and hex flag.
+So one residue rule (`check_residues`, `read_header`) serves both rings;
+`Z2Residue` is a `Residue` tagged "Z2", which the XOR arithmetic refuses.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from fractions import Fraction
 __all__ = [
     "Poly",
     "Residue",
+    "Z2Residue",
     "add",
+    "check_residues",
     "clmul",
     "clmul_trunc",
     "degree",
@@ -27,6 +31,7 @@ __all__ = [
     "order",
     "parse_hex",
     "pdivmod",
+    "read_header",
     "to_hex",
     "trunc",
 ]
@@ -100,18 +105,40 @@ def _inv_unit(a, k):
     return x
 
 
+def check_residues(k, values=(), what="value"):
+    """The residue rule: k is a positive integer and each of the sized `values` lies in 0..2^k - 1."""
+    if k < 1:
+        raise ValueError("precision must be a positive integer")
+    if values and (min(values) < 0 or max(values) >> k):
+        raise ValueError("%s out of range for precision %d" % (what, k))
+
+
+def read_header(obj, key="precision", most=None, **tags):
+    """The `key` field of a JSON document as a JSON integer (no bool, float or string), at most `most`.
+
+    The document's tags (ring=..., basis=...) are checked first; the value types check the rest.
+    """
+    for name, want in tags.items():
+        if obj.get(name) != want:
+            raise ValueError("expected %s %s, got %r" % (name, want, obj.get(name)))
+    value = obj.get(key)
+    if type(value) is not int:
+        raise ValueError("%s must be a JSON integer, got %r" % (key, value))
+    if most is not None and value > most:
+        raise ValueError("%s %d is over the limit of %d" % (key, value, most))
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Residue:
     """Element of F2[[T]]/T^k: a value below 2^k plus its precision k."""
 
+    ring = "F2T"
     value: int
     precision: int
 
     def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be a positive integer")
-        if not 0 <= self.value < (1 << self.precision):
-            raise ValueError("value out of range for precision %d" % self.precision)
+        check_residues(self.precision, (self.value,))
 
     @property
     def hex(self):
@@ -124,42 +151,46 @@ class Residue:
         return mul(self, other)
 
 
-def _bits_of(x):
-    return x.value if isinstance(x, Residue) else x
+class Z2Residue(Residue):
+    """An integer mod 2^k: the digits of a Residue, without its F2[[T]] arithmetic."""
+
+    ring = "Z2"
+
+
+def _unwrap(x):
+    """Bits and precision of an F2T residue, or (x, None) for an exact polynomial."""
+    if not isinstance(x, Residue):
+        return x, None
+    if x.ring != "F2T":
+        raise TypeError("%s residues have no F2[[T]] arithmetic" % x.ring)
+    return x.value, x.precision
 
 
 def add(a, b):
     """Sum in characteristic 2 (bitwise XOR); kinds and precisions must match."""
-    if isinstance(a, Residue) or isinstance(b, Residue):
-        if not (isinstance(a, Residue) and isinstance(b, Residue)):
-            raise TypeError("cannot mix Residue and exact polynomial operands")
-        if a.precision != b.precision:
-            raise ValueError("precision mismatch")
-        return Residue(a.value ^ b.value, a.precision)
-    return a ^ b
+    (a, ka), (b, kb) = _unwrap(a), _unwrap(b)
+    if (ka is None) != (kb is None):
+        raise TypeError("cannot mix Residue and exact polynomial operands")
+    if ka != kb:
+        raise ValueError("precision mismatch")
+    return a ^ b if ka is None else Residue(a ^ b, ka)
 
 
 def mul(a, b, prec=None):
     """Carry-less product truncated to k bits, returned as a Residue."""
-    if isinstance(a, Residue) and isinstance(b, Residue):
-        if a.precision != b.precision:
-            raise ValueError("precision mismatch")
-        if prec is not None and prec != a.precision:
-            raise ValueError("precision mismatch")
-        prec = a.precision
-    elif isinstance(a, Residue) or isinstance(b, Residue):
-        k = (a if isinstance(a, Residue) else b).precision
-        if prec is not None and prec != k:
-            raise ValueError("precision mismatch")
-        prec = k
-    elif prec is None:
+    (a, ka), (b, kb) = _unwrap(a), _unwrap(b)
+    ks = {k for k in (ka, kb, prec) if k is not None}
+    if len(ks) > 1:
+        raise ValueError("precision mismatch")
+    if not ks:
         raise ValueError("precision required for exact operands")
-    return Residue(clmul_trunc(_bits_of(a), _bits_of(b), prec), prec)
+    k = ks.pop()
+    return Residue(clmul_trunc(a, b, k), k)
 
 
 def ord_abs(a):
     """T-adic valuation and absolute value, with |T| = 1/2; (inf, 0) for zero."""
-    o = order(_bits_of(a))
+    o = order(a.value if isinstance(a, Residue) else a)
     if o is math.inf:
         return math.inf, Fraction(0)
     return o, Fraction(1, 1 << o)
@@ -167,17 +198,16 @@ def ord_abs(a):
 
 def invert_unit(a, prec=None):
     """Inverse of a unit mod T^k; input must have constant coefficient 1."""
-    if isinstance(a, Residue):
-        if prec is not None and prec != a.precision:
-            raise ValueError("precision mismatch")
-        if not a.value & 1:
-            raise ValueError("not a unit")
-        return Residue(_inv_unit(a.value, a.precision), a.precision)
-    if prec is None:
+    bits, k = _unwrap(a)
+    if prec is not None and k not in (None, prec):
+        raise ValueError("precision mismatch")
+    n = prec if k is None else k
+    if n is None:
         raise ValueError("precision required for exact operands")
-    if not a & 1:
+    if not bits & 1:
         raise ValueError("not a unit")
-    return _inv_unit(trunc(a, prec), prec)
+    inv = _inv_unit(trunc(bits, n), n)
+    return inv if k is None else Residue(inv, k)
 
 
 def to_hex(v):

@@ -17,8 +17,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, unwrap_point
-from .gf2ps import Residue, order, parse_hex, to_hex
+from .dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
+from .gf2ps import Residue, check_residues, order, parse_hex, read_header, to_hex
 
 __all__ = [
     "RINGS",
@@ -47,12 +47,9 @@ class VdpCoefficients:
     def __post_init__(self):
         object.__setattr__(self, "B", tuple(self.B))
         k = self.precision
-        if k < 1:
-            raise ValueError("precision must be a positive integer")
+        check_residues(k, self.B, "coefficient")
         if len(self.B) != 1 << k:
             raise ValueError("need exactly 2^%d coefficients" % k)
-        if any(not 0 <= v < (1 << k) for v in self.B):
-            raise ValueError("coefficient out of range for precision %d" % k)
 
     def b(self, m):
         """Scaled coefficient b_alpha = B_alpha / pi^{deg alpha} (pi = T or 2); errors when not divisible."""
@@ -73,17 +70,15 @@ class VdpCoefficients:
         }
 
     @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("ring") != cls.ring or obj.get("basis") != "vanderput":
-            raise ValueError("expected ring %s with basis vanderput" % cls.ring)
-        k = int(obj["precision"])
+    def from_json_dict(cls, obj, max_precision=None):
+        k = read_header(obj, most=max_precision, ring=cls.ring, basis="vanderput")
+        coeffs = {int(m): parse_hex(v) for m, v in obj.get("coeffs", {}).items()}
+        # an index alpha is itself a residue mod pi^k
+        check_residues(k, coeffs.keys(), "coefficient index")
         B = [0] * (1 << k)
-        for key, v in obj.get("coeffs", {}).items():
-            m = int(key)
-            if not 0 <= m < len(B):
-                raise ValueError("coefficient index %s out of range for precision %d" % (key, k))
-            B[m] = parse_hex(v)
-        return cls(k, tuple(B))
+        for m, v in coeffs.items():
+            B[m] = v
+        return cls(k, B)
 
 
 class Z2VdpCoefficients(VdpCoefficients):
@@ -126,10 +121,8 @@ def chi(alpha, x, prec=None):
     """
     d = max(alpha.bit_length() - 1, 0)
     if isinstance(x, Residue):
-        if prec is not None and prec != x.precision:
-            raise ValueError("precision mismatch")
-        prec = x.precision
-        x = x.value
+        prec = x.precision if prec is None else prec
+        x, _ = unwrap_point(x, prec)
     if prec is not None and prec <= d:
         raise ValueError("insufficient precision for deg alpha = %d" % d)
     return 1 if not (x ^ alpha) & ((2 << d) - 1) else 0
@@ -186,9 +179,7 @@ def vdp_table(c):
 
 def restrict(c, prec):
     """Truncate the expansion to a lower precision."""
-    if not 1 <= prec <= c.precision:
-        raise ValueError("precision must be between 1 and %d" % c.precision)
-    mask = (1 << prec) - 1
+    mask = truncation_mask(c, prec)
     return type(c)(prec, tuple(v & mask for v in c.B[: 1 << prec]))
 
 

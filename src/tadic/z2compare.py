@@ -2,19 +2,20 @@
 
 Residues mod 2^k share their bit patterns with the series side, so the
 mask-based compatibility, bijectivity, and cycle walks carry over as is;
-only the ring addition differs (carries instead of XOR).  The Z2 table
-and Van der Put types are the F2[[T]] ones tagged with the ring "Z2";
-they live beside their parents in `dynamics` and `vanderput` and are
-re-exported here, and the Z2 Van der Put functions, criteria and oracle
-are the generic ones under their Z2 names.  What is 2-adic only lives
-here: the Mahler basis and its single-cycle criterion at p=2.
+only the ring addition differs (carries instead of XOR).  The Z2 residue,
+table and Van der Put types are the F2[[T]] ones tagged "Z2"; they live
+beside their parents and are re-exported here, and the Z2 Van der Put
+functions, criteria and oracle are the generic ones under their Z2 names.
+What is 2-adic only lives here: the Mahler basis and its single-cycle
+criterion at p=2.
 """
 
 from __future__ import annotations
 
 import math
 
-from .dynamics import SparseCoefficients, Z2FunctionTable, Z2Residue, is_transitive_mod, restrict_sparse, unwrap_point
+from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod, restrict_sparse, unwrap_point
+from .gf2ps import Z2Residue
 from .vanderput import Z2VdpCoefficients, check_ergodic_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
 
 __all__ = [

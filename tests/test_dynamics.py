@@ -14,8 +14,9 @@ from tadic.dynamics import (
     orbit,
     parity_lift,
     single_cycle_levels,
+    trajectory,
 )
-from tadic.gf2ps import Residue
+from tadic.gf2ps import Residue, Z2Residue
 
 CYCLE_K2 = FunctionTable(2, (1, 2, 3, 0))
 XOR_ONE_K2 = FunctionTable(2, (1, 0, 3, 2))
@@ -75,6 +76,18 @@ def test_orbit_mirrors_residue_inputs():
         orbit(CYCLE_K2, Residue(0, 3), 2)
     with pytest.raises(ValueError):
         orbit(CYCLE_K2, 7, 2)
+    assert orbit(CYCLE_K2, Z2Residue(3, 2), 2) == [Z2Residue(3, 2), Z2Residue(0, 2)]
+
+
+def test_trajectory_is_the_endless_orbit():
+    walk = trajectory(CYCLE_K2, 1)
+    assert [next(walk) for _ in range(9)] == orbit(CYCLE_K2, 1, 9)
+    # the start point is checked at the call, before any point is drawn
+    for bad in (4, -1, Residue(0, 3)):
+        with pytest.raises(ValueError):
+            trajectory(CYCLE_K2, bad)
+        with pytest.raises(ValueError):
+            orbit(CYCLE_K2, bad, 0)
 
 
 def test_level_verdicts_three_valued_overall():

@@ -4,16 +4,18 @@ import json
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 from helpers import reference_coefficients, reference_table
 from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
-from tadic.cyclegen import gen_cycle, random_data
+from tadic.cyclegen import CycleData, gen_cycle, random_data
 from tadic.dynamics import FunctionTable
 from tadic.vanderput import VdpCoefficients, to_vdp
-from tadic.z2compare import Z2FunctionTable, to_vdp_z2
+from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, to_vdp_z2
 
 
 def _write(tmp_path, name, obj):
@@ -328,11 +330,117 @@ def test_malformed_input_prints_no_traceback(files):
     path = _write(files["tmp"], "neg.json", {
         "ring": "Z2", "basis": "vanderput", "precision": 2, "coeffs": {"-1": "0x1"}})
     deep = _deep_files(files["tmp"])
+    nested = files["tmp"] / "nested.json"
+    nested.write_text("[" * 200000)
+    infinite = files["tmp"] / "infinite.json"
+    infinite.write_text('{"ring": "F2T", "basis": "carlitz", "precision": Infinity, "coeffs": {}}')
     for argv in (["eval", "--x", "0x3", "--coeffs", path],
                  ["eval", "--x", "0x3", "--coeffs", deep["vdp"]],
                  ["keystream", "--x0", "0x0", "--steps", "2", "--coeffs", deep["carlitz"]],
-                 ["convert", "--from", "carlitz", "--to", "vdp", "--coeffs", deep["carlitz"]]):
+                 ["convert", "--from", "carlitz", "--to", "vdp", "--coeffs", deep["carlitz"]],
+                 ["verify", "--exhaustive", "--table", str(nested)],
+                 ["eval", "--x", "0x0", "--coeffs", str(infinite)]):
         got = subprocess.run([sys.executable, "-m", "tadic", *argv], capture_output=True, text=True)
         assert got.returncode == 2
         assert got.stdout == ""
         assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1
+
+
+# JSON texts that are not integers: +-Infinity and 1e400 read as floats, the rest as a float, a bool, a string
+_NOT_INTEGERS = ["Infinity", "-Infinity", "1e400", "3.7", "true", '"12"']
+_HEADERS = {
+    "table": '{"ring": "F2T", "precision": %s, "table": ["0x1", "0x0"]}',
+    "z2table": '{"ring": "Z2", "precision": %s, "table": ["0x1", "0x0"]}',
+    "vdp": '{"ring": "F2T", "basis": "vanderput", "precision": %s, "coeffs": {"0": "0x1", "1": "0x0"}}',
+    "z2vdp": '{"ring": "Z2", "basis": "vanderput", "precision": %s, "coeffs": {"0": "0x1", "1": "0x0"}}',
+    "carlitz": '{"ring": "F2T", "basis": "carlitz", "precision": %s, "coeffs": {"0": "0x1", "1": "0x1"}}',
+    "mahler": '{"ring": "Z2", "basis": "mahler", "precision": %s, "coeffs": {"0": "0x1", "1": "0x1"}}',
+    "data": '{"n": %s, "levels": {"1": "01"}}',
+}
+_READERS = {
+    "table": FunctionTable, "z2table": Z2FunctionTable, "vdp": VdpCoefficients, "z2vdp": Z2VdpCoefficients,
+    "carlitz": CarlitzCoefficients, "mahler": MahlerCoefficients, "data": CycleData,
+}
+# every command that reads each kind of file, with the file's flag last
+_READING_COMMANDS = {
+    "table": [["verify", "--exhaustive", "--table"], ["expand", "--basis", "vdp", "--table"]],
+    "z2table": [["verify", "--exhaustive", "--table"], ["expand", "--basis", "vdp", "--table"]],
+    "vdp": [["eval", "--x", "0x0", "--coeffs"], ["keystream", "--x0", "0x0", "--steps", "2", "--coeffs"],
+            ["verify", "--ring", "f2t", "--basis", "vdp", "--check", "mp", "--coeffs"],
+            ["convert", "--from", "vdp", "--to", "carlitz", "--coeffs"]],
+    "z2vdp": [["eval", "--x", "0x0", "--coeffs"], ["keystream", "--x0", "0x0", "--steps", "2", "--coeffs"],
+              ["verify", "--ring", "z2", "--basis", "vdp", "--check", "mp", "--coeffs"]],
+    "carlitz": [["eval", "--x", "0x0", "--coeffs"], ["keystream", "--x0", "0x0", "--steps", "2", "--coeffs"],
+                ["verify", "--ring", "f2t", "--basis", "carlitz", "--check", "ergodic", "--coeffs"],
+                ["convert", "--from", "carlitz", "--to", "vdp", "--coeffs"]],
+    "mahler": [["eval", "--x", "0x0", "--coeffs"], ["keystream", "--x0", "0x0", "--steps", "2", "--coeffs"],
+               ["verify", "--ring", "z2", "--basis", "mahler", "--check", "ergodic", "--coeffs"]],
+    "data": [["gen-cycle", "--data"]],
+}
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS)
+@pytest.mark.parametrize("kind", sorted(_HEADERS))
+def test_readers_take_only_json_integer_precisions(kind, value):
+    with pytest.raises(ValueError, match="must be a JSON integer"):
+        _READERS[kind].from_json_dict(json.loads(_HEADERS[kind] % value))
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS)
+@pytest.mark.parametrize("kind", sorted(_HEADERS))
+def test_commands_refuse_non_integer_precisions(files, capsys, kind, value):
+    path = files["tmp"] / (kind + ".json")
+    for argv in _READING_COMMANDS[kind]:
+        path.write_text(_HEADERS[kind] % "1")
+        assert run(argv + [str(path), "--quiet"]) in (0, 1)  # the same file with "1" is well formed
+        path.write_text(_HEADERS[kind] % value)
+        assert run(argv + [str(path)]) == 2
+        assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ring", "f2t", "--basis", "carlitz", "--check", "ergodic"],
+    ["verify", "--ring", "f2t", "--basis", "carlitz", "--check", "lipschitz"],
+    ["eval", "--x", "0x1"],
+])
+def test_table_free_commands_cap_the_precision(files, capsys, argv):
+    coeffs = {"0": "0x1", "1": "0x3", "3": "0x4", "7": "0x8"}
+    path = _write(files["tmp"], "huge.json", {"ring": "F2T", "basis": "carlitz", "precision": 200000000, "coeffs": coeffs})
+    start = time.perf_counter()
+    assert run(argv + ["--coeffs", path]) == 2
+    assert time.perf_counter() - start < 1
+    assert _one_error_line(capsys)
+    for k, codes in ((1024, (0, 1)), (1025, (2,))):
+        path = _write(files["tmp"], "edge.json", {"ring": "F2T", "basis": "carlitz", "precision": k, "coeffs": coeffs})
+        assert run(argv + ["--coeffs", path, "--quiet"]) in codes
+    capsys.readouterr()
+
+
+def test_gen_cycle_checks_the_table_budget(files, capsys):
+    assert run(["gen-cycle", "--n", "40"]) == 2
+    assert _one_error_line(capsys)
+    path = _write(files["tmp"], "data40.json", {"n": 40, "levels": {}})
+    assert run(["gen-cycle", "--data", path]) == 2
+    assert _one_error_line(capsys)
+    assert run(["gen-cycle", "--n", "3", "--quiet"]) == 0
+
+
+def test_keystream_streams_its_output(files):
+    # the orbit is printed as it is walked, so memory does not grow with --steps
+    argv = ["keystream", "--coeffs", files["car4"], "--x0", "0x0", "--steps", "1000000", "--quiet"]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_mahler_binomials_too_large_to_compute_exit_two(files, capsys):
+    path = _write(files["tmp"], "mahler_huge.json", {
+        "ring": "Z2", "basis": "mahler", "precision": 1024, "coeffs": {"0": "0x1", str(2**100): "0x1"}})
+    assert run(["eval", "--coeffs", path, "--x", hex(2**101)]) == 2
+    assert _one_error_line(capsys)
+    assert run(["eval", "--coeffs", path, "--x", hex(2**99)]) == 0
+    assert _json_out(capsys)["value"] == "0x1"

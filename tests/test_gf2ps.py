@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from tadic.gf2ps import (
     Residue,
+    Z2Residue,
     add,
+    check_residues,
     clmul,
     clmul_trunc,
     degree,
@@ -20,6 +22,7 @@ from tadic.gf2ps import (
     order,
     parse_hex,
     pdivmod,
+    read_header,
     to_hex,
     trunc,
 )
@@ -120,6 +123,56 @@ def test_residue_validation():
     with pytest.raises(ValueError):
         Residue(-1, 2)
     assert Residue(0xA, 4).hex == "0xa"
+
+
+def test_z2_residue_is_a_residue_tagged_z2():
+    z = Z2Residue(1, 2)
+    assert isinstance(z, Residue)
+    assert (Residue.ring, z.ring) == ("F2T", "Z2")
+    assert Residue(1, 2) != z
+    assert z == Z2Residue(1, 2) and z.hex == "0x1"
+    for bad in ((0, 0), (4, 2), (-1, 2)):
+        with pytest.raises(ValueError):
+            Z2Residue(*bad)
+    assert ord_abs(Z2Residue(4, 3)) == (2, Fraction(1, 4))
+
+
+def test_z2_residues_have_no_f2t_arithmetic():
+    z = Z2Residue(3, 2)
+    for op in (lambda: z + z, lambda: z * z, lambda: Residue(1, 2) + z, lambda: z * Residue(1, 2),
+               lambda: add(z, z), lambda: mul(z, z), lambda: mul(z, 3, 2), lambda: mul(3, z, 2),
+               lambda: invert_unit(z), lambda: invert_unit(z, 2)):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_check_residues_is_the_precision_and_range_rule():
+    check_residues(3, (0, 7))
+    check_residues(1, ())
+    with pytest.raises(ValueError, match="positive"):
+        check_residues(0)
+    with pytest.raises(ValueError, match="entry out of range for precision 3"):
+        check_residues(3, [1, 8], "entry")
+    with pytest.raises(ValueError, match="out of range"):
+        check_residues(3, {-1: 0}.keys())
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), 1e400, 3.7, 3.0, True, False, "12", None, [3]])
+def test_read_header_takes_only_json_integers(value):
+    obj = {"ring": "F2T", "precision": value}
+    with pytest.raises(ValueError, match="JSON integer"):
+        read_header(obj, ring="F2T")
+
+
+def test_read_header_checks_tags_and_limit():
+    obj = {"ring": "Z2", "basis": "mahler", "precision": 12, "n": 0}
+    assert read_header(obj, ring="Z2", basis="mahler") == 12
+    assert read_header(obj, most=12) == 12
+    assert read_header(obj, "n", most=0) == 0
+    with pytest.raises(ValueError, match="over the limit"):
+        read_header(obj, most=11)
+    with pytest.raises(ValueError, match="expected basis carlitz"):
+        read_header(obj, ring="Z2", basis="carlitz")
 
 
 @given(polys, polys, polys)
