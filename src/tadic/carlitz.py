@@ -267,14 +267,19 @@ def carlitz_table(c):
 restrict = restrict_sparse
 
 
+def _off_floor(c):
+    """The stored indices n > 1 with ord(a_n) < floor(log2 n), in storage order."""
+    # a_n < 2^k, so past the precision the floor refutes any nonzero a_n
+    return (n for n, v in c.a.items() if n > 1 and v & ((1 << (n.bit_length() - 1)) - 1))
+
+
 def check_lipschitz_carlitz(c):
     """True iff every readable a_n clears ord(a_n) >= floor(log2 n).
 
     Indices with floor(log2 n) >= k can only be refuted, never confirmed,
     at precision k; undetermined_lipschitz_indices lists the survivors.
     """
-    # a_n < 2^k, so past the precision the floor refutes any nonzero a_n
-    return not any(v & ((1 << (n.bit_length() - 1)) - 1) for n, v in c.a.items() if n > 1)
+    return next(_off_floor(c), None) is None
 
 
 def undetermined_lipschitz_indices(c):
@@ -293,8 +298,9 @@ def check_ergodic_carlitz(c):
     level k stays undecided unless a clause fails outright.  Each clause
     reads only stored indices, so the cost is linear in the set.
     """
-    if not check_lipschitz_carlitz(c):
-        raise ValueError("coefficients are not 1-Lipschitz")
+    n = min(_off_floor(c), default=None)
+    if n is not None:
+        raise ValueError("coefficients are not 1-Lipschitz: T^%d does not divide a_%d" % (n.bit_length() - 1, n))
     k = c.precision
     # one pass over the stored indices: band m fails when some a_n with
     # floor(log2 n) = m-1 has a digit below T^m

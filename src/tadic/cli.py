@@ -5,8 +5,12 @@ property fails, 2 usage or data errors.  Reports are JSON on stdout;
 keystream emits plain hex lines.  All verdicts come straight from the
 library calls, the front end adds no logic of its own: every command looks
 its coefficient format up in one table keyed by (ring, basis), which holds
-the loader, expansion, evaluator, synthesiser, restrictor and the
-criterion behind each --check.
+the reader, expansion, evaluator, synthesiser, restrictor and the
+criterion behind each --check.  Each format's reader owns its document
+rules (header, body shape, index keys and precision cap); the front end
+only reads the JSON text, refusing repeated keys, and checks the table
+budget where it builds a table itself (keystream and convert from a sparse
+file, gen-cycle --n).
 """
 
 from __future__ import annotations
@@ -26,13 +30,6 @@ __all__ = ["main", "run"]
 _RING = {"f2t": "F2T", "z2": "Z2"}
 _BASIS = {"vdp": "vanderput", "carlitz": "carlitz", "mahler": "mahler"}
 _FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
-# Budget for the 2^k-entry tables a precision makes a command build or read
-# (a vdp or table file, a synthesised table, a generated cycle): past it the
-# command exits 2 instead of running out of memory.
-_MAX_TABLE_PRECISION = 24
-# Cap on the precision of the files that need no table (Carlitz and Mahler
-# coefficients): their cost is polynomial in k, under a second up to here.
-_MAX_PRECISION = 1024
 
 
 class _CliError(Exception):
@@ -89,13 +86,24 @@ def _build_parser():
     return parser
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict, refusing a repeated key (json.load would keep the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("duplicate key %r" % key)
+        obj[key] = value
+    return obj
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise _CliError("cannot read %s: %s" % (path, exc.strerror or exc))
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON, a duplicate key, or text that is not UTF-8
+    except ValueError as exc:
         raise _CliError("invalid JSON in %s: %s" % (path, exc))
     except RecursionError:
         raise _CliError("JSON nested too deeply in %s" % path)
@@ -165,12 +173,7 @@ def _load_table(path):
     ring = vanderput.RINGS.get(obj.get("ring"))
     if ring is None:
         raise _CliError("unsupported ring %r in %s" % (obj.get("ring"), path))
-    return ring.table.from_json_dict(obj, _MAX_TABLE_PRECISION)
-
-
-def _check_budget(k):
-    if k > _MAX_TABLE_PRECISION:
-        raise _CliError("precision %d needs a table of 2^%d entries, over the budget of 2^%d" % (k, k, _MAX_TABLE_PRECISION))
+    return ring.table.from_json_dict(obj)
 
 
 def _load_coeffs(path):
@@ -178,10 +181,13 @@ def _load_coeffs(path):
     kind = (obj.get("ring"), obj.get("basis"))
     if kind not in _KINDS:
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
-    if not isinstance(obj.get("coeffs", {}), dict):
-        raise _CliError("expected \"coeffs\" to be a JSON object in %s" % path)
-    most = _MAX_TABLE_PRECISION if kind[1] == "vanderput" else _MAX_PRECISION
-    return kind, _KINDS[kind].coeffs.from_json_dict(obj, most)
+    return kind, _KINDS[kind].coeffs.from_json_dict(obj)
+
+
+def _check_budget(k):
+    """Refuse a table the command itself would build past the table budget."""
+    if k > dynamics.TABLE_BUDGET:
+        raise _CliError("precision %d needs a table of 2^%d entries, over the budget of 2^%d" % (k, k, dynamics.TABLE_BUDGET))
 
 
 def _synthesize(kind, c):
@@ -276,7 +282,7 @@ def _cmd_convert(args):
 
 def _cmd_gen_cycle(args):
     if args.data:
-        d = cyclegen.CycleData.from_json_dict(_read_json(args.data), _MAX_TABLE_PRECISION)
+        d = cyclegen.CycleData.from_json_dict(_read_json(args.data))
         if args.n is not None and args.n != d.n:
             raise _CliError("--n %d disagrees with the data file depth %d" % (args.n, d.n))
     elif args.n is None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .dynamics import FunctionTable
-from .gf2ps import read_header
+from .dynamics import TABLE_BUDGET, FunctionTable
+from .gf2ps import read_header, read_indexed
 
 __all__ = ["CycleData", "gen_cycle", "random_data"]
 
@@ -46,12 +46,20 @@ class CycleData:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, max_precision=None):
-        # max_precision caps the precision n + 1 of the generated table
-        n = read_header(obj, "n", None if max_precision is None else max_precision - 1)
-        levels = obj.get("levels", {})
-        bits = tuple(tuple(int(ch) for ch in levels[str(k)]) for k in range(1, n + 1))
-        return cls(n, bits)
+    def from_json_dict(cls, obj):
+        # the generated table has precision n + 1
+        n = read_header(obj, "n", TABLE_BUDGET - 1)
+        levels = read_indexed(obj, "levels", _bits)
+        if levels.keys() != set(range(1, n + 1)):
+            raise ValueError("levels must be keyed exactly 1..%d" % n)
+        return cls(n, tuple(levels[k] for k in range(1, n + 1)))
+
+
+def _bits(s):
+    """One level of steering bits from its JSON string of 0s and 1s."""
+    if not isinstance(s, str) or s.strip("01"):
+        raise ValueError("a level must be a string of 0s and 1s")
+    return tuple(map(int, s))
 
 
 def gen_cycle(d):

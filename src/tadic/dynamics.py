@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .gf2ps import Residue, Z2Residue, check_residues, parse_hex, read_header, to_hex
+from .gf2ps import Residue, Z2Residue, check_residues, parse_hex, read_header, read_indexed, to_hex
 
 __all__ = [
     "FunctionTable",
     "LevelVerdicts",
+    "TABLE_BUDGET",
     "Z2FunctionTable",
     "Z2Residue",
     "is_bijective_mod",
@@ -31,6 +32,13 @@ __all__ = [
     "single_cycle_levels",
     "trajectory",
 ]
+
+
+# Largest precision k of a 2^k-entry table that a file may hold or imply
+# (table, van der Put, steering bits) or a command may build.
+TABLE_BUDGET = 24
+# Largest precision of a sparse Carlitz or Mahler file: its cost is poly(k).
+_SPARSE_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -109,9 +117,12 @@ class FunctionTable:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, max_precision=None):
-        k = read_header(obj, most=max_precision, ring=cls.ring)
-        return cls(k, tuple(parse_hex(v) for v in obj["table"]))
+    def from_json_dict(cls, obj):
+        k = read_header(obj, most=TABLE_BUDGET, ring=cls.ring)
+        table = obj.get("table")
+        if not isinstance(table, list):
+            raise ValueError("table must be a JSON list, got %s" % type(table).__name__)
+        return cls(k, tuple(parse_hex(v) for v in table))
 
 
 class Z2FunctionTable(FunctionTable):
@@ -153,9 +164,9 @@ class SparseCoefficients:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, max_precision=None):
-        k = read_header(obj, most=max_precision, ring=cls.ring, basis=cls.basis)
-        return cls(k, {int(n): parse_hex(v) for n, v in obj.get("coeffs", {}).items()})
+    def from_json_dict(cls, obj):
+        k = read_header(obj, most=_SPARSE_BUDGET, ring=cls.ring, basis=cls.basis)
+        return cls(k, read_indexed(obj, "coeffs", parse_hex))
 
 
 def truncation_mask(c, prec):

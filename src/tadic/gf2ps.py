@@ -5,8 +5,9 @@ of T^i.  An exact element of F2[T] is any such int; a Residue pairs a
 value reduced mod T^k with its precision k.  The encoding makes the
 digit-for-digit correspondence with 2-adic integers the identity on bit
 patterns, and it is the encoding used by every file format and hex flag.
-So one residue rule (`check_residues`, `read_header`) serves both rings;
-`Z2Residue` is a `Residue` tagged "Z2", which the XOR arithmetic refuses.
+So one residue rule (`check_residues`, and `read_header` and
+`read_indexed` for files) serves both rings; `Z2Residue` is a `Residue`
+tagged "Z2", which the XOR arithmetic refuses.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "parse_hex",
     "pdivmod",
     "read_header",
+    "read_indexed",
     "to_hex",
     "trunc",
 ]
@@ -118,6 +120,8 @@ def read_header(obj, key="precision", most=None, **tags):
 
     The document's tags (ring=..., basis=...) are checked first; the value types check the rest.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object, got %s" % type(obj).__name__)
     for name, want in tags.items():
         if obj.get(name) != want:
             raise ValueError("expected %s %s, got %r" % (name, want, obj.get(name)))
@@ -127,6 +131,23 @@ def read_header(obj, key="precision", most=None, **tags):
     if most is not None and value > most:
         raise ValueError("%s %d is over the limit of %d" % (key, value, most))
     return value
+
+
+def read_indexed(obj, key, parse):
+    """The `key` body of a JSON document as {index: parse(value)}; an absent body reads as empty.
+
+    The body must be a JSON object whose keys are canonical decimal indices
+    (ASCII digits, no sign, space or leading zero), so each index has one key.
+    """
+    body = obj.get(key, {})
+    if not isinstance(body, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (key, type(body).__name__))
+    out = {}
+    for n, v in body.items():
+        if not (n.isascii() and n.isdigit() and str(int(n)) == n):
+            raise ValueError("%s key %r is not a canonical decimal index" % (key, n))
+        out[int(n)] = parse(v)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,6 +238,8 @@ def to_hex(v):
 
 def parse_hex(s):
     """Parse a hex string (case-insensitive, 0x prefix optional) to a bit vector."""
+    if not isinstance(s, str):
+        raise ValueError("expected a hex string, got %s" % type(s).__name__)
     v = int(s, 16)
     if v < 0:
         raise ValueError("negative hex value: %r" % s)

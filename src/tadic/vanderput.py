@@ -17,8 +17,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
-from .gf2ps import Residue, check_residues, order, parse_hex, read_header, to_hex
+from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
+from .gf2ps import Residue, check_residues, order, parse_hex, read_header, read_indexed, to_hex
 
 __all__ = [
     "RINGS",
@@ -70,9 +70,10 @@ class VdpCoefficients:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, max_precision=None):
-        k = read_header(obj, most=max_precision, ring=cls.ring, basis="vanderput")
-        coeffs = {int(m): parse_hex(v) for m, v in obj.get("coeffs", {}).items()}
+    def from_json_dict(cls, obj):
+        # stored densely, so a van der Put file is held to the table budget
+        k = read_header(obj, most=TABLE_BUDGET, ring=cls.ring, basis="vanderput")
+        coeffs = read_indexed(obj, "coeffs", parse_hex)
         # an index alpha is itself a residue mod pi^k
         check_residues(k, coeffs.keys(), "coefficient index")
         B = [0] * (1 << k)

@@ -235,6 +235,14 @@ def test_ergodic_criterion_known_values():
         check_ergodic_carlitz(CarlitzCoefficients(3, {2: 1}))
 
 
+def test_lipschitz_guard_names_the_smallest_offending_index():
+    # a_9 = 1 is stored first, but a_5 = T is the smallest index off its floor T^2
+    c = CarlitzCoefficients(5, {9: 1, 0: 1, 1: 1, 5: 2, 4: 4})
+    assert not check_lipschitz_carlitz(c)
+    with pytest.raises(ValueError, match=r"^coefficients are not 1-Lipschitz: T\^2 does not divide a_5$"):
+        check_ergodic_carlitz(c)
+
+
 def _ergodic_by_band_scan(c):
     # the per-level clauses with every band scanned index by index
     k = c.precision

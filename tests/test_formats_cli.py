@@ -444,3 +444,136 @@ def test_mahler_binomials_too_large_to_compute_exit_two(files, capsys):
     assert _one_error_line(capsys)
     assert run(["eval", "--coeffs", path, "--x", hex(2**99)]) == 0
     assert _json_out(capsys)["value"] == "0x1"
+
+
+# Each format's reader owns its document rules: one well-formed document per
+# reader, and the name of the body it reads
+_DOCS = {
+    "table": ({"ring": "F2T", "precision": 2, "table": ["0x1", "0x2", "0x3", "0x0"]}, "table"),
+    "z2table": ({"ring": "Z2", "precision": 2, "table": ["0x1", "0x2", "0x3", "0x0"]}, "table"),
+    "vdp": ({"ring": "F2T", "basis": "vanderput", "precision": 2, "coeffs": {"0": "0x1", "1": "0x2", "3": "0x2"}}, "coeffs"),
+    "z2vdp": ({"ring": "Z2", "basis": "vanderput", "precision": 2, "coeffs": {"0": "0x1", "1": "0x2", "3": "0x2"}}, "coeffs"),
+    "carlitz": ({"ring": "F2T", "basis": "carlitz", "precision": 2, "coeffs": {"0": "0x1", "1": "0x1", "3": "0x2"}}, "coeffs"),
+    "mahler": ({"ring": "Z2", "basis": "mahler", "precision": 2, "coeffs": {"0": "0x1", "1": "0x1", "3": "0x2"}}, "coeffs"),
+    "data": ({"n": 2, "levels": {"1": "01", "2": "0110"}}, "levels"),
+}
+_KEYED = sorted(kind for kind, (_, body) in _DOCS.items() if body != "table")
+# bodies of the wrong JSON type: a table must be a list, the keyed bodies objects
+_WRONG_BODIES = {
+    "table": ["1230", {"0": "0x1", "1": "0x2", "2": "0x3", "3": "0x0"}, 3, None],
+    "coeffs": [["0x1"], "0x1", 3, None],
+    "levels": [["01", "0110"], "01", 3, None],
+}
+# other spellings of the last index of each keyed body; only the canonical decimal is an index
+_KEY_FORMS = [
+    lambda n: "0" + n, lambda n: " +" + n, lambda n: "+" + n, lambda n: n + " ", lambda n: n + ".0",
+    lambda n: n.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")), lambda n: "",
+]
+
+
+def _malformed(kind, body=None, key_form=None):
+    doc, name = _DOCS[kind]
+    doc = json.loads(json.dumps(doc))
+    if key_form is not None:
+        last = max(doc[name], key=int)
+        doc[name][key_form(last)] = doc[name].pop(last)
+    else:
+        doc[name] = body
+    return doc
+
+
+def _wrong_shapes():
+    for kind, (_, name) in sorted(_DOCS.items()):
+        for i, body in enumerate(_WRONG_BODIES[name]):
+            yield pytest.param(kind, _malformed(kind, body), id="%s-%s-%d" % (kind, name, i))
+        if name != "table":
+            for i, form in enumerate(_KEY_FORMS):
+                yield pytest.param(kind, _malformed(kind, key_form=form), id="%s-key-%d" % (kind, i))
+    bad_levels = [{"1": [0, 1], "2": "0110"}, {"1": "01", "2": "0120"}, {"1": 1, "2": "0110"}, {"1": "0 1", "2": "0110"},
+                  {"2": "0110"}, {"1": "01", "2": "0110", "3": "01101001"}, {"1": "01", "3": "0110"}]
+    for i, levels in enumerate(bad_levels):
+        yield pytest.param("data", {"n": 2, "levels": levels}, id="data-levels-%d" % i)
+    for kind in ("table", "vdp", "carlitz"):  # a value that is not a hex string
+        doc, name = _DOCS[kind]
+        body = [1, 2, 3, 0] if name == "table" else {"0": 1}
+        yield pytest.param(kind, {**doc, name: body}, id="%s-value" % kind)
+
+
+@pytest.mark.parametrize("kind", sorted(_DOCS))
+def test_well_formed_documents_read_back(kind):
+    doc, _ = _DOCS[kind]
+    assert _READERS[kind].from_json_dict(doc).json_dict() == doc
+
+
+@pytest.mark.parametrize("kind, doc", _wrong_shapes())
+def test_readers_refuse_malformed_bodies(kind, doc):
+    with pytest.raises(ValueError):
+        _READERS[kind].from_json_dict(doc)
+
+
+@pytest.mark.parametrize("kind, doc", _wrong_shapes())
+def test_commands_refuse_malformed_bodies(files, capsys, kind, doc):
+    path = _write(files["tmp"], "shape.json", doc)
+    for argv in _READING_COMMANDS[kind]:
+        assert run(argv + [path]) == 2
+        assert _one_error_line(capsys)
+
+
+def test_a_string_table_is_not_a_table(files, capsys):
+    # "1230" once read as the precision-2 table 1, 2, 3, 0: ergodic at every level
+    doc = {"ring": "F2T", "precision": 2, "table": "1230"}
+    with pytest.raises(ValueError, match="table must be a JSON list"):
+        FunctionTable.from_json_dict(doc)
+    path = _write(files["tmp"], "string_table.json", doc)
+    for argv in (["verify", "--exhaustive", "--table", path], ["expand", "--basis", "carlitz", "--table", path]):
+        assert run(argv) == 2
+        assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind", _KEYED)
+def test_one_index_has_one_key(kind):
+    doc, name = _DOCS[kind]
+    last = max(doc[name], key=int)
+    spellings = {last: doc[name][last], "0" + last: doc[name][last], " +" + last: doc[name][last]}
+    with pytest.raises(ValueError, match="canonical decimal"):
+        _READERS[kind].from_json_dict({**doc, name: {**doc[name], **spellings}})
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("carlitz", '{"ring": "F2T", "basis": "carlitz", "precision": 3, "precision": 40, "coeffs": {}}'),
+    ("carlitz", '{"ring": "F2T", "basis": "carlitz", "precision": 3, "coeffs": {"1": "0x1", "1": "0x3"}}'),
+    ("table", '{"ring": "F2T", "ring": "F2T", "precision": 1, "table": ["0x1", "0x0"]}'),
+    ("data", '{"n": 1, "levels": {"1": "01"}, "n": 0}'),
+])
+def test_duplicate_keys_exit_two(files, capsys, kind, text):
+    # json.load keeps the last of a repeated key, so "precision": 3, "precision": 40 read as 40
+    path = files["tmp"] / "dup.json"
+    path.write_text(text)
+    for argv in _READING_COMMANDS[kind]:
+        assert run(argv + [str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "duplicate key" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, key, cap", [
+    ("table", "precision", 24), ("z2table", "precision", 24), ("vdp", "precision", 24), ("z2vdp", "precision", 24),
+    ("carlitz", "precision", 1024), ("mahler", "precision", 1024), ("data", "n", 23),
+])
+def test_each_reader_caps_its_own_precision(kind, key, cap):
+    # the table formats hold 2^24 entries at most (cycle data: a table of precision n + 1)
+    doc, _ = _DOCS[kind]
+    with pytest.raises(ValueError, match="over the limit of %d" % cap):
+        _READERS[kind].from_json_dict({**doc, key: cap + 1})
+
+
+def test_malformed_bodies_print_no_traceback(files):
+    shapes = [_malformed("table", "1230"), _malformed("carlitz", ["0x1"]), _malformed("mahler", key_form=lambda n: "0" + n),
+              _malformed("vdp", key_form=lambda n: " +" + n), {"n": 1, "levels": {"1": [0, 1]}}]
+    argvs = [["verify", "--exhaustive", "--table"], ["eval", "--x", "0x1", "--coeffs"], ["eval", "--x", "0x1", "--coeffs"],
+             ["keystream", "--x0", "0x0", "--steps", "2", "--coeffs"], ["gen-cycle", "--data"]]
+    for i, (doc, argv) in enumerate(zip(shapes, argvs)):
+        path = _write(files["tmp"], "shape%d.json" % i, doc)
+        got = subprocess.run([sys.executable, "-m", "tadic", *argv, path], capture_output=True, text=True)
+        assert got.returncode == 2
+        assert got.stdout == ""
+        assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1

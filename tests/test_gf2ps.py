@@ -23,6 +23,7 @@ from tadic.gf2ps import (
     parse_hex,
     pdivmod,
     read_header,
+    read_indexed,
     to_hex,
     trunc,
 )
@@ -173,6 +174,30 @@ def test_read_header_checks_tags_and_limit():
         read_header(obj, most=11)
     with pytest.raises(ValueError, match="expected basis carlitz"):
         read_header(obj, ring="Z2", basis="carlitz")
+
+
+def test_read_header_needs_an_object():
+    with pytest.raises(ValueError, match="expected a JSON object, got list"):
+        read_header([{"precision": 3}])
+
+
+def test_read_indexed_takes_canonical_decimal_keys():
+    obj = {"coeffs": {"0": "0x1", "10": "0x2", str(2**70): "0x3"}}
+    assert read_indexed(obj, "coeffs", parse_hex) == {0: 1, 10: 2, 2**70: 3}
+    assert read_indexed({}, "coeffs", parse_hex) == {}
+    for key in ["03", "00", " 3", "3 ", "+3", "-3", "3.0", "0x3", "", "٣", "３", "²"]:
+        with pytest.raises(ValueError, match="canonical decimal"):
+            read_indexed({"coeffs": {key: "0x1"}}, "coeffs", parse_hex)
+    for body in (["0x1"], "0x1", 3, None):
+        with pytest.raises(ValueError, match="levels must be a JSON object"):
+            read_indexed({"levels": body}, "levels", str)
+
+
+def test_parse_hex_takes_only_strings():
+    assert parse_hex("0x1F") == parse_hex("1f") == 31
+    for value in (31, None, ["0x1"], 1.5):
+        with pytest.raises(ValueError, match="hex string"):
+            parse_hex(value)
 
 
 @given(polys, polys, polys)

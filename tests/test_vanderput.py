@@ -139,6 +139,15 @@ def test_criteria_reject_non_lipschitz_input():
         check_ergodic_vdp(bad)
 
 
+@pytest.mark.parametrize("cls, pi", [(VdpCoefficients, "T"), (Z2VdpCoefficients, "2")])
+def test_lipschitz_guard_names_the_smallest_offending_index(cls, pi):
+    # B_5 = 2 and B_6 = 1 are both off their floor pi^2; B_4 = 4 is not
+    bad = cls(3, (1, 1, 0, 0, 4, 2, 1, 0))
+    for check in (check_mp_vdp, check_ergodic_vdp):
+        with pytest.raises(ValueError, match=r"^coefficients are not 1-Lipschitz: %s\^2 does not divide B_5$" % pi):
+            check(bad)
+
+
 def test_restrict_commutes_with_table_truncation():
     rng = random.Random(7)
     for _ in range(30):
