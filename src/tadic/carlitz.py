@@ -1,9 +1,7 @@
 """Carlitz basis machinery over F2[T] at r=2.
 
-Constants [i], L_i, D_i and the factorial Pi(n); the polynomials e_d, E_i,
-G_n, G'_n, H_n; Lucas binomials; coefficient extraction from a function
-table and evaluation back; Lipschitz and single-cycle criteria read off
-the coefficients.  The eval_* functions are exact over F2[T].  The
+Coefficient extraction from a function table and evaluation back;
+Lipschitz and single-cycle criteria read off the coefficients.  The
 transform pair and point evaluation work mod T^k with the recurrence
 E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
 level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
@@ -13,159 +11,19 @@ butterfly over the canonical points, O(k^2 2^k) truncated products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse, unwrap_point
-from .gf2ps import clmul, clmul_trunc, exact_div, trunc
+from .gf2ps import clmul, clmul_trunc, trunc
 
 __all__ = [
     "CarlitzCoefficients",
-    "CarlitzConstants",
-    "DigitData",
-    "binom_mod2",
-    "carlitz_factorial",
     "carlitz_table",
     "check_ergodic_carlitz",
     "check_lipschitz_carlitz",
-    "constants",
-    "digit_data",
-    "eval_E",
-    "eval_G",
-    "eval_Gprime",
-    "eval_H",
-    "eval_e",
     "from_carlitz",
     "restrict",
     "to_carlitz",
     "undetermined_lipschitz_indices",
 ]
-
-
-@dataclass(frozen=True)
-class CarlitzConstants:
-    """The level-i constants: bracket [i], product L_i, factorial block D_i."""
-
-    i: int
-    bracket: int
-    L: int
-    D: int
-
-
-@dataclass(frozen=True)
-class DigitData:
-    """Binary digit bookkeeping for an index n."""
-
-    n: int
-    digits: tuple
-    nu: int
-    l: int
-
-
-def _bracket(i):
-    """[i] = T^(2^i) + T; zero at i = 0."""
-    return (1 << (1 << i)) ^ 2
-
-
-def constants(i):
-    """Compute [i], L_i, D_i iteratively from level 0."""
-    if i < 0:
-        raise ValueError("level must be non-negative")
-    L = D = 1
-    for j in range(1, i + 1):
-        br = _bracket(j)
-        L = clmul(br, L)
-        D = clmul(br, clmul(D, D))
-    return CarlitzConstants(i, _bracket(i), L, D)
-
-
-def carlitz_factorial(n):
-    """Pi(n) = product of D_j over the set binary digits of n."""
-    res = D = 1
-    j = 0
-    while n:
-        if j:
-            br = _bracket(j)
-            D = clmul(br, clmul(D, D))
-        if n & 1:
-            res = clmul(res, D)
-        n >>= 1
-        j += 1
-    return res
-
-
-def binom_mod2(m, j):
-    """Binomial coefficient mod 2: 1 iff j is a submask of m."""
-    return 0 if j & ~m else 1
-
-
-def digit_data(n):
-    """Digits, 2-adic valuation, and top digit value of n."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n == 0:
-        return DigitData(0, (), 0, 0)
-    digits = tuple((n >> i) & 1 for i in range(n.bit_length()))
-    nu = (n & -n).bit_length() - 1
-    return DigitData(n, digits, nu, 1 << (n.bit_length() - 1))
-
-
-def _product(vals):
-    """Balanced product so intermediate factors stay comparable in size."""
-    while len(vals) > 1:
-        nxt = [clmul(vals[i], vals[i + 1]) for i in range(0, len(vals) - 1, 2)]
-        if len(vals) & 1:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-def eval_e(d, x):
-    """Defining product e_d(x) over all polynomials of degree below d."""
-    return _product([x ^ a for a in range(1 << d)])
-
-
-def eval_E(i, x):
-    """E_i(x) = e_i(x)/D_i; vanishes whenever deg x < i."""
-    if x < (1 << i):
-        return 0
-    return exact_div(eval_e(i, x), constants(i).D)
-
-
-def eval_G(n, x):
-    """G_n(x): product of E_i(x) over the set digits of n."""
-    res = 1
-    i = 0
-    while n:
-        if n & 1:
-            f = eval_E(i, x)
-            if not f:
-                return 0
-            res = clmul(res, f)
-        n >>= 1
-        i += 1
-    return res
-
-
-def eval_Gprime(n, x):
-    """G'_n(x): product of E_i(x) + 1 over the set digits of n."""
-    res = 1
-    i = 0
-    while n and res:
-        if n & 1:
-            res = clmul(res, eval_E(i, x) ^ 1)
-        n >>= 1
-        i += 1
-    return res
-
-
-def eval_H(n, x):
-    """H_n(x) = L_nu(n+1) * G_{n+1}(x) / x, an exact polynomial."""
-    if x == 0:
-        raise ValueError("H undefined at 0")
-    if n == 0:
-        return 1
-    nu = ((n + 1) & -(n + 1)).bit_length() - 1
-    return exact_div(clmul(constants(nu).L, eval_G(n + 1, x)), x)
 
 
 class CarlitzCoefficients(SparseCoefficients):
@@ -310,5 +168,4 @@ def check_ergodic_carlitz(c):
     for m in range(2, k + 1):
         ok = ok and m not in bad_bands and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
         raw.append(ok)
-    levels = [v if (v is False or m <= k - 1) else None for m, v in enumerate(raw, start=1)]
-    return LevelVerdicts(tuple(levels))
+    return LevelVerdicts.below_precision(raw)

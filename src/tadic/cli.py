@@ -159,10 +159,10 @@ _KINDS = {
     ),
     ("Z2", "vanderput"): _Kind(
         vanderput.Z2VdpCoefficients, vanderput.to_vdp, vanderput.from_vdp, vanderput.vdp_table, vanderput.restrict,
-        {"mp": _flag(z2compare.check_mp_z2), "ergodic": _levels(z2compare.check_ergodic_z2)},
+        {"mp": _flag(z2compare.check_mp_z2), "ergodic": _levels(vanderput.check_ergodic_vdp)},
     ),
     ("Z2", "mahler"): _Kind(
-        z2compare.MahlerCoefficients, None, z2compare.mahler_eval, z2compare.mahler_table, z2compare.restrict_mahler_z2,
+        z2compare.MahlerCoefficients, None, z2compare.mahler_eval, z2compare.mahler_table, dynamics.restrict_sparse,
         {"ergodic": _flag(z2compare.check_ergodic_mahler_z2)},
     ),
 }

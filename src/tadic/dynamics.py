@@ -52,7 +52,19 @@ class LevelVerdicts:
 
     levels: tuple
 
+    @classmethod
+    def below_precision(cls, raw):
+        """Verdicts from per-level clause results whose top level reads past the precision.
+
+        True is reported only below the precision: the top level stays None
+        unless its clauses already fail.
+        """
+        *below, top = raw
+        return cls((*below, None if top else False))
+
     def level(self, m):
+        if not 1 <= m <= len(self.levels):
+            raise ValueError("level must be between 1 and %d" % len(self.levels))
         return self.levels[m - 1]
 
     @property

@@ -1,10 +1,11 @@
-"""Exact polynomial and truncated power series arithmetic over F2.
+"""Polynomial and truncated power series arithmetic over F2, and the hex codec.
 
 Values are Python ints used as bit vectors: bit i holds the coefficient
-of T^i.  An exact element of F2[T] is any such int; a Residue pairs a
-value reduced mod T^k with its precision k.  The encoding makes the
-digit-for-digit correspondence with 2-adic integers the identity on bit
-patterns, and it is the encoding used by every file format and hex flag.
+of T^i.  An exact element of F2[T] is any such int, with products but no
+division; a Residue pairs a value reduced mod T^k with its precision k.
+The encoding makes the digit-for-digit correspondence with 2-adic
+integers the identity on bit patterns, and it is the encoding used by
+every file format and hex flag.
 So one residue rule (`check_residues`, and `read_header` and
 `read_indexed` for files) serves both rings; `Z2Residue` is a `Residue`
 tagged "Z2", which the XOR arithmetic refuses.
@@ -13,11 +14,11 @@ tagged "Z2", which the XOR arithmetic refuses.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Poly",
     "Residue",
     "Z2Residue",
     "add",
@@ -25,21 +26,16 @@ __all__ = [
     "clmul",
     "clmul_trunc",
     "degree",
-    "exact_div",
     "invert_unit",
     "mul",
     "ord_abs",
     "order",
     "parse_hex",
-    "pdivmod",
     "read_header",
     "read_indexed",
     "to_hex",
     "trunc",
 ]
-
-# An exact polynomial in F2[T]; purely documentary alias.
-Poly = int
 
 
 def degree(a):
@@ -72,27 +68,6 @@ def clmul_trunc(a, b, k):
     """Carry-less product reduced mod T^k; depends only on inputs mod T^k."""
     m = (1 << k) - 1
     return clmul(a & m, b & m) & m
-
-
-def pdivmod(a, b):
-    """Quotient and remainder of polynomial long division in F2[T]."""
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = 0
-    width = b.bit_length()
-    while a.bit_length() >= width:
-        sh = a.bit_length() - width
-        q |= 1 << sh
-        a ^= b << sh
-    return q, a
-
-
-def exact_div(a, b):
-    """Exact division in F2[T]; raises when b does not divide a."""
-    q, r = pdivmod(a, b)
-    if r:
-        raise ValueError("inexact division")
-    return q
 
 
 def _inv_unit(a, k):
@@ -236,11 +211,15 @@ def to_hex(v):
     return hex(v)
 
 
+# A value has one spelling: ASCII hex digits after an optional 0x or 0X.
+# int(s, 16) alone also takes signs, spaces, underscores and non-ASCII digits.
+_HEX = re.compile(r"(0[xX])?[0-9a-fA-F]+")
+
+
 def parse_hex(s):
     """Parse a hex string (case-insensitive, 0x prefix optional) to a bit vector."""
     if not isinstance(s, str):
         raise ValueError("expected a hex string, got %s" % type(s).__name__)
-    v = int(s, 16)
-    if v < 0:
-        raise ValueError("negative hex value: %r" % s)
-    return v
+    if not _HEX.fullmatch(s):
+        raise ValueError("%r is not a hex value: ASCII hex digits after an optional 0x" % s)
+    return int(s, 16)

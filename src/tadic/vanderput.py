@@ -1,7 +1,8 @@
-"""Van der Put basis over F2[[T]] and Z2: ball indicators, expansion, criteria.
+"""Van der Put basis over F2[[T]] and Z2: expansion, evaluation, criteria.
 
 A function on residues mod T^k (or 2^k) is written as f(x) = sum of
-B_alpha * chi(alpha, x) over indices alpha below 2^k.  Coefficients are
+B_alpha * chi_alpha(x) over indices alpha below 2^k, where chi_alpha is the
+indicator of the ball x = alpha mod T^{deg alpha + 1}.  Coefficients are
 finite differences of f, so expansion and evaluation accumulate with the
 ring's addition: XOR in F2[[T]], carrying addition in Z2.  The types carry
 the ring as a tag (`Z2VdpCoefficients` is a `VdpCoefficients` tagged "Z2")
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
-from .gf2ps import Residue, check_residues, order, parse_hex, read_header, read_indexed, to_hex
+from .gf2ps import check_residues, order, parse_hex, read_header, read_indexed, to_hex
 
 __all__ = [
     "RINGS",
@@ -28,7 +29,6 @@ __all__ = [
     "check_ergodic_vdp",
     "check_lipschitz_vdp",
     "check_mp_vdp",
-    "chi",
     "from_vdp",
     "restrict",
     "to_vdp",
@@ -112,21 +112,6 @@ RINGS = {
         Ring("Z2", "2", operator.add, operator.sub, Z2FunctionTable, Z2VdpCoefficients, lambda m: 2 if m == 3 else 0),
     )
 }
-
-
-def chi(alpha, x, prec=None):
-    """Indicator of the ball around alpha: x == alpha mod T^{deg alpha + 1}.
-
-    For alpha = 0 the ball is x == 0 mod T.  Residue arguments must carry
-    more precision than deg alpha.
-    """
-    d = max(alpha.bit_length() - 1, 0)
-    if isinstance(x, Residue):
-        prec = x.precision if prec is None else prec
-        x, _ = unwrap_point(x, prec)
-    if prec is not None and prec <= d:
-        raise ValueError("insufficient precision for deg alpha = %d" % d)
-    return 1 if not (x ^ alpha) & ((2 << d) - 1) else 0
 
 
 def to_vdp(t):
@@ -225,6 +210,15 @@ def check_mp_vdp(c):
     return LevelVerdicts(tuple(out))
 
 
+def _lifts(ring, B, m):
+    """The lift clause of level m >= 2, read off the raw coefficients."""
+    if m == 2:
+        return bool(ring.add(B[0], B[1]) & 2)
+    # the scaled sum mod pi^2 is bits m-2 and m-1 of the raw sum
+    s = functools.reduce(ring.add, B[1 << (m - 2) : 1 << (m - 1)])
+    return (s >> (m - 2)) & 3 == ring.lift(m)
+
+
 def check_ergodic_vdp(c):
     """Single-cycle criterion per level, three-valued.
 
@@ -232,26 +226,16 @@ def check_ergodic_vdp(c):
     conditions at degree m-1 and a lift clause: b_0 + b_1 = 1 + pi mod pi^2
     for m = 2, and for m >= 3 the sum of b_alpha over deg alpha = m-2 equal
     to the ring's lift target mod pi^2 (T in F2[[T]]; 2 at m = 3 and 0
-    beyond in Z2), each sum checked once.  A True verdict at level m is only
-    reported for m <= k-1; level k stays undecided unless some clause fails
-    outright.
+    beyond in Z2), each sum checked once.  The parity of b_0 + b_1 and the
+    unit conditions are the levels of check_mp_vdp.  A True verdict at
+    level m is only reported for m <= k-1; level k stays undecided unless
+    some clause fails outright.
     """
-    _require_lipschitz(c)
     ring = RINGS[c.ring]
-    k = c.precision
     B = c.B
-    s01 = ring.add(B[0], B[1])
-    ok = bool(B[0] & 1) and bool(s01 & 1)
-    raw = [ok]
-    for m in range(2, k + 1):
-        d = m - 1
-        ok = ok and all((B[a] >> d) & 1 for a in range(1 << d, 2 << d))
-        if m == 2:
-            ok = ok and bool(s01 & 2)
-        else:
-            # the scaled sum mod pi^2 is bits m-2 and m-1 of the raw sum
-            s = functools.reduce(ring.add, B[1 << (m - 2) : 1 << (m - 1)])
-            ok = ok and (s >> (m - 2)) & 3 == ring.lift(m)
+    ok = bool(B[0] & 1)
+    raw = []
+    for m, mp in enumerate(check_mp_vdp(c).levels, start=1):
+        ok = ok and mp and (m == 1 or _lifts(ring, B, m))
         raw.append(ok)
-    levels = [v if (v is False or m <= k - 1) else None for m, v in enumerate(raw, start=1)]
-    return LevelVerdicts(tuple(levels))
+    return LevelVerdicts.below_precision(raw)

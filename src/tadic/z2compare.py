@@ -4,8 +4,9 @@ Residues mod 2^k share their bit patterns with the series side, so the
 mask-based compatibility, bijectivity, and cycle walks carry over as is;
 only the ring addition differs (carries instead of XOR).  The Z2 residue,
 table and Van der Put types are the F2[[T]] ones tagged "Z2"; they live
-beside their parents and are re-exported here, and the Z2 Van der Put
-functions, criteria and oracle are the generic ones under their Z2 names.
+beside their parents and are re-exported here.  The Z2 names to_vdp_z2,
+vdp_table_z2, check_ergodic_z2 and is_transitive_mod_z2 are the generic
+functions under other names.
 What is 2-adic only lives here: the Mahler basis and its single-cycle
 criterion at p=2.
 """
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import math
 
-from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod, restrict_sparse, unwrap_point
+from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod, unwrap_point
 from .gf2ps import Z2Residue
-from .vanderput import Z2VdpCoefficients, check_ergodic_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
+from .vanderput import Z2VdpCoefficients, check_ergodic_vdp, check_mp_vdp, to_vdp, vdp_table
 
 __all__ = [
     "MahlerCoefficients",
@@ -26,24 +27,18 @@ __all__ = [
     "check_ergodic_mahler_z2",
     "check_ergodic_z2",
     "check_mp_z2",
-    "from_vdp_z2",
     "is_transitive_mod_z2",
     "mahler_eval",
     "mahler_table",
-    "restrict_mahler_z2",
-    "restrict_vdp_z2",
     "to_vdp_z2",
     "vdp_table_z2",
 ]
 
 # The ring travels with the argument, so the Z2 names are the generic functions.
 to_vdp_z2 = to_vdp
-from_vdp_z2 = from_vdp
 vdp_table_z2 = vdp_table
-restrict_vdp_z2 = restrict
 check_ergodic_z2 = check_ergodic_vdp
 is_transitive_mod_z2 = is_transitive_mod
-restrict_mahler_z2 = restrict_sparse
 
 
 class MahlerCoefficients(SparseCoefficients):

@@ -1,4 +1,10 @@
-"""Shared builders and steered samplers for the test suite.
+"""Shared builders, exact oracles and steered samplers for the test suite.
+
+The exact algebra lives here, not in the library: the Carlitz constants
+[i], L_i, D_i and factorial Pi(n), the polynomials e_d, E_i, G_n, G'_n
+and H_n over F2[T], Lucas binomials mod 2, F2[T] long division, and the
+van der Put ball indicator chi.  They are the slow references that the
+library's truncated transforms and criteria are checked against.
 
 Uniform random tables almost never pass the deeper criteria, so the
 bridge tests mix uniform samples with samplers steered to satisfy each
@@ -8,12 +14,155 @@ every level.
 
 import functools
 import itertools
+from dataclasses import dataclass
 
-from tadic.carlitz import CarlitzCoefficients, carlitz_table, eval_Gprime
-from tadic.dynamics import FunctionTable
-from tadic.gf2ps import clmul_trunc, trunc
+from tadic.carlitz import CarlitzCoefficients, carlitz_table
+from tadic.dynamics import FunctionTable, unwrap_point
+from tadic.gf2ps import Residue, clmul, clmul_trunc, trunc
 from tadic.vanderput import VdpCoefficients
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients
+
+
+def pdivmod(a, b):
+    """Quotient and remainder of polynomial long division in F2[T]."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q = 0
+    width = b.bit_length()
+    while a.bit_length() >= width:
+        sh = a.bit_length() - width
+        q |= 1 << sh
+        a ^= b << sh
+    return q, a
+
+
+def exact_div(a, b):
+    """Exact division in F2[T]; raises when b does not divide a."""
+    q, r = pdivmod(a, b)
+    if r:
+        raise ValueError("inexact division")
+    return q
+
+
+@dataclass(frozen=True)
+class CarlitzConstants:
+    """The level-i constants: bracket [i], product L_i, factorial block D_i."""
+
+    i: int
+    bracket: int
+    L: int
+    D: int
+
+
+def _bracket(i):
+    """[i] = T^(2^i) + T; zero at i = 0."""
+    return (1 << (1 << i)) ^ 2
+
+
+def constants(i):
+    """Compute [i], L_i, D_i iteratively from level 0."""
+    if i < 0:
+        raise ValueError("level must be non-negative")
+    L = D = 1
+    for j in range(1, i + 1):
+        br = _bracket(j)
+        L = clmul(br, L)
+        D = clmul(br, clmul(D, D))
+    return CarlitzConstants(i, _bracket(i), L, D)
+
+
+def carlitz_factorial(n):
+    """Pi(n) = product of D_j over the set binary digits of n."""
+    res = D = 1
+    j = 0
+    while n:
+        if j:
+            br = _bracket(j)
+            D = clmul(br, clmul(D, D))
+        if n & 1:
+            res = clmul(res, D)
+        n >>= 1
+        j += 1
+    return res
+
+
+def binom_mod2(m, j):
+    """Binomial coefficient mod 2: 1 iff j is a submask of m."""
+    return 0 if j & ~m else 1
+
+
+def _product(vals):
+    """Balanced product so intermediate factors stay comparable in size."""
+    while len(vals) > 1:
+        nxt = [clmul(vals[i], vals[i + 1]) for i in range(0, len(vals) - 1, 2)]
+        if len(vals) & 1:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
+
+
+def eval_e(d, x):
+    """Defining product e_d(x) over all polynomials of degree below d."""
+    return _product([x ^ a for a in range(1 << d)])
+
+
+def eval_E(i, x):
+    """E_i(x) = e_i(x)/D_i; vanishes whenever deg x < i."""
+    if x < (1 << i):
+        return 0
+    return exact_div(eval_e(i, x), constants(i).D)
+
+
+def eval_G(n, x):
+    """G_n(x): product of E_i(x) over the set digits of n."""
+    res = 1
+    i = 0
+    while n:
+        if n & 1:
+            f = eval_E(i, x)
+            if not f:
+                return 0
+            res = clmul(res, f)
+        n >>= 1
+        i += 1
+    return res
+
+
+def eval_Gprime(n, x):
+    """G'_n(x): product of E_i(x) + 1 over the set digits of n."""
+    res = 1
+    i = 0
+    while n and res:
+        if n & 1:
+            res = clmul(res, eval_E(i, x) ^ 1)
+        n >>= 1
+        i += 1
+    return res
+
+
+def eval_H(n, x):
+    """H_n(x) = L_nu(n+1) * G_{n+1}(x) / x, an exact polynomial."""
+    if x == 0:
+        raise ValueError("H undefined at 0")
+    if n == 0:
+        return 1
+    nu = ((n + 1) & -(n + 1)).bit_length() - 1
+    return exact_div(clmul(constants(nu).L, eval_G(n + 1, x)), x)
+
+
+def chi(alpha, x, prec=None):
+    """Indicator of the ball around alpha: x == alpha mod T^{deg alpha + 1}.
+
+    For alpha = 0 the ball is x == 0 mod T.  Residue arguments must carry
+    more precision than deg alpha.
+    """
+    d = max(alpha.bit_length() - 1, 0)
+    if isinstance(x, Residue):
+        prec = x.precision if prec is None else prec
+        x, _ = unwrap_point(x, prec)
+    if prec is not None and prec <= d:
+        raise ValueError("insufficient precision for deg alpha = %d" % d)
+    return 1 if not (x ^ alpha) & ((2 << d) - 1) else 0
 
 
 def reference_coefficients(k):
@@ -51,6 +200,10 @@ def dual_basis_coefficients(t):
         a[n] = acc
     return CarlitzCoefficients(k, a)
 
+
+# spellings that int(s, 16) reads but that are not hex values: a non-ASCII
+# digit, spaces, underscores, a trailing newline and a sign
+NON_CANONICAL_HEX = ("\u0663", " 0x1_0 ", "0X_f", "f\n", "+f")
 
 # the reference table at k=4, pinned by hand from the coefficient sum
 REFERENCE_TABLE_K4 = (0x1, 0x2, 0xF, 0x8, 0xD, 0x6, 0x3, 0x4,

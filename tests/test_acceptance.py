@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    binom_mod2,
     corrupt_vdp,
     corrupt_z2,
+    eval_G,
+    eval_Gprime,
     perturbed_reference,
     random_ergodic_vdp,
     random_lipschitz_vdp,
@@ -30,12 +33,9 @@ from helpers import (
     reference_table,
 )
 from tadic.carlitz import (
-    binom_mod2,
     carlitz_table,
     check_ergodic_carlitz,
     check_lipschitz_carlitz,
-    eval_G,
-    eval_Gprime,
     to_carlitz,
 )
 from tadic.cyclegen import CycleData, gen_cycle, random_data

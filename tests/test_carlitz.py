@@ -5,22 +5,26 @@ import time
 
 import pytest
 
-from helpers import REFERENCE_TABLE_K4, dual_basis_coefficients, perturbed_reference, random_table, reference_coefficients
-from tadic.carlitz import (
-    CarlitzCoefficients,
-    DigitData,
+from helpers import (
+    REFERENCE_TABLE_K4,
     binom_mod2,
     carlitz_factorial,
-    carlitz_table,
-    check_ergodic_carlitz,
-    check_lipschitz_carlitz,
     constants,
-    digit_data,
+    dual_basis_coefficients,
     eval_E,
     eval_G,
     eval_Gprime,
     eval_H,
     eval_e,
+    perturbed_reference,
+    random_table,
+    reference_coefficients,
+)
+from tadic.carlitz import (
+    CarlitzCoefficients,
+    carlitz_table,
+    check_ergodic_carlitz,
+    check_lipschitz_carlitz,
     from_carlitz,
     restrict,
     to_carlitz,
@@ -56,17 +60,6 @@ def test_binomials_mod_two():
     assert binom_mod2(4, 2) == 0
     for n in range(0, 12):
         assert binom_mod2(n, 0) == 1
-
-
-def test_digit_data_bookkeeping():
-    d = digit_data(12)
-    assert d.digits == (0, 0, 1, 1)
-    assert d.nu == 2 and d.l == 8
-    assert digit_data(0) == DigitData(0, (), 0, 0)
-    with pytest.raises(ValueError):
-        digit_data(-1)
-    for n in range(1, 64):
-        assert digit_data(n).nu <= n.bit_length() - 1
 
 
 def test_defining_product_values():

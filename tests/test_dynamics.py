@@ -104,6 +104,15 @@ def test_level_verdicts_three_valued_overall():
     assert v.json_dict() == {"1": True, "2": False, "3": None}
 
 
+def test_level_verdicts_refuse_levels_outside_the_precision():
+    # level(0) once read entry -1, the top level's verdict
+    v = LevelVerdicts((True, False))
+    for m in (0, -1, 3):
+        with pytest.raises(ValueError, match="between 1 and 2"):
+            v.level(m)
+    assert (v.level(1), v.level(2)) == (True, False)
+
+
 def test_function_table_validation():
     with pytest.raises(ValueError):
         FunctionTable(0, ())

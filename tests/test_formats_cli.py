@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import reference_coefficients, reference_table
+from helpers import NON_CANONICAL_HEX, reference_coefficients, reference_table
 from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
@@ -219,6 +219,13 @@ def test_keystream_works_from_any_basis(files, capsys):
     assert capsys.readouterr().out.split() == ["0x0", "0x1", "0x2"]
     assert run(["keystream", "--coeffs", files["mahler_ok"], "--x0", "0x0", "--steps", "3"]) == 0
     assert capsys.readouterr().out.split() == ["0x0", "0x1", "0x2"]
+
+
+@pytest.mark.parametrize("value", NON_CANONICAL_HEX)
+def test_point_flags_refuse_non_canonical_hex(files, capsys, value):
+    for argv in (["eval", "--x", value], ["keystream", "--x0", value, "--steps", "1"]):
+        assert run(argv + ["--coeffs", files["car4"]]) == 2
+        assert _one_error_line(capsys)
 
 
 def test_keystream_flag_validation(files, capsys):
@@ -497,6 +504,11 @@ def _wrong_shapes():
         doc, name = _DOCS[kind]
         body = [1, 2, 3, 0] if name == "table" else {"0": 1}
         yield pytest.param(kind, {**doc, name: body}, id="%s-value" % kind)
+    for kind in ("table", "carlitz"):  # a table entry and a coefficient value that int(s, 16) reads
+        doc, name = _DOCS[kind]
+        for i, value in enumerate(NON_CANONICAL_HEX):
+            body = doc[name][:-1] + [value] if name == "table" else {**doc[name], "0": value}
+            yield pytest.param(kind, {**doc, name: body}, id="%s-hex-%d" % (kind, i))
 
 
 @pytest.mark.parametrize("kind", sorted(_DOCS))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import NON_CANONICAL_HEX, exact_div, pdivmod
 from tadic.gf2ps import (
     Residue,
     Z2Residue,
@@ -15,13 +16,11 @@ from tadic.gf2ps import (
     clmul,
     clmul_trunc,
     degree,
-    exact_div,
     invert_unit,
     mul,
     ord_abs,
     order,
     parse_hex,
-    pdivmod,
     read_header,
     read_indexed,
     to_hex,
@@ -110,10 +109,9 @@ def test_hex_codec():
     assert parse_hex("0xF") == 15
     assert parse_hex("f") == 15
     assert parse_hex("0X1a") == 26
-    with pytest.raises(ValueError):
-        parse_hex("-0x1")
-    with pytest.raises(ValueError):
-        parse_hex("zz")
+    for s in ("-0x1", "zz", *NON_CANONICAL_HEX):
+        with pytest.raises(ValueError, match="not a hex value"):
+            parse_hex(s)
 
 
 def test_residue_validation():

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     REFERENCE_TABLE_K4,
     all_lipschitz_vdp,
+    chi,
     random_table,
     reference_table,
 )
@@ -19,7 +20,6 @@ from tadic.vanderput import (
     check_ergodic_vdp,
     check_lipschitz_vdp,
     check_mp_vdp,
-    chi,
     from_vdp,
     restrict,
     to_vdp,

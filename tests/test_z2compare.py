@@ -5,8 +5,8 @@ import random
 import pytest
 
 from helpers import corrupt_z2, random_z2_compatible, random_z2_ergodic, random_z2_table
-from tadic.dynamics import is_bijective_mod
-from tadic.vanderput import check_mp_vdp
+from tadic.dynamics import is_bijective_mod, restrict_sparse
+from tadic.vanderput import check_mp_vdp, from_vdp, restrict
 from tadic.z2compare import (
     MahlerCoefficients,
     Z2FunctionTable,
@@ -15,12 +15,9 @@ from tadic.z2compare import (
     check_ergodic_mahler_z2,
     check_ergodic_z2,
     check_mp_z2,
-    from_vdp_z2,
     is_transitive_mod_z2,
     mahler_eval,
     mahler_table,
-    restrict_mahler_z2,
-    restrict_vdp_z2,
     to_vdp_z2,
     vdp_table_z2,
 )
@@ -57,8 +54,8 @@ def test_vdp_z2_roundtrip_on_random_compatible_sets():
 def test_from_vdp_z2_adds_with_carries():
     c = Z2VdpCoefficients(3, (3, 3, 2, 2, 0, 0, 0, 0))
     # f(3) = B_1 + B_3 = 5, unlike the XOR sum 1
-    assert from_vdp_z2(c, 3) == 5
-    assert from_vdp_z2(c, Z2Residue(3, 3)) == Z2Residue(5, 3)
+    assert from_vdp(c, 3) == 5
+    assert from_vdp(c, Z2Residue(3, 3)) == Z2Residue(5, 3)
 
 
 def test_scaled_accessor_requires_divisibility():
@@ -131,16 +128,16 @@ def test_bit_identical_tables_share_bijectivity_verdicts():
 def test_restrictions_truncate_consistently():
     rng = random.Random(23)
     c = random_z2_compatible(rng, 5)
-    cut = restrict_vdp_z2(c, 3)
+    cut = restrict(c, 3)
     assert cut.precision == 3
     assert cut.B == tuple(v & 7 for v in c.B[:8])
     m = MahlerCoefficients(5, {0: 9, 1: 17, 3: 8})
-    mcut = restrict_mahler_z2(m, 3)
+    mcut = restrict_sparse(m, 3)
     assert mcut.a == {0: 1, 1: 1}
     with pytest.raises(ValueError):
-        restrict_vdp_z2(c, 0)
+        restrict(c, 0)
     with pytest.raises(ValueError):
-        restrict_mahler_z2(m, 6)
+        restrict_sparse(m, 6)
 
 
 def test_json_roundtrips():
