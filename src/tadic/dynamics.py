@@ -5,15 +5,17 @@ table type carries its ring as a tag: `Z2FunctionTable` is a
 `FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
 same bit mask on canonical values, so every check here serves both rings.
 The sparse coefficient type shared by the Carlitz and Mahler bases lives
-here too.  The checks are exhaustive brute-force references: per-level
-compatibility, bijectivity, single-cycle transitivity, the parity
-criterion that decides whether a single cycle lifts one level, and
-plain orbit iteration.
+here too.  The checks are exhaustive table oracles: compatibility in one
+O(2^k) pass, bijectivity and single-cycle transitivity per level, the
+parity criterion that decides whether a single cycle lifts one level,
+and plain orbit iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .gf2ps import Residue, Z2Residue, check_residues, parse_hex, read_header, read_indexed, to_hex
@@ -195,13 +197,17 @@ def restrict_sparse(c, prec):
 
 
 def is_compatible(t):
-    """Level m true iff x == y mod T^m always forces f(x) == f(y) mod T^m."""
+    """Level m true iff x == y mod T^m always forces f(x) == f(y) mod T^m.
+
+    Equivalently ord(f(x) - f(x - 2^deg x)) >= m for deg x >= m: stripping top bits walks x down to x mod T^m,
+    and a difference has the order of the XOR in both rings.  So suffix ORs of the XOR bands decide it in O(2^k).
+    """
     values = t.table
-    out = []
-    for m in range(1, t.precision + 1):
-        mask = (1 << m) - 1
-        out.append(all(not (v ^ values[x & mask]) & mask for x, v in enumerate(values)))
-    return LevelVerdicts(tuple(out))
+    out, seen = [True], 0
+    for d in range(t.precision - 1, 0, -1):
+        seen |= functools.reduce(operator.or_, map(operator.xor, values[1 << d : 2 << d], values[: 1 << d]))
+        out.append(not seen & ((1 << d) - 1))
+    return LevelVerdicts(tuple(reversed(out)))
 
 
 def is_bijective_mod(t):

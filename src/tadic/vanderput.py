@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
-from .gf2ps import check_residues, order, parse_hex, read_header, read_indexed, to_hex
+from .gf2ps import check_residues, parse_hex, read_header, read_indexed, to_hex
 
 __all__ = [
     "RINGS",
@@ -170,17 +170,22 @@ def restrict(c, prec):
 
 
 def _off_floor(c):
-    """The indices alpha of nonzero degree with ord(B_alpha) < deg alpha."""
-    return (m for m in range(2, len(c.B)) if order(c.B[m]) < m.bit_length() - 1)
+    """The smallest alpha of degree d >= 1 with ord(B_alpha) < d, or None; only a band whose OR fails is scanned."""
+    B = c.B
+    for d in range(1, c.precision):
+        lo = 1 << d
+        if functools.reduce(operator.or_, B[lo : 2 * lo]) & (lo - 1):
+            return next(m for m in range(lo, 2 * lo) if B[m] & (lo - 1))
+    return None
 
 
 def check_lipschitz_vdp(c):
-    """True iff ord(B_alpha) >= deg alpha for every nonzero-degree index."""
-    return next(_off_floor(c), None) is None
+    """True iff ord(B_alpha) >= deg alpha for every nonzero-degree index, one OR per band."""
+    return _off_floor(c) is None
 
 
 def _require_lipschitz(c):
-    m = next(_off_floor(c), None)
+    m = _off_floor(c)
     if m is not None:
         raise ValueError("coefficients are not 1-Lipschitz: %s" % _indivisible(c, m))
 
@@ -195,17 +200,14 @@ def check_mp_vdp(c):
     Level m holds iff b_0 + b_1 is a unit and b_alpha is a unit for every
     alpha of degree below m; this matches bijectivity mod T^m exactly, so
     all k levels are decided booleans.  Units and the parity of b_0 + b_1
-    are the same bit tests in both rings.
+    are the same bit tests in both rings; band d is all units iff its AND has bit d.
     """
     _require_lipschitz(c)
-    k = c.precision
     B = c.B
     ok = bool((B[0] ^ B[1]) & 1)
     out = [ok]
-    for m in range(2, k + 1):
-        d = m - 1
-        # units at degree d: the T^d coefficient of B_alpha must be set
-        ok = ok and all((B[a] >> d) & 1 for a in range(1 << d, 2 << d))
+    for d in range(1, c.precision):
+        ok = ok and bool(functools.reduce(operator.and_, B[1 << d : 2 << d]) >> d & 1)
         out.append(ok)
     return LevelVerdicts(tuple(out))
 

@@ -14,6 +14,8 @@ criterion at p=2.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, and_, mul
 
 from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod, unwrap_point
 from .gf2ps import Z2Residue
@@ -60,8 +62,13 @@ def mahler_eval(c, x):
 
 
 def mahler_table(c):
-    """Synthesize the full table of the expansion at its own precision."""
-    return Z2FunctionTable(c.precision, tuple(mahler_eval(c, x) for x in range(1 << c.precision)))
+    """The full table, column-wise: entry x is the masked sum of a_i * binom(x, i) over i <= x, as in mahler_eval."""
+    size = 1 << c.precision
+    acc = [0] * size
+    for i, v in c.a.items():
+        # exact binomials, zero below i; an index from 2^k up gives an empty column
+        acc[i:] = map(add, acc[i:], map(mul, map(math.comb, range(i, size), repeat(i)), repeat(v)))
+    return Z2FunctionTable(c.precision, tuple(map(and_, acc, repeat(size - 1))))
 
 
 def check_ergodic_mahler_z2(c):

@@ -4,7 +4,10 @@ The exact algebra lives here, not in the library: the Carlitz constants
 [i], L_i, D_i and factorial Pi(n), the polynomials e_d, E_i, G_n, G'_n
 and H_n over F2[T], Lucas binomials mod 2, F2[T] long division, and the
 van der Put ball indicator chi.  They are the slow references that the
-library's truncated transforms and criteria are checked against.
+library's truncated transforms and criteria are checked against, together
+with the definitions that the library's one-pass kernels replace: table
+compatibility with one scan per level, and the van der Put floor, unit
+and lift clauses read one coefficient at a time.
 
 Uniform random tables almost never pass the deeper criteria, so the
 bridge tests mix uniform samples with samplers steered to satisfy each
@@ -14,11 +17,12 @@ every level.
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from tadic.carlitz import CarlitzCoefficients, carlitz_table
-from tadic.dynamics import FunctionTable, unwrap_point
-from tadic.gf2ps import Residue, clmul, clmul_trunc, trunc
+from tadic.dynamics import FunctionTable, LevelVerdicts, unwrap_point
+from tadic.gf2ps import Residue, clmul, clmul_trunc, order, trunc
 from tadic.vanderput import VdpCoefficients
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients
 
@@ -165,6 +169,67 @@ def chi(alpha, x, prec=None):
     return 1 if not (x ^ alpha) & ((2 << d) - 1) else 0
 
 
+def brute_compatible(t):
+    """Compatibility by its definition: level m scans every x for f(x) == f(x mod T^m) mod T^m."""
+    values = t.table
+    out = []
+    for m in range(1, t.precision + 1):
+        mask = (1 << m) - 1
+        out.append(all(not (v ^ values[x & mask]) & mask for x, v in enumerate(values)))
+    return LevelVerdicts(tuple(out))
+
+
+def brute_off_floor(c):
+    """Every index alpha of nonzero degree with ord(B_alpha) < deg alpha, in increasing order."""
+    return [m for m in range(2, len(c.B)) if order(c.B[m]) < m.bit_length() - 1]
+
+
+def brute_mp_vdp(c):
+    """Measure preservation per level, one unit test per scaled coefficient.
+
+    Level m holds iff b_0 + b_1 is odd and b_alpha is odd for every alpha of
+    degree below m.  No Lipschitz guard: callers check `brute_off_floor`.
+    """
+    B = c.B
+    ok = bool((B[0] ^ B[1]) & 1)
+    out = [ok]
+    for d in range(1, c.precision):
+        ok = ok and all((B[a] >> d) & 1 for a in range(1 << d, 2 << d))
+        out.append(ok)
+    return LevelVerdicts(tuple(out))
+
+
+def brute_ergodic_vdp(c):
+    """Single-cycle criterion per level from the scaled coefficients b_alpha, summed one at a time.
+
+    Level 1: b_0 odd and b_0 + b_1 odd.  Level 2 adds b_0 + b_1 = 1 + pi
+    mod pi^2, and each level m >= 3 the sum of b_alpha over deg alpha = m-2
+    equal to T mod T^2 in F2[[T]], and to 2 (m = 3) or 0 mod 4 in Z2; every
+    level also needs the units of `brute_mp_vdp`.  The top level is
+    undecided unless a clause fails.
+    """
+    z2 = c.ring == "Z2"
+    add = operator.add if z2 else operator.xor
+    B = c.B
+    ok = bool(B[0] & 1)
+    raw = []
+    for m, mp in enumerate(brute_mp_vdp(c).levels, start=1):
+        if m == 1:
+            lifts = True
+        elif m == 2:
+            lifts = add(B[0], B[1]) & 3 == 3
+        else:
+            d = m - 2
+            s = 0
+            for a in range(1 << d, 2 << d):
+                s = add(s, B[a] >> d)
+            lifts = s & 3 == (2 if not z2 or m == 3 else 0)
+        ok = ok and mp and lifts
+        raw.append(ok)
+    *below, top = raw
+    return LevelVerdicts((*below, None if top else False))
+
+
 def reference_coefficients(k):
     """The pinned ergodic set: a_0 = 1, a_1 = 1+T, a_{2^n-1} = T^n below T^k."""
     a = {0: 1, 1: 3}
@@ -262,6 +327,16 @@ def random_ergodic_vdp(rng, k):
             if not (s >> (d + 1)) & 1:
                 B[lo] ^= 1 << (d + 1)
     return VdpCoefficients(k, tuple(B))
+
+
+def break_floor(rng, c, flips=1):
+    """Push `flips` random coefficients of nonzero degree off their floor: each gets a bit below its degree."""
+    k = c.precision
+    B = list(c.B)
+    for _ in range(flips):
+        m = rng.randrange(2, 1 << k)
+        B[m] |= 1 << rng.randrange(m.bit_length() - 1)
+    return type(c)(k, tuple(B))
 
 
 def corrupt_vdp(rng, c):

@@ -1,13 +1,16 @@
 """Table oracles: compatibility, bijectivity, transitivity, parity lift, orbits."""
 
+import itertools
 import random
 
 import pytest
 
-from helpers import REFERENCE_TABLE_K4, random_table
+from helpers import REFERENCE_TABLE_K4, brute_compatible, random_table
+from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import (
     FunctionTable,
     LevelVerdicts,
+    Z2FunctionTable,
     is_bijective_mod,
     is_compatible,
     is_transitive_mod,
@@ -27,6 +30,39 @@ def test_compatibility_catches_a_level_one_violation():
     # 0 and T agree mod T but their images 0 and 1 do not
     t = FunctionTable(2, (0, 1, 1, 3))
     assert is_compatible(t).levels == (False, True)
+
+
+@pytest.mark.parametrize("cls", [FunctionTable, Z2FunctionTable], ids=["F2T", "Z2"])
+def test_one_pass_compatibility_equals_the_definition_on_every_small_table(cls):
+    tables = [cls(k, v) for k in (1, 2) for v in itertools.product(range(1 << k), repeat=1 << k)]
+    assert len(tables) == 4 + 256
+    for t in tables:
+        assert is_compatible(t) == brute_compatible(t)
+
+
+def test_one_pass_compatibility_equals_the_definition_on_random_tables():
+    rng = random.Random(31)
+    for k in range(1, 11):
+        for _ in range(8):
+            t = random_table(rng, k)
+            assert is_compatible(t) == brute_compatible(t)
+            z = Z2FunctionTable(k, t.table)
+            assert is_compatible(z) == brute_compatible(z)
+
+
+def test_one_pass_compatibility_equals_the_definition_on_cycles_and_their_corruptions():
+    """Generated cycles are compatible; one flipped bit fails exactly the levels the definition fails."""
+    rng = random.Random(32)
+    for k in range(1, 11):
+        for _ in range(4):
+            _, t = gen_cycle(random_data(rng.getrandbits(32), k - 1))
+            assert is_compatible(t) == brute_compatible(t)
+            assert is_compatible(t).overall is True
+            for _ in range(6):
+                values = list(t.table)
+                values[rng.randrange(1 << k)] ^= 1 << rng.randrange(k)
+                for bad in (FunctionTable(k, values), Z2FunctionTable(k, values)):
+                    assert is_compatible(bad) == brute_compatible(bad)
 
 
 def test_single_cycle_table_passes_every_oracle():

@@ -8,8 +8,19 @@ import pytest
 from helpers import (
     REFERENCE_TABLE_K4,
     all_lipschitz_vdp,
+    break_floor,
+    brute_ergodic_vdp,
+    brute_mp_vdp,
+    brute_off_floor,
     chi,
+    corrupt_vdp,
+    corrupt_z2,
+    random_ergodic_vdp,
+    random_lipschitz_vdp,
+    random_mp_vdp,
     random_table,
+    random_z2_compatible,
+    random_z2_ergodic,
     reference_table,
 )
 from tadic.dynamics import FunctionTable, is_bijective_mod, is_transitive_mod
@@ -204,3 +215,56 @@ def test_block_synthesis_matches_pointwise_evaluation_in_both_rings(cls):
         back = to_vdp(t)
         assert type(back) is cls and back == c
     assert len(sets) == 256 + 48
+
+
+def _agree_with_the_coefficient_scans(c):
+    """The band kernels give the per-coefficient verdicts, or name the first off-floor index."""
+    off = brute_off_floor(c)
+    assert check_lipschitz_vdp(c) is not off
+    if off:
+        m = off[0]
+        pi = "T" if c.ring == "F2T" else "2"
+        want = r"^coefficients are not 1-Lipschitz: %s\^%d does not divide B_%d$" % (pi, m.bit_length() - 1, m)
+        for check in (check_mp_vdp, check_ergodic_vdp):
+            with pytest.raises(ValueError, match=want):
+                check(c)
+    else:
+        assert check_mp_vdp(c) == brute_mp_vdp(c)
+        assert check_ergodic_vdp(c) == brute_ergodic_vdp(c)
+    return bool(off)
+
+
+def test_band_kernels_equal_the_coefficient_scans_on_every_lipschitz_set_to_k3():
+    count = 0
+    for k in (1, 2, 3):
+        for c in all_lipschitz_vdp(k):
+            for d in (c, Z2VdpCoefficients(k, c.B)):
+                assert not _agree_with_the_coefficient_scans(d)
+            count += 1
+    assert count == 4 + 64 + 16384
+
+
+@pytest.mark.parametrize("ring", ["F2T", "Z2"])
+def test_band_kernels_equal_the_coefficient_scans_on_random_sets(ring):
+    rng = random.Random(41)
+    if ring == "F2T":
+        builders = (random_lipschitz_vdp, random_mp_vdp, random_ergodic_vdp)
+        corrupt, cls = corrupt_vdp, VdpCoefficients
+    else:
+        builders = (random_z2_compatible, random_z2_ergodic)
+        corrupt, cls = corrupt_z2, Z2VdpCoefficients
+    verdicts = set()
+    for k in range(2, 11):
+        for _ in range(6):
+            sets = [cls(k, tuple(rng.getrandbits(k) for _ in range(1 << k)))]
+            for build in builders:
+                c = build(rng, k)
+                sets += [c, corrupt(rng, c), break_floor(rng, c), break_floor(rng, c, flips=3)]
+            for c in sets:
+                if _agree_with_the_coefficient_scans(c):
+                    verdicts.add("not Lipschitz")
+                else:
+                    verdicts.add((check_mp_vdp(c).overall, check_ergodic_vdp(c).overall))
+    # every kind of answer came up: not Lipschitz; not measure-preserving;
+    # measure-preserving but not ergodic; certified below the top level
+    assert verdicts == {"not Lipschitz", (False, False), (True, False), (True, None)}

@@ -169,11 +169,21 @@ def test_residue_and_table_validation():
 
 
 def test_mahler_table_matches_pointwise_evaluation():
+    """Dense and sparse sets, indices from 2^k up, explicit zeros and the empty set, to k = 8."""
     rng = random.Random(24)
-    for _ in range(10):
-        c = MahlerCoefficients(4, {i: rng.getrandbits(4) for i in range(6)})
-        t = mahler_table(c)
-        assert t.table == tuple(mahler_eval(c, x) for x in range(16))
+    for k in range(1, 9):
+        size = 1 << k
+        sets = [MahlerCoefficients(k, {}), MahlerCoefficients(k, {size: 0, 3 * size + 1: 0})]
+        sets.append(MahlerCoefficients(k, {i: rng.getrandbits(k) for i in range(6)}))
+        for _ in range(4):
+            a = {rng.randrange(size): rng.getrandbits(k) for _ in range(rng.randrange(1, 6))}
+            sets.append(MahlerCoefficients(k, a))
+            deep = {rng.randrange(size, 4 * size): rng.getrandbits(k) for _ in range(3)}
+            zeros = {rng.randrange(size, 4 * size): 0 for _ in range(2)}
+            sets.append(MahlerCoefficients(k, {**a, **deep, **zeros}))
+        for c in sets:
+            assert mahler_table(c).table == tuple(mahler_eval(c, x) for x in range(size))
+    assert mahler_table(MahlerCoefficients(3, {})).table == (0,) * 8
 
 
 def test_check_mp_z2_is_the_vdp_bit_test_and_matches_bijectivity():
