@@ -19,11 +19,9 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 from . import carlitz, cyclegen, dynamics, vanderput, z2compare
-from .gf2ps import check_residues, parse_hex, to_hex
+from .gf2ps import Record, check_residues, parse_hex, to_hex
 
 __all__ = ["main", "run"]
 
@@ -132,16 +130,17 @@ def _carlitz_lipschitz(c):
     return carlitz.check_lipschitz_carlitz(c), {"undetermined_indices": undetermined}
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """What the front end does with one (ring, basis) coefficient format."""
+class _Kind(Record):
+    """What the front end does with one (ring, basis) coefficient format.
 
-    coeffs: type
-    expand: Callable  # table -> coefficients, or None when the basis has no expansion
-    evaluate: Callable  # (coefficients, x) -> value
-    synthesize: Callable  # coefficients -> table
-    restrict: Callable  # (coefficients, precision) -> coefficients
-    checks: dict  # --check name -> coefficients -> (verdict, extra report fields)
+    Fields: the coefficient type; expand, table -> coefficients (None when
+    the basis has no expansion); evaluate, (coefficients, x) -> value;
+    synthesize, coefficients -> table; restrict, (coefficients, precision)
+    -> coefficients; checks, --check name -> coefficients -> (verdict,
+    extra report fields).
+    """
+
+    _fields = ("coeffs", "expand", "evaluate", "synthesize", "restrict", "checks")
 
 
 _KINDS = {

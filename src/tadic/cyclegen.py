@@ -9,22 +9,19 @@ mod T^{n+1} and its successor map is transitive at every level.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .dynamics import TABLE_BUDGET, FunctionTable
-from .gf2ps import read_header, read_indexed
+from .gf2ps import Record, read_header, read_indexed
 
 __all__ = ["CycleData", "gen_cycle", "random_data"]
 
 
-@dataclass(frozen=True)
-class CycleData:
+class CycleData(Record):
     """Steering bits a(k,j) for 1 <= k <= n, 0 <= j < 2^k."""
 
-    n: int
-    bits: tuple = field(repr=False)
+    _fields, _bodies = ("n", "bits"), ("bits",)
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "bits", tuple(tuple(level) for level in self.bits))
         if self.n < 0:
             raise ValueError("depth must be non-negative")
@@ -33,8 +30,8 @@ class CycleData:
         for k, level in enumerate(self.bits, start=1):
             if len(level) != 1 << k:
                 raise ValueError("level %d needs exactly 2^%d bits" % (k, k))
-            if any(b not in (0, 1) for b in level):
-                raise ValueError("steering bits must be 0 or 1")
+        if not set().union(*self.bits) <= {0, 1}:
+            raise ValueError("steering bits must be 0 or 1")
 
     def a(self, k, j):
         return self.bits[k - 1][j]
@@ -87,6 +84,7 @@ def random_data(seed, n):
     rng = random.Random(seed)
     bits = []
     for k in range(1, n + 1):
+        # bit j of the word is character j of its reversed 2^k-digit binary string
         word = rng.getrandbits(1 << k)
-        bits.append(tuple((word >> j) & 1 for j in range(1 << k)))
+        bits.append(tuple(map(int, format(word, "0%db" % (1 << k))[::-1])))
     return CycleData(n, tuple(bits))

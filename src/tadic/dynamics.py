@@ -16,9 +16,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 
-from .gf2ps import Residue, Z2Residue, check_residues, parse_hex, read_header, read_indexed, to_hex
+from .gf2ps import Record, Residue, Z2Residue, check_residues, parse_hex, read_header, read_indexed, to_hex
 
 __all__ = [
     "FunctionTable",
@@ -43,8 +42,7 @@ TABLE_BUDGET = 24
 _SPARSE_BUDGET = 1024
 
 
-@dataclass(frozen=True)
-class LevelVerdicts:
+class LevelVerdicts(Record):
     """Per-modulus verdicts: entry m-1 is the verdict at modulus T^m.
 
     Entries are True, False, or None when the property cannot be decided
@@ -52,7 +50,7 @@ class LevelVerdicts:
     conjunction: False dominates, then None, else True.
     """
 
-    levels: tuple
+    _fields = ("levels",)
 
     @classmethod
     def below_precision(cls, raw):
@@ -105,15 +103,13 @@ def unwrap_point(x, k):
     return x, (lambda v: v) if kind is None else (lambda v: kind(v, k))
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(Record):
     """Transformation of F2[[T]]/T^k as a table: entry m is f(residue m)."""
 
     ring = "F2T"
-    precision: int
-    table: tuple = field(repr=False)
+    _fields, _bodies = ("precision", "table"), ("table",)
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "table", tuple(self.table))
         k = self.precision
         check_residues(k, self.table, "table entry")
@@ -145,18 +141,16 @@ class Z2FunctionTable(FunctionTable):
     ring = "Z2"
 
 
-@dataclass(frozen=True)
-class SparseCoefficients:
+class SparseCoefficients(Record):
     """Sparse coefficients a_n mod T^k or 2^k; missing indices are zero.
 
     Subclasses set only the `ring` and `basis` tags that their JSON carries.
     """
 
     ring = basis = None
-    precision: int
-    a: dict = field(repr=False)
+    _fields, _bodies = ("precision", "a"), ("a",)
 
-    def __post_init__(self):
+    def _check(self):
         k = self.precision
         a = {int(n): int(v) for n, v in self.a.items()}
         check_residues(k, a.values(), "coefficient")

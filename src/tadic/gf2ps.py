@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
+    "Record",
     "Residue",
     "Z2Residue",
     "add",
@@ -28,7 +27,6 @@ __all__ = [
     "degree",
     "invert_unit",
     "mul",
-    "ord_abs",
     "order",
     "parse_hex",
     "read_header",
@@ -125,15 +123,56 @@ def read_indexed(obj, key, parse):
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Residue:
+class Record:
+    """Frozen value record, the base of every value type: positional `_fields`, checked by `_check`.
+
+    Records compare and hash by exact class and fields, refuse assignment,
+    pickle and copy by their fields, and show only the size of `_bodies`.
+    """
+
+    __slots__ = ()
+    _fields = _bodies = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(self._fields)))
+        for name, v in zip(self._fields, values):
+            object.__setattr__(self, name, v)
+        self._check()
+
+    def _check(self):
+        """Validate the fields; a check may normalise one through object.__setattr__."""
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot change %r of a frozen %s" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        shown = ("%s=<%d entries>" % (n, len(v)) if n in self._bodies else "%s=%r" % (n, v)
+                 for n, v in zip(self._fields, self._values()))
+        return "%s(%s)" % (type(self).__name__, ", ".join(shown))
+
+
+class Residue(Record):
     """Element of F2[[T]]/T^k: a value below 2^k plus its precision k."""
 
+    __slots__ = _fields = ("value", "precision")
     ring = "F2T"
-    value: int
-    precision: int
 
-    def __post_init__(self):
+    def _check(self):
         check_residues(self.precision, (self.value,))
 
     @property
@@ -182,14 +221,6 @@ def mul(a, b, prec=None):
         raise ValueError("precision required for exact operands")
     k = ks.pop()
     return Residue(clmul_trunc(a, b, k), k)
-
-
-def ord_abs(a):
-    """T-adic valuation and absolute value, with |T| = 1/2; (inf, 0) for zero."""
-    o = order(a.value if isinstance(a, Residue) else a)
-    if o is math.inf:
-        return math.inf, Fraction(0)
-    return o, Fraction(1, 1 << o)
 
 
 def invert_unit(a, prec=None):

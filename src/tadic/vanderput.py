@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
-from typing import Callable
 
 from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
-from .gf2ps import check_residues, parse_hex, read_header, read_indexed, to_hex
+from .gf2ps import Record, check_residues, parse_hex, read_header, read_indexed, to_hex
 
 __all__ = [
     "RINGS",
@@ -36,15 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VdpCoefficients:
+class VdpCoefficients(Record):
     """Coefficients B_alpha indexed by the canonical integer of alpha."""
 
     ring = "F2T"
-    precision: int
-    B: tuple = field(repr=False)
+    _fields, _bodies = ("precision", "B"), ("B",)
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "B", tuple(self.B))
         k = self.precision
         check_residues(k, self.B, "coefficient")
@@ -88,21 +84,14 @@ class Z2VdpCoefficients(VdpCoefficients):
     ring = "Z2"
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Record):
     """One coefficient ring: its tag, uniformizer pi, addition, tagged types, and lift target.
 
     `lift(m)` is the value mod pi^2 that the scaled band sum over
     deg alpha = m-2 must take for a single cycle to lift to level m >= 3.
     """
 
-    name: str
-    pi: str
-    add: Callable
-    sub: Callable
-    table: type
-    vdp: type
-    lift: Callable
+    _fields = ("name", "pi", "add", "sub", "table", "vdp", "lift")
 
 
 RINGS = {

@@ -2,12 +2,13 @@
 
 The exact algebra lives here, not in the library: the Carlitz constants
 [i], L_i, D_i and factorial Pi(n), the polynomials e_d, E_i, G_n, G'_n
-and H_n over F2[T], Lucas binomials mod 2, F2[T] long division, and the
-van der Put ball indicator chi.  They are the slow references that the
-library's truncated transforms and criteria are checked against, together
-with the definitions that the library's one-pass kernels replace: table
-compatibility with one scan per level, and the van der Put floor, unit
-and lift clauses read one coefficient at a time.
+and H_n over F2[T], Lucas binomials mod 2, F2[T] long division, the
+T-adic absolute value, and the van der Put ball indicator chi.  They are
+the slow references that the library's truncated transforms and criteria
+are checked against, together with the definitions that the library's
+one-pass kernels replace: table compatibility with one scan per level,
+the van der Put floor, unit and lift clauses read one coefficient at a
+time, and steering bits read off a random word one shift at a time.
 
 Uniform random tables almost never pass the deeper criteria, so the
 bridge tests mix uniform samples with samplers steered to satisfy each
@@ -17,10 +18,14 @@ every level.
 
 import functools
 import itertools
+import math
 import operator
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from tadic.carlitz import CarlitzCoefficients, carlitz_table
+from tadic.cyclegen import CycleData
 from tadic.dynamics import FunctionTable, LevelVerdicts, unwrap_point
 from tadic.gf2ps import Residue, clmul, clmul_trunc, order, trunc
 from tadic.vanderput import VdpCoefficients
@@ -46,6 +51,14 @@ def exact_div(a, b):
     if r:
         raise ValueError("inexact division")
     return q
+
+
+def ord_abs(a):
+    """T-adic valuation and absolute value, with |T| = 1/2; (inf, 0) for zero."""
+    o = order(a.value if isinstance(a, Residue) else a)
+    if o is math.inf:
+        return math.inf, Fraction(0)
+    return o, Fraction(1, 1 << o)
 
 
 @dataclass(frozen=True)
@@ -429,3 +442,13 @@ def perturbed_reference(rng, k, extras=3):
         if bound + 1 < k:
             a[n] = rng.getrandbits(k - bound - 1) << (bound + 1)
     return CarlitzCoefficients(k, a)
+
+
+def random_data_by_shifts(seed, n):
+    """The steering bits of cyclegen.random_data, bit j of each level's word read as (word >> j) & 1."""
+    rng = random.Random(seed)
+    bits = []
+    for k in range(1, n + 1):
+        word = rng.getrandbits(1 << k)
+        bits.append(tuple((word >> j) & 1 for j in range(1 << k)))
+    return CycleData(n, tuple(bits))

@@ -1,7 +1,10 @@
 """Constructive single-cycle generator: recurrence, data plumbing, invariants."""
 
+import random
+
 import pytest
 
+from helpers import random_data_by_shifts
 from tadic.cyclegen import CycleData, gen_cycle, random_data
 from tadic.dynamics import is_compatible, is_transitive_mod
 
@@ -65,6 +68,25 @@ def test_random_data_is_deterministic():
     other = random_data(2, 2)
     assert other.n == 2 and len(other.bits[1]) == 4
     assert random_data(7, 0) == CycleData(0, ())
+
+
+def test_random_data_matches_the_shift_oracle():
+    for seed in (0, 1, 7, 801, 2**70 + 5):
+        for n in range(11):
+            assert random_data(seed, n) == random_data_by_shifts(seed, n)
+
+
+def test_random_data_reads_each_word_once_at_depth_20():
+    # 2^21 - 2 bits; the shift oracle is quadratic here, so check each
+    # level against its word as a whole and on sampled bits
+    d = random_data(11, 20)
+    rng = random.Random(11)
+    for k, level in enumerate(d.bits, start=1):
+        word = rng.getrandbits(1 << k)
+        assert len(level) == 1 << k
+        assert int("".join(map(str, reversed(level))), 2) == word
+        for j in (0, 1, (1 << k) - 1, (1 << k) // 3):
+            assert level[j] == (word >> j) & 1
 
 
 def test_data_validation():

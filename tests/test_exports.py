@@ -1,8 +1,13 @@
-"""Public surface: every name a module exports resolves."""
+"""Public surface: every name a module exports resolves, and importing the CLI stays light."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import tadic
 
 MODULES = ["tadic", "tadic.gf2ps", "tadic.dynamics", "tadic.vanderput", "tadic.carlitz",
            "tadic.cyclegen", "tadic.z2compare", "tadic.cli"]
@@ -14,3 +19,14 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # `python -m tadic` pays for every module that importing the CLI loads;
+    # the value types need neither dataclasses (which loads inspect) nor fractions
+    src = os.path.dirname(os.path.dirname(tadic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys; import tadic.cli; print(' '.join(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules))))"
+    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split() == []

@@ -1,13 +1,18 @@
-"""Series core: exact polynomial ops, truncated residues, ring laws."""
+"""Series core: exact polynomial ops, truncated residues, ring laws, and the record base of every value type."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NON_CANONICAL_HEX, exact_div, pdivmod
+from helpers import NON_CANONICAL_HEX, exact_div, ord_abs, pdivmod
+from tadic.carlitz import CarlitzCoefficients
+from tadic.cyclegen import random_data
+from tadic.dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable
 from tadic.gf2ps import (
     Residue,
     Z2Residue,
@@ -18,7 +23,6 @@ from tadic.gf2ps import (
     degree,
     invert_unit,
     mul,
-    ord_abs,
     order,
     parse_hex,
     read_header,
@@ -232,3 +236,63 @@ def test_pdivmod_reconstructs(a, b):
     q, r = pdivmod(a, b)
     assert clmul(q, b) ^ r == a
     assert degree(r) < degree(b)
+
+
+def _records():
+    """One record of each kind the record tests round-trip, with a 2^8-entry body where it has one."""
+    return [
+        Residue(5, 3),
+        Z2Residue(5, 3),
+        FunctionTable(8, tuple(range(1, 256)) + (0,)),
+        LevelVerdicts((True, None, False)),
+        random_data(3, 7),
+    ]
+
+
+def test_records_take_positional_fields_and_run_their_check():
+    t = FunctionTable(2, [1, 2, 3, 0])
+    assert (t.precision, t.table) == (2, (1, 2, 3, 0))  # the check normalises the body to a tuple
+    assert LevelVerdicts((True,)).levels == (True,)
+    with pytest.raises(TypeError, match="value, precision"):
+        Residue(1)
+    with pytest.raises(TypeError):
+        Residue(value=1, precision=2)
+    with pytest.raises(ValueError):
+        FunctionTable(2, [1, 2, 3])
+
+
+def test_records_compare_and_hash_by_exact_class_and_fields():
+    assert Residue(1, 2) == Residue(1, 2) and hash(Residue(1, 2)) == hash(Residue(1, 2))
+    assert Residue(1, 2) != Residue(1, 3) and Residue(1, 2) != (1, 2)
+    assert Residue(1, 2) != Z2Residue(1, 2) and Z2Residue(1, 2) != Residue(1, 2)
+    assert len({Residue(1, 2), Residue(1, 2), Z2Residue(1, 2)}) == 2
+    assert FunctionTable(1, (1, 0)) != Z2FunctionTable(1, (1, 0))
+    assert hash(LevelVerdicts((True, None))) == hash(LevelVerdicts((True, None)))
+
+
+def test_records_refuse_assignment():
+    for r in _records():
+        for name in r._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        with pytest.raises(AttributeError):
+            r.extra = 1
+    with pytest.raises(AttributeError):
+        Residue(1, 2).__dict__
+
+
+@pytest.mark.parametrize("r", _records(), ids=lambda r: type(r).__name__)
+def test_records_survive_pickle_and_deepcopy(r):
+    for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
+        assert type(twin) is type(r) and twin == r
+
+
+def test_record_repr_shows_the_size_of_a_body_not_its_entries():
+    assert repr(Residue(5, 3)) == "Residue(value=5, precision=3)"
+    assert repr(Z2Residue(5, 3)) == "Z2Residue(value=5, precision=3)"
+    assert repr(LevelVerdicts((True, None))) == "LevelVerdicts(levels=(True, None))"
+    assert repr(FunctionTable(8, tuple(range(256)))) == "FunctionTable(precision=8, table=<256 entries>)"
+    assert repr(random_data(3, 7)) == "CycleData(n=7, bits=<7 entries>)"
+    assert len(repr(CarlitzCoefficients(8, dict.fromkeys(range(256), 1)))) < 80
