@@ -42,11 +42,7 @@ from .z2compare import (
     Z2Residue,
     Z2VdpCoefficients,
     check_ergodic_mahler_z2,
-    check_ergodic_z2,
-    check_mp_z2,
-    is_transitive_mod_z2,
     mahler_eval,
-    to_vdp_z2,
 )
 
 __version__ = "0.1.0"
@@ -66,11 +62,9 @@ __all__ = [
     "check_ergodic_carlitz",
     "check_ergodic_mahler_z2",
     "check_ergodic_vdp",
-    "check_ergodic_z2",
     "check_lipschitz_carlitz",
     "check_lipschitz_vdp",
     "check_mp_vdp",
-    "check_mp_z2",
     "clmul",
     "clmul_trunc",
     "degree",
@@ -81,7 +75,6 @@ __all__ = [
     "is_bijective_mod",
     "is_compatible",
     "is_transitive_mod",
-    "is_transitive_mod_z2",
     "mahler_eval",
     "orbit",
     "order",
@@ -89,7 +82,6 @@ __all__ = [
     "random_data",
     "to_carlitz",
     "to_vdp",
-    "to_vdp_z2",
     "trunc",
     "vdp_table",
 ]

@@ -143,22 +143,18 @@ class _Kind(Record):
     _fields = ("coeffs", "expand", "evaluate", "synthesize", "restrict", "checks")
 
 
+_VDP_CHECKS = {
+    "lipschitz": _flag(vanderput.check_lipschitz_vdp),
+    "mp": _levels(vanderput.check_mp_vdp),
+    "ergodic": _levels(vanderput.check_ergodic_vdp),
+}
 _KINDS = {
-    ("F2T", "vanderput"): _Kind(
-        vanderput.VdpCoefficients, vanderput.to_vdp, vanderput.from_vdp, vanderput.vdp_table, vanderput.restrict,
-        {
-            "lipschitz": _flag(vanderput.check_lipschitz_vdp),
-            "mp": _levels(vanderput.check_mp_vdp),
-            "ergodic": _levels(vanderput.check_ergodic_vdp),
-        },
-    ),
+    # one van der Put row per ring: the rows differ only in the coefficient type
+    **{(r.name, "vanderput"): _Kind(r.vdp, vanderput.to_vdp, vanderput.from_vdp, vanderput.vdp_table,
+                                    vanderput.restrict, _VDP_CHECKS) for r in vanderput.RINGS.values()},
     ("F2T", "carlitz"): _Kind(
         carlitz.CarlitzCoefficients, carlitz.to_carlitz, carlitz.from_carlitz, carlitz.carlitz_table, carlitz.restrict,
         {"lipschitz": _carlitz_lipschitz, "ergodic": _levels(carlitz.check_ergodic_carlitz)},
-    ),
-    ("Z2", "vanderput"): _Kind(
-        vanderput.Z2VdpCoefficients, vanderput.to_vdp, vanderput.from_vdp, vanderput.vdp_table, vanderput.restrict,
-        {"mp": _flag(z2compare.check_mp_z2), "ergodic": _levels(vanderput.check_ergodic_vdp)},
     ),
     ("Z2", "mahler"): _Kind(
         z2compare.MahlerCoefficients, None, z2compare.mahler_eval, z2compare.mahler_table, dynamics.restrict_sparse,

@@ -17,7 +17,7 @@ import functools
 import itertools
 import operator
 
-from .gf2ps import Record, Residue, Z2Residue, check_residues, parse_hex, read_header, read_indexed, to_hex
+from .gf2ps import Record, Residue, Z2Residue, check_residues, coeffs_document, parse_hex, read_coeffs_document, read_header, to_hex
 
 __all__ = [
     "FunctionTable",
@@ -164,17 +164,11 @@ class SparseCoefficients(Record):
         return self.a.get(n, 0)
 
     def json_dict(self):
-        return {
-            "ring": self.ring,
-            "basis": self.basis,
-            "precision": self.precision,
-            "coeffs": {str(n): to_hex(v) for n, v in sorted(self.a.items())},
-        }
+        return coeffs_document(self, sorted(self.a.items()))
 
     @classmethod
     def from_json_dict(cls, obj):
-        k = read_header(obj, most=_SPARSE_BUDGET, ring=cls.ring, basis=cls.basis)
-        return cls(k, read_indexed(obj, "coeffs", parse_hex))
+        return cls(*read_coeffs_document(cls, obj, _SPARSE_BUDGET))
 
 
 def truncation_mask(c, prec):

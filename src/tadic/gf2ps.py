@@ -7,8 +7,9 @@ The encoding makes the digit-for-digit correspondence with 2-adic
 integers the identity on bit patterns, and it is the encoding used by
 every file format and hex flag.
 So one residue rule (`check_residues`, and `read_header` and
-`read_indexed` for files) serves both rings; `Z2Residue` is a `Residue`
-tagged "Z2", which the XOR arithmetic refuses.
+`read_indexed` for files) serves both rings, and one codec pair writes and
+reads every coefficient file; `Z2Residue` is a `Residue` tagged "Z2",
+which the XOR arithmetic refuses.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ __all__ = [
     "check_residues",
     "clmul",
     "clmul_trunc",
+    "coeffs_document",
     "degree",
     "invert_unit",
     "mul",
     "order",
     "parse_hex",
+    "read_coeffs_document",
     "read_header",
     "read_indexed",
     "to_hex",
@@ -121,6 +124,18 @@ def read_indexed(obj, key, parse):
             raise ValueError("%s key %r is not a canonical decimal index" % (key, n))
         out[int(n)] = parse(v)
     return out
+
+
+def coeffs_document(c, items):
+    """The coefficient-file document of c: its ring and basis tags, precision, and hex values of (index, value) items."""
+    return {"ring": c.ring, "basis": c.basis, "precision": c.precision,
+            "coeffs": {str(n): to_hex(v) for n, v in items}}
+
+
+def read_coeffs_document(cls, obj, most):
+    """Precision (at most `most`) and {index: value} of a coefficient-file document tagged as cls."""
+    k = read_header(obj, most=most, ring=cls.ring, basis=cls.basis)
+    return k, read_indexed(obj, "coeffs", parse_hex)
 
 
 class Record:

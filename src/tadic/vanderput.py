@@ -17,7 +17,7 @@ import functools
 import operator
 
 from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
-from .gf2ps import Record, check_residues, parse_hex, read_header, read_indexed, to_hex
+from .gf2ps import Record, check_residues, coeffs_document, read_coeffs_document
 
 __all__ = [
     "RINGS",
@@ -37,7 +37,7 @@ __all__ = [
 class VdpCoefficients(Record):
     """Coefficients B_alpha indexed by the canonical integer of alpha."""
 
-    ring = "F2T"
+    ring, basis = "F2T", "vanderput"
     _fields, _bodies = ("precision", "B"), ("B",)
 
     def _check(self):
@@ -58,18 +58,12 @@ class VdpCoefficients(Record):
         return v >> d
 
     def json_dict(self):
-        return {
-            "ring": self.ring,
-            "basis": "vanderput",
-            "precision": self.precision,
-            "coeffs": {str(m): to_hex(v) for m, v in enumerate(self.B) if v},
-        }
+        return coeffs_document(self, ((m, v) for m, v in enumerate(self.B) if v))
 
     @classmethod
     def from_json_dict(cls, obj):
         # stored densely, so a van der Put file is held to the table budget
-        k = read_header(obj, most=TABLE_BUDGET, ring=cls.ring, basis="vanderput")
-        coeffs = read_indexed(obj, "coeffs", parse_hex)
+        k, coeffs = read_coeffs_document(cls, obj, TABLE_BUDGET)
         # an index alpha is itself a residue mod pi^k
         check_residues(k, coeffs.keys(), "coefficient index")
         B = [0] * (1 << k)
