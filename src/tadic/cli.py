@@ -286,10 +286,9 @@ def _cmd_gen_cycle(args):
         _check_budget(args.n + 1)
         d = cyclegen.random_data(args.seed, args.n)
     seq, t = cyclegen.gen_cycle(d)
-    report = t.json_dict()
-    report["sequence"] = [to_hex(x) for x in seq]
-    report["data"] = d.json_dict()
-    _emit(args, report)
+    # the generator and its checks run either way; --quiet skips only the report
+    if not args.quiet:
+        _emit(args, {**t.json_dict(), "sequence": [to_hex(x) for x in seq], "data": d.json_dict()})
     return 0
 
 

@@ -33,9 +33,6 @@ class CycleData(Record):
         if not set().union(*self.bits) <= {0, 1}:
             raise ValueError("steering bits must be 0 or 1")
 
-    def a(self, k, j):
-        return self.bits[k - 1][j]
-
     def json_dict(self):
         return {
             "n": self.n,

@@ -17,14 +17,13 @@ import functools
 import itertools
 import operator
 
-from .gf2ps import Record, Residue, Z2Residue, check_residues, coeffs_document, parse_hex, read_coeffs_document, read_header, to_hex
+from .gf2ps import Record, Residue, check_residues, coeffs_document, parse_hex, read_coeffs_document, read_header, to_hex
 
 __all__ = [
     "FunctionTable",
     "LevelVerdicts",
     "TABLE_BUDGET",
     "Z2FunctionTable",
-    "Z2Residue",
     "is_bijective_mod",
     "is_compatible",
     "is_transitive_mod",
@@ -115,9 +114,6 @@ class FunctionTable(Record):
         check_residues(k, self.table, "table entry")
         if len(self.table) != 1 << k:
             raise ValueError("table must have exactly 2^%d entries" % k)
-
-    def __call__(self, x):
-        return self.table[x]
 
     def json_dict(self):
         return {

@@ -1,7 +1,8 @@
-"""Public surface: every name a module exports resolves, and importing the CLI stays light."""
+"""Public surface: every name a module exports resolves, the Z2 aliases stay in z2compare, and importing the CLI stays light."""
 
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -30,3 +31,17 @@ def test_cli_import_leaves_out_heavy_stdlib_modules():
     got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert got.returncode == 0, got.stderr
     assert got.stdout.split() == []
+
+
+# the Z2 names of generic jobs; the ring travels with the argument, so only z2compare binds them
+Z2_ALIASES = ("check_ergodic_z2", "check_mp_z2", "is_transitive_mod_z2", "to_vdp_z2", "vdp_table_z2")
+
+
+def test_z2_aliases_live_only_in_z2compare():
+    z2compare = importlib.import_module("tadic.z2compare")
+    assert set(Z2_ALIASES) <= set(z2compare.__all__)
+    assert not set(Z2_ALIASES) & set(tadic.__all__)
+    for path in pathlib.Path(tadic.__file__).parent.glob("*.py"):
+        if path.name != "z2compare.py":
+            text = path.read_text()
+            assert [n for n in Z2_ALIASES if n in text] == [], path.name

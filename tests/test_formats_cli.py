@@ -14,8 +14,10 @@ from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
 from tadic.dynamics import FunctionTable
+from tadic.gf2ps import coeffs_document, read_coeffs_document
 from tadic.vanderput import VdpCoefficients, to_vdp
-from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, to_vdp_z2
+from tadic.vanderput import check_mp_vdp
+from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, check_mp_z2, to_vdp_z2
 
 
 def _write(tmp_path, name, obj):
@@ -97,6 +99,32 @@ def test_verify_mp_and_lipschitz_combos(files, capsys):
     assert run(["verify", "--ring", "z2", "--basis", "mahler", "--check", "ergodic",
                 "--coeffs", files["mahler_bad"], "--quiet"]) == 1
     capsys.readouterr()
+
+
+def test_z2_vdp_files_take_the_lipschitz_check(files, capsys):
+    argv = ["verify", "--ring", "z2", "--basis", "vdp", "--check", "lipschitz", "--coeffs"]
+    assert run(argv + [files["z2vdp"]]) == 0
+    assert _json_out(capsys)["verdict"] is True
+    # x + 1 has B_m = 2^deg m; halving B_5 puts one coefficient below its floor 2^2
+    B = list(to_vdp_z2(Z2FunctionTable(4, tuple((x + 1) & 15 for x in range(16)))).B)
+    B[5] = 2
+    off = _write(files["tmp"], "z2off.json", Z2VdpCoefficients(4, B).json_dict())
+    assert run(argv + [off]) == 1
+    assert _json_out(capsys)["verdict"] is False
+
+
+def test_z2_mp_reports_carry_the_levels(files, capsys):
+    sets = [to_vdp_z2(Z2FunctionTable(4, tuple((x + 1) & 15 for x in range(16)))),
+            Z2VdpCoefficients(4, (1, 1) + (2, 2) + (4,) * 4 + (8,) * 8),
+            Z2VdpCoefficients(4, (1, 2) + (2, 6) + (4, 12, 4, 8) + (8,) * 8)]
+    for i, c in enumerate(sets):
+        path = _write(files["tmp"], "z2mp%d.json" % i, c.json_dict())
+        code = run(["verify", "--ring", "z2", "--basis", "vdp", "--check", "mp", "--coeffs", path])
+        report = _json_out(capsys)
+        assert report["levels"] == check_mp_vdp(c).json_dict()
+        assert code == (0 if check_mp_z2(c) else 1)
+        assert report["verdict"] is check_mp_z2(c)
+    assert [check_mp_z2(c) for c in sets] == [True, False, False]
 
 
 def test_verify_reports_undetermined_indices(files, capsys):
@@ -197,6 +225,15 @@ def test_gen_cycle_matches_the_library(files, capsys):
     assert run(["gen-cycle"]) == 2
     assert run(["gen-cycle", "--n", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_gen_cycle_quiet_builds_no_report(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("--quiet built a report")
+
+    monkeypatch.setattr(FunctionTable, "json_dict", refuse)
+    assert run(["gen-cycle", "--n", "12", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_keystream_emits_the_orbit(files, capsys):
@@ -515,6 +552,19 @@ def _wrong_shapes():
 def test_well_formed_documents_read_back(kind):
     doc, _ = _DOCS[kind]
     assert _READERS[kind].from_json_dict(doc).json_dict() == doc
+
+
+@pytest.mark.parametrize("kind", ["vdp", "z2vdp", "carlitz", "mahler"])
+def test_coefficient_files_share_one_codec(kind):
+    doc, _ = _DOCS[kind]
+    cls = _READERS[kind]
+    assert (cls.ring, cls.basis) == (doc["ring"], doc["basis"])
+    stored = {int(n): int(v, 16) for n, v in doc["coeffs"].items()}
+    assert read_coeffs_document(cls, doc, 2) == (2, stored)
+    with pytest.raises(ValueError, match="over the limit"):
+        read_coeffs_document(cls, doc, 1)
+    c = cls.from_json_dict(doc)
+    assert c.json_dict() == coeffs_document(c, sorted(stored.items())) == doc
 
 
 @pytest.mark.parametrize("kind, doc", _wrong_shapes())

@@ -1,12 +1,13 @@
 """2-adic reference side: expansion, criteria, Mahler basis, oracles."""
 
+import itertools
 import random
 
 import pytest
 
-from helpers import corrupt_z2, random_z2_compatible, random_z2_ergodic, random_z2_table
-from tadic.dynamics import is_bijective_mod, restrict_sparse
-from tadic.vanderput import check_mp_vdp, from_vdp, restrict
+from helpers import brute_compatible, corrupt_z2, random_z2_compatible, random_z2_ergodic, random_z2_table
+from tadic.dynamics import is_bijective_mod, is_compatible, restrict_sparse
+from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import (
     MahlerCoefficients,
     Z2FunctionTable,
@@ -199,3 +200,22 @@ def test_check_mp_z2_is_the_vdp_bit_test_and_matches_bijectivity():
             got = check_mp_z2(c)
             assert got == (check_mp_vdp(c).overall is True)
             assert got == (is_bijective_mod(vdp_table_z2(c)).overall is True)
+
+
+def _lipschitz_matches_compatibility(t):
+    got = check_lipschitz_vdp(to_vdp(t))
+    assert got == all(brute_compatible(t).levels) == (is_compatible(t).overall is True)
+    return got
+
+
+def test_z2_lipschitz_criterion_is_table_compatibility():
+    """Every Z2 table at k = 2, then random and compatible-by-construction tables at k = 3..6."""
+    tables = [Z2FunctionTable(2, v) for v in itertools.product(range(4), repeat=4)]
+    assert sum(map(_lipschitz_matches_compatibility, tables)) > 0
+    rng = random.Random(26)
+    compatible = 0
+    for k in range(3, 7):
+        for i in range(300):
+            t = random_z2_table(rng, k) if i % 2 else vdp_table(random_z2_compatible(rng, k))
+            compatible += _lipschitz_matches_compatibility(t)
+    assert 600 <= compatible < 1200
