@@ -125,19 +125,23 @@ def carlitz_table(c):
 restrict = restrict_sparse
 
 
-def _off_floor(c):
-    """The stored indices n > 1 with ord(a_n) < floor(log2 n), in storage order."""
-    # a_n < 2^k, so past the precision the floor refutes any nonzero a_n
-    return (n for n, v in c.a.items() if n > 1 and v & ((1 << (n.bit_length() - 1)) - 1))
+def _top(c):
+    """The highest level m through which c is 1-Lipschitz: ord(a_n) >= min(floor(log2 n), m) for every n.
+
+    k, or the least order of an off-floor a_n, in one pass over the stored
+    indices; as a_n < 2^k, past the precision the floor refutes any nonzero a_n.
+    """
+    low = (v & ((1 << (n.bit_length() - 1)) - 1) for n, v in c.a.items() if n > 1)
+    return min(((w & -w).bit_length() - 1 for w in low if w), default=c.precision)
 
 
 def check_lipschitz_carlitz(c):
-    """True iff every readable a_n clears ord(a_n) >= floor(log2 n).
+    """True iff c is 1-Lipschitz through level k (top == k): every readable a_n clears ord(a_n) >= floor(log2 n).
 
     Indices with floor(log2 n) >= k can only be refuted, never confirmed,
     at precision k; undetermined_lipschitz_indices lists the survivors.
     """
-    return next(_off_floor(c), None) is None
+    return _top(c) == c.precision
 
 
 def undetermined_lipschitz_indices(c):
@@ -149,23 +153,23 @@ def undetermined_lipschitz_indices(c):
 def check_ergodic_carlitz(c):
     """Single-cycle criterion per level, three-valued.
 
-    Level 1 needs a_0 and a_1 odd.  Level m adds ord(a_n) >= m across the
-    band floor(log2 n) = m-1 and a lift clause pinning the next coefficient
-    of the chain a_{2^j - 1}: the T^{m-1} digit of a_{2^{m-1}-1} (the T
-    digit of a_1 at m = 2).  True is only reported below the precision;
-    level k stays undecided unless a clause fails outright.  Each clause
-    reads only stored indices, so the cost is linear in the set.
+    Every level m first needs c 1-Lipschitz through level m, so a set off
+    its floor gets False from level top + 1 on, and no set raises.  Level 1
+    needs a_0 and a_1 odd.  Level m adds ord(a_n) >= m across the band
+    floor(log2 n) = m-1 and a lift clause pinning the next coefficient of
+    the chain a_{2^j - 1}: the T^{m-1} digit of a_{2^{m-1}-1} (the T digit
+    of a_1 at m = 2).  True is only reported below the precision; level k
+    stays undecided unless a clause fails outright.  Each clause reads only
+    stored indices, so the cost is linear in the set.
     """
-    n = min(_off_floor(c), default=None)
-    if n is not None:
-        raise ValueError("coefficients are not 1-Lipschitz: T^%d does not divide a_%d" % (n.bit_length() - 1, n))
     k = c.precision
+    top = _top(c)
     # one pass over the stored indices: band m fails when some a_n with
     # floor(log2 n) = m-1 has a digit below T^m
     bad_bands = {n.bit_length() for n, v in c.a.items() if v & ((1 << n.bit_length()) - 1)}
-    ok = bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
+    ok = top >= 1 and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
     raw = [ok]
     for m in range(2, k + 1):
-        ok = ok and m not in bad_bands and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
+        ok = ok and m <= top and m not in bad_bands and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
         raw.append(ok)
     return LevelVerdicts.below_precision(raw)

@@ -171,12 +171,14 @@ def _load_table(path):
     return ring.table.from_json_dict(obj)
 
 
-def _load_coeffs(path):
+def _load_coeffs(path, prec=None):
+    """The coefficient file and its (ring, basis) kind, truncated to precision `prec` when given (--prec)."""
     obj = _read_json(path)
     kind = (obj.get("ring"), obj.get("basis"))
     if kind not in _KINDS:
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
-    return kind, _KINDS[kind].coeffs.from_json_dict(obj)
+    c = _KINDS[kind].coeffs.from_json_dict(obj)
+    return kind, c if prec is None else _KINDS[kind].restrict(c, prec)
 
 
 def _check_budget(k):
@@ -248,9 +250,7 @@ def _cmd_expand(args):
 
 
 def _cmd_eval(args):
-    kind, c = _load_coeffs(args.coeffs)
-    if args.prec is not None:
-        c = _KINDS[kind].restrict(c, args.prec)
+    kind, c = _load_coeffs(args.coeffs, args.prec)
     x = parse_hex(args.x)
     value = _KINDS[kind].evaluate(c, x)
     _emit(args, {
@@ -293,9 +293,7 @@ def _cmd_gen_cycle(args):
 
 
 def _cmd_keystream(args):
-    kind, c = _load_coeffs(args.coeffs)
-    if args.prec is not None:
-        c = _KINDS[kind].restrict(c, args.prec)
+    kind, c = _load_coeffs(args.coeffs, args.prec)
     k = c.precision
     x0 = parse_hex(args.x0)
     check_residues(k, (x0,), "--x0")

@@ -54,7 +54,7 @@ class VdpCoefficients(Record):
         if d <= 0:
             return v
         if v & ((1 << d) - 1):
-            raise ValueError(_indivisible(self, m))
+            raise ValueError("%s^%d does not divide B_%d" % (RINGS[self.ring].pi, d, m))
         return v >> d
 
     def json_dict(self):
@@ -97,20 +97,25 @@ RINGS = {
 }
 
 
-def to_vdp(t):
-    """Read coefficients off the table: values at 0 and 1, then top-bit differences.
+def _sweep(src, k, op, synthesize):
+    """The transform pair, one map per degree band: B_m = f(m) - f(m - 2^{deg m}) with op = sub, or back.
 
-    B_m = f(m) - f(m - 2^{deg m}) in the table's ring, one degree block at a time.
+    Synthesis is f(m) = B_m + f(m - 2^{deg m}) with op = add.  Band d meets
+    only the block below it: the source table when expanding, the output
+    built so far when synthesizing.  The result is reduced mod pi^k.
     """
-    ring = RINGS[t.ring]
-    k = t.precision
-    values = t.table
-    B = list(values[:2])
+    out = list(src[:2])
     for d in range(1, k):
         lo = 1 << d
-        B += map(ring.sub, values[lo : 2 * lo], values[:lo])
+        out += map(op, src[lo : 2 * lo], (out if synthesize else src)[:lo])
     mask = (1 << k) - 1
-    return ring.vdp(k, tuple(v & mask for v in B))
+    return tuple(v & mask for v in out)
+
+
+def to_vdp(t):
+    """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
+    ring = RINGS[t.ring]
+    return ring.vdp(t.precision, _sweep(t.table, t.precision, ring.sub, synthesize=False))
 
 
 def from_vdp(c, x):
@@ -130,20 +135,9 @@ def from_vdp(c, x):
 
 
 def vdp_table(c):
-    """Synthesize the full table of the expansion at its own precision.
-
-    Inverts the recurrence of to_vdp: f(m) = f(m - 2^{deg m}) + B_m in the
-    coefficients' ring, one degree block at a time.
-    """
+    """Synthesize the full table of the expansion at its own precision: the sweep of to_vdp inverted."""
     ring = RINGS[c.ring]
-    k = c.precision
-    B = c.B
-    values = list(B[:2])
-    for d in range(1, k):
-        lo = 1 << d
-        values += map(ring.add, values[:lo], B[lo : 2 * lo])
-    mask = (1 << k) - 1
-    return ring.table(k, tuple(v & mask for v in values))
+    return ring.table(c.precision, _sweep(c.B, c.precision, ring.add, synthesize=True))
 
 
 def restrict(c, prec):
@@ -152,45 +146,44 @@ def restrict(c, prec):
     return type(c)(prec, tuple(v & mask for v in c.B[: 1 << prec]))
 
 
-def _off_floor(c):
-    """The smallest alpha of degree d >= 1 with ord(B_alpha) < d, or None; only a band whose OR fails is scanned."""
-    B = c.B
+def _top(c):
+    """The highest level m through which c is 1-Lipschitz: ord(B_alpha) >= min(deg alpha, m) for every alpha.
+
+    That is k when every B_alpha clears its floor, and otherwise the least
+    order of an off-floor coefficient: per band, the lowest bit of the OR
+    below the floor.
+    """
+    top = c.precision
     for d in range(1, c.precision):
         lo = 1 << d
-        if functools.reduce(operator.or_, B[lo : 2 * lo]) & (lo - 1):
-            return next(m for m in range(lo, 2 * lo) if B[m] & (lo - 1))
-    return None
+        low = functools.reduce(operator.or_, c.B[lo : 2 * lo]) & (lo - 1)
+        if low:
+            top = min(top, (low & -low).bit_length() - 1)
+    return top
 
 
 def check_lipschitz_vdp(c):
-    """True iff ord(B_alpha) >= deg alpha for every nonzero-degree index, one OR per band."""
-    return _off_floor(c) is None
-
-
-def _require_lipschitz(c):
-    m = _off_floor(c)
-    if m is not None:
-        raise ValueError("coefficients are not 1-Lipschitz: %s" % _indivisible(c, m))
-
-
-def _indivisible(c, m):
-    return "%s^%d does not divide B_%d" % (RINGS[c.ring].pi, m.bit_length() - 1, m)
+    """True iff c is 1-Lipschitz through level k (top == k): ord(B_alpha) >= deg alpha for every alpha."""
+    return _top(c) == c.precision
 
 
 def check_mp_vdp(c):
     """Measure preservation per level.
 
-    Level m holds iff b_0 + b_1 is a unit and b_alpha is a unit for every
-    alpha of degree below m; this matches bijectivity mod T^m exactly, so
-    all k levels are decided booleans.  Units and the parity of b_0 + b_1
-    are the same bit tests in both rings; band d is all units iff its AND has bit d.
+    Level m holds iff c is 1-Lipschitz through level m, b_0 + b_1 is a
+    unit, and b_alpha is a unit for every alpha of degree below m; this
+    matches a table compatible at every level j <= m and bijective mod
+    pi^m exactly, so all k levels are decided booleans, on any set.  A set
+    off its floor gets False from level top + 1 on.  Units and the parity
+    of b_0 + b_1 are the same bit tests in both rings; band d is all units
+    iff its AND has bit d.
     """
-    _require_lipschitz(c)
+    top = _top(c)
     B = c.B
-    ok = bool((B[0] ^ B[1]) & 1)
+    ok = top >= 1 and bool((B[0] ^ B[1]) & 1)
     out = [ok]
     for d in range(1, c.precision):
-        ok = ok and bool(functools.reduce(operator.and_, B[1 << d : 2 << d]) >> d & 1)
+        ok = ok and d < top and bool(functools.reduce(operator.and_, B[1 << d : 2 << d]) >> d & 1)
         out.append(ok)
     return LevelVerdicts(tuple(out))
 
@@ -211,10 +204,12 @@ def check_ergodic_vdp(c):
     conditions at degree m-1 and a lift clause: b_0 + b_1 = 1 + pi mod pi^2
     for m = 2, and for m >= 3 the sum of b_alpha over deg alpha = m-2 equal
     to the ring's lift target mod pi^2 (T in F2[[T]]; 2 at m = 3 and 0
-    beyond in Z2), each sum checked once.  The parity of b_0 + b_1 and the
-    unit conditions are the levels of check_mp_vdp.  A True verdict at
-    level m is only reported for m <= k-1; level k stays undecided unless
-    some clause fails outright.
+    beyond in Z2), each sum checked once.  The floor clause, the parity of
+    b_0 + b_1 and the unit conditions are the levels of check_mp_vdp, so a
+    set off its floor gets False from level top + 1 on, and no set raises.
+    A True verdict at level m is only reported for m <= k-1, where it
+    matches a table compatible at every level j <= m and transitive mod
+    pi^m; level k stays undecided unless some clause fails outright.
     """
     ring = RINGS[c.ring]
     B = c.B

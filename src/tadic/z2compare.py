@@ -50,7 +50,7 @@ class MahlerCoefficients(SparseCoefficients):
 
 
 def check_mp_z2(c):
-    """Bijective mod 2^k at every level: b_0 + b_1 odd and all b_m odd."""
+    """Compatible and bijective mod 2^m at every level: 1-Lipschitz, b_0 + b_1 odd, all b_m odd."""
     return check_mp_vdp(c).overall is True
 
 

@@ -8,7 +8,10 @@ the slow references that the library's truncated transforms and criteria
 are checked against, together with the definitions that the library's
 one-pass kernels replace: table compatibility with one scan per level,
 the van der Put floor, unit and lift clauses read one coefficient at a
-time, and steering bits read off a random word one shift at a time.
+time, and steering bits read off a random word one shift at a time.  The
+coefficient criteria answer on every set, so `compatible_through` gives
+their table oracle: compatible at every level up to m, and bijective or
+transitive mod T^m.
 
 Uniform random tables almost never pass the deeper criteria, so the
 bridge tests mix uniform samples with samplers steered to satisfy each
@@ -192,22 +195,36 @@ def brute_compatible(t):
     return LevelVerdicts(tuple(out))
 
 
-def brute_off_floor(c):
-    """Every index alpha of nonzero degree with ord(B_alpha) < deg alpha, in increasing order."""
-    return [m for m in range(2, len(c.B)) if order(c.B[m]) < m.bit_length() - 1]
+def compatible_through(t, verdicts):
+    """The table oracle of a criterion: level m holds iff t is compatible at every level j <= m and `verdicts` holds at m.
+
+    With `is_bijective_mod(t)` it is the measure-preservation verdict, and
+    with `is_transitive_mod(t)` the single-cycle one (which the criteria
+    leave undecided at the top level when it holds).
+    """
+    ok, out = True, []
+    for comp, v in zip(brute_compatible(t).levels, verdicts.levels):
+        ok = ok and comp
+        out.append(ok and v)
+    return LevelVerdicts(tuple(out))
+
+
+def brute_floor(c, m):
+    """The Lipschitz floor of level m, one coefficient at a time: ord(B_alpha) >= min(deg alpha, m) for every alpha."""
+    return all(order(v) >= min(max(a.bit_length() - 1, 0), m) for a, v in enumerate(c.B))
 
 
 def brute_mp_vdp(c):
-    """Measure preservation per level, one unit test per scaled coefficient.
+    """Measure preservation per level, one floor and unit test per coefficient.
 
-    Level m holds iff b_0 + b_1 is odd and b_alpha is odd for every alpha of
-    degree below m.  No Lipschitz guard: callers check `brute_off_floor`.
+    Level m holds iff every B_alpha clears the floor of level m, b_0 + b_1
+    is odd and b_alpha is odd for every alpha of degree below m.
     """
     B = c.B
-    ok = bool((B[0] ^ B[1]) & 1)
+    ok = brute_floor(c, 1) and bool((B[0] ^ B[1]) & 1)
     out = [ok]
     for d in range(1, c.precision):
-        ok = ok and all((B[a] >> d) & 1 for a in range(1 << d, 2 << d))
+        ok = ok and brute_floor(c, d + 1) and all((B[a] >> d) & 1 for a in range(1 << d, 2 << d))
         out.append(ok)
     return LevelVerdicts(tuple(out))
 
@@ -218,8 +235,8 @@ def brute_ergodic_vdp(c):
     Level 1: b_0 odd and b_0 + b_1 odd.  Level 2 adds b_0 + b_1 = 1 + pi
     mod pi^2, and each level m >= 3 the sum of b_alpha over deg alpha = m-2
     equal to T mod T^2 in F2[[T]], and to 2 (m = 3) or 0 mod 4 in Z2; every
-    level also needs the units of `brute_mp_vdp`.  The top level is
-    undecided unless a clause fails.
+    level also needs the floor and the units of `brute_mp_vdp`.  The top
+    level is undecided unless a clause fails.
     """
     z2 = c.ring == "Z2"
     add = operator.add if z2 else operator.xor

@@ -1,5 +1,6 @@
 """Carlitz basis: constants, special polynomials, extraction, criteria."""
 
+import itertools
 import random
 import time
 
@@ -8,7 +9,10 @@ import pytest
 from helpers import (
     REFERENCE_TABLE_K4,
     binom_mod2,
+    break_floor,
+    brute_compatible,
     carlitz_factorial,
+    compatible_through,
     constants,
     dual_basis_coefficients,
     eval_E,
@@ -17,6 +21,7 @@ from helpers import (
     eval_H,
     eval_e,
     perturbed_reference,
+    random_ergodic_vdp,
     random_table,
     reference_coefficients,
 )
@@ -30,8 +35,9 @@ from tadic.carlitz import (
     to_carlitz,
     undetermined_lipschitz_indices,
 )
-from tadic.dynamics import FunctionTable
-from tadic.gf2ps import Residue, clmul, trunc
+from tadic.dynamics import FunctionTable, LevelVerdicts, is_transitive_mod
+from tadic.gf2ps import Residue, clmul, order, trunc
+from tadic.vanderput import check_ergodic_vdp, to_vdp, vdp_table
 
 
 def test_constants_low_levels():
@@ -224,24 +230,37 @@ def test_ergodic_criterion_known_values():
     assert affine.level(1) is True and affine.level(2) is False
     identity = check_ergodic_carlitz(CarlitzCoefficients(3, {1: 1}))
     assert identity.level(1) is False
-    with pytest.raises(ValueError, match="not 1-Lipschitz"):
-        check_ergodic_carlitz(CarlitzCoefficients(3, {2: 1}))
+    # a_2 = 1 sits below its floor T: not 1-Lipschitz even mod T
+    assert check_ergodic_carlitz(CarlitzCoefficients(3, {2: 1})).levels == (False, False, False)
 
 
-def test_lipschitz_guard_names_the_smallest_offending_index():
-    # a_9 = 1 is stored first, but a_5 = T is the smallest index off its floor T^2
+def test_the_floor_is_the_first_clause_of_every_level():
+    # a_9 = 1 has order 0 under its floor T^3: not 1-Lipschitz even mod T
     c = CarlitzCoefficients(5, {9: 1, 0: 1, 1: 1, 5: 2, 4: 4})
     assert not check_lipschitz_carlitz(c)
-    with pytest.raises(ValueError, match=r"^coefficients are not 1-Lipschitz: T\^2 does not divide a_5$"):
-        check_ergodic_carlitz(c)
+    assert check_ergodic_carlitz(c).levels == (False,) * 5
+    # the least order decides: a_9 = T^2 (order 2) leaves levels 1 and 2, adding a_5 = T (order 1) only level 1
+    a = dict(reference_coefficients(5).a)
+    assert check_ergodic_carlitz(CarlitzCoefficients(5, {**a, 9: 4})).levels == (True, True, False, False, False)
+    assert check_ergodic_carlitz(CarlitzCoefficients(5, {**a, 9: 4, 5: 2})).levels == (True, False, False, False, False)
+    # past the precision the floor refutes any nonzero a_n: a_9 = T at k = 3
+    a = dict(reference_coefficients(3).a)
+    assert check_ergodic_carlitz(CarlitzCoefficients(3, a)).levels == (True, True, None)
+    assert check_ergodic_carlitz(CarlitzCoefficients(3, {**a, 9: 2})).levels == (True, False, False)
+
+
+def _floor(c, m):
+    # the Lipschitz floor of level m, one stored coefficient at a time
+    return all(order(v) >= min(max(n.bit_length() - 1, 0), m) for n, v in c.a.items())
 
 
 def _ergodic_by_band_scan(c):
     # the per-level clauses with every band scanned index by index
     k = c.precision
-    ok = bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
+    ok = _floor(c, 1) and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
     raw = [ok]
     for m in range(2, k + 1):
+        ok = ok and _floor(c, m)
         ok = ok and all(not c.coeff(n) & ((1 << m) - 1) for n in range(1 << (m - 1), 1 << m))
         ok = ok and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
         raw.append(ok)
@@ -265,6 +284,43 @@ def test_ergodic_criterion_matches_a_band_scan_on_sparse_sets():
             assert got == _ergodic_by_band_scan(c)
             falses += False in got
     assert 50 < falses < 250
+
+
+def _agree_with_both_oracles(c):
+    """The criterion equals the band scan and the table oracle; returns whether c is 1-Lipschitz."""
+    t = carlitz_table(c)
+    lipschitz = check_lipschitz_carlitz(c)
+    assert lipschitz == _floor(c, c.precision) == all(brute_compatible(t).levels)
+    got = check_ergodic_carlitz(c)
+    transitive = compatible_through(t, is_transitive_mod(t))
+    assert got.levels == _ergodic_by_band_scan(c) == LevelVerdicts.below_precision(transitive.levels).levels
+    # the floor is the same level clause in both bases
+    assert got == check_ergodic_vdp(to_vdp(t))
+    return lipschitz
+
+
+def test_ergodic_criterion_equals_both_oracles_on_every_set_to_k2():
+    lipschitz = 0
+    for k in (1, 2):
+        for values in itertools.product(range(1 << k), repeat=1 << k):
+            lipschitz += _agree_with_both_oracles(to_carlitz(FunctionTable(k, values)))
+    assert lipschitz == 4 + 64
+
+
+def test_ergodic_criterion_equals_both_oracles_on_broken_floors_to_k6():
+    rng = random.Random(23)
+    partly = 0
+    for k in range(3, 7):
+        for _ in range(40):
+            # dense sets from van der Put sets pushed off their floor, and sparse ones
+            dense = to_carlitz(vdp_table(break_floor(rng, random_ergodic_vdp(rng, k), flips=rng.randrange(1, 3))))
+            a = dict(perturbed_reference(rng, k).a)
+            n = rng.randrange(2, 1 << k)
+            a[n] = a.get(n, 0) | 1 << rng.randrange(n.bit_length() - 1)
+            for c in (dense, CarlitzCoefficients(k, a)):
+                assert not _agree_with_both_oracles(c)
+                partly += check_ergodic_carlitz(c).level(1) is True
+    assert partly > 40
 
 
 @pytest.mark.parametrize("k", [40, 64])

@@ -1,6 +1,7 @@
 """Front end: flag handling, file formats, verdict plumbing, exit codes."""
 
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -9,14 +10,20 @@ import tracemalloc
 
 import pytest
 
-from helpers import NON_CANONICAL_HEX, reference_coefficients, reference_table
+from helpers import (
+    NON_CANONICAL_HEX,
+    break_floor,
+    random_ergodic_vdp,
+    random_z2_ergodic,
+    reference_coefficients,
+    reference_table,
+)
 from tadic.cli import run
-from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
+from tadic.carlitz import CarlitzCoefficients, check_lipschitz_carlitz, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
 from tadic.dynamics import FunctionTable
 from tadic.gf2ps import coeffs_document, read_coeffs_document
-from tadic.vanderput import VdpCoefficients, to_vdp
-from tadic.vanderput import check_mp_vdp
+from tadic.vanderput import VdpCoefficients, check_lipschitz_vdp, check_mp_vdp, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, check_mp_z2, to_vdp_z2
 
 
@@ -125,6 +132,34 @@ def test_z2_mp_reports_carry_the_levels(files, capsys):
         assert code == (0 if check_mp_z2(c) else 1)
         assert report["verdict"] is check_mp_z2(c)
     assert [check_mp_z2(c) for c in sets] == [True, False, False]
+
+
+@pytest.mark.parametrize("ring, basis", [("f2t", "vdp"), ("z2", "vdp"), ("f2t", "carlitz")])
+def test_well_formed_files_get_a_verdict_on_or_off_their_floor(files, capsys, ring, basis):
+    """Every --check exits 0 or 1 on a well-formed file, 1-Lipschitz or not; exit 2 is for malformed input only."""
+    rng = random.Random(17)
+    build = random_z2_ergodic if ring == "z2" else random_ergodic_vdp
+    checks = ("lipschitz", "mp", "ergodic") if basis == "vdp" else ("lipschitz", "ergodic")
+    lipschitz = check_lipschitz_vdp if basis == "vdp" else check_lipschitz_carlitz
+    off = 0
+    for k in range(2, 7):
+        for flips in (0, 1, 1, 3):
+            c = break_floor(rng, build(rng, k), flips)
+            if basis == "carlitz":
+                c = to_carlitz(vdp_table(c))
+            path = _write(files["tmp"], "floor.json", c.json_dict())
+            off += not lipschitz(c)
+            for check in checks:
+                code = run(["verify", "--ring", ring, "--basis", basis, "--check", check, "--coeffs", path])
+                out, err = capsys.readouterr()
+                assert code in (0, 1) and err == ""
+                report = json.loads(out)
+                assert report["verdict"] is (code == 0)
+                if check == "lipschitz":
+                    assert report["verdict"] is lipschitz(c)
+                elif not lipschitz(c):
+                    assert code == 1
+    assert off >= 10
 
 
 def test_verify_reports_undetermined_indices(files, capsys):

@@ -9,10 +9,12 @@ from helpers import (
     REFERENCE_TABLE_K4,
     all_lipschitz_vdp,
     break_floor,
+    brute_compatible,
     brute_ergodic_vdp,
+    brute_floor,
     brute_mp_vdp,
-    brute_off_floor,
     chi,
+    compatible_through,
     corrupt_vdp,
     corrupt_z2,
     random_ergodic_vdp,
@@ -23,7 +25,7 @@ from helpers import (
     random_z2_ergodic,
     reference_table,
 )
-from tadic.dynamics import FunctionTable, is_bijective_mod, is_transitive_mod
+from tadic.dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, is_bijective_mod, is_transitive_mod
 from tadic.gf2ps import Residue
 from tadic.vanderput import (
     VdpCoefficients,
@@ -142,21 +144,34 @@ def test_ergodic_criterion_known_values():
     assert got.level(1) is True and got.level(2) is False
 
 
-def test_criteria_reject_non_lipschitz_input():
+def test_criteria_answer_on_non_lipschitz_input():
+    # B_2 = 1 sits below its floor T, so the set is not 1-Lipschitz even mod T
     bad = VdpCoefficients(3, (0, 1, 1, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError, match="not 1-Lipschitz"):
-        check_mp_vdp(bad)
-    with pytest.raises(ValueError, match="not 1-Lipschitz"):
-        check_ergodic_vdp(bad)
+    assert check_mp_vdp(bad).levels == (False, False, False)
+    assert check_ergodic_vdp(bad).levels == (False, False, False)
 
 
-@pytest.mark.parametrize("cls, pi", [(VdpCoefficients, "T"), (Z2VdpCoefficients, "2")])
-def test_lipschitz_guard_names_the_smallest_offending_index(cls, pi):
-    # B_5 = 2 and B_6 = 1 are both off their floor pi^2; B_4 = 4 is not
-    bad = cls(3, (1, 1, 0, 0, 4, 2, 1, 0))
-    for check in (check_mp_vdp, check_ergodic_vdp):
-        with pytest.raises(ValueError, match=r"^coefficients are not 1-Lipschitz: %s\^2 does not divide B_5$" % pi):
-            check(bad)
+@pytest.mark.parametrize("cls", [VdpCoefficients, Z2VdpCoefficients], ids=["F2T", "Z2"])
+def test_the_floor_is_the_first_clause_of_every_level(cls):
+    # the identity: B_alpha = pi^{deg alpha}, measure-preserving at every level
+    assert check_mp_vdp(cls(3, (0, 1, 2, 2, 4, 4, 4, 4))).levels == (True, True, True)
+    # B_5 = 6 has order 1 under its floor pi^2: 1-Lipschitz through level 1 only
+    off = cls(3, (0, 1, 2, 2, 4, 6, 4, 4))
+    assert not check_lipschitz_vdp(off)
+    assert check_mp_vdp(off).levels == (True, False, False)
+    # the least order decides, not the least index: B_5 = 2 (order 1), B_6 = 1 (order 0)
+    assert check_mp_vdp(cls(3, (1, 0, 2, 2, 4, 2, 1, 4))).levels == (False, False, False)
+    # a single cycle at k = 4 (the reference map, or x + 1 in Z2) with B_8 off its floor pi^3 at order 2
+    if cls is VdpCoefficients:
+        t = FunctionTable(4, REFERENCE_TABLE_K4)
+    else:
+        t = Z2FunctionTable(4, tuple((x + 1) % 16 for x in range(16)))
+    B = list(to_vdp(t).B)
+    assert check_ergodic_vdp(cls(4, B)).levels == (True, True, True, None)
+    B[8] ^= 4
+    off = cls(4, B)
+    assert check_ergodic_vdp(off).levels == (True, True, False, False)
+    assert check_mp_vdp(off).levels == (True, True, False, False)
 
 
 def test_restrict_commutes_with_table_truncation():
@@ -218,20 +233,23 @@ def test_block_synthesis_matches_pointwise_evaluation_in_both_rings(cls):
 
 
 def _agree_with_the_coefficient_scans(c):
-    """The band kernels give the per-coefficient verdicts, or name the first off-floor index."""
-    off = brute_off_floor(c)
-    assert check_lipschitz_vdp(c) is not off
-    if off:
-        m = off[0]
-        pi = "T" if c.ring == "F2T" else "2"
-        want = r"^coefficients are not 1-Lipschitz: %s\^%d does not divide B_%d$" % (pi, m.bit_length() - 1, m)
-        for check in (check_mp_vdp, check_ergodic_vdp):
-            with pytest.raises(ValueError, match=want):
-                check(c)
-    else:
-        assert check_mp_vdp(c) == brute_mp_vdp(c)
-        assert check_ergodic_vdp(c) == brute_ergodic_vdp(c)
-    return bool(off)
+    """The band kernels give the per-coefficient verdicts on any set; returns whether c is 1-Lipschitz."""
+    lipschitz = brute_floor(c, c.precision)
+    assert check_lipschitz_vdp(c) == lipschitz
+    assert check_mp_vdp(c) == brute_mp_vdp(c)
+    assert check_ergodic_vdp(c) == brute_ergodic_vdp(c)
+    return lipschitz
+
+
+def _agree_with_both_oracles(c):
+    """The coefficient scans, and the table oracle: compatible through level m, bijective or transitive mod pi^m."""
+    t = vdp_table(c)
+    lipschitz = _agree_with_the_coefficient_scans(c)
+    assert lipschitz == all(brute_compatible(t).levels)
+    assert check_mp_vdp(c) == compatible_through(t, is_bijective_mod(t))
+    transitive = compatible_through(t, is_transitive_mod(t))
+    assert check_ergodic_vdp(c) == LevelVerdicts.below_precision(transitive.levels)
+    return lipschitz
 
 
 def test_band_kernels_equal_the_coefficient_scans_on_every_lipschitz_set_to_k3():
@@ -239,9 +257,19 @@ def test_band_kernels_equal_the_coefficient_scans_on_every_lipschitz_set_to_k3()
     for k in (1, 2, 3):
         for c in all_lipschitz_vdp(k):
             for d in (c, Z2VdpCoefficients(k, c.B)):
-                assert not _agree_with_the_coefficient_scans(d)
+                assert _agree_with_the_coefficient_scans(d)
             count += 1
     assert count == 4 + 64 + 16384
+
+
+@pytest.mark.parametrize("cls", [VdpCoefficients, Z2VdpCoefficients], ids=["F2T", "Z2"])
+def test_criteria_equal_both_oracles_on_every_set_to_k2(cls):
+    lipschitz = 0
+    for k in (1, 2):
+        for B in itertools.product(range(1 << k), repeat=1 << k):
+            lipschitz += _agree_with_both_oracles(cls(k, B))
+    # all 4 sets at k = 1; at k = 2 the floor halves the choices of B_2 and B_3
+    assert lipschitz == 4 + 64
 
 
 @pytest.mark.parametrize("ring", ["F2T", "Z2"])
@@ -254,6 +282,7 @@ def test_band_kernels_equal_the_coefficient_scans_on_random_sets(ring):
         builders = (random_z2_compatible, random_z2_ergodic)
         corrupt, cls = corrupt_z2, Z2VdpCoefficients
     verdicts = set()
+    partly = 0
     for k in range(2, 11):
         for _ in range(6):
             sets = [cls(k, tuple(rng.getrandbits(k) for _ in range(1 << k)))]
@@ -261,10 +290,11 @@ def test_band_kernels_equal_the_coefficient_scans_on_random_sets(ring):
                 c = build(rng, k)
                 sets += [c, corrupt(rng, c), break_floor(rng, c), break_floor(rng, c, flips=3)]
             for c in sets:
-                if _agree_with_the_coefficient_scans(c):
-                    verdicts.add("not Lipschitz")
-                else:
-                    verdicts.add((check_mp_vdp(c).overall, check_ergodic_vdp(c).overall))
+                lipschitz = _agree_with_both_oracles(c)
+                verdicts.add((lipschitz, check_mp_vdp(c).overall, check_ergodic_vdp(c).overall))
+                partly += not lipschitz and True in check_mp_vdp(c).levels
     # every kind of answer came up: not Lipschitz; not measure-preserving;
     # measure-preserving but not ergodic; certified below the top level
-    assert verdicts == {"not Lipschitz", (False, False), (True, False), (True, None)}
+    assert verdicts == {(False, False, False), (True, False, False), (True, True, False), (True, True, None)}
+    # and sets off their floor still hold at the levels below the first broken one
+    assert partly > 20

@@ -81,12 +81,17 @@ def test_ergodic_criterion_z2_known_values():
     assert plus_two.level(1) is False
 
 
-def test_ergodic_criterion_z2_rejects_non_compatible_input():
+def test_ergodic_criterion_z2_answers_on_non_compatible_input():
+    # B_2 = 1 sits below its floor 2, so the map is not compatible even mod 2
     c = Z2VdpCoefficients(3, (1, 2, 1, 2, 4, 4, 4, 4))
-    with pytest.raises(ValueError, match="does not divide"):
-        check_ergodic_z2(c)
-    with pytest.raises(ValueError, match="does not divide"):
-        check_mp_z2(c)
+    assert check_ergodic_z2(c).levels == (False, False, False)
+    assert check_mp_z2(c) is False
+    # B_4 = 6 has order 1 under its floor 4: compatible through level 1 only, a single cycle there
+    c = Z2VdpCoefficients(3, (1, 2, 2, 2, 6, 4, 4, 4))
+    assert check_ergodic_z2(c).levels == (True, False, False)
+    assert check_mp_z2(c) is False
+    t = vdp_table_z2(c)
+    assert is_transitive_mod_z2(t).level(1) and not is_compatible(t).level(2)
 
 
 def test_mahler_eval_known_values():
