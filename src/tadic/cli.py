@@ -327,8 +327,7 @@ def run(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    # OverflowError: a value too large to compute, such as a Mahler binomial C(x, i) with min(i, x - i) past 2^63
-    except (_CliError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (_CliError, ValueError, KeyError, TypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -47,16 +47,6 @@ class VdpCoefficients(Record):
         if len(self.B) != 1 << k:
             raise ValueError("need exactly 2^%d coefficients" % k)
 
-    def b(self, m):
-        """Scaled coefficient b_alpha = B_alpha / pi^{deg alpha} (pi = T or 2); errors when not divisible."""
-        v = self.B[m]
-        d = m.bit_length() - 1
-        if d <= 0:
-            return v
-        if v & ((1 << d) - 1):
-            raise ValueError("%s^%d does not divide B_%d" % (RINGS[self.ring].pi, d, m))
-        return v >> d
-
     def json_dict(self):
         return coeffs_document(self, ((m, v) for m, v in enumerate(self.B) if v))
 
@@ -79,20 +69,20 @@ class Z2VdpCoefficients(VdpCoefficients):
 
 
 class Ring(Record):
-    """One coefficient ring: its tag, uniformizer pi, addition, tagged types, and lift target.
+    """One coefficient ring: its tag, addition, tagged types, and lift target.
 
     `lift(m)` is the value mod pi^2 that the scaled band sum over
     deg alpha = m-2 must take for a single cycle to lift to level m >= 3.
     """
 
-    _fields = ("name", "pi", "add", "sub", "table", "vdp", "lift")
+    _fields = ("name", "add", "sub", "table", "vdp", "lift")
 
 
 RINGS = {
     r.name: r
     for r in (
-        Ring("F2T", "T", operator.xor, operator.xor, FunctionTable, VdpCoefficients, lambda m: 2),
-        Ring("Z2", "2", operator.add, operator.sub, Z2FunctionTable, Z2VdpCoefficients, lambda m: 2 if m == 3 else 0),
+        Ring("F2T", operator.xor, operator.xor, FunctionTable, VdpCoefficients, lambda m: 2),
+        Ring("Z2", operator.add, operator.sub, Z2FunctionTable, Z2VdpCoefficients, lambda m: 2 if m == 3 else 0),
     )
 }
 

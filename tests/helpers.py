@@ -3,9 +3,10 @@
 The exact algebra lives here, not in the library: the Carlitz constants
 [i], L_i, D_i and factorial Pi(n), the polynomials e_d, E_i, G_n, G'_n
 and H_n over F2[T], Lucas binomials mod 2, F2[T] long division, the
-T-adic absolute value, and the van der Put ball indicator chi.  They are
-the slow references that the library's truncated transforms and criteria
-are checked against, together with the definitions that the library's
+T-adic absolute value, the van der Put ball indicator chi and scaled
+coefficient b_alpha, and Mahler sums of exact integer binomials.  They
+are the slow references that the library's truncated transforms and
+criteria are checked against, together with the definitions that the library's
 one-pass kernels replace: table compatibility with one scan per level,
 the van der Put floor, unit and lift clauses read one coefficient at a
 time, and steering bits read off a random word one shift at a time.  The
@@ -183,6 +184,34 @@ def chi(alpha, x, prec=None):
     if prec is not None and prec <= d:
         raise ValueError("insufficient precision for deg alpha = %d" % d)
     return 1 if not (x ^ alpha) & ((2 << d) - 1) else 0
+
+
+def scaled_vdp(c, m):
+    """Scaled coefficient b_alpha = B_alpha / pi^{deg alpha} (pi = T or 2); raises when pi^{deg alpha} does not divide B_alpha."""
+    v = c.B[m]
+    d = m.bit_length() - 1
+    if d <= 0:
+        return v
+    if v & ((1 << d) - 1):
+        raise ValueError("pi^%d does not divide B_%d" % (d, m))
+    return v >> d
+
+
+def exact_mahler_eval(c, x):
+    """Sum of a_i * C(x, i) with exact integer binomials, mod 2^k: the oracle of mahler_eval."""
+    x, wrap = unwrap_point(x, c.precision)
+    acc = sum(v * math.comb(x, i) for i, v in c.a.items() if i <= x)
+    return wrap(acc & ((1 << c.precision) - 1))
+
+
+def exact_mahler_table(c):
+    """The table one column of exact binomials per stored index, summed and masked once: the oracle of mahler_table."""
+    size = 1 << c.precision
+    acc = [0] * size
+    for i, v in c.a.items():
+        # zero below i; an index from 2^k up gives an empty column
+        acc[i:] = map(operator.add, acc[i:], (math.comb(x, i) * v for x in range(i, size)))
+    return Z2FunctionTable(c.precision, tuple(a & (size - 1) for a in acc))
 
 
 def brute_compatible(t):

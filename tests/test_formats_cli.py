@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     NON_CANONICAL_HEX,
+    binom_mod2,
     break_floor,
     random_ergodic_vdp,
     random_z2_ergodic,
@@ -516,13 +517,36 @@ def test_keystream_streams_its_output(files):
     assert peak < 1 << 20
 
 
-def test_mahler_binomials_too_large_to_compute_exit_two(files, capsys):
-    path = _write(files["tmp"], "mahler_huge.json", {
-        "ring": "Z2", "basis": "mahler", "precision": 1024, "coeffs": {"0": "0x1", str(2**100): "0x1"}})
-    assert run(["eval", "--coeffs", path, "--x", hex(2**101)]) == 2
-    assert _one_error_line(capsys)
+def test_mahler_eval_decides_at_points_past_exact_binomials(files, capsys):
+    """f = 1 + C(x, 2^100) at precision 1024: C(2^101, 2^100) has no exact int to build, and is checked by Pascal's rule."""
+    def value(path, x):
+        assert run(["eval", "--coeffs", path, "--x", hex(x)]) == 0
+        return int(_json_out(capsys)["value"], 16)
+
+    def mahler_file(name, i):
+        return _write(files["tmp"], name, {
+            "ring": "Z2", "basis": "mahler", "precision": 1024, "coeffs": {"0": "0x1", str(i): "0x1"}})
+
+    i, x = 2**100, 2**101
+    path, below = mahler_file("mahler_huge.json", i), mahler_file("mahler_below.json", i - 1)
+    got = value(path, x) - 1
+    assert got == (value(path, x - 1) - 1 + value(below, x - 1) - 1) % (1 << 1024)
+    # Lucas: C(x, i) mod 2 is 1 iff the bits of i are among the bits of x
+    assert got & 1 == binom_mod2(x, i) == 0
+    assert value(path, x - 1) - 1 & 1 == binom_mod2(x - 1, i) == 1
     assert run(["eval", "--coeffs", path, "--x", hex(2**99)]) == 0
     assert _json_out(capsys)["value"] == "0x1"
+
+
+def test_mahler_eval_cost_follows_the_precision_not_the_point(files, capsys):
+    # C(2^23, 2^22) has about 8.4 million bits, which take minutes to compute exactly
+    path = _write(files["tmp"], "mahler_deep.json", {
+        "ring": "Z2", "basis": "mahler", "precision": 1024, "coeffs": {"0": "0x1", str(2**22): "0x1"}})
+    start = time.perf_counter()
+    assert run(["eval", "--coeffs", path, "--x", hex(2**23)]) == 0
+    assert time.perf_counter() - start < 2
+    # C(2^23, 2^22) = 2 mod 4: one carry when adding 2^22 to itself, times an odd part
+    assert int(_json_out(capsys)["value"], 16) & 3 == 3
 
 
 # Each format's reader owns its document rules: one well-formed document per

@@ -24,6 +24,7 @@ from helpers import (
     random_z2_compatible,
     random_z2_ergodic,
     reference_table,
+    scaled_vdp,
 )
 from tadic.dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, is_bijective_mod, is_transitive_mod
 from tadic.gf2ps import Residue
@@ -74,7 +75,7 @@ def test_to_vdp_constant_table():
 def test_to_vdp_reference_table_low_coefficients():
     c = to_vdp(FunctionTable(4, REFERENCE_TABLE_K4))
     assert (c.B[0], c.B[1], c.B[2], c.B[3]) == (0x1, 0x2, 0xE, 0xA)
-    assert c.b(2) == 0x7 and c.b(3) == 0x5
+    assert scaled_vdp(c, 2) == 0x7 and scaled_vdp(c, 3) == 0x5
 
 
 def test_from_vdp_single_ball():
@@ -115,8 +116,8 @@ def test_expansion_matches_the_brute_force_chi_sum():
 def test_scaled_accessor_requires_divisibility():
     c = VdpCoefficients(3, (0, 0, 1, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="does not divide"):
-        c.b(2)
-    assert VdpCoefficients(3, (5, 3, 2, 0, 4, 0, 0, 0)).b(4) == 1
+        scaled_vdp(c, 2)
+    assert scaled_vdp(VdpCoefficients(3, (5, 3, 2, 0, 4, 0, 0, 0)), 4) == 1
 
 
 def test_lipschitz_criterion():

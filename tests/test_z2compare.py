@@ -2,10 +2,23 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
-from helpers import brute_compatible, corrupt_z2, random_z2_compatible, random_z2_ergodic, random_z2_table
+from helpers import (
+    binom_mod2,
+    brute_compatible,
+    corrupt_z2,
+    exact_mahler_eval,
+    exact_mahler_table,
+    random_mahler,
+    random_mahler_ergodic,
+    random_z2_compatible,
+    random_z2_ergodic,
+    random_z2_table,
+    scaled_vdp,
+)
 from tadic.dynamics import is_bijective_mod, is_compatible, restrict_sparse
 from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import (
@@ -34,10 +47,10 @@ def test_to_vdp_z2_affine_and_identity():
     assert c.B[0] == 1 and c.B[1] == 2
     for m in range(2, 16):
         assert c.B[m] == 1 << (m.bit_length() - 1)
-        assert c.b(m) == 1
+        assert scaled_vdp(c, m) == 1
     ident = to_vdp_z2(_table_of(4, lambda x: x))
     assert ident.B[0] == 0 and ident.B[1] == 1
-    assert all(ident.b(m) == 1 for m in range(2, 16))
+    assert all(scaled_vdp(ident, m) == 1 for m in range(2, 16))
     const = to_vdp_z2(_table_of(3, lambda x: 5))
     assert const.B[0] == const.B[1] == 5
     assert all(v == 0 for v in const.B[2:])
@@ -62,7 +75,7 @@ def test_from_vdp_z2_adds_with_carries():
 def test_scaled_accessor_requires_divisibility():
     c = Z2VdpCoefficients(3, (0, 0, 1, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="does not divide"):
-        c.b(2)
+        scaled_vdp(c, 2)
 
 
 def test_mp_criterion_z2():
@@ -187,9 +200,59 @@ def test_mahler_table_matches_pointwise_evaluation():
             deep = {rng.randrange(size, 4 * size): rng.getrandbits(k) for _ in range(3)}
             zeros = {rng.randrange(size, 4 * size): 0 for _ in range(2)}
             sets.append(MahlerCoefficients(k, {**a, **deep, **zeros}))
+        # a few high indices take columns of their own, beside running sums or alone
+        sets.append(MahlerCoefficients(k, {0: 1, 1: size - 1, size - 1: rng.getrandbits(k), size // 2: 1}))
+        sets.append(MahlerCoefficients(k, {size - 1 - j: rng.getrandbits(k) for j in range(min(3, size))}))
         for c in sets:
-            assert mahler_table(c).table == tuple(mahler_eval(c, x) for x in range(size))
+            assert mahler_table(c).table == exact_mahler_table(c).table == tuple(mahler_eval(c, x) for x in range(size))
     assert mahler_table(MahlerCoefficients(3, {})).table == (0,) * 8
+
+
+def test_mahler_table_cost_follows_the_stored_indices_near_the_top():
+    """Indices near 2^k take short columns, not 2^k running sums each; checked against exact binomials at k = 16."""
+    c = MahlerCoefficients(16, {0: 1, 1: 3, 2: 4, 65000: 8, 65533: 5})
+    start = time.perf_counter()
+    table = mahler_table(c).table
+    assert time.perf_counter() - start < 2
+    assert table == exact_mahler_table(c).table
+
+
+def test_mahler_table_matches_exact_binomials_on_benchmark_shaped_sets():
+    """200 sets at k = 12 on indices 0..nmax, nmax < 16, half of them with the criterion's 2-power decay."""
+    rng = random.Random(27)
+    for n in range(200):
+        sample = random_mahler_ergodic if n % 2 else random_mahler
+        c = sample(rng, 12, rng.randrange(2, 16))
+        assert mahler_table(c).table == exact_mahler_table(c).table
+
+
+def test_mahler_eval_matches_exact_binomials_exhaustively():
+    """Every point below 2^k against every single index up to 2^(k+1), for k <= 8, and explicit zeros past 2^k."""
+    for k in range(1, 9):
+        size = 1 << k
+        for i in range(2 * size + 1):
+            c = MahlerCoefficients(k, {i: 1})
+            assert [mahler_eval(c, x) for x in range(size)] == [exact_mahler_eval(c, x) for x in range(size)]
+        c = MahlerCoefficients(k, {0: 1, size: 0, 2 * size + 1: 0})
+        assert all(mahler_eval(c, x) == exact_mahler_eval(c, x) == 1 for x in range(size))
+
+
+def _binom(k, x, i):
+    return mahler_eval(MahlerCoefficients(k, {i: 1}), x)
+
+
+@pytest.mark.parametrize("k", [64, 256, 1024])
+def test_mahler_eval_binomial_identities_at_large_precision(k):
+    """Pascal's rule, symmetry and Lucas parity of C(x, i) mod 2^k at points too large for exact binomials."""
+    rng = random.Random(k)
+    mask = (1 << k) - 1
+    for _ in range(4):
+        x = rng.getrandbits(min(k, 96)) | 2
+        i = rng.randrange(1, x)
+        assert _binom(k, x, i) == (_binom(k, x - 1, i) + _binom(k, x - 1, i - 1)) & mask
+        assert _binom(k, x, i) == _binom(k, x, x - i)
+        assert _binom(k, x, i) & 1 == binom_mod2(x, i)
+    assert _binom(k, mask, 1) == mask and _binom(k, mask, mask) == 1 and _binom(k, 3, 7) == 0
 
 
 def test_check_mp_z2_is_the_vdp_bit_test_and_matches_bijectivity():
