@@ -26,7 +26,7 @@ from .dynamics import (
     orbit,
     parity_lift,
 )
-from .gf2ps import Residue, clmul, clmul_trunc, degree, invert_unit, order, trunc
+from .gf2ps import clmul, clmul_trunc, degree, invert_unit, order, trunc
 from .vanderput import (
     VdpCoefficients,
     check_ergodic_vdp,
@@ -39,7 +39,6 @@ from .vanderput import (
 from .z2compare import (
     MahlerCoefficients,
     Z2FunctionTable,
-    Z2Residue,
     Z2VdpCoefficients,
     check_ergodic_mahler_z2,
     mahler_eval,
@@ -53,10 +52,8 @@ __all__ = [
     "FunctionTable",
     "LevelVerdicts",
     "MahlerCoefficients",
-    "Residue",
     "VdpCoefficients",
     "Z2FunctionTable",
-    "Z2Residue",
     "Z2VdpCoefficients",
     "carlitz_table",
     "check_ergodic_carlitz",

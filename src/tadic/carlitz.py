@@ -11,8 +11,8 @@ butterfly over the canonical points, O(k^2 2^k) truncated products.
 
 from __future__ import annotations
 
-from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse, unwrap_point
-from .gf2ps import clmul, clmul_trunc, trunc
+from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
+from .gf2ps import check_residues, clmul, clmul_trunc, trunc
 
 __all__ = [
     "CarlitzCoefficients",
@@ -22,7 +22,6 @@ __all__ = [
     "from_carlitz",
     "restrict",
     "to_carlitz",
-    "undetermined_lipschitz_indices",
 ]
 
 
@@ -100,8 +99,8 @@ def from_carlitz(c, x):
 
     Indices n >= 2^k contribute 0 at canonical points and are skipped.
     """
-    x, wrap = unwrap_point(x, c.precision)
     k = c.precision
+    check_residues(k, (x,), "point")
     E = _E_values(x, k)
     acc = 0
     for n, v in c.a.items():
@@ -112,7 +111,7 @@ def from_carlitz(c, x):
             v = clmul_trunc(v, E[low.bit_length() - 1], k)
             n ^= low
         acc ^= v
-    return wrap(acc)
+    return acc
 
 
 def carlitz_table(c):
@@ -125,29 +124,29 @@ def carlitz_table(c):
 restrict = restrict_sparse
 
 
-def _top(c):
-    """The highest level m through which c is 1-Lipschitz: ord(a_n) >= min(floor(log2 n), m) for every n.
+def _scan(c):
+    """One pass over the stored indices: the level `top` through which c is 1-Lipschitz, and the bad bands.
 
-    k, or the least order of an off-floor a_n, in one pass over the stored
-    indices; as a_n < 2^k, past the precision the floor refutes any nonzero a_n.
+    top is k, or the least order of an off-floor a_n (ord(a_n) <
+    floor(log2 n)); as a_n < 2^k, past the precision the floor refutes any
+    stored a_n.  Band m is bad when some a_n with floor(log2 n) = m-1 has
+    a digit below T^m.
     """
-    low = (v & ((1 << (n.bit_length() - 1)) - 1) for n, v in c.a.items() if n > 1)
-    return min(((w & -w).bit_length() - 1 for w in low if w), default=c.precision)
+    top, bad = c.precision, set()
+    for n, v in c.a.items():
+        band = n.bit_length()
+        low = v & ((1 << band) - 1)
+        if low:
+            bad.add(band)
+            off = low & ((1 << (band - 1)) - 1)
+            if off:
+                top = min(top, (off & -off).bit_length() - 1)
+    return top, bad
 
 
 def check_lipschitz_carlitz(c):
-    """True iff c is 1-Lipschitz through level k (top == k): every readable a_n clears ord(a_n) >= floor(log2 n).
-
-    Indices with floor(log2 n) >= k can only be refuted, never confirmed,
-    at precision k; undetermined_lipschitz_indices lists the survivors.
-    """
-    return _top(c) == c.precision
-
-
-def undetermined_lipschitz_indices(c):
-    """Stored indices whose Lipschitz bound sits beyond the precision."""
-    k = c.precision
-    return tuple(sorted(n for n, v in c.a.items() if n >= (1 << k) and not trunc(v, k)))
+    """True iff c is 1-Lipschitz through level k (top == k): ord(a_n) >= floor(log2 n) for every stored n."""
+    return _scan(c)[0] == c.precision
 
 
 def check_ergodic_carlitz(c):
@@ -163,10 +162,7 @@ def check_ergodic_carlitz(c):
     stored indices, so the cost is linear in the set.
     """
     k = c.precision
-    top = _top(c)
-    # one pass over the stored indices: band m fails when some a_n with
-    # floor(log2 n) = m-1 has a digit below T^m
-    bad_bands = {n.bit_length() for n, v in c.a.items() if v & ((1 << n.bit_length()) - 1)}
+    top, bad_bands = _scan(c)
     ok = top >= 1 and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
     raw = [ok]
     for m in range(2, k + 1):

@@ -125,11 +125,6 @@ def _levels(check):
     return run
 
 
-def _carlitz_lipschitz(c):
-    undetermined = list(carlitz.undetermined_lipschitz_indices(c))
-    return carlitz.check_lipschitz_carlitz(c), {"undetermined_indices": undetermined}
-
-
 class _Kind(Record):
     """What the front end does with one (ring, basis) coefficient format.
 
@@ -154,7 +149,7 @@ _KINDS = {
                                     vanderput.restrict, _VDP_CHECKS) for r in vanderput.RINGS.values()},
     ("F2T", "carlitz"): _Kind(
         carlitz.CarlitzCoefficients, carlitz.to_carlitz, carlitz.from_carlitz, carlitz.carlitz_table, carlitz.restrict,
-        {"lipschitz": _carlitz_lipschitz, "ergodic": _levels(carlitz.check_ergodic_carlitz)},
+        {"lipschitz": _flag(carlitz.check_lipschitz_carlitz), "ergodic": _levels(carlitz.check_ergodic_carlitz)},
     ),
     ("Z2", "mahler"): _Kind(
         z2compare.MahlerCoefficients, None, z2compare.mahler_eval, z2compare.mahler_table, dynamics.restrict_sparse,

@@ -17,7 +17,7 @@ import functools
 import itertools
 import operator
 
-from .gf2ps import Record, Residue, check_residues, coeffs_document, parse_hex, read_coeffs_document, read_header, to_hex
+from .gf2ps import Record, check_residues, coeffs_document, parse_hex, read_coeffs_document, read_header, to_hex
 
 __all__ = [
     "FunctionTable",
@@ -87,21 +87,6 @@ class LevelVerdicts(Record):
         return {str(m): v for m, v in enumerate(self.levels, start=1)}
 
 
-def unwrap_point(x, k):
-    """Canonical int of a point mod T^k or 2^k, and the function that wraps results like x.
-
-    A `Residue` (of either ring) must carry precision k, and results come
-    back in its type; a plain int gets plain ints back.
-    """
-    kind = type(x) if isinstance(x, Residue) else None
-    if kind is not None:
-        if x.precision != k:
-            raise ValueError("precision mismatch")
-        x = x.value
-    check_residues(k, (x,), "point")
-    return x, (lambda v: v) if kind is None else (lambda v: kind(v, k))
-
-
 class FunctionTable(Record):
     """Transformation of F2[[T]]/T^k as a table: entry m is f(residue m)."""
 
@@ -152,9 +137,7 @@ class SparseCoefficients(Record):
         check_residues(k, a.values(), "coefficient")
         if a and min(a) < 0:
             raise ValueError("index must be non-negative")
-        # explicit zeros survive past 2^k: they mark indices whose
-        # Lipschitz bound the precision cannot certify
-        object.__setattr__(self, "a", {n: v for n, v in a.items() if v or n >> k})
+        object.__setattr__(self, "a", {n: v for n, v in a.items() if v})
 
     def coeff(self, n):
         return self.a.get(n, 0)
@@ -251,16 +234,16 @@ def parity_lift(t, n):
 
 
 def trajectory(t, x0):
-    """x0, f(x0), f(f(x0)), ... as an endless iterator in the type of x0, which is checked at once."""
-    x, wrap = unwrap_point(x0, t.precision)
+    """x0, f(x0), f(f(x0)), ... as an endless iterator of ints; x0 is checked at once."""
+    check_residues(t.precision, (x0,), "point")
     values = t.table
 
     def walk(x):
         while True:
-            yield wrap(x)
+            yield x
             x = values[x]
 
-    return walk(x)
+    return walk(x0)
 
 
 def orbit(t, x0, steps):

@@ -2,14 +2,13 @@
 
 Values are Python ints used as bit vectors: bit i holds the coefficient
 of T^i.  An exact element of F2[T] is any such int, with products but no
-division; a Residue pairs a value reduced mod T^k with its precision k.
-The encoding makes the digit-for-digit correspondence with 2-adic
-integers the identity on bit patterns, and it is the encoding used by
-every file format and hex flag.
-So one residue rule (`check_residues`, and `read_header` and
-`read_indexed` for files) serves both rings, and one codec pair writes and
-reads every coefficient file; `Z2Residue` is a `Residue` tagged "Z2",
-which the XOR arithmetic refuses.
+division, and a residue mod T^k is an int in 0..2^k - 1.  The encoding
+makes the digit-for-digit correspondence with 2-adic integers the
+identity on bit patterns, and it is the encoding used by every file
+format and hex flag.  So a point of either ring is a plain int, one
+residue rule (`check_residues`, and `read_header` and `read_indexed` for
+files) serves both rings, and one codec pair writes and reads every
+coefficient file.
 """
 
 from __future__ import annotations
@@ -19,16 +18,12 @@ import re
 
 __all__ = [
     "Record",
-    "Residue",
-    "Z2Residue",
-    "add",
     "check_residues",
     "clmul",
     "clmul_trunc",
     "coeffs_document",
     "degree",
     "invert_unit",
-    "mul",
     "order",
     "parse_hex",
     "read_coeffs_document",
@@ -71,13 +66,18 @@ def clmul_trunc(a, b, k):
     return clmul(a & m, b & m) & m
 
 
-def _inv_unit(a, k):
-    # Newton iteration in characteristic 2: the error term squares each step.
+def invert_unit(a, prec):
+    """Inverse of a unit mod T^prec; a must have constant coefficient 1.
+
+    Newton iteration in characteristic 2: the error term squares each step.
+    """
+    if not a & 1:
+        raise ValueError("not a unit")
     x = 1
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        m = (1 << prec) - 1
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        m = (1 << k) - 1
         e = (clmul(a & m, x) & m) ^ 1
         x ^= clmul(x, e) & m
     return x
@@ -179,77 +179,6 @@ class Record:
         shown = ("%s=<%d entries>" % (n, len(v)) if n in self._bodies else "%s=%r" % (n, v)
                  for n, v in zip(self._fields, self._values()))
         return "%s(%s)" % (type(self).__name__, ", ".join(shown))
-
-
-class Residue(Record):
-    """Element of F2[[T]]/T^k: a value below 2^k plus its precision k."""
-
-    __slots__ = _fields = ("value", "precision")
-    ring = "F2T"
-
-    def _check(self):
-        check_residues(self.precision, (self.value,))
-
-    @property
-    def hex(self):
-        return to_hex(self.value)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-
-class Z2Residue(Residue):
-    """An integer mod 2^k: the digits of a Residue, without its F2[[T]] arithmetic."""
-
-    ring = "Z2"
-
-
-def _unwrap(x):
-    """Bits and precision of an F2T residue, or (x, None) for an exact polynomial."""
-    if not isinstance(x, Residue):
-        return x, None
-    if x.ring != "F2T":
-        raise TypeError("%s residues have no F2[[T]] arithmetic" % x.ring)
-    return x.value, x.precision
-
-
-def add(a, b):
-    """Sum in characteristic 2 (bitwise XOR); kinds and precisions must match."""
-    (a, ka), (b, kb) = _unwrap(a), _unwrap(b)
-    if (ka is None) != (kb is None):
-        raise TypeError("cannot mix Residue and exact polynomial operands")
-    if ka != kb:
-        raise ValueError("precision mismatch")
-    return a ^ b if ka is None else Residue(a ^ b, ka)
-
-
-def mul(a, b, prec=None):
-    """Carry-less product truncated to k bits, returned as a Residue."""
-    (a, ka), (b, kb) = _unwrap(a), _unwrap(b)
-    ks = {k for k in (ka, kb, prec) if k is not None}
-    if len(ks) > 1:
-        raise ValueError("precision mismatch")
-    if not ks:
-        raise ValueError("precision required for exact operands")
-    k = ks.pop()
-    return Residue(clmul_trunc(a, b, k), k)
-
-
-def invert_unit(a, prec=None):
-    """Inverse of a unit mod T^k; input must have constant coefficient 1."""
-    bits, k = _unwrap(a)
-    if prec is not None and k not in (None, prec):
-        raise ValueError("precision mismatch")
-    n = prec if k is None else k
-    if n is None:
-        raise ValueError("precision required for exact operands")
-    if not bits & 1:
-        raise ValueError("not a unit")
-    inv = _inv_unit(trunc(bits, n), n)
-    return inv if k is None else Residue(inv, k)
 
 
 def to_hex(v):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask, unwrap_point
+from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask
 from .gf2ps import Record, check_residues, coeffs_document, read_coeffs_document
 
 __all__ = [
@@ -110,7 +110,7 @@ def to_vdp(t):
 
 def from_vdp(c, x):
     """Evaluate the expansion at x; nested balls leave at most k nonzero terms."""
-    x, wrap = unwrap_point(x, c.precision)
+    check_residues(c.precision, (x,), "point")
     add = RINGS[c.ring].add
     B = c.B
     acc = B[x & 1]
@@ -121,7 +121,7 @@ def from_vdp(c, x):
             acc = add(acc, B[x & ((2 << shift) - 1)])
         n >>= 1
         shift += 1
-    return wrap(acc & ((1 << c.precision) - 1))
+    return acc & ((1 << c.precision) - 1)
 
 
 def vdp_table(c):

@@ -1,12 +1,12 @@
 """Truncated 2-adic reference theory for side-by-side comparisons.
 
-Residues mod 2^k share their bit patterns with the series side, so the
-mask-based compatibility, bijectivity, and cycle walks carry over as is;
-only the ring addition differs (carries instead of XOR).  The Z2 residue,
-table and Van der Put types are the F2[[T]] ones tagged "Z2"; they live
-beside their parents and are re-exported here.  The Z2 names to_vdp_z2,
-vdp_table_z2, check_ergodic_z2 and is_transitive_mod_z2 are the generic
-functions under other names.
+Integers mod 2^k share their bit patterns with the series side, so a
+point is a plain int in both rings and the mask-based compatibility,
+bijectivity, and cycle walks carry over as is; only the ring addition
+differs (carries instead of XOR).  The Z2 table and Van der Put types are
+the F2[[T]] ones tagged "Z2"; they live beside their parents and are
+re-exported here.  The Z2 names to_vdp_z2, vdp_table_z2, check_ergodic_z2
+and is_transitive_mod_z2 are the generic functions under other names.
 What is 2-adic only lives here: the Mahler basis and its single-cycle
 criterion at p=2.  Neither Mahler path builds a binomial C(x, i).  A
 point takes each C(x, i) mod 2^k in poly(k) from Kummer's carry count and
@@ -21,14 +21,13 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from operator import add, and_, lshift, mul, sub
 
-from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod, unwrap_point
-from .gf2ps import Z2Residue
+from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod
+from .gf2ps import check_residues
 from .vanderput import Z2VdpCoefficients, check_ergodic_vdp, check_mp_vdp, to_vdp, vdp_table
 
 __all__ = [
     "MahlerCoefficients",
     "Z2FunctionTable",
-    "Z2Residue",
     "Z2VdpCoefficients",
     "check_ergodic_mahler_z2",
     "check_ergodic_z2",
@@ -125,7 +124,7 @@ def mahler_eval(c, x):
     mod 2^(k - v).
     """
     k = c.precision
-    x, wrap = unwrap_point(x, k)
+    check_residues(k, (x,), "point")
     odd_x = _odd_factorial(x, k)
     acc = 0
     for i, v in c.a.items():
@@ -135,7 +134,7 @@ def mahler_eval(c, x):
         if carries < k:
             m = 1 << (k - carries)
             acc += v * (odd_x * pow(_odd_factorial(i, k) * _odd_factorial(x - i, k), -1, m) % m << carries)
-    return wrap(acc & ((1 << k) - 1))
+    return acc & ((1 << k) - 1)
 
 
 def _binomial_columns(terms, k):

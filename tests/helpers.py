@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from tadic.carlitz import CarlitzCoefficients, carlitz_table
 from tadic.cyclegen import CycleData
-from tadic.dynamics import FunctionTable, LevelVerdicts, unwrap_point
-from tadic.gf2ps import Residue, clmul, clmul_trunc, order, trunc
+from tadic.dynamics import FunctionTable, LevelVerdicts
+from tadic.gf2ps import check_residues, clmul, clmul_trunc, order, trunc
 from tadic.vanderput import VdpCoefficients
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients
 
@@ -59,7 +59,7 @@ def exact_div(a, b):
 
 def ord_abs(a):
     """T-adic valuation and absolute value, with |T| = 1/2; (inf, 0) for zero."""
-    o = order(a.value if isinstance(a, Residue) else a)
+    o = order(a)
     if o is math.inf:
         return math.inf, Fraction(0)
     return o, Fraction(1, 1 << o)
@@ -174,13 +174,10 @@ def eval_H(n, x):
 def chi(alpha, x, prec=None):
     """Indicator of the ball around alpha: x == alpha mod T^{deg alpha + 1}.
 
-    For alpha = 0 the ball is x == 0 mod T.  Residue arguments must carry
-    more precision than deg alpha.
+    For alpha = 0 the ball is x == 0 mod T.  A given precision must
+    exceed deg alpha.
     """
     d = max(alpha.bit_length() - 1, 0)
-    if isinstance(x, Residue):
-        prec = x.precision if prec is None else prec
-        x, _ = unwrap_point(x, prec)
     if prec is not None and prec <= d:
         raise ValueError("insufficient precision for deg alpha = %d" % d)
     return 1 if not (x ^ alpha) & ((2 << d) - 1) else 0
@@ -199,9 +196,9 @@ def scaled_vdp(c, m):
 
 def exact_mahler_eval(c, x):
     """Sum of a_i * C(x, i) with exact integer binomials, mod 2^k: the oracle of mahler_eval."""
-    x, wrap = unwrap_point(x, c.precision)
+    check_residues(c.precision, (x,), "point")
     acc = sum(v * math.comb(x, i) for i, v in c.a.items() if i <= x)
-    return wrap(acc & ((1 << c.precision) - 1))
+    return acc & ((1 << c.precision) - 1)
 
 
 def exact_mahler_table(c):

@@ -33,10 +33,9 @@ from tadic.carlitz import (
     from_carlitz,
     restrict,
     to_carlitz,
-    undetermined_lipschitz_indices,
 )
 from tadic.dynamics import FunctionTable, LevelVerdicts, is_transitive_mod
-from tadic.gf2ps import Residue, clmul, order, trunc
+from tadic.gf2ps import clmul, order, trunc
 from tadic.vanderput import check_ergodic_vdp, to_vdp, vdp_table
 
 
@@ -139,8 +138,6 @@ def test_from_carlitz_known_values():
     assert from_carlitz(CarlitzCoefficients(3, {1: 1}), 5) == 5
     assert from_carlitz(CarlitzCoefficients(3, {0: 1}), 6) == 1
     assert from_carlitz(reference_coefficients(4), 2) == 0xF
-    got = from_carlitz(reference_coefficients(4), Residue(2, 4))
-    assert got == Residue(0xF, 4)
 
 
 def test_to_carlitz_matches_the_dual_basis_oracle():
@@ -211,15 +208,10 @@ def test_lipschitz_criterion_known_values():
     assert check_lipschitz_carlitz(CarlitzCoefficients(3, {0: 1, 1: 1})) is True
     assert check_lipschitz_carlitz(CarlitzCoefficients(3, {2: 1})) is False
     assert check_lipschitz_carlitz(reference_coefficients(5)) is True
-
-
-def test_undetermined_indices_survive_storage():
-    c = CarlitzCoefficients(3, {0: 1, 9: 0, 20: 0})
-    assert check_lipschitz_carlitz(c) is True
-    assert undetermined_lipschitz_indices(c) == (9, 20)
-    refuted = CarlitzCoefficients(3, {9: 2})
-    assert check_lipschitz_carlitz(refuted) is False
-    assert undetermined_lipschitz_indices(refuted) == ()
+    # past 2^k a zero is not stored and refutes nothing; any stored value is off its floor
+    zeros = CarlitzCoefficients(3, {0: 1, 9: 0, 20: 0})
+    assert zeros.a == {0: 1} and check_lipschitz_carlitz(zeros) is True
+    assert check_lipschitz_carlitz(CarlitzCoefficients(3, {0: 1, 9: 4})) is False
 
 
 def test_ergodic_criterion_known_values():
@@ -336,11 +328,12 @@ def test_ergodic_criterion_is_linear_in_the_stored_indices(k):
     assert time.monotonic() - start < 1.0
 
 
-def test_restrict_keeps_deep_markers():
+def test_restrict_drops_the_values_that_vanish():
     c = reference_coefficients(4)
     cut = restrict(c, 2)
-    assert cut.a == {0: 1, 1: 3, 7: 0}
-    assert undetermined_lipschitz_indices(cut) == (7,)
+    # a_3 = T^2 and a_7 = T^3 are 0 mod T^2, so they are not stored
+    assert cut.a == {0: 1, 1: 3}
+    assert restrict(CarlitzCoefficients(4, {9: 6, 20: 4}), 2).a == {9: 2}
     with pytest.raises(ValueError):
         restrict(c, 0)
 

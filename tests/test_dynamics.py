@@ -1,11 +1,12 @@
-"""Table oracles: compatibility, bijectivity, transitivity, parity lift, orbits."""
+"""Table oracles: compatibility, bijectivity, transitivity, parity lift, orbits, and the point rule of every evaluator."""
 
 import itertools
 import random
 
 import pytest
 
-from helpers import REFERENCE_TABLE_K4, brute_compatible, random_table
+from helpers import REFERENCE_TABLE_K4, brute_compatible, random_table, reference_coefficients
+from tadic.carlitz import from_carlitz
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import (
     FunctionTable,
@@ -19,7 +20,8 @@ from tadic.dynamics import (
     single_cycle_levels,
     trajectory,
 )
-from tadic.gf2ps import Residue, Z2Residue
+from tadic.vanderput import Z2VdpCoefficients, from_vdp, to_vdp
+from tadic.z2compare import MahlerCoefficients, mahler_eval
 
 CYCLE_K2 = FunctionTable(2, (1, 2, 3, 0))
 XOR_ONE_K2 = FunctionTable(2, (1, 0, 3, 2))
@@ -105,25 +107,35 @@ def test_orbit_walks_the_table():
     assert orbit(FunctionTable(1, (1, 0)), 0, 4) == [0, 1, 0, 1]
 
 
-def test_orbit_mirrors_residue_inputs():
-    got = orbit(CYCLE_K2, Residue(0, 2), 3)
-    assert got == [Residue(0, 2), Residue(1, 2), Residue(2, 2)]
-    with pytest.raises(ValueError):
-        orbit(CYCLE_K2, Residue(0, 3), 2)
-    with pytest.raises(ValueError):
-        orbit(CYCLE_K2, 7, 2)
-    assert orbit(CYCLE_K2, Z2Residue(3, 2), 2) == [Z2Residue(3, 2), Z2Residue(0, 2)]
-
-
 def test_trajectory_is_the_endless_orbit():
     walk = trajectory(CYCLE_K2, 1)
     assert [next(walk) for _ in range(9)] == orbit(CYCLE_K2, 1, 9)
     # the start point is checked at the call, before any point is drawn
-    for bad in (4, -1, Residue(0, 3)):
+    for bad in (4, 7, -1):
         with pytest.raises(ValueError):
             trajectory(CYCLE_K2, bad)
         with pytest.raises(ValueError):
             orbit(CYCLE_K2, bad, 0)
+
+
+# each evaluator as (x -> value, precision k, a point, its value); trajectory gives the third point of the orbit
+EVALUATORS = {
+    "from_vdp-F2T": (lambda x: from_vdp(to_vdp(FunctionTable(4, REFERENCE_TABLE_K4)), x), 4, 2, 0xF),
+    "from_vdp-Z2": (lambda x: from_vdp(Z2VdpCoefficients(3, (3, 3, 2, 2, 0, 0, 0, 0)), x), 3, 3, 5),
+    "from_carlitz": (lambda x: from_carlitz(reference_coefficients(4), x), 4, 2, 0xF),
+    "mahler_eval": (lambda x: mahler_eval(MahlerCoefficients(3, {2: 1}), x), 3, 4, 6),
+    "trajectory": (lambda x: list(itertools.islice(trajectory(CYCLE_K2, x), 3))[-1], 2, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_every_evaluator_checks_its_point_and_returns_an_int(name):
+    evaluate, k, x, value = EVALUATORS[name]
+    got = evaluate(x)
+    assert type(got) is int and got == value
+    for bad in (-1, 1 << k):
+        with pytest.raises(ValueError, match="point out of range for precision %d" % k):
+            evaluate(bad)
 
 
 def test_level_verdicts_three_valued_overall():

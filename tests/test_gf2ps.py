@@ -1,4 +1,4 @@
-"""Series core: exact polynomial ops, truncated residues, ring laws, and the record base of every value type."""
+"""Series core: exact polynomial ops, truncated products, ring laws, and the record base of every value type."""
 
 import copy
 import math
@@ -14,15 +14,11 @@ from tadic.carlitz import CarlitzCoefficients
 from tadic.cyclegen import random_data
 from tadic.dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable
 from tadic.gf2ps import (
-    Residue,
-    Z2Residue,
-    add,
     check_residues,
     clmul,
     clmul_trunc,
     degree,
     invert_unit,
-    mul,
     order,
     parse_hex,
     read_header,
@@ -30,38 +26,16 @@ from tadic.gf2ps import (
     to_hex,
     trunc,
 )
+from tadic.z2compare import MahlerCoefficients
 
 polys = st.integers(min_value=0, max_value=(1 << 64) - 1)
 small_k = st.integers(min_value=1, max_value=16)
 
 
-def test_add_is_xor():
-    assert add(0x3, 0x2) == 0x1
-    assert add(0, 0x7) == 0x7
-    r = add(Residue(0x3, 2), Residue(0x2, 2))
-    assert r == Residue(0x1, 2)
-
-
-def test_add_rejects_mixed_kinds_and_precisions():
-    with pytest.raises(TypeError):
-        add(Residue(1, 2), 1)
-    with pytest.raises(ValueError):
-        add(Residue(1, 2), Residue(1, 3))
-
-
-def test_mul_truncates_to_the_working_precision():
-    assert mul(0x3, 0x3, 4) == Residue(0x5, 4)
-    assert mul(0x6, 0x2, 4) == Residue(0xC, 4)
-    assert mul(0x3, 0x3, 2) == Residue(0x1, 2)
-
-
-def test_mul_on_residues_uses_their_precision():
-    assert mul(Residue(0x3, 4), Residue(0x3, 4)) == Residue(0x5, 4)
-    assert Residue(0x3, 2) * Residue(0x3, 2) == Residue(0x1, 2)
-    with pytest.raises(ValueError):
-        mul(Residue(1, 2), Residue(1, 3))
-    with pytest.raises(ValueError):
-        mul(0x3, 0x3)
+def test_clmul_trunc_truncates_to_the_working_precision():
+    assert clmul_trunc(0x3, 0x3, 4) == 0x5
+    assert clmul_trunc(0x6, 0x2, 4) == 0xC
+    assert clmul_trunc(0x3, 0x3, 2) == 0x1
 
 
 def test_degree_and_order_edge_values():
@@ -76,21 +50,19 @@ def test_ord_abs_values():
     assert ord_abs(0x2) == (1, Fraction(1, 2))
     assert ord_abs(0x1) == (0, Fraction(1))
     assert ord_abs(0) == (math.inf, Fraction(0))
-    assert ord_abs(Residue(0x4, 3)) == (2, Fraction(1, 4))
+    assert ord_abs(0x4) == (2, Fraction(1, 4))
 
 
 def test_invert_unit_known_value():
     assert invert_unit(0x3, prec=3) == 0x7
-    assert invert_unit(Residue(0x3, 3)) == Residue(0x7, 3)
+    assert invert_unit(0xB, 3) == 0x7  # only the unit mod T^3 counts
 
 
 def test_invert_unit_rejects_non_units():
     with pytest.raises(ValueError, match="not a unit"):
         invert_unit(0x2, prec=3)
-    with pytest.raises(ValueError, match="not a unit"):
-        invert_unit(Residue(0x2, 3))
-    with pytest.raises(ValueError):
-        invert_unit(0x3)  # exact operand without a precision
+    with pytest.raises(TypeError):
+        invert_unit(0x3)  # the precision is required
 
 
 def test_exact_div_known_values():
@@ -116,37 +88,6 @@ def test_hex_codec():
     for s in ("-0x1", "zz", *NON_CANONICAL_HEX):
         with pytest.raises(ValueError, match="not a hex value"):
             parse_hex(s)
-
-
-def test_residue_validation():
-    with pytest.raises(ValueError):
-        Residue(0, 0)
-    with pytest.raises(ValueError):
-        Residue(4, 2)
-    with pytest.raises(ValueError):
-        Residue(-1, 2)
-    assert Residue(0xA, 4).hex == "0xa"
-
-
-def test_z2_residue_is_a_residue_tagged_z2():
-    z = Z2Residue(1, 2)
-    assert isinstance(z, Residue)
-    assert (Residue.ring, z.ring) == ("F2T", "Z2")
-    assert Residue(1, 2) != z
-    assert z == Z2Residue(1, 2) and z.hex == "0x1"
-    for bad in ((0, 0), (4, 2), (-1, 2)):
-        with pytest.raises(ValueError):
-            Z2Residue(*bad)
-    assert ord_abs(Z2Residue(4, 3)) == (2, Fraction(1, 4))
-
-
-def test_z2_residues_have_no_f2t_arithmetic():
-    z = Z2Residue(3, 2)
-    for op in (lambda: z + z, lambda: z * z, lambda: Residue(1, 2) + z, lambda: z * Residue(1, 2),
-               lambda: add(z, z), lambda: mul(z, z), lambda: mul(z, 3, 2), lambda: mul(3, z, 2),
-               lambda: invert_unit(z), lambda: invert_unit(z, 2)):
-        with pytest.raises(TypeError):
-            op()
 
 
 def test_check_residues_is_the_precision_and_range_rule():
@@ -214,7 +155,7 @@ def test_clmul_ring_laws(a, b, c):
 def test_truncation_consistency(a, b, k):
     # the low k bits of a product only see the low k bits of the factors
     assert clmul_trunc(a, b, k) == trunc(clmul(a, b), k)
-    assert mul(a, b, k) == mul(trunc(a, k), trunc(b, k), k)
+    assert clmul_trunc(a, b, k) == clmul_trunc(trunc(a, k), trunc(b, k), k)
 
 
 @given(polys.filter(bool), polys.filter(bool))
@@ -241,11 +182,11 @@ def test_pdivmod_reconstructs(a, b):
 def _records():
     """One record of each kind the record tests round-trip, with a 2^8-entry body where it has one."""
     return [
-        Residue(5, 3),
-        Z2Residue(5, 3),
         FunctionTable(8, tuple(range(1, 256)) + (0,)),
+        Z2FunctionTable(8, tuple(range(256))),
         LevelVerdicts((True, None, False)),
         random_data(3, 7),
+        CarlitzCoefficients(8, dict.fromkeys(range(0, 256, 3), 0x81)),
     ]
 
 
@@ -253,21 +194,27 @@ def test_records_take_positional_fields_and_run_their_check():
     t = FunctionTable(2, [1, 2, 3, 0])
     assert (t.precision, t.table) == (2, (1, 2, 3, 0))  # the check normalises the body to a tuple
     assert LevelVerdicts((True,)).levels == (True,)
-    with pytest.raises(TypeError, match="value, precision"):
-        Residue(1)
+    with pytest.raises(TypeError, match="precision, table"):
+        FunctionTable(2)
     with pytest.raises(TypeError):
-        Residue(value=1, precision=2)
+        FunctionTable(precision=2, table=(1, 2, 3, 0))
+    with pytest.raises(TypeError, match="precision, a"):
+        CarlitzCoefficients(2, {}, None)
     with pytest.raises(ValueError):
         FunctionTable(2, [1, 2, 3])
 
 
 def test_records_compare_and_hash_by_exact_class_and_fields():
-    assert Residue(1, 2) == Residue(1, 2) and hash(Residue(1, 2)) == hash(Residue(1, 2))
-    assert Residue(1, 2) != Residue(1, 3) and Residue(1, 2) != (1, 2)
-    assert Residue(1, 2) != Z2Residue(1, 2) and Z2Residue(1, 2) != Residue(1, 2)
-    assert len({Residue(1, 2), Residue(1, 2), Z2Residue(1, 2)}) == 2
-    assert FunctionTable(1, (1, 0)) != Z2FunctionTable(1, (1, 0))
+    t = FunctionTable(1, (1, 0))
+    assert t == FunctionTable(1, [1, 0]) and hash(t) == hash(FunctionTable(1, [1, 0]))
+    assert t != FunctionTable(1, (0, 1)) and t != (1, (1, 0))
+    assert t != Z2FunctionTable(1, (1, 0)) and Z2FunctionTable(1, (1, 0)) != t
+    assert len({t, FunctionTable(1, (1, 0)), Z2FunctionTable(1, (1, 0))}) == 2
     assert hash(LevelVerdicts((True, None))) == hash(LevelVerdicts((True, None)))
+    assert hash(random_data(3, 7)) == hash(random_data(3, 7)) and random_data(3, 7) != random_data(4, 7)
+    c = CarlitzCoefficients(3, {0: 1, 5: 2})
+    assert c == CarlitzCoefficients(3, {5: 2, 0: 1, 6: 0}) and c != CarlitzCoefficients(4, {0: 1, 5: 2})
+    assert c != MahlerCoefficients(3, {0: 1, 5: 2})
 
 
 def test_records_refuse_assignment():
@@ -279,8 +226,6 @@ def test_records_refuse_assignment():
                 delattr(r, name)
         with pytest.raises(AttributeError):
             r.extra = 1
-    with pytest.raises(AttributeError):
-        Residue(1, 2).__dict__
 
 
 @pytest.mark.parametrize("r", _records(), ids=lambda r: type(r).__name__)
@@ -290,8 +235,7 @@ def test_records_survive_pickle_and_deepcopy(r):
 
 
 def test_record_repr_shows_the_size_of_a_body_not_its_entries():
-    assert repr(Residue(5, 3)) == "Residue(value=5, precision=3)"
-    assert repr(Z2Residue(5, 3)) == "Z2Residue(value=5, precision=3)"
+    assert repr(CarlitzCoefficients(3, {0: 1, 5: 2})) == "CarlitzCoefficients(precision=3, a=<2 entries>)"
     assert repr(LevelVerdicts((True, None))) == "LevelVerdicts(levels=(True, None))"
     assert repr(FunctionTable(8, tuple(range(256)))) == "FunctionTable(precision=8, table=<256 entries>)"
     assert repr(random_data(3, 7)) == "CycleData(n=7, bits=<7 entries>)"

@@ -27,7 +27,6 @@ from helpers import (
     scaled_vdp,
 )
 from tadic.dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, is_bijective_mod, is_transitive_mod
-from tadic.gf2ps import Residue
 from tadic.vanderput import (
     VdpCoefficients,
     Z2VdpCoefficients,
@@ -44,16 +43,16 @@ IDENTITY_K3 = FunctionTable(3, tuple(range(8)))
 
 
 def test_chi_ball_membership():
-    assert chi(0, Residue(2, 2)) == 1
-    assert chi(0, Residue(1, 2)) == 0
-    assert chi(2, Residue(6, 3)) == 1
-    assert chi(1, Residue(3, 2)) == 1
-    assert chi(2, Residue(4, 3)) == 0
+    assert chi(0, 2, prec=2) == 1
+    assert chi(0, 1, prec=2) == 0
+    assert chi(2, 6, prec=3) == 1
+    assert chi(1, 3, prec=2) == 1
+    assert chi(2, 4, prec=3) == 0
 
 
 def test_chi_requires_enough_precision():
     with pytest.raises(ValueError, match="insufficient precision"):
-        chi(2, Residue(1, 1))
+        chi(2, 1, prec=1)
     with pytest.raises(ValueError, match="insufficient precision"):
         chi(4, 6, prec=2)
     assert chi(4, 6, prec=4) == 0
@@ -81,7 +80,7 @@ def test_to_vdp_reference_table_low_coefficients():
 def test_from_vdp_single_ball():
     c = VdpCoefficients(2, (1, 0, 0, 0))
     assert from_vdp(c, 2) == 1
-    assert from_vdp(c, Residue(1, 2)) == Residue(0, 2)
+    assert from_vdp(c, 1) == 0
 
 
 def test_from_vdp_reference_value():

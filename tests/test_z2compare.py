@@ -24,7 +24,6 @@ from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, restric
 from tadic.z2compare import (
     MahlerCoefficients,
     Z2FunctionTable,
-    Z2Residue,
     Z2VdpCoefficients,
     check_ergodic_mahler_z2,
     check_ergodic_z2,
@@ -69,7 +68,6 @@ def test_from_vdp_z2_adds_with_carries():
     c = Z2VdpCoefficients(3, (3, 3, 2, 2, 0, 0, 0, 0))
     # f(3) = B_1 + B_3 = 5, unlike the XOR sum 1
     assert from_vdp(c, 3) == 5
-    assert from_vdp(c, Z2Residue(3, 3)) == Z2Residue(5, 3)
 
 
 def test_scaled_accessor_requires_divisibility():
@@ -112,8 +110,6 @@ def test_mahler_eval_known_values():
     assert mahler_eval(MahlerCoefficients(3, {2: 1}), 4) == 6
     for x in range(8):
         assert mahler_eval(MahlerCoefficients(3, {1: 1}), x) == x
-    got = mahler_eval(MahlerCoefficients(3, {2: 1}), Z2Residue(4, 3))
-    assert got == Z2Residue(6, 3)
 
 
 def test_mahler_ergodic_criterion_known_values():
@@ -174,12 +170,7 @@ def test_json_roundtrips():
         MahlerCoefficients.from_json_dict({"ring": "Z2", "basis": "vanderput", "precision": 1, "coeffs": {}})
 
 
-def test_residue_and_table_validation():
-    with pytest.raises(ValueError):
-        Z2Residue(4, 2)
-    with pytest.raises(ValueError):
-        Z2Residue(0, 0)
-    assert Z2Residue(10, 4).hex == "0xa"
+def test_table_and_coefficient_validation():
     with pytest.raises(ValueError):
         Z2FunctionTable(2, (0, 1, 2))
     with pytest.raises(ValueError):
