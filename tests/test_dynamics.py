@@ -118,12 +118,13 @@ def test_trajectory_is_the_endless_orbit():
             orbit(CYCLE_K2, bad, 0)
 
 
-# each evaluator as (x -> value, precision k, a point, its value); trajectory gives the third point of the orbit
+# each evaluator as (x -> value, precision k, a point, its value); orbit and trajectory give the third point
 EVALUATORS = {
     "from_vdp-F2T": (lambda x: from_vdp(to_vdp(FunctionTable(4, REFERENCE_TABLE_K4)), x), 4, 2, 0xF),
     "from_vdp-Z2": (lambda x: from_vdp(Z2VdpCoefficients(3, (3, 3, 2, 2, 0, 0, 0, 0)), x), 3, 3, 5),
     "from_carlitz": (lambda x: from_carlitz(reference_coefficients(4), x), 4, 2, 0xF),
     "mahler_eval": (lambda x: mahler_eval(MahlerCoefficients(3, {2: 1}), x), 3, 4, 6),
+    "orbit": (lambda x: orbit(CYCLE_K2, x, 3)[-1], 2, 3, 1),
     "trajectory": (lambda x: list(itertools.islice(trajectory(CYCLE_K2, x), 3))[-1], 2, 3, 1),
 }
 

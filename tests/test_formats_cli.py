@@ -163,6 +163,18 @@ def test_well_formed_files_get_a_verdict_on_or_off_their_floor(files, capsys, ri
     assert off >= 10
 
 
+def test_verify_ignores_stored_zeros_past_the_table(files, capsys):
+    # a_9 = 0 with 9 >= 2^3 refutes nothing, so the file is 1-Lipschitz and the report names no index
+    path = _write(files["tmp"], "deep.json", {
+        "ring": "F2T", "basis": "carlitz", "precision": 3,
+        "coeffs": {"0": "0x1", "9": "0x0"}})
+    assert run(["verify", "--ring", "f2t", "--basis", "carlitz", "--check", "lipschitz",
+                "--coeffs", path]) == 0
+    report = _json_out(capsys)
+    assert report["verdict"] is True
+    assert "undetermined_indices" not in report
+
+
 def test_verify_usage_errors(files, capsys):
     assert run(["verify", "--exhaustive"]) == 2
     assert run(["verify", "--ring", "f2t", "--basis", "vdp", "--check", "mp"]) == 2

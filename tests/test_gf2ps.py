@@ -26,6 +26,7 @@ from tadic.gf2ps import (
     to_hex,
     trunc,
 )
+from tadic.vanderput import to_vdp
 from tadic.z2compare import MahlerCoefficients
 
 polys = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -187,6 +188,9 @@ def _records():
         LevelVerdicts((True, None, False)),
         random_data(3, 7),
         CarlitzCoefficients(8, dict.fromkeys(range(0, 256, 3), 0x81)),
+        MahlerCoefficients(8, dict.fromkeys(range(0, 256, 5), 0x3)),
+        to_vdp(FunctionTable(8, tuple(range(1, 256)) + (0,))),
+        to_vdp(Z2FunctionTable(8, tuple((x + 1) & 255 for x in range(256)))),
     ]
 
 
