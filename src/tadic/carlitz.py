@@ -6,10 +6,13 @@ transform pair and point evaluation work mod T^k with the recurrence
 E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
 level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
 exact mod T^k.  Both directions of the transform are one top-digit
-butterfly over the canonical points, O(k^2 2^k) truncated products.
+butterfly over the canonical points, run on all 2^k values packed into
+one int: O(k^3) whole-table big-int operations on slots of O(k) bits.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
 from .gf2ps import check_residues, clmul, clmul_trunc, trunc
@@ -53,45 +56,53 @@ def _E_values(x, k):
     return out + [0] * (k - len(out))
 
 
-def _shift(v, lo, c, k):
-    """Apply the Kronecker product of the shifts [[1, c_i], [0, 1]] to v[lo : lo + 2^len(c)]."""
-    for i, ci in enumerate(c):
-        if not ci:
-            continue
-        b = 1 << i
-        for base in range(lo, lo + (1 << len(c)), 2 * b):
-            for n in range(base + b, base + 2 * b):
-                if v[n]:
-                    v[n - b] ^= clmul_trunc(ci, v[n], k)
+@functools.lru_cache(maxsize=None)
+def _level_constants(k):
+    """Per level j < k, the shift constants c_i = E_i(T^j) mod T^k for i < j."""
+    return tuple(tuple(_E_values(1 << j, k)[:j]) for j in range(k))
 
 
-def _butterfly(v, k, synthesize):
-    """Coefficients to table (synthesize) or table to coefficients, in place.
+def _butterfly(pairs, k, synthesize):
+    """Coefficients to table (synthesize) or table to coefficients, from (index, value) pairs.
 
     A level splits blocks of 2h points, h = 2^j, on the top digit: on the
     upper half x + T^j (deg x < j) linearity gives E_i(x) + c_i for i < j,
     c_i = E_i(T^j), and E_j = 1.  Per block, synthesis is
     hi <- shift_c(lo + hi) from the top level down; expansion undoes it,
-    hi <- lo + shift_c(hi) from the bottom level up, since each shift is
-    its own inverse in characteristic 2.
+    hi <- lo + shift_c(hi) from the bottom level up, since the shift (the
+    Kronecker product of [[1, c_i], [0, 1]] over i < j) is its own inverse
+    in characteristic 2.  Index n holds slot n of one int, a power of two
+    bytes wide so a product of two k-bit values fits, and a level is a few
+    whole-table operations: factor i of the shift takes the upper-half
+    slots with digit i set from what factor i - 1 left, multiplies them by
+    c_i, cuts them to k bits and XORs them 2^i slots down.
     """
-    levels = [(1 << j, _E_values(1 << j, k)[:j]) for j in range(k)]
-    for h, c in reversed(levels) if synthesize else levels:
-        for s in range(0, 1 << k, 2 * h):
-            if not synthesize:
-                _shift(v, s + h, c, k)
-            for t in range(s, s + h):
-                v[t + h] ^= v[t]
-            if synthesize:
-                _shift(v, s + h, c, k)
-    return v
+    size = 1 << max((2 * k - 2).bit_length() - 3, 0)
+    slots = memoryview(bytearray(size << k)).cast("BHIQ"[size.bit_length() - 1])
+    for n, v in pairs:
+        slots[n] = v
+    w = int.from_bytes(slots, "little")
+    mask = ((1 << k) - 1).to_bytes(size, "little")
+    full = int.from_bytes(mask * (1 << k), "little")
+    # digit[i]: the slots whose index has digit i set
+    digit = [int.from_bytes((bytes(size << i) + mask * (1 << i)) * (1 << (k - 1 - i)), "little") for i in range(k)]
+    for j, c in sorted(enumerate(_level_constants(k)), reverse=synthesize):
+        upper = w & digit[j]
+        lower = w ^ upper
+        if synthesize:
+            upper ^= lower << (size << (j + 3))
+        for i, ci in enumerate(c):
+            upper ^= (clmul(upper & digit[i], ci) & full) >> (size << (i + 3))
+        if not synthesize:
+            upper ^= lower << (size << (j + 3))
+        w = lower | upper
+    return memoryview(w.to_bytes(size << k, "little")).cast(slots.format).tolist()
 
 
 def to_carlitz(t):
     """Extract a_n mod T^k for n < 2^k from the full table."""
     k = t.precision
-    a = _butterfly(list(t.table), k, synthesize=False)
-    return CarlitzCoefficients(k, dict(enumerate(a)))
+    return CarlitzCoefficients(k, dict(enumerate(_butterfly(enumerate(t.table), k, synthesize=False))))
 
 
 def from_carlitz(c, x):
@@ -115,10 +126,9 @@ def from_carlitz(c, x):
 
 
 def carlitz_table(c):
-    """Synthesize the full table of the expansion at its own precision."""
+    """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
     k = c.precision
-    v = [c.coeff(n) for n in range(1 << k)]
-    return FunctionTable(k, tuple(_butterfly(v, k, synthesize=True)))
+    return FunctionTable(k, tuple(_butterfly(((n, v) for n, v in c.a.items() if not n >> k), k, synthesize=True)))
 
 
 restrict = restrict_sparse

@@ -7,7 +7,8 @@ T-adic absolute value, the van der Put ball indicator chi and scaled
 coefficient b_alpha, and Mahler sums of exact integer binomials.  They
 are the slow references that the library's truncated transforms and
 criteria are checked against, together with the definitions that the library's
-one-pass kernels replace: table compatibility with one scan per level,
+one-pass kernels replace: the Carlitz butterfly with one product per pair of
+points, table compatibility with one scan per level,
 the van der Put floor, unit and lift clauses read one coefficient at a
 time, and steering bits read off a random word one shift at a time.  The
 coefficient criteria answer on every set, so `compatible_through` gives
@@ -319,6 +320,45 @@ def dual_basis_coefficients(t):
         for g, v in zip(row, t.table):
             acc ^= clmul_trunc(g, v, k)
         a[n] = acc
+    return CarlitzCoefficients(k, a)
+
+
+def _shift_by_products(v, lo, c, k):
+    """Apply the Kronecker product of the shifts [[1, c_i], [0, 1]] to v[lo : lo + 2^len(c)], one product per pair."""
+    for i, ci in enumerate(c):
+        b = 1 << i
+        for base in range(lo, lo + (1 << len(c)), 2 * b):
+            for n in range(base + b, base + 2 * b):
+                v[n - b] ^= clmul_trunc(ci, v[n], k)
+
+
+def butterfly_by_products(values, k, synthesize):
+    """The Carlitz transform pair one truncated product at a time: the oracle of the packed butterfly.
+
+    Level j splits blocks of 2h points, h = 2^j, on the top digit; its
+    shift has c_i = E_i(T^j) mod T^k from the exact E_i.  Synthesis
+    (coefficients to table) runs hi <- shift_c(lo + hi) from the top level
+    down; expansion runs hi <- lo + shift_c(hi) from the bottom level up.
+    """
+    v = list(values)
+    levels = [(1 << j, [trunc(eval_E(i, 1 << j), k) for i in range(j)]) for j in range(k)]
+    for h, c in reversed(levels) if synthesize else levels:
+        for s in range(0, 1 << k, 2 * h):
+            if not synthesize:
+                _shift_by_products(v, s + h, c, k)
+            for t in range(s, s + h):
+                v[t + h] ^= v[t]
+            if synthesize:
+                _shift_by_products(v, s + h, c, k)
+    return v
+
+
+def dense_lipschitz_carlitz(rng, k):
+    """A 1-Lipschitz set storing every index below 2^k: a_n random above its floor T^floor(log2 n)."""
+    a = {}
+    for n in range(1 << k):
+        w = max(n.bit_length() - 1, 0)
+        a[n] = rng.getrandbits(k - w) << w
     return CarlitzCoefficients(k, a)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,9 +12,11 @@ from helpers import (
     binom_mod2,
     break_floor,
     brute_compatible,
+    butterfly_by_products,
     carlitz_factorial,
     compatible_through,
     constants,
+    dense_lipschitz_carlitz,
     dual_basis_coefficients,
     eval_E,
     eval_G,
@@ -161,9 +164,56 @@ def test_dense_and_sparse_table_paths_agree():
     # sparse sets, with stored indices past 2^k that vanish at canonical points
     for k in range(1, 11):
         for _ in range(3):
-            a = {rng.randrange(1 << (k + 1)): rng.getrandbits(k) for _ in range(rng.randrange(1, 2 * k + 2))}
+            a = {rng.randrange(1 << (k + 2)): rng.getrandbits(k) for _ in range(rng.randrange(1, 2 * k + 2))}
             c = CarlitzCoefficients(k, a)
             assert carlitz_table(c).table == tuple(from_carlitz(c, x) for x in range(1 << k))
+
+
+@pytest.mark.parametrize("k", [13, 17])
+def test_sparse_sets_pack_straight_from_their_entries(k):
+    rng = random.Random(k)
+    c = CarlitzCoefficients(k, {rng.randrange(1 << (k + 2)): rng.getrandbits(k) for _ in range(3 * k)})
+    table = carlitz_table(c).table
+    for x in [0, (1 << k) - 1] + [rng.randrange(1 << k) for _ in range(498)]:
+        assert table[x] == from_carlitz(c, x)
+
+
+def _agree_with_products(values, k):
+    """Both packed transforms of one list of values equal the product-per-pair oracle, and they invert each other."""
+    c = CarlitzCoefficients(k, dict(enumerate(values)))
+    assert to_carlitz(FunctionTable(k, values)) == CarlitzCoefficients(k, dict(enumerate(butterfly_by_products(values, k, False))))
+    assert carlitz_table(c).table == tuple(butterfly_by_products(values, k, True))
+    assert to_carlitz(carlitz_table(c)) == c
+
+
+def test_packed_butterfly_equals_products_on_every_table_to_k2():
+    for k in (1, 2):
+        for values in itertools.product(range(1 << k), repeat=1 << k):
+            _agree_with_products(values, k)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_packed_butterfly_equals_products_on_random_tables(k):
+    # the slots widen from one byte to two at k = 5 and from two to four at k = 9
+    rng = random.Random(k)
+    for _ in range(3 if k < 10 else 1):
+        _agree_with_products(tuple(rng.getrandbits(k) for _ in range(1 << k)), k)
+
+
+def test_dense_round_trip_at_k16_stays_fast_and_small():
+    # one truncated product per pair of points took about 7 s for this round trip on two vCPUs
+    c = dense_lipschitz_carlitz(random.Random(16), 16)
+    start = time.perf_counter()
+    assert to_carlitz(carlitz_table(c)) == c
+    assert time.perf_counter() - start < 3.0
+    tracemalloc.start()
+    try:
+        carlitz_table(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a mask kept per pair of digits (i, j) peaks at about 40 MB here
+    assert peak < 16e6
 
 
 def _word_precision_set(rng, k):
