@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
-from .gf2ps import check_residues, clmul, clmul_trunc, trunc
+from .gf2ps import check_residues, clmul, clmul_trunc, pack, tile, trunc, unpack
 
 __all__ = [
     "CarlitzCoefficients",
@@ -62,8 +62,8 @@ def _level_constants(k):
     return tuple(tuple(_E_values(1 << j, k)[:j]) for j in range(k))
 
 
-def _butterfly(pairs, k, synthesize):
-    """Coefficients to table (synthesize) or table to coefficients, from (index, value) pairs.
+def _butterfly(values, k, synthesize):
+    """Coefficients to table (synthesize) or table to coefficients, on the 2^k values of indices 0..2^k - 1.
 
     A level splits blocks of 2h points, h = 2^j, on the top digit: on the
     upper half x + T^j (deg x < j) linearity gives E_i(x) + c_i for i < j,
@@ -77,13 +77,9 @@ def _butterfly(pairs, k, synthesize):
     slots with digit i set from what factor i - 1 left, multiplies them by
     c_i, cuts them to k bits and XORs them 2^i slots down.
     """
-    size = 1 << max((2 * k - 2).bit_length() - 3, 0)
-    slots = memoryview(bytearray(size << k)).cast("BHIQ"[size.bit_length() - 1])
-    for n, v in pairs:
-        slots[n] = v
-    w = int.from_bytes(slots, "little")
+    w, size = pack(values, 2 * k - 1)
     mask = ((1 << k) - 1).to_bytes(size, "little")
-    full = int.from_bytes(mask * (1 << k), "little")
+    full = tile((1 << k) - 1, 1 << k, size)
     # digit[i]: the slots whose index has digit i set
     digit = [int.from_bytes((bytes(size << i) + mask * (1 << i)) * (1 << (k - 1 - i)), "little") for i in range(k)]
     for j, c in sorted(enumerate(_level_constants(k)), reverse=synthesize):
@@ -96,13 +92,13 @@ def _butterfly(pairs, k, synthesize):
         if not synthesize:
             upper ^= lower << (size << (j + 3))
         w = lower | upper
-    return memoryview(w.to_bytes(size << k, "little")).cast(slots.format).tolist()
+    return unpack(w, 1 << k, size)
 
 
 def to_carlitz(t):
     """Extract a_n mod T^k for n < 2^k from the full table."""
     k = t.precision
-    return CarlitzCoefficients(k, dict(enumerate(_butterfly(enumerate(t.table), k, synthesize=False))))
+    return CarlitzCoefficients(k, dict(enumerate(_butterfly(t.table, k, synthesize=False))))
 
 
 def from_carlitz(c, x):
@@ -128,7 +124,7 @@ def from_carlitz(c, x):
 def carlitz_table(c):
     """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
     k = c.precision
-    return FunctionTable(k, tuple(_butterfly(((n, v) for n, v in c.a.items() if not n >> k), k, synthesize=True)))
+    return FunctionTable(k, _butterfly([c.a.get(n, 0) for n in range(1 << k)], k, synthesize=True))
 
 
 restrict = restrict_sparse

@@ -13,11 +13,21 @@ and plain orbit iteration.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
-from .gf2ps import Record, check_residues, coeffs_document, parse_hex, read_coeffs_document, read_header, to_hex
+from .gf2ps import (
+    Record,
+    check_residues,
+    coeffs_document,
+    fold,
+    pack,
+    parse_hex,
+    read_coeffs_document,
+    read_header,
+    split_bands,
+    to_hex,
+)
 
 __all__ = [
     "FunctionTable",
@@ -167,12 +177,13 @@ def is_compatible(t):
     """Level m true iff x == y mod T^m always forces f(x) == f(y) mod T^m.
 
     Equivalently ord(f(x) - f(x - 2^deg x)) >= m for deg x >= m: stripping top bits walks x down to x mod T^m,
-    and a difference has the order of the XOR in both rings.  So suffix ORs of the XOR bands decide it in O(2^k).
+    and a difference has the order of the XOR in both rings.  So suffix ORs of the XOR bands decide it in O(2^k):
+    with the table packed in one int, a band is XORed with the block below it and ORed into one slot by halving.
     """
-    values = t.table
+    w, width = pack(t.table, t.precision)
     out, seen = [True], 0
-    for d in range(t.precision - 1, 0, -1):
-        seen |= functools.reduce(operator.or_, map(operator.xor, values[1 << d : 2 << d], values[: 1 << d]))
+    for d, band, lower in split_bands(w, t.precision, width):
+        seen |= fold(band ^ lower, 1 << d, width, operator.or_)
         out.append(not seen & ((1 << d) - 1))
     return LevelVerdicts(tuple(reversed(out)))
 

@@ -8,13 +8,19 @@ identity on bit patterns, and it is the encoding used by every file
 format and hex flag.  So a point of either ring is a plain int, one
 residue rule (`check_residues`, and `read_header` and `read_indexed` for
 files) serves both rings, and one codec pair writes and reads every
-coefficient file.
+coefficient file.  A whole table runs as one int too: `pack` puts value i
+in slot i, a power of two bytes wide, little-endian on every host, so the
+table transforms and band criteria are a few big-int operations per band;
+`unpack` gives the values back, `split_bands` cuts a table at its degree
+bands, `tile` builds a per-slot mask and `fold` combines the slots of one
+band.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
 
 __all__ = [
     "Record",
@@ -23,14 +29,19 @@ __all__ = [
     "clmul_trunc",
     "coeffs_document",
     "degree",
+    "fold",
     "invert_unit",
     "order",
+    "pack",
     "parse_hex",
     "read_coeffs_document",
     "read_header",
     "read_indexed",
+    "split_bands",
+    "tile",
     "to_hex",
     "trunc",
+    "unpack",
 ]
 
 
@@ -81,6 +92,57 @@ def invert_unit(a, prec):
         e = (clmul(a & m, x) & m) ^ 1
         x ^= clmul(x, e) & m
     return x
+
+
+# struct codes of a little-endian slot of 1, 2, 4 or 8 bytes
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def pack(values, bits):
+    """The values, each below 2^bits, as one int with value i in slot i: (int, slot width in bytes).
+
+    A slot is the least power of two bytes, up to 8, that holds `bits`
+    bits.  The layout is little-endian in the bytes and in the int, so it
+    does not depend on the host's byte order.
+    """
+    width = 1 << max((bits - 1).bit_length() - 3, 0)
+    return int.from_bytes(struct.pack("<%d%s" % (len(values), _SLOT_CODES[width]), *values), "little"), width
+
+
+def unpack(w, n, width):
+    """The n slots of `width` bytes of a packed int, as a tuple of ints: the inverse of pack."""
+    return struct.unpack("<%d%s" % (n, _SLOT_CODES[width]), w.to_bytes(n * width, "little"))
+
+
+def tile(v, n, width):
+    """The int with v in each of n slots of `width` bytes: a per-slot mask, built by bytes repetition."""
+    return int.from_bytes(v.to_bytes(width, "little") * n, "little")
+
+
+def split_bands(w, k, width):
+    """The bands of 2^k slots packed in w, top first: (d, band, lower) for d = k-1 down to 1.
+
+    Band d is the 2^d slots from slot 2^d, and lower the 2^d slots below
+    it; both are shifted down to slot 0.
+    """
+    for d in range(k - 1, 0, -1):
+        cut = width << (d + 3)
+        lower = w & ((1 << cut) - 1)
+        yield d, w >> cut, lower
+        w = lower
+
+
+def fold(w, n, width, op, mask=-1):
+    """The n slots of w (n a power of two) combined into slot 0 by halving: op of the upper and lower half, then & mask.
+
+    The caller picks slots wide enough that op carries no bit out of a
+    slot before the mask cuts it back.
+    """
+    while n > 1:
+        n >>= 1
+        cut = width * n << 3
+        w = op(w >> cut, w & ((1 << cut) - 1)) & mask
+    return w
 
 
 def check_residues(k, values=(), what="value"):

@@ -13,11 +13,21 @@ level from the scaled coefficients b_alpha.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask
-from .gf2ps import Record, check_residues, coeffs_document, read_coeffs_document
+from .gf2ps import (
+    Record,
+    check_residues,
+    coeffs_document,
+    fold,
+    order,
+    pack,
+    read_coeffs_document,
+    split_bands,
+    tile,
+    unpack,
+)
 
 __all__ = [
     "RINGS",
@@ -87,25 +97,38 @@ RINGS = {
 }
 
 
-def _sweep(src, k, op, synthesize):
-    """The transform pair, one map per degree band: B_m = f(m) - f(m - 2^{deg m}) with op = sub, or back.
+def _sweep(src, k, ring, synthesize):
+    """The transform pair on all 2^k values at once: B_m = f(m) - f(m - 2^{deg m}), or back.
 
-    Synthesis is f(m) = B_m + f(m - 2^{deg m}) with op = add.  Band d meets
-    only the block below it: the source table when expanding, the output
-    built so far when synthesizing.  The result is reduced mod pi^k.
+    Synthesis is f(m) = B_m + f(m - 2^{deg m}).  Value m sits in slot m of
+    one int, k + 1 bits or wider so that a Z2 sum or biased difference of
+    two residues stays in its slot, and band d (the 2^d slots from slot
+    2^d) meets the 2^d slots below it shifted up by 2^d slots.  Expanding,
+    those come from the source table, so every band is done in one
+    difference; synthesizing, from the output built so far, one band at a
+    time from d = 1 up.  The result is reduced mod pi^k.
     """
-    out = list(src[:2])
-    for d in range(1, k):
-        lo = 1 << d
-        out += map(op, src[lo : 2 * lo], (out if synthesize else src)[:lo])
-    mask = (1 << k) - 1
-    return tuple(v & mask for v in out)
+    w, width = pack(src, k + 1)
+    n = 1 << k
+    full = tile(n - 1, n, width)
+    if synthesize:
+        for d in range(1, k):
+            cut = width << (d + 3)
+            w = ring.add(w, (w & ((1 << cut) - 1)) << cut) & full
+    else:
+        s = 0
+        for d in range(1, k):
+            cut = width << (d + 3)
+            s |= (w & ((1 << cut) - 1)) << cut
+        # 2^k in every slot: no Z2 difference borrows from the slot above
+        w = ring.sub(w | tile(n, n, width), s) & full
+    return unpack(w, n, width)
 
 
 def to_vdp(t):
     """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
     ring = RINGS[t.ring]
-    return ring.vdp(t.precision, _sweep(t.table, t.precision, ring.sub, synthesize=False))
+    return ring.vdp(t.precision, _sweep(t.table, t.precision, ring, synthesize=False))
 
 
 def from_vdp(c, x):
@@ -127,7 +150,7 @@ def from_vdp(c, x):
 def vdp_table(c):
     """Synthesize the full table of the expansion at its own precision: the sweep of to_vdp inverted."""
     ring = RINGS[c.ring]
-    return ring.table(c.precision, _sweep(c.B, c.precision, ring.add, synthesize=True))
+    return ring.table(c.precision, _sweep(c.B, c.precision, ring, synthesize=True))
 
 
 def restrict(c, prec):
@@ -136,8 +159,14 @@ def restrict(c, prec):
     return type(c)(prec, tuple(v & mask for v in c.B[: 1 << prec]))
 
 
-def _top(c):
-    """The highest level m through which c is 1-Lipschitz: ord(B_alpha) >= min(deg alpha, m) for every alpha.
+def _bands(c):
+    """c.B packed in slots of k + 1 bits and cut at the degree bands: (slot width, {d: band d} for d >= 1)."""
+    w, width = pack(c.B, c.precision + 1)
+    return width, {d: band for d, band, _ in split_bands(w, c.precision, width)}
+
+
+def _top(c, width, bands):
+    """The highest level m through which the set is 1-Lipschitz: ord(B_alpha) >= min(deg alpha, m) for every alpha.
 
     That is k when every B_alpha clears its floor, and otherwise the least
     order of an off-floor coefficient: per band, the lowest bit of the OR
@@ -145,16 +174,33 @@ def _top(c):
     """
     top = c.precision
     for d in range(1, c.precision):
-        lo = 1 << d
-        low = functools.reduce(operator.or_, c.B[lo : 2 * lo]) & (lo - 1)
+        low = fold(bands[d], 1 << d, width, operator.or_) & ((1 << d) - 1)
         if low:
-            top = min(top, (low & -low).bit_length() - 1)
+            top = min(top, order(low))
     return top
 
 
 def check_lipschitz_vdp(c):
     """True iff c is 1-Lipschitz through level k (top == k): ord(B_alpha) >= deg alpha for every alpha."""
-    return _top(c) == c.precision
+    return _top(c, *_bands(c)) == c.precision
+
+
+def _units(band, d, width):
+    """True iff every scaled coefficient of band d is a unit: bit d is set in each of its 2^d slots."""
+    unit = tile(1 << d, 1 << d, width)
+    return band & unit == unit
+
+
+def _mp_levels(c, width, bands):
+    """The levels of check_mp_vdp on c's packed bands."""
+    top = _top(c, width, bands)
+    B = c.B
+    ok = top >= 1 and bool((B[0] ^ B[1]) & 1)
+    out = [ok]
+    for d in range(1, c.precision):
+        ok = ok and d < top and _units(bands[d], d, width)
+        out.append(ok)
+    return out
 
 
 def check_mp_vdp(c):
@@ -165,25 +211,18 @@ def check_mp_vdp(c):
     matches a table compatible at every level j <= m and bijective mod
     pi^m exactly, so all k levels are decided booleans, on any set.  A set
     off its floor gets False from level top + 1 on.  Units and the parity
-    of b_0 + b_1 are the same bit tests in both rings; band d is all units
-    iff its AND has bit d.
+    of b_0 + b_1 are the same bit tests in both rings.
     """
-    top = _top(c)
-    B = c.B
-    ok = top >= 1 and bool((B[0] ^ B[1]) & 1)
-    out = [ok]
-    for d in range(1, c.precision):
-        ok = ok and d < top and bool(functools.reduce(operator.and_, B[1 << d : 2 << d]) >> d & 1)
-        out.append(ok)
-    return LevelVerdicts(tuple(out))
+    return LevelVerdicts(tuple(_mp_levels(c, *_bands(c))))
 
 
-def _lifts(ring, B, m):
+def _lifts(ring, c, m, width, bands):
     """The lift clause of level m >= 2, read off the raw coefficients."""
     if m == 2:
-        return bool(ring.add(B[0], B[1]) & 2)
-    # the scaled sum mod pi^2 is bits m-2 and m-1 of the raw sum
-    s = functools.reduce(ring.add, B[1 << (m - 2) : 1 << (m - 1)])
+        return bool(ring.add(c.B[0], c.B[1]) & 2)
+    # the scaled sum mod pi^2 is bits m-2 and m-1 of the raw sum, so m bits of each partial sum suffice
+    n = 1 << (m - 2)
+    s = fold(bands[m - 2], n, width, ring.add, tile((1 << m) - 1, n >> 1, width))
     return (s >> (m - 2)) & 3 == ring.lift(m)
 
 
@@ -202,10 +241,10 @@ def check_ergodic_vdp(c):
     pi^m; level k stays undecided unless some clause fails outright.
     """
     ring = RINGS[c.ring]
-    B = c.B
-    ok = bool(B[0] & 1)
+    width, bands = _bands(c)
+    ok = bool(c.B[0] & 1)
     raw = []
-    for m, mp in enumerate(check_mp_vdp(c).levels, start=1):
-        ok = ok and mp and (m == 1 or _lifts(ring, B, m))
+    for m, mp in enumerate(_mp_levels(c, width, bands), start=1):
+        ok = ok and mp and (m == 1 or _lifts(ring, c, m, width, bands))
         raw.append(ok)
     return LevelVerdicts.below_precision(raw)

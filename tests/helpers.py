@@ -10,7 +10,9 @@ criteria are checked against, together with the definitions that the library's
 one-pass kernels replace: the Carlitz butterfly with one product per pair of
 points, table compatibility with one scan per level,
 the van der Put floor, unit and lift clauses read one coefficient at a
-time, and steering bits read off a random word one shift at a time.  The
+time and again with one reduce per degree band, the van der Put
+transform pair with one map per band, and steering bits read off a
+random word one shift at a time.  The
 coefficient criteria answer on every set, so `compatible_through` gives
 their table oracle: compatible at every level up to m, and bijective or
 transitive mod T^m.
@@ -285,6 +287,58 @@ def brute_ergodic_vdp(c):
         raw.append(ok)
     *below, top = raw
     return LevelVerdicts((*below, None if top else False))
+
+
+def sweep_by_bands(src, k, op, synthesize):
+    """The van der Put transform pair with one map per degree band: the oracle of the packed sweep.
+
+    Expansion (op = sub) is B_m = f(m) - f(m - 2^{deg m}); synthesis
+    (op = add) is f(m) = B_m + f(m - 2^{deg m}), with band d reading the
+    output built so far.  The result is reduced mod pi^k.
+    """
+    out = list(src[:2])
+    for d in range(1, k):
+        lo = 1 << d
+        out += map(op, src[lo : 2 * lo], (out if synthesize else src)[:lo])
+    mask = (1 << k) - 1
+    return tuple(v & mask for v in out)
+
+
+def band_scans(c):
+    """The van der Put criteria with one reduce per degree band: (top, measure-preservation verdicts, single-cycle verdicts).
+
+    The oracle of the packed band criteria: top is the level through
+    which c is 1-Lipschitz (the least order below a band's floor, from its
+    OR), band d is all units iff its AND has bit d, and the lift sum of
+    level m >= 3 reduces band m-2 with the ring's addition.
+    """
+    k = c.precision
+    z2 = c.ring == "Z2"
+    add = operator.add if z2 else operator.xor
+    B = c.B
+    top = k
+    for d in range(1, k):
+        lo = 1 << d
+        low = functools.reduce(operator.or_, B[lo : 2 * lo]) & (lo - 1)
+        if low:
+            top = min(top, (low & -low).bit_length() - 1)
+    ok = top >= 1 and bool((B[0] ^ B[1]) & 1)
+    mp = [ok]
+    for d in range(1, k):
+        ok = ok and d < top and bool(functools.reduce(operator.and_, B[1 << d : 2 << d]) >> d & 1)
+        mp.append(ok)
+    ok, raw = bool(B[0] & 1), []
+    for m, level in enumerate(mp, start=1):
+        if m == 1:
+            lifts = True
+        elif m == 2:
+            lifts = bool(add(B[0], B[1]) & 2)
+        else:
+            s = functools.reduce(add, B[1 << (m - 2) : 1 << (m - 1)])
+            lifts = (s >> (m - 2)) & 3 == (2 if not z2 or m == 3 else 0)
+        ok = ok and level and lifts
+        raw.append(ok)
+    return top, LevelVerdicts(tuple(mp)), LevelVerdicts.below_precision(raw)
 
 
 def reference_coefficients(k):

@@ -1,7 +1,9 @@
 """Series core: exact polynomial ops, truncated products, ring laws, and the record base of every value type."""
 
 import copy
+import functools
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -18,13 +20,18 @@ from tadic.gf2ps import (
     clmul,
     clmul_trunc,
     degree,
+    fold,
     invert_unit,
     order,
+    pack,
     parse_hex,
     read_header,
     read_indexed,
+    split_bands,
+    tile,
     to_hex,
     trunc,
+    unpack,
 )
 from tadic.vanderput import to_vdp
 from tadic.z2compare import MahlerCoefficients
@@ -171,6 +178,42 @@ def test_unit_inversion_property(a, k):
     a |= 1
     inv = invert_unit(a, prec=k)
     assert clmul_trunc(a, inv, k) == 1
+
+
+@pytest.mark.parametrize("bits, width", [(1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8)])
+def test_pack_lays_slots_out_little_endian_and_unpack_inverts_it(bits, width):
+    # slot i holds value i at bit 8 * width * i, whatever the host's byte order
+    top = (1 << bits) - 1
+    values = (top, 0, 1, top >> 1, 5 & top, top)
+    w, got = pack(values, bits)
+    assert got == width
+    assert w == sum(v << (8 * width * i) for i, v in enumerate(values))
+    assert unpack(w, len(values), width) == values
+    # a packed int is little-endian in its bytes: value i starts at byte width * i
+    assert w.to_bytes(len(values) * width, "little")[width : 2 * width] == bytes(width)
+
+
+@given(st.integers(min_value=1, max_value=64), st.lists(st.integers(min_value=0), max_size=40), polys)
+def test_unpack_inverts_pack_and_tile_packs_one_value_everywhere(bits, raw, v):
+    values = tuple(x & ((1 << bits) - 1) for x in raw)
+    v &= (1 << bits) - 1
+    w, width = pack(values, bits)
+    assert unpack(w, len(values), width) == values
+    assert tile(v, len(values), width) == pack((v,) * len(values), bits)[0]
+
+
+def test_tile_fold_and_split_bands_on_a_packed_table():
+    values = tuple((37 * i + 11) % 256 for i in range(1 << 5))
+    w, width = pack(values, 9)
+    assert width == 2
+    assert tile(0x1FF, 4, 2) == pack((0x1FF,) * 4, 9)[0]
+    assert fold(w, 1 << 5, width, operator.or_) == functools.reduce(operator.or_, values)
+    assert fold(w, 1 << 5, width, operator.add, tile(0xFF, 16, width)) == sum(values) & 0xFF
+    bands = list(split_bands(w, 5, width))
+    assert [d for d, _, _ in bands] == [4, 3, 2, 1]
+    for d, band, lower in bands:
+        assert unpack(band, 1 << d, width) == values[1 << d : 2 << d]
+        assert unpack(lower, 1 << d, width) == values[: 1 << d]
 
 
 @given(polys, polys.filter(bool))

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from helpers import (
     REFERENCE_TABLE_K4,
     all_lipschitz_vdp,
+    band_scans,
     break_floor,
     brute_compatible,
     brute_ergodic_vdp,
@@ -25,9 +27,18 @@ from helpers import (
     random_z2_ergodic,
     reference_table,
     scaled_vdp,
+    sweep_by_bands,
 )
-from tadic.dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable, is_bijective_mod, is_transitive_mod
+from tadic.dynamics import (
+    FunctionTable,
+    LevelVerdicts,
+    Z2FunctionTable,
+    is_bijective_mod,
+    is_compatible,
+    is_transitive_mod,
+)
 from tadic.vanderput import (
+    RINGS,
     VdpCoefficients,
     Z2VdpCoefficients,
     check_ergodic_vdp,
@@ -232,6 +243,27 @@ def test_block_synthesis_matches_pointwise_evaluation_in_both_rings(cls):
     assert len(sets) == 256 + 48
 
 
+def _agree_with_the_band_oracles(c, brute=True):
+    """The packed layer on c.B, both as coefficients and as a table, equals the list sweep and the per-band scans.
+
+    With `brute`, the criteria and compatibility are also checked against
+    the per-coefficient and per-level definitions.
+    """
+    ring, k = RINGS[c.ring], c.precision
+    t = ring.table(k, c.B)
+    assert to_vdp(t).B == sweep_by_bands(c.B, k, ring.sub, synthesize=False)
+    synthesized = vdp_table(c)
+    assert synthesized.table == sweep_by_bands(c.B, k, ring.add, synthesize=True)
+    top, mp, ergodic = band_scans(c)
+    assert check_lipschitz_vdp(c) == (top == k)
+    assert check_mp_vdp(c) == mp
+    assert check_ergodic_vdp(c) == ergodic
+    if brute:
+        assert mp == brute_mp_vdp(c) and ergodic == brute_ergodic_vdp(c)
+        assert is_compatible(t) == brute_compatible(t)
+        assert is_compatible(synthesized) == brute_compatible(synthesized)
+
+
 def _agree_with_the_coefficient_scans(c):
     """The band kernels give the per-coefficient verdicts on any set; returns whether c is 1-Lipschitz."""
     lipschitz = brute_floor(c, c.precision)
@@ -242,7 +274,11 @@ def _agree_with_the_coefficient_scans(c):
 
 
 def _agree_with_both_oracles(c):
-    """The coefficient scans, and the table oracle: compatible through level m, bijective or transitive mod pi^m."""
+    """The coefficient scans, and the table oracle: compatible through level m, bijective or transitive mod pi^m.
+
+    The packed layer also equals its list sweep and per-band scans on c.
+    """
+    _agree_with_the_band_oracles(c, brute=False)
     t = vdp_table(c)
     lipschitz = _agree_with_the_coefficient_scans(c)
     assert lipschitz == all(brute_compatible(t).levels)
@@ -298,3 +334,78 @@ def test_band_kernels_equal_the_coefficient_scans_on_random_sets(ring):
     assert verdicts == {(False, False, False), (True, False, False), (True, True, False), (True, True, None)}
     # and sets off their floor still hold at the levels below the first broken one
     assert partly > 20
+
+
+def _sampled_sets(rng, k):
+    """Random, floor-broken, corrupted and steered sets at precision k in both rings."""
+    sets = []
+    for cls, builders, corrupt in (
+        (VdpCoefficients, (random_lipschitz_vdp, random_mp_vdp, random_ergodic_vdp), corrupt_vdp),
+        (Z2VdpCoefficients, (random_z2_compatible, random_z2_ergodic), corrupt_z2),
+    ):
+        sets.append(cls(k, tuple(rng.getrandbits(k) for _ in range(1 << k))))
+        for build in builders:
+            c = build(rng, k)
+            sets += [c, corrupt(rng, c), break_floor(rng, c), break_floor(rng, c, flips=3)]
+    return sets
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_packed_layer_equals_the_band_oracles_on_sampled_sets(k):
+    # the k + 1 bit slots widen from one byte to two at k = 8
+    rng = random.Random(100 + k)
+    verdicts = set()
+    for c in _sampled_sets(rng, k):
+        _agree_with_the_band_oracles(c)
+        verdicts.add((check_lipschitz_vdp(c), check_mp_vdp(c).overall, check_ergodic_vdp(c).overall))
+    # every kind of answer came up at this k, certified sets included
+    assert verdicts == {(False, False, False), (True, False, False), (True, True, False), (True, True, None)}
+
+
+@pytest.mark.parametrize("k", [15, 16, 17])
+def test_packed_layer_equals_the_band_oracles_where_the_slots_widen(k):
+    # the k + 1 bit slots of the sweep and the criteria go from two bytes to
+    # four at k = 16, the k bit slots of compatibility at k = 17
+    rng = random.Random(200 + k)
+    for c in (VdpCoefficients(k, tuple(rng.getrandbits(k) for _ in range(1 << k))), random_ergodic_vdp(rng, k),
+              random_z2_ergodic(rng, k), corrupt_z2(rng, random_z2_ergodic(rng, k))):
+        _agree_with_the_band_oracles(c, brute=False)
+    t = vdp_table(random_z2_ergodic(rng, k))
+    assert is_compatible(t) == brute_compatible(t) == LevelVerdicts((True,) * k)
+    # one flipped digit T^(k-2) in the last entry breaks level k - 1 only: level k always holds
+    bad = Z2FunctionTable(k, t.table[:-1] + (t.table[-1] ^ 1 << (k - 2),))
+    assert is_compatible(bad) == brute_compatible(bad) == LevelVerdicts((True,) * (k - 2) + (False, True))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 15, 16, 17])
+def test_packed_layer_at_the_extremes_of_a_slot(k):
+    """Every value 2^k - 1 (each Z2 sum carries out of k bits), and a Z2 table whose every difference underflows."""
+    top = (1 << k) - 1
+    for cls in (VdpCoefficients, Z2VdpCoefficients):
+        _agree_with_the_band_oracles(cls(k, (top,) * (1 << k)), brute=k < 10)
+    # f(m) = 2^k - 1 - m: each f(m) - f(m - 2^deg m) is -2^deg m, so every band underflows
+    falling = Z2FunctionTable(k, tuple(top - m for m in range(1 << k)))
+    c = to_vdp(falling)
+    assert c.B[2:] == tuple((1 << k) - (1 << (m.bit_length() - 1)) for m in range(2, 1 << k))
+    assert vdp_table(c) == falling
+    _agree_with_the_band_oracles(c, brute=k < 10)
+
+
+def _peak(job):
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ring", ["F2T", "Z2"])
+def test_packed_transforms_peak_below_the_list_sweep_at_k16(ring):
+    # measured about 0.65 of the list sweep in both directions and rings, at k = 16 and k = 20
+    k, ring = 16, RINGS[ring]
+    rng = random.Random(16)
+    values = tuple(rng.getrandbits(k) for _ in range(1 << k))
+    t, c = ring.table(k, values), ring.vdp(k, values)
+    assert _peak(lambda: to_vdp(t)) < _peak(lambda: ring.vdp(k, sweep_by_bands(values, k, ring.sub, False)))
+    assert _peak(lambda: vdp_table(c)) < _peak(lambda: ring.table(k, sweep_by_bands(values, k, ring.add, True)))
