@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
-from .gf2ps import check_residues, clmul, clmul_trunc, pack, tile, trunc, unpack
+from .gf2ps import check_residues, clmul, clmul_trunc, pack, repack, tile, trunc, unpack
 
 __all__ = [
     "CarlitzCoefficients",
@@ -62,7 +62,7 @@ def _level_constants(k):
     return tuple(tuple(_E_values(1 << j, k)[:j]) for j in range(k))
 
 
-def _butterfly(values, k, synthesize):
+def _butterfly(packed, k, synthesize):
     """Coefficients to table (synthesize) or table to coefficients, on the 2^k values of indices 0..2^k - 1.
 
     A level splits blocks of 2h points, h = 2^j, on the top digit: on the
@@ -75,9 +75,10 @@ def _butterfly(values, k, synthesize):
     bytes wide so a product of two k-bit values fits, and a level is a few
     whole-table operations: factor i of the shift takes the upper-half
     slots with digit i set from what factor i - 1 left, multiplies them by
-    c_i, cuts them to k bits and XORs them 2^i slots down.
+    c_i, cuts them to k bits and XORs them 2^i slots down.  The values come
+    packed in slots of 2k - 1 bits.
     """
-    w, size = pack(values, 2 * k - 1)
+    w, size = packed
     mask = ((1 << k) - 1).to_bytes(size, "little")
     full = tile((1 << k) - 1, 1 << k, size)
     # digit[i]: the slots whose index has digit i set
@@ -98,7 +99,8 @@ def _butterfly(values, k, synthesize):
 def to_carlitz(t):
     """Extract a_n mod T^k for n < 2^k from the full table."""
     k = t.precision
-    return CarlitzCoefficients(k, dict(enumerate(_butterfly(t.table, k, synthesize=False))))
+    values = _butterfly(repack(t.packed, 1 << k, 2 * k - 1), k, synthesize=False)
+    return CarlitzCoefficients(k, dict(enumerate(values)))
 
 
 def from_carlitz(c, x):
@@ -124,7 +126,7 @@ def from_carlitz(c, x):
 def carlitz_table(c):
     """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
     k = c.precision
-    return FunctionTable(k, _butterfly([c.a.get(n, 0) for n in range(1 << k)], k, synthesize=True))
+    return FunctionTable(k, _butterfly(pack([c.a.get(n, 0) for n in range(1 << k)], 2 * k - 1), k, synthesize=True))
 
 
 restrict = restrict_sparse

@@ -3,15 +3,18 @@
 Free bits a(k,j) steer a doubling recurrence: start from the swap 0,1 and
 at each level k add a(k,j)*T^k to x_j, then append the lifted half
 x_{j+2^k} = x_j + T^k.  The resulting sequence enumerates all residues
-mod T^{n+1} and its successor map is transitive at every level.
+mod T^{n+1} and its successor map is transitive at every level.  The
+recurrence runs on the whole sequence packed into one int, a few big-int
+operations per level.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .dynamics import TABLE_BUDGET, FunctionTable
-from .gf2ps import Record, read_header, read_indexed
+from .gf2ps import Record, pack, read_header, read_indexed, tile, unpack
 
 __all__ = ["CycleData", "gen_cycle", "random_data"]
 
@@ -57,21 +60,29 @@ def _bits(s):
 
 
 def gen_cycle(d):
-    """Run the recurrence; return the sequence and its successor table."""
-    xs = [0, 1]
-    for k in range(1, d.n + 1):
-        level = d.bits[k - 1]
-        bit = 1 << k
-        for j in range(bit):
-            if level[j]:
-                xs[j] ^= bit
-        for j in range(bit):
-            xs.append(xs[j] ^ bit)
-    size = 1 << (d.n + 1)
-    succ = [0] * size
-    for j in range(size):
-        succ[xs[j]] = xs[(j + 1) % size]
-    return tuple(xs), FunctionTable(d.n + 1, tuple(succ))
+    """Run the recurrence; return the sequence and its successor table.
+
+    x_j sits in slot j of one int, slots of n + 1 bits or wider.  Level k
+    XORs its steering bits, packed one to a slot, in at bit k, then appends
+    the first 2^k slots with bit k flipped, 2^k slots up.
+    """
+    bits = d.n + 1
+    w, width = pack((0, 1), bits)
+    for k, level in enumerate(d.bits, start=1):
+        half = 1 << k
+        w ^= pack(level, bits)[0] << k
+        w |= (w ^ tile(half, half, width)) << (width * half << 3)
+    xs = unpack(w, 1 << bits, width)
+    del w  # the packed sequence goes before the table packs its successors
+    # the last entry's successor is the first; the loop sets every other one
+    succ = [xs[0]] * len(xs)
+    for x, y in zip(xs, itertools.islice(xs, 1, None)):
+        succ[x] = y
+    return xs, FunctionTable(bits, succ)
+
+
+# the ASCII digits 0 and 1 as the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def random_data(seed, n):
@@ -83,5 +94,5 @@ def random_data(seed, n):
     for k in range(1, n + 1):
         # bit j of the word is character j of its reversed 2^k-digit binary string
         word = rng.getrandbits(1 << k)
-        bits.append(tuple(map(int, format(word, "0%db" % (1 << k))[::-1])))
+        bits.append(tuple(format(word, "0%db" % (1 << k))[::-1].encode().translate(_DIGITS)))
     return CycleData(n, tuple(bits))

@@ -5,10 +5,12 @@ table type carries its ring as a tag: `Z2FunctionTable` is a
 `FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
 same bit mask on canonical values, so every check here serves both rings.
 The sparse coefficient type shared by the Carlitz and Mahler bases lives
-here too.  The checks are exhaustive table oracles: compatibility in one
-O(2^k) pass, bijectivity and single-cycle transitivity per level, the
-parity criterion that decides whether a single cycle lifts one level,
-and plain orbit iteration.
+here too.  A table is checked and packed into one int once, when it is
+built: its `packed` attribute is pack's (int, slot width) in slots of
+k + 1 bits, read by every whole-table kernel.  The checks are exhaustive
+table oracles: compatibility in one O(2^k) pass, bijectivity and
+single-cycle transitivity per level, the parity criterion that decides
+whether a single cycle lifts one level, and plain orbit iteration.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from .gf2ps import (
     check_residues,
     coeffs_document,
     fold,
-    pack,
+    pack_residues,
     parse_hex,
     read_coeffs_document,
     read_header,
     split_bands,
+    tile,
     to_hex,
+    unpack,
 )
 
 __all__ = [
@@ -98,7 +102,10 @@ class LevelVerdicts(Record):
 
 
 class FunctionTable(Record):
-    """Transformation of F2[[T]]/T^k as a table: entry m is f(residue m)."""
+    """Transformation of F2[[T]]/T^k as a table: entry m is f(residue m).
+
+    `packed` is the table packed by pack_residues, not a field.
+    """
 
     ring = "F2T"
     _fields, _bodies = ("precision", "table"), ("table",)
@@ -106,9 +113,10 @@ class FunctionTable(Record):
     def _check(self):
         object.__setattr__(self, "table", tuple(self.table))
         k = self.precision
-        check_residues(k, self.table, "table entry")
+        check_residues(k)
         if len(self.table) != 1 << k:
             raise ValueError("table must have exactly 2^%d entries" % k)
+        object.__setattr__(self, "packed", pack_residues(k, self.table, "table entry"))
 
     def json_dict(self):
         return {
@@ -180,7 +188,7 @@ def is_compatible(t):
     and a difference has the order of the XOR in both rings.  So suffix ORs of the XOR bands decide it in O(2^k):
     with the table packed in one int, a band is XORed with the block below it and ORed into one slot by halving.
     """
-    w, width = pack(t.table, t.precision)
+    w, width = t.packed
     out, seen = [True], 0
     for d, band, lower in split_bands(w, t.precision, width):
         seen |= fold(band ^ lower, 1 << d, width, operator.or_)
@@ -189,13 +197,18 @@ def is_compatible(t):
 
 
 def is_bijective_mod(t):
-    """Level m true iff x -> f(x) mod T^m permutes the 2^m residues."""
-    values = t.table
+    """Level m true iff x -> f(x) mod T^m permutes the 2^m residues.
+
+    Below the top level, the first 2^m slots of the packed table are cut to
+    m bits by one AND and unpacked; the table's values are in range, so
+    level k is the size of their set.
+    """
+    w, width = t.packed
     out = []
-    for m in range(1, t.precision + 1):
+    for m in range(1, t.precision):
         size = 1 << m
-        mask = size - 1
-        out.append(len({v & mask for v in values[:size]}) == size)
+        out.append(len(set(unpack(w & tile(size - 1, size, width), size, width))) == size)
+    out.append(len(set(t.table)) == len(t.table))
     return LevelVerdicts(tuple(out))
 
 
@@ -209,13 +222,13 @@ def single_cycle_levels(values, precision):
     for m in range(1, precision + 1):
         need = 1 << m
         mask = need - 1
-        x = values[0] & mask
-        steps = 1
-        # first return to 0 must happen at exactly 2^m steps
-        while x and steps < need:
+        x = 0
+        # the first return to 0 must come at step 2^m, the last one walked
+        for step in range(1, need + 1):
             x = values[x] & mask
-            steps += 1
-        out.append(x == 0 and steps == need)
+            if not x:
+                break
+        out.append(not x and step == need)
     return LevelVerdicts(tuple(out))
 
 
@@ -239,9 +252,9 @@ def parity_lift(t, n):
         raise ValueError("precondition: need precision at least n+1")
     if not single_cycle_levels(t.table, n).level(n):
         raise ValueError("precondition: not transitive mod T^%d" % n)
-    values = t.table
-    count = sum((values[x] >> n) & 1 for x in range(1 << n))
-    return bool(count & 1)
+    w, width = t.packed
+    # bit n of the first 2^n slots, counted at once
+    return bool(((w >> n) & tile(1, 1 << n, width)).bit_count() & 1)
 
 
 def trajectory(t, x0):

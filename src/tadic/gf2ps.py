@@ -6,14 +6,15 @@ division, and a residue mod T^k is an int in 0..2^k - 1.  The encoding
 makes the digit-for-digit correspondence with 2-adic integers the
 identity on bit patterns, and it is the encoding used by every file
 format and hex flag.  So a point of either ring is a plain int, one
-residue rule (`check_residues`, and `read_header` and `read_indexed` for
-files) serves both rings, and one codec pair writes and reads every
-coefficient file.  A whole table runs as one int too: `pack` puts value i
-in slot i, a power of two bytes wide, little-endian on every host, so the
-table transforms and band criteria are a few big-int operations per band;
-`unpack` gives the values back, `split_bands` cuts a table at its degree
-bands, `tile` builds a per-slot mask and `fold` combines the slots of one
-band.
+residue rule (`check_residues` for points and sparse sets, `pack_residues`
+for 2^k tables, and `read_header` and `read_indexed` for files) serves both
+rings, and one codec pair writes and reads every coefficient file.  A whole
+table runs as one int too: `pack` puts value i in slot i, a power of two
+bytes wide, little-endian on every host, so the table transforms and band
+criteria are a few big-int operations per band; `unpack` gives the values
+back, `repack` moves them into slots of another width, `split_bands` cuts
+a table at its degree bands, `tile` builds a per-slot mask and `fold`
+combines the slots of one band.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ __all__ = [
     "invert_unit",
     "order",
     "pack",
+    "pack_residues",
     "parse_hex",
     "read_coeffs_document",
     "read_header",
     "read_indexed",
+    "repack",
     "split_bands",
     "tile",
     "to_hex",
@@ -105,8 +108,29 @@ def pack(values, bits):
     bits.  The layout is little-endian in the bytes and in the int, so it
     does not depend on the host's byte order.
     """
-    width = 1 << max((bits - 1).bit_length() - 3, 0)
+    width = _slot_width(bits)
     return int.from_bytes(struct.pack("<%d%s" % (len(values), _SLOT_CODES[width]), *values), "little"), width
+
+
+def _slot_width(bits):
+    """The least power of two bytes that holds `bits` bits."""
+    return 1 << max((bits - 1).bit_length() - 3, 0)
+
+
+def repack(packed, n, bits):
+    """The n slots of packed = (w, width) moved into slots that hold `bits` bits: pack's result, without unpacking.
+
+    Each byte lane of the old slots is copied into the new slots by one
+    strided slice; the values must fit in the new slots.
+    """
+    w, width = packed
+    to = _slot_width(bits)
+    if to == width:
+        return packed
+    src, out = w.to_bytes(n * width, "little"), bytearray(n * to)
+    for i in range(min(width, to)):
+        out[i::to] = src[i::width]
+    return int.from_bytes(out, "little"), to
 
 
 def unpack(w, n, width):
@@ -151,6 +175,24 @@ def check_residues(k, values=(), what="value"):
         raise ValueError("precision must be a positive integer")
     if values and (min(values) < 0 or max(values) >> k):
         raise ValueError("%s out of range for precision %d" % (what, k))
+
+
+def pack_residues(k, values, what="value"):
+    """The residue rule for the 2^k values of a table, at a checked precision k: the values packed in slots of k + 1 bits.
+
+    Returns pack's (int, slot width).  A value the slot cannot hold (negative,
+    too wide, not an integer) fails the packing; one AND then finds any
+    value of 2^k or more.
+    """
+    bad = ValueError("%s out of range for precision %d" % (what, k))
+    try:
+        w, width = pack(values, k + 1)
+    except struct.error:
+        raise bad from None
+    # the bits from k up in every slot
+    if w & tile((1 << (width << 3)) - (1 << k), len(values), width):
+        raise bad
+    return w, width
 
 
 def read_header(obj, key="precision", most=None, **tags):

@@ -22,7 +22,7 @@ from .gf2ps import (
     coeffs_document,
     fold,
     order,
-    pack,
+    pack_residues,
     read_coeffs_document,
     split_bands,
     tile,
@@ -45,7 +45,10 @@ __all__ = [
 
 
 class VdpCoefficients(Record):
-    """Coefficients B_alpha indexed by the canonical integer of alpha."""
+    """Coefficients B_alpha indexed by the canonical integer of alpha.
+
+    `packed` is B packed by pack_residues, as a table's, not a field.
+    """
 
     ring, basis = "F2T", "vanderput"
     _fields, _bodies = ("precision", "B"), ("B",)
@@ -53,9 +56,10 @@ class VdpCoefficients(Record):
     def _check(self):
         object.__setattr__(self, "B", tuple(self.B))
         k = self.precision
-        check_residues(k, self.B, "coefficient")
+        check_residues(k)
         if len(self.B) != 1 << k:
             raise ValueError("need exactly 2^%d coefficients" % k)
+        object.__setattr__(self, "packed", pack_residues(k, self.B, "coefficient"))
 
     def json_dict(self):
         return coeffs_document(self, ((m, v) for m, v in enumerate(self.B) if v))
@@ -97,8 +101,8 @@ RINGS = {
 }
 
 
-def _sweep(src, k, ring, synthesize):
-    """The transform pair on all 2^k values at once: B_m = f(m) - f(m - 2^{deg m}), or back.
+def _sweep(packed, k, ring, synthesize):
+    """The transform pair on a record's packed 2^k values: B_m = f(m) - f(m - 2^{deg m}), or back.
 
     Synthesis is f(m) = B_m + f(m - 2^{deg m}).  Value m sits in slot m of
     one int, k + 1 bits or wider so that a Z2 sum or biased difference of
@@ -108,7 +112,7 @@ def _sweep(src, k, ring, synthesize):
     difference; synthesizing, from the output built so far, one band at a
     time from d = 1 up.  The result is reduced mod pi^k.
     """
-    w, width = pack(src, k + 1)
+    w, width = packed
     n = 1 << k
     full = tile(n - 1, n, width)
     if synthesize:
@@ -128,7 +132,7 @@ def _sweep(src, k, ring, synthesize):
 def to_vdp(t):
     """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
     ring = RINGS[t.ring]
-    return ring.vdp(t.precision, _sweep(t.table, t.precision, ring, synthesize=False))
+    return ring.vdp(t.precision, _sweep(t.packed, t.precision, ring, synthesize=False))
 
 
 def from_vdp(c, x):
@@ -150,7 +154,7 @@ def from_vdp(c, x):
 def vdp_table(c):
     """Synthesize the full table of the expansion at its own precision: the sweep of to_vdp inverted."""
     ring = RINGS[c.ring]
-    return ring.table(c.precision, _sweep(c.B, c.precision, ring, synthesize=True))
+    return ring.table(c.precision, _sweep(c.packed, c.precision, ring, synthesize=True))
 
 
 def restrict(c, prec):
@@ -160,8 +164,8 @@ def restrict(c, prec):
 
 
 def _bands(c):
-    """c.B packed in slots of k + 1 bits and cut at the degree bands: (slot width, {d: band d} for d >= 1)."""
-    w, width = pack(c.B, c.precision + 1)
+    """c's packed B cut at the degree bands: (slot width, {d: band d} for d >= 1)."""
+    w, width = c.packed
     return width, {d: band for d, band, _ in split_bands(w, c.precision, width)}
 
 

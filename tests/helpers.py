@@ -11,8 +11,10 @@ one-pass kernels replace: the Carlitz butterfly with one product per pair of
 points, table compatibility with one scan per level,
 the van der Put floor, unit and lift clauses read one coefficient at a
 time and again with one reduce per degree band, the van der Put
-transform pair with one map per band, and steering bits read off a
-random word one shift at a time.  The
+transform pair with one map per band, steering bits read off a
+random word one shift at a time, the cycle recurrence one entry at a
+time, bijectivity with one set per level, and transitivity as walks with
+a hand-kept step counter.  The
 coefficient criteria answer on every set, so `compatible_through` gives
 their table oracle: compatible at every level up to m, and bijective or
 transitive mod T^m.
@@ -579,6 +581,50 @@ def perturbed_reference(rng, k, extras=3):
         if bound + 1 < k:
             a[n] = rng.getrandbits(k - bound - 1) << (bound + 1)
     return CarlitzCoefficients(k, a)
+
+
+def gen_cycle_by_entries(d):
+    """cyclegen.gen_cycle one sequence entry at a time: the oracle of the packed recurrence."""
+    xs = [0, 1]
+    for k in range(1, d.n + 1):
+        level = d.bits[k - 1]
+        bit = 1 << k
+        for j in range(bit):
+            if level[j]:
+                xs[j] ^= bit
+        for j in range(bit):
+            xs.append(xs[j] ^ bit)
+    size = 1 << (d.n + 1)
+    succ = [0] * size
+    for j in range(size):
+        succ[xs[j]] = xs[(j + 1) % size]
+    return tuple(xs), FunctionTable(d.n + 1, tuple(succ))
+
+
+def bijective_by_sets(t):
+    """is_bijective_mod with one set of masked values per level: the oracle of the packed levels."""
+    values = t.table
+    out = []
+    for m in range(1, t.precision + 1):
+        size = 1 << m
+        mask = size - 1
+        out.append(len({v & mask for v in values[:size]}) == size)
+    return LevelVerdicts(tuple(out))
+
+
+def transitive_by_walks(values, precision):
+    """single_cycle_levels with a hand-kept step counter: the walk from 0 must first return at step 2^m."""
+    out = []
+    for m in range(1, precision + 1):
+        need = 1 << m
+        mask = need - 1
+        x = values[0] & mask
+        steps = 1
+        while x and steps < need:
+            x = values[x] & mask
+            steps += 1
+        out.append(x == 0 and steps == need)
+    return LevelVerdicts(tuple(out))
 
 
 def random_data_by_shifts(seed, n):

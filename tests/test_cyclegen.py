@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_data_by_shifts
+from helpers import gen_cycle_by_entries, random_data_by_shifts
 from tadic.cyclegen import CycleData, gen_cycle, random_data
 from tadic.dynamics import is_compatible, is_transitive_mod
 
@@ -71,9 +71,30 @@ def test_random_data_is_deterministic():
 
 
 def test_random_data_matches_the_shift_oracle():
-    for seed in (0, 1, 7, 801, 2**70 + 5):
-        for n in range(11):
+    for seed in (*range(10), 801, 2**70 + 5):
+        for n in range(13):
             assert random_data(seed, n) == random_data_by_shifts(seed, n)
+
+
+def test_packed_recurrence_equals_the_entry_oracle_on_every_small_steering_set():
+    for n in range(4):
+        for word in range(1 << ((2 << n) - 2)):
+            levels, at = [], 0
+            for k in range(1, n + 1):
+                levels.append(tuple((word >> (at + j)) & 1 for j in range(1 << k)))
+                at += 1 << k
+            d = CycleData(n, tuple(levels))
+            assert gen_cycle(d) == gen_cycle_by_entries(d)
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16])
+def test_packed_recurrence_equals_the_entry_oracle_where_the_slot_widens(n):
+    # the sequence needs n + 1 bits a slot: one byte up to n = 7, two up to n = 15, four from n = 16
+    for seed in range(3 if n < 10 else 1):
+        d = random_data(seed + 100 * n, n)
+        seq, t = gen_cycle(d)
+        assert (seq, t) == gen_cycle_by_entries(d)
+        assert sorted(seq) == list(range(1 << (n + 1)))
 
 
 def test_random_data_reads_each_word_once_at_depth_20():

@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from helpers import REFERENCE_TABLE_K4, brute_compatible, random_table, reference_coefficients
+from helpers import (
+    REFERENCE_TABLE_K4,
+    bijective_by_sets,
+    brute_compatible,
+    random_table,
+    reference_coefficients,
+    transitive_by_walks,
+)
 from tadic.carlitz import from_carlitz
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import (
@@ -178,6 +185,36 @@ def test_function_table_json_roundtrip():
     assert FunctionTable.from_json_dict(obj) == t
     with pytest.raises(ValueError):
         FunctionTable.from_json_dict({"ring": "Z2", "precision": 1, "table": ["0x0", "0x1"]})
+
+
+def _agree_with_the_entry_oracles(t):
+    assert is_bijective_mod(t) == bijective_by_sets(t)
+    assert is_transitive_mod(t) == transitive_by_walks(t.table, t.precision)
+    assert single_cycle_levels(list(t.table), t.precision) == transitive_by_walks(t.table, t.precision)
+
+
+@pytest.mark.parametrize("cls", [FunctionTable, Z2FunctionTable], ids=["F2T", "Z2"])
+def test_bijectivity_and_transitivity_equal_the_entry_oracles_on_every_small_table(cls):
+    tables = [cls(k, v) for k in (1, 2) for v in itertools.product(range(1 << k), repeat=1 << k)]
+    assert len(tables) == 4 + 256
+    for t in tables:
+        _agree_with_the_entry_oracles(t)
+
+
+def test_bijectivity_and_transitivity_equal_the_entry_oracles_on_samples():
+    rng = random.Random(15)
+    for k in range(3, 13):
+        n = 1 << k
+        perms = [FunctionTable(k, rng.sample(range(n), n)) for _ in range(4)]
+        # a generated single cycle with two entries swapped: a permutation transitive up to some level
+        _, cycle = gen_cycle(random_data(rng.getrandbits(32), k - 1))
+        values = list(cycle.table)
+        i, j = rng.sample(range(n), 2)
+        values[i], values[j] = values[j], values[i]
+        maps = [random_table(rng, k) for _ in range(4)]
+        assert all(is_compatible(t).overall is False for t in perms + maps)
+        for t in perms + maps + [cycle, Z2FunctionTable(k, values)]:
+            _agree_with_the_entry_oracles(t)
 
 
 def test_single_cycle_levels_accepts_raw_value_lists():

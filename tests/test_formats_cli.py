@@ -427,6 +427,20 @@ def test_malformed_input_prints_no_traceback(files):
         assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_one_error_line(files):
+    # each output is far past a pipe's buffer, so the command is still writing when the reader leaves
+    _, t = gen_cycle(random_data(5, 11))
+    coeffs = _write(files["tmp"], "cycle12.json", to_vdp(t).json_dict())
+    for argv in (["gen-cycle", "--n", "12"], ["keystream", "--coeffs", coeffs, "--x0", "0x0", "--steps", "262144"]):
+        proc = subprocess.Popen([sys.executable, "-m", "tadic", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # JSON texts that are not integers: +-Infinity and 1e400 read as floats, the rest as a float, a bool, a string
 _NOT_INTEGERS = ["Infinity", "-Infinity", "1e400", "3.7", "true", '"12"']
 _HEADERS = {

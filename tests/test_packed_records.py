@@ -1,0 +1,76 @@
+"""Packed table records: every 2^k table and van der Put set is checked and packed once, when it is built.
+
+`packed` is pack of the values in slots of k + 1 bits.  It is not a
+field, so equality, hashing, pickling, copying and repr see only the
+values, and the residue rule's error is the same whichever way a value
+breaks it.
+"""
+
+import copy
+import pickle
+import random
+
+import pytest
+
+from helpers import random_lipschitz_vdp, random_mahler, random_z2_compatible, reference_coefficients
+from tadic.carlitz import carlitz_table
+from tadic.cyclegen import gen_cycle, random_data
+from tadic.dynamics import FunctionTable, Z2FunctionTable
+from tadic.gf2ps import pack
+from tadic.vanderput import VdpCoefficients, Z2VdpCoefficients, to_vdp, vdp_table
+from tadic.z2compare import mahler_table
+
+TYPES = (FunctionTable, Z2FunctionTable, VdpCoefficients, Z2VdpCoefficients)
+
+
+def _values(r):
+    return r.B if isinstance(r, VdpCoefficients) else r.table
+
+
+def _made_records():
+    """One record of each table type from a tuple, and every kernel's output, at precisions across the slot widths."""
+    rng = random.Random(15)
+    out = []
+    for k in (2, 4, 7, 8, 9):
+        values = tuple(rng.randrange(1 << k) for _ in range(1 << k))
+        out += [cls(k, values) for cls in TYPES]
+        _, t = gen_cycle(random_data(rng.getrandbits(32), k - 1))
+        z2 = random_z2_compatible(rng, k)
+        out += [t, to_vdp(t), to_vdp(z2), vdp_table(random_lipschitz_vdp(rng, k)), vdp_table(to_vdp(z2))]
+        out += [mahler_table(random_mahler(rng, k, 6)), carlitz_table(reference_coefficients(k))]
+    return out
+
+
+def test_every_table_record_keeps_its_values_packed_in_slots_of_k_plus_one_bits():
+    records = _made_records()
+    assert {type(r) for r in records} == set(TYPES)
+    for r in records:
+        assert r.packed == pack(_values(r), r.precision + 1)
+
+
+def test_packed_is_not_a_field():
+    for r in _made_records():
+        assert "packed" not in r._fields
+        twins = (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r), type(r)(r.precision, list(_values(r))))
+        for twin in twins:
+            assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
+            assert twin.packed == r.packed
+        assert "packed" not in repr(r)
+        assert r.__reduce__() == (type(r), (r.precision, _values(r)))
+        with pytest.raises(AttributeError):
+            r.packed = (0, 1)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("k", [7, 8, 15, 16])
+def test_every_way_out_of_range_is_the_residue_rules_error(cls, k):
+    # k = 7 and 15 fill their slots, k = 8 and 16 take the next width: 2^k is caught
+    # inside the slot, 2^(8 width) and -1 by the packing, and so is a string
+    width = pack((0,), k + 1)[1]
+    values = list(range(1 << k))
+    cls(k, values)
+    for bad in (1 << k, -1, 1 << (8 * width), "1"):
+        for at in (0, (1 << k) - 1):
+            broken = values[:at] + [bad] + values[at + 1:]
+            with pytest.raises(ValueError, match="out of range for precision %d" % k):
+                cls(k, broken)
