@@ -13,6 +13,7 @@ one int: O(k^3) whole-table big-int operations on slots of O(k) bits.
 from __future__ import annotations
 
 import functools
+from itertools import compress
 
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
 from .gf2ps import check_residues, clmul, clmul_trunc, pack, repack, tile, trunc, unpack
@@ -76,7 +77,7 @@ def _butterfly(packed, k, synthesize):
     whole-table operations: factor i of the shift takes the upper-half
     slots with digit i set from what factor i - 1 left, multiplies them by
     c_i, cuts them to k bits and XORs them 2^i slots down.  The values come
-    packed in slots of 2k - 1 bits.
+    and go packed in slots of 2k - 1 bits, as pack's (int, slot width).
     """
     w, size = packed
     mask = ((1 << k) - 1).to_bytes(size, "little")
@@ -93,14 +94,15 @@ def _butterfly(packed, k, synthesize):
         if not synthesize:
             upper ^= lower << (size << (j + 3))
         w = lower | upper
-    return unpack(w, 1 << k, size)
+    return w, size
 
 
 def to_carlitz(t):
-    """Extract a_n mod T^k for n < 2^k from the full table."""
+    """Extract a_n mod T^k for n < 2^k from the full table: the butterfly's nonzero values, already in range."""
     k = t.precision
-    values = _butterfly(repack(t.packed, 1 << k, 2 * k - 1), k, synthesize=False)
-    return CarlitzCoefficients(k, dict(enumerate(values)))
+    w, size = _butterfly(repack(t.packed, 1 << k, 2 * k - 1), k, synthesize=False)
+    values = unpack(w, 1 << k, size)
+    return CarlitzCoefficients._trusted(k, dict(compress(enumerate(values), values)))
 
 
 def from_carlitz(c, x):
@@ -126,7 +128,8 @@ def from_carlitz(c, x):
 def carlitz_table(c):
     """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
     k = c.precision
-    return FunctionTable(k, _butterfly(pack([c.a.get(n, 0) for n in range(1 << k)], 2 * k - 1), k, synthesize=True))
+    w, size = _butterfly(pack([c.a.get(n, 0) for n in range(1 << k)], 2 * k - 1), k, synthesize=True)
+    return FunctionTable._trusted(k, unpack(w, 1 << k, size), packed=repack((w, size), 1 << k, k + 1))
 
 
 restrict = restrict_sparse

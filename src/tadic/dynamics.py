@@ -8,21 +8,20 @@ The sparse coefficient type shared by the Carlitz and Mahler bases lives
 here too.  A table is checked and packed into one int once, when it is
 built: its `packed` attribute is pack's (int, slot width) in slots of
 k + 1 bits, read by every whole-table kernel.  The checks are exhaustive
-table oracles: compatibility in one O(2^k) pass, bijectivity and
-single-cycle transitivity per level, the parity criterion that decides
-whether a single cycle lifts one level, and plain orbit iteration.
+table oracles: compatibility in one O(2^k) pass; bijectivity from one set
+of the values and transitivity from one walk from 0, read at every
+compatible level, other levels checked alone; the parity criterion that
+decides whether a single cycle lifts one level; and orbit iteration.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .gf2ps import (
     Record,
     check_residues,
     coeffs_document,
-    fold,
     pack_residues,
     parse_hex,
     read_coeffs_document,
@@ -189,9 +188,13 @@ def is_compatible(t):
     with the table packed in one int, a band is XORed with the block below it and ORed into one slot by halving.
     """
     w, width = t.packed
-    out, seen = [True], 0
+    out, seen, slot = [True], 0, width << 3
     for d, band, lower in split_bands(w, t.precision, width):
-        seen |= fold(band ^ lower, 1 << d, width, operator.or_)
+        x, cut = band ^ lower, slot << d
+        while cut > slot:
+            cut >>= 1
+            x = x >> cut | x & ((1 << cut) - 1)
+        seen |= x
         out.append(not seen & ((1 << d) - 1))
     return LevelVerdicts(tuple(reversed(out)))
 
@@ -199,17 +202,27 @@ def is_compatible(t):
 def is_bijective_mod(t):
     """Level m true iff x -> f(x) mod T^m permutes the 2^m residues.
 
-    Below the top level, the first 2^m slots of the packed table are cut to
-    m bits by one AND and unpacked; the table's values are in range, so
-    level k is the size of their set.
+    Level k is the size of the set of the values.  When f is onto, every
+    compatible level m < k holds too: f(x) mod T^m depends on x mod T^m
+    alone, so the first 2^m values reach every residue.  Any other level is
+    the set of the first 2^m slots of the packed table, cut to m bits.
     """
     w, width = t.packed
-    out = []
-    for m in range(1, t.precision):
-        size = 1 << m
-        out.append(len(set(unpack(w & tile(size - 1, size, width), size, width))) == size)
-    out.append(len(set(t.table)) == len(t.table))
-    return LevelVerdicts(tuple(out))
+    onto = len(set(t.table)) == len(t.table)
+    known = is_compatible(t).levels if onto else (False,) * t.precision
+    out = [known[m - 1] or len(set(unpack(w & tile((1 << m) - 1, 1 << m, width), 1 << m, width))) == 1 << m
+           for m in range(1, t.precision)]
+    return LevelVerdicts((*out, onto))
+
+
+def _single_cycle(values, m):
+    """True iff the walk from 0 under x -> f(x) mod T^m first returns to 0 at step 2^m, the last one walked."""
+    mask, x = (1 << m) - 1, 0
+    for step in range(1, mask + 2):
+        x = values[x] & mask
+        if not x:
+            break
+    return not x and step == mask + 1
 
 
 def single_cycle_levels(values, precision):
@@ -218,23 +231,31 @@ def single_cycle_levels(values, precision):
     Reduction mod 2^m and mod T^m are the same bit mask on canonical
     values, so one audited walk serves the series and the 2-adic side.
     """
-    out = []
-    for m in range(1, precision + 1):
-        need = 1 << m
-        mask = need - 1
-        x = 0
-        # the first return to 0 must come at step 2^m, the last one walked
-        for step in range(1, need + 1):
-            x = values[x] & mask
-            if not x:
-                break
-        out.append(not x and step == need)
-    return LevelVerdicts(tuple(out))
+    return LevelVerdicts(tuple(_single_cycle(values, m) for m in range(1, precision + 1)))
 
 
 def is_transitive_mod(t):
-    """Level m true iff iterating from 0 mod T^m visits all 2^m residues."""
-    return single_cycle_levels(t.table, t.precision)
+    """Level m true iff iterating from 0 mod T^m visits all 2^m residues.
+
+    One walk from 0 under f, at most 2^k steps, notes the first step with x == 0 mod T^m for each m.  At a
+    compatible level m (level k is one) the level-m walk is this walk mod T^m, by induction on the step, so
+    the level holds iff that step is 2^m.  Other levels walk their own.
+    """
+    values, k = t.table, t.precision
+    # first[m - 1]: the first step with x == 0 mod T^m; hit[x]: x == 0 mod T^(n + 1), n = len(first)
+    first, hit, x = [], [True, False] * (1 << (k - 1)), 0
+    for step in range(1, (1 << k) + 1):
+        x = values[x]
+        if hit[x]:
+            if not x:
+                break
+            while not x & ((2 << len(first)) - 1):
+                first.append(step)
+                hit[1 << len(first)::2 << len(first)] = [False] * (1 << (k - 1 - len(first)))
+    # after an exact return to 0, a return at every level left, the walk repeats
+    first += [0 if x else step] * (k - len(first))
+    return LevelVerdicts(tuple(first[m - 1] == 1 << m if ok else _single_cycle(values, m)
+                               for m, ok in enumerate(is_compatible(t).levels, start=1)))
 
 
 def parity_lift(t, n):
@@ -250,7 +271,7 @@ def parity_lift(t, n):
         raise ValueError("precondition: n must be at least 1")
     if t.precision < n + 1:
         raise ValueError("precondition: need precision at least n+1")
-    if not single_cycle_levels(t.table, n).level(n):
+    if not _single_cycle(t.table, n):
         raise ValueError("precondition: not transitive mod T^%d" % n)
     w, width = t.packed
     # bit n of the first 2^n slots, counted at once

@@ -259,6 +259,13 @@ class Record:
             object.__setattr__(self, name, v)
         self._check()
 
+    @classmethod
+    def _trusted(cls, *values, **attrs):
+        """A record whose fields a kernel has already checked, with derived attributes such as `packed`; no `_check`."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values), **attrs)
+        return self
+
     def _check(self):
         """Validate the fields; a check may normalise one through object.__setattr__."""
 

@@ -101,7 +101,7 @@ RINGS = {
 }
 
 
-def _sweep(packed, k, ring, synthesize):
+def _sweep(r, ring, synthesize):
     """The transform pair on a record's packed 2^k values: B_m = f(m) - f(m - 2^{deg m}), or back.
 
     Synthesis is f(m) = B_m + f(m - 2^{deg m}).  Value m sits in slot m of
@@ -110,9 +110,10 @@ def _sweep(packed, k, ring, synthesize):
     2^d) meets the 2^d slots below it shifted up by 2^d slots.  Expanding,
     those come from the source table, so every band is done in one
     difference; synthesizing, from the output built so far, one band at a
-    time from d = 1 up.  The result is reduced mod pi^k.
+    time from d = 1 up.  The result is reduced mod pi^k, so its int is
+    pack's form of the values and the record built on it skips its check.
     """
-    w, width = packed
+    (w, width), k = r.packed, r.precision
     n = 1 << k
     full = tile(n - 1, n, width)
     if synthesize:
@@ -126,13 +127,12 @@ def _sweep(packed, k, ring, synthesize):
             s |= (w & ((1 << cut) - 1)) << cut
         # 2^k in every slot: no Z2 difference borrows from the slot above
         w = ring.sub(w | tile(n, n, width), s) & full
-    return unpack(w, n, width)
+    return (ring.table if synthesize else ring.vdp)._trusted(k, unpack(w, n, width), packed=(w, width))
 
 
 def to_vdp(t):
     """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
-    ring = RINGS[t.ring]
-    return ring.vdp(t.precision, _sweep(t.packed, t.precision, ring, synthesize=False))
+    return _sweep(t, RINGS[t.ring], synthesize=False)
 
 
 def from_vdp(c, x):
@@ -153,8 +153,7 @@ def from_vdp(c, x):
 
 def vdp_table(c):
     """Synthesize the full table of the expansion at its own precision: the sweep of to_vdp inverted."""
-    ring = RINGS[c.ring]
-    return ring.table(c.precision, _sweep(c.packed, c.precision, ring, synthesize=True))
+    return _sweep(c, RINGS[c.ring], synthesize=True)
 
 
 def restrict(c, prec):

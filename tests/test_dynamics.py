@@ -1,6 +1,7 @@
 """Table oracles: compatibility, bijectivity, transitivity, parity lift, orbits, and the point rule of every evaluator."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from tadic.dynamics import (
     single_cycle_levels,
     trajectory,
 )
+from tadic.gf2ps import clmul_trunc
 from tadic.vanderput import Z2VdpCoefficients, from_vdp, to_vdp
 from tadic.z2compare import MahlerCoefficients, mahler_eval
 
@@ -201,20 +203,57 @@ def test_bijectivity_and_transitivity_equal_the_entry_oracles_on_every_small_tab
         _agree_with_the_entry_oracles(t)
 
 
+def _families(rng, k, ring):
+    """Named value lists at precision k for both branches of each oracle.
+
+    The one walk and the one set decide the compatible levels, and every
+    other level is checked on its own, so the families mix compatible maps
+    (transitive, with a short cycle through 0, onto or not) with maps that
+    are compatible only from some level m up, or nowhere.
+    """
+    n, mask = 1 << k, (1 << k) - 1
+    mul = (lambda a, x: clmul_trunc(a, x, k)) if ring == "F2T" else (lambda a, x: a * x & mask)
+    add = operator.xor if ring == "F2T" else (lambda x, y: (x + y) & mask)
+    cycle = list(gen_cycle(random_data(rng.getrandbits(32), k - 1))[1].table)
+    flipped, swapped = list(cycle), list(cycle)
+    flipped[rng.randrange(n)] ^= 1 << rng.randrange(k)
+    a, b = rng.sample(range(n), 2)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    # only the low m bits move, by a map of the 2^m residues: compatible at m and above
+    m = rng.randrange(2, k)
+    low = rng.sample(range(1 << m), 1 << m), [rng.randrange(1 << m) for _ in range(1 << m)]
+    # a single cycle of the low j bits, the high bits fixed: the cycle through 0 has length 2^j at every level >= j
+    j = rng.randrange(1, k)
+    short = gen_cycle(random_data(rng.getrandbits(32), j - 1))[1].table
+    return {
+        "cycle": cycle,
+        "flipped bit": flipped,
+        "swapped entries": swapped,
+        "random map": [rng.randrange(n) for _ in range(n)],
+        "random permutation": rng.sample(range(n), n),
+        "5x + 3": [add(mul(5, x), 3) for x in range(n)],
+        "3x": [mul(3, x) for x in range(n)],
+        "2x": [mul(2, x) for x in range(n)],
+        "x mod T^(k-1)": [x & (mask >> 1) for x in range(n)],
+        "compatible from m, onto": [x >> m << m | low[0][x & ((1 << m) - 1)] for x in range(n)],
+        "compatible from m, into": [x >> m << m | low[1][x & ((1 << m) - 1)] for x in range(n)],
+        "short cycle through 0": [x >> j << j | short[x & ((1 << j) - 1)] for x in range(n)],
+    }
+
+
 def test_bijectivity_and_transitivity_equal_the_entry_oracles_on_samples():
-    rng = random.Random(15)
-    for k in range(3, 13):
-        n = 1 << k
-        perms = [FunctionTable(k, rng.sample(range(n), n)) for _ in range(4)]
-        # a generated single cycle with two entries swapped: a permutation transitive up to some level
-        _, cycle = gen_cycle(random_data(rng.getrandbits(32), k - 1))
-        values = list(cycle.table)
-        i, j = rng.sample(range(n), 2)
-        values[i], values[j] = values[j], values[i]
-        maps = [random_table(rng, k) for _ in range(4)]
-        assert all(is_compatible(t).overall is False for t in perms + maps)
-        for t in perms + maps + [cycle, Z2FunctionTable(k, values)]:
-            _agree_with_the_entry_oracles(t)
+    rng = random.Random(16)
+    # (compatible, verdict) pairs per oracle: both branches must answer both ways
+    seen = {"bijective": set(), "transitive": set()}
+    for cls in (FunctionTable, Z2FunctionTable):
+        for k in range(3, 13):
+            for values in _families(rng, k, cls.ring).values():
+                t = cls(k, values)
+                _agree_with_the_entry_oracles(t)
+                comp = is_compatible(t).levels
+                seen["bijective"] |= set(zip(comp, is_bijective_mod(t).levels))
+                seen["transitive"] |= set(zip(comp, is_transitive_mod(t).levels))
+    assert seen == {key: {(True, True), (True, False), (False, True), (False, False)} for key in seen}
 
 
 def test_single_cycle_levels_accepts_raw_value_lists():

@@ -3,7 +3,9 @@
 `packed` is pack of the values in slots of k + 1 bits.  It is not a
 field, so equality, hashing, pickling, copying and repr see only the
 values, and the residue rule's error is the same whichever way a value
-breaks it.
+breaks it.  The kernels (`to_vdp`, `vdp_table`, `carlitz_table` and
+`to_carlitz`) build their records through the private constructor that
+skips the check, and those records equal the public constructor's.
 """
 
 import copy
@@ -12,8 +14,16 @@ import random
 
 import pytest
 
-from helpers import random_lipschitz_vdp, random_mahler, random_z2_compatible, reference_coefficients
-from tadic.carlitz import carlitz_table
+from helpers import (
+    butterfly_by_products,
+    dense_lipschitz_carlitz,
+    random_lipschitz_vdp,
+    random_mahler,
+    random_table,
+    random_z2_compatible,
+    reference_coefficients,
+)
+from tadic.carlitz import CarlitzCoefficients, carlitz_table, to_carlitz
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable, Z2FunctionTable
 from tadic.gf2ps import pack
@@ -74,3 +84,39 @@ def test_every_way_out_of_range_is_the_residue_rules_error(cls, k):
             broken = values[:at] + [bad] + values[at + 1:]
             with pytest.raises(ValueError, match="out of range for precision %d" % k):
                 cls(k, broken)
+
+
+def _kernel_records():
+    """Every record a kernel builds without the check, at precisions across the slot widths, in both rings."""
+    rng = random.Random(16)
+    out = []
+    for k in (1, 2, 4, 7, 8, 9):
+        t, z2 = random_table(rng, k), random_z2_compatible(rng, k)
+        out += [to_vdp(t), to_vdp(z2), vdp_table(random_lipschitz_vdp(rng, k)), vdp_table(to_vdp(z2))]
+        out += [carlitz_table(dense_lipschitz_carlitz(rng, k)), carlitz_table(CarlitzCoefficients(k, {}))]
+    return out
+
+
+def test_kernel_records_equal_the_public_constructors_records():
+    records = _kernel_records()
+    assert {type(r) for r in records} == set(TYPES)
+    for r in records:
+        public = type(r)(r.precision, list(_values(r)))
+        assert r._values() == public._values() and type(_values(r)) is tuple
+        assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
+        assert pickle.loads(pickle.dumps(r)) == public and pickle.dumps(r) == pickle.dumps(public)
+        assert r.packed == public.packed == pack(_values(r), r.precision + 1)
+        assert type(r)._trusted(r.precision, _values(r), packed=r.packed) == public
+
+
+def test_to_carlitz_equals_the_public_constructors_set():
+    # the butterfly's output keeps its zero values; the record, like the public check, drops them
+    rng = random.Random(17)
+    for k in (1, 2, 4, 7, 8, 9):
+        zero = FunctionTable(k, (0,) * (1 << k))
+        for t in (random_table(rng, k), carlitz_table(dense_lipschitz_carlitz(rng, k)), zero):
+            values = butterfly_by_products(t.table, k, synthesize=False)
+            c, public = to_carlitz(t), CarlitzCoefficients(k, dict(enumerate(values)))
+            assert c == public and pickle.loads(pickle.dumps(c)) == public and repr(c) == repr(public)
+            assert c.a == {n: v for n, v in enumerate(values) if v} and c.json_dict() == public.json_dict()
+        assert to_carlitz(zero).a == {}
