@@ -4,81 +4,41 @@ Bit-packed power series arithmetic, Van der Put and Carlitz basis
 expansions with verified measure-preservation and single-cycle criteria,
 a constructive generator of transitive maps, keystream orbits, and the
 2-adic reference theory for comparison.  Each job has one fast path; the
-exact Carlitz polynomials, F2[T] division and ball indicators that check
-those paths are oracles in the test suite, not part of the library.
+exact Carlitz polynomials, F2[T] division, unit inversion and ball
+indicators that check those paths are oracles in the test suite, not part
+of the library.
+
+`import tadic` loads no submodule: each name of `__all__` is read from
+its submodule the first time it is asked for (PEP 562), so a
+`python -m tadic` run loads only the modules its command uses.
 """
 
-from .carlitz import (
-    CarlitzCoefficients,
-    carlitz_table,
-    check_ergodic_carlitz,
-    check_lipschitz_carlitz,
-    from_carlitz,
-    to_carlitz,
-)
-from .cyclegen import CycleData, gen_cycle, random_data
-from .dynamics import (
-    FunctionTable,
-    LevelVerdicts,
-    is_bijective_mod,
-    is_compatible,
-    is_transitive_mod,
-    orbit,
-    parity_lift,
-)
-from .gf2ps import clmul, clmul_trunc, degree, invert_unit, order, trunc
-from .vanderput import (
-    VdpCoefficients,
-    check_ergodic_vdp,
-    check_lipschitz_vdp,
-    check_mp_vdp,
-    from_vdp,
-    to_vdp,
-    vdp_table,
-)
-from .z2compare import (
-    MahlerCoefficients,
-    Z2FunctionTable,
-    Z2VdpCoefficients,
-    check_ergodic_mahler_z2,
-    mahler_eval,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CarlitzCoefficients",
-    "CycleData",
-    "FunctionTable",
-    "LevelVerdicts",
-    "MahlerCoefficients",
-    "VdpCoefficients",
-    "Z2FunctionTable",
-    "Z2VdpCoefficients",
-    "carlitz_table",
-    "check_ergodic_carlitz",
-    "check_ergodic_mahler_z2",
-    "check_ergodic_vdp",
-    "check_lipschitz_carlitz",
-    "check_lipschitz_vdp",
-    "check_mp_vdp",
-    "clmul",
-    "clmul_trunc",
-    "degree",
-    "from_carlitz",
-    "from_vdp",
-    "gen_cycle",
-    "invert_unit",
-    "is_bijective_mod",
-    "is_compatible",
-    "is_transitive_mod",
-    "mahler_eval",
-    "orbit",
-    "order",
-    "parity_lift",
-    "random_data",
-    "to_carlitz",
-    "to_vdp",
-    "trunc",
-    "vdp_table",
-]
+# the public names of each submodule
+_EXPORTS = {
+    "carlitz": "CarlitzCoefficients carlitz_table check_ergodic_carlitz check_lipschitz_carlitz from_carlitz to_carlitz",
+    "cyclegen": "CycleData gen_cycle random_data",
+    "dynamics": "FunctionTable LevelVerdicts Z2FunctionTable is_bijective_mod is_compatible is_transitive_mod orbit "
+                "parity_lift",
+    "gf2ps": "clmul clmul_trunc order trunc",
+    "vanderput": "VdpCoefficients Z2VdpCoefficients check_ergodic_vdp check_lipschitz_vdp check_mp_vdp from_vdp to_vdp "
+                 "vdp_table",
+    "z2compare": "MahlerCoefficients check_ergodic_mahler_z2 mahler_eval",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,8 +10,6 @@ butterfly over the canonical points, run on all 2^k values packed into
 one int: O(k^3) whole-table big-int operations on slots of O(k) bits.
 """
 
-from __future__ import annotations
-
 import functools
 from itertools import compress
 

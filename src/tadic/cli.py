@@ -2,26 +2,27 @@
 
 Exit codes: 0 the property holds (or the product was emitted), 1 the
 property fails, 2 usage or data errors.  Reports are JSON on stdout;
-keystream emits plain hex lines.  All verdicts come straight from the
-library calls, the front end adds no logic of its own: every command looks
-its coefficient format up in one table keyed by (ring, basis), which holds
-the reader, expansion, evaluator, synthesiser, restrictor and the
-criterion behind each --check.  Each format's reader owns its document
+keystream emits plain hex lines, one write per block of the orbit.  All
+verdicts come straight from the library calls, the front end adds no logic
+of its own: every command looks its coefficient format up in one table
+keyed by (ring, basis), which holds the reader, expansion, evaluator,
+synthesiser, restrictor and the criterion behind each --check, read off
+the format's module on first use, so a run imports only the modules its
+command uses.  Each format's reader owns its document
 rules (header, body shape, index keys and precision cap); the front end
 only reads the JSON text, refusing repeated keys, and checks the table
 budget where it builds a table itself (keystream and convert from a sparse
 file, gen-cycle --n).
 """
 
-from __future__ import annotations
-
 import argparse
+import importlib
 import itertools
 import json
 import os
 import sys
 
-from . import carlitz, cyclegen, dynamics, vanderput, z2compare
+from . import dynamics
 from .gf2ps import Record, check_residues, parse_hex, to_hex
 
 __all__ = ["main", "run"]
@@ -29,6 +30,8 @@ __all__ = ["main", "run"]
 _RING = {"f2t": "F2T", "z2": "Z2"}
 _BASIS = {"vdp": "vanderput", "carlitz": "carlitz", "mahler": "mahler"}
 _FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
+# keystream lines per write
+_BLOCK = 4096
 
 
 class _CliError(Exception):
@@ -111,60 +114,54 @@ def _read_json(path):
     return obj
 
 
-def _flag(check):
-    """A criterion that returns a bare bool."""
-    return lambda c: (check(c), {})
-
-
-def _levels(check):
-    """A per-level criterion: it holds unless some level is False (check_mp_vdp decides them all)."""
-
-    def run(c):
-        levels = check(c)
-        return levels.overall is not False, {"levels": levels.json_dict()}
-
-    return run
-
-
 class _Kind(Record):
     """What the front end does with one (ring, basis) coefficient format.
 
     Fields: the coefficient type; expand, table -> coefficients (None when
     the basis has no expansion); evaluate, (coefficients, x) -> value;
     synthesize, coefficients -> table; restrict, (coefficients, precision)
-    -> coefficients; checks, --check name -> coefficients -> (verdict,
-    extra report fields).
+    -> coefficients; checks, --check name -> criterion, which returns a bool
+    or per-level verdicts.
     """
 
     _fields = ("coeffs", "expand", "evaluate", "synthesize", "restrict", "checks")
 
 
-_VDP_CHECKS = {
-    "lipschitz": _flag(vanderput.check_lipschitz_vdp),
-    "mp": _levels(vanderput.check_mp_vdp),
-    "ergodic": _levels(vanderput.check_ergodic_vdp),
-}
+# Each row names the module of its format and builds the _Kind from it, the
+# first time a command uses the row.
 _KINDS = {
     # one van der Put row per ring: the rows differ only in the coefficient type
-    **{(r.name, "vanderput"): _Kind(r.vdp, vanderput.to_vdp, vanderput.from_vdp, vanderput.vdp_table,
-                                    vanderput.restrict, _VDP_CHECKS) for r in vanderput.RINGS.values()},
-    ("F2T", "carlitz"): _Kind(
-        carlitz.CarlitzCoefficients, carlitz.to_carlitz, carlitz.from_carlitz, carlitz.carlitz_table, carlitz.restrict,
-        {"lipschitz": _flag(carlitz.check_lipschitz_carlitz), "ergodic": _levels(carlitz.check_ergodic_carlitz)},
-    ),
-    ("Z2", "mahler"): _Kind(
-        z2compare.MahlerCoefficients, None, z2compare.mahler_eval, z2compare.mahler_table, dynamics.restrict_sparse,
-        {"ergodic": _flag(z2compare.check_ergodic_mahler_z2)},
-    ),
+    **{(ring, "vanderput"): ("vanderput", lambda m, ring=ring: _Kind(
+        m.RINGS[ring].vdp, m.to_vdp, m.from_vdp, m.vdp_table, m.restrict,
+        {"lipschitz": m.check_lipschitz_vdp, "mp": m.check_mp_vdp, "ergodic": m.check_ergodic_vdp},
+    )) for ring in _RING.values()},
+    ("F2T", "carlitz"): ("carlitz", lambda m: _Kind(
+        m.CarlitzCoefficients, m.to_carlitz, m.from_carlitz, m.carlitz_table, m.restrict,
+        {"lipschitz": m.check_lipschitz_carlitz, "ergodic": m.check_ergodic_carlitz},
+    )),
+    ("Z2", "mahler"): ("z2compare", lambda m: _Kind(
+        m.MahlerCoefficients, None, m.mahler_eval, m.mahler_table, dynamics.restrict_sparse,
+        {"ergodic": m.check_ergodic_mahler_z2},
+    )),
 }
+_TABLES = {t.ring: t for t in (dynamics.FunctionTable, dynamics.Z2FunctionTable)}
+
+
+def _kind(key):
+    """The _Kind of a (ring, basis) format, importing its module on first use."""
+    row = _KINDS[key]
+    if not isinstance(row, _Kind):
+        module, build = row
+        row = _KINDS[key] = build(importlib.import_module("." + module, __package__))
+    return row
 
 
 def _load_table(path):
     obj = _read_json(path)
-    ring = vanderput.RINGS.get(obj.get("ring"))
-    if ring is None:
+    table = _TABLES.get(obj.get("ring"))
+    if table is None:
         raise _CliError("unsupported ring %r in %s" % (obj.get("ring"), path))
-    return ring.table.from_json_dict(obj)
+    return table.from_json_dict(obj)
 
 
 def _load_coeffs(path, prec=None):
@@ -173,8 +170,8 @@ def _load_coeffs(path, prec=None):
     kind = (obj.get("ring"), obj.get("basis"))
     if kind not in _KINDS:
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
-    c = _KINDS[kind].coeffs.from_json_dict(obj)
-    return kind, c if prec is None else _KINDS[kind].restrict(c, prec)
+    c = _kind(kind).coeffs.from_json_dict(obj)
+    return kind, c if prec is None else _kind(kind).restrict(c, prec)
 
 
 def _check_budget(k):
@@ -185,7 +182,7 @@ def _check_budget(k):
 
 def _synthesize(kind, c):
     _check_budget(c.precision)
-    return _KINDS[kind].synthesize(c)
+    return _kind(kind).synthesize(c)
 
 
 def _emit(args, report):
@@ -219,10 +216,13 @@ def _cmd_verify(args):
     want = (_RING[args.ring], _BASIS[args.basis])
     if kind != want:
         raise _CliError("coefficient file is %s/%s but flags say %s/%s" % (kind + want))
-    check = _KINDS[kind].checks.get(args.check)
+    check = _kind(kind).checks.get(args.check)
     if check is None:
         raise _CliError("unsupported combination: --ring %s --basis %s --check %s" % (args.ring, args.basis, args.check))
-    verdict, extra = check(c)
+    result = check(c)
+    # a per-level criterion holds unless some level is False (check_mp_vdp decides them all)
+    per_level = isinstance(result, dynamics.LevelVerdicts)
+    verdict = result.overall is not False if per_level else result
     report = {
         "command": "verify",
         "ring": args.ring,
@@ -231,24 +231,25 @@ def _cmd_verify(args):
         "precision": c.precision,
         "verdict": verdict,
     }
-    report.update(extra)
+    if per_level:
+        report["levels"] = result.json_dict()
     _emit(args, report)
     return 0 if verdict else 1
 
 
 def _cmd_expand(args):
     t = _load_table(args.table)
-    kind = _KINDS.get((t.ring, _BASIS[args.basis]))
-    if kind is None or kind.expand is None:
+    key = (t.ring, _BASIS[args.basis])
+    if key not in _KINDS or _kind(key).expand is None:
         raise _CliError("%s expansion needs an F2T table" % args.basis)
-    _emit(args, kind.expand(t).json_dict())
+    _emit(args, _kind(key).expand(t).json_dict())
     return 0
 
 
 def _cmd_eval(args):
     kind, c = _load_coeffs(args.coeffs, args.prec)
     x = parse_hex(args.x)
-    value = _KINDS[kind].evaluate(c, x)
+    value = _kind(kind).evaluate(c, x)
     _emit(args, {
         "command": "eval",
         "ring": _FLAG_OF[kind[0]],
@@ -266,12 +267,14 @@ def _cmd_convert(args):
     kind, c = _load_coeffs(args.coeffs)
     if kind != ("F2T", _BASIS[args.from_basis]):
         raise _CliError("coefficient file is %s/%s but --from says %s" % (kind + (args.from_basis,)))
-    out = _KINDS[("F2T", _BASIS[args.to_basis])].expand(_synthesize(kind, c))
+    out = _kind(("F2T", _BASIS[args.to_basis])).expand(_synthesize(kind, c))
     _emit(args, out.json_dict())
     return 0
 
 
 def _cmd_gen_cycle(args):
+    from . import cyclegen
+
     if args.data:
         d = cyclegen.CycleData.from_json_dict(_read_json(args.data))
         if args.n is not None and args.n != d.n:
@@ -297,10 +300,12 @@ def _cmd_keystream(args):
         raise _CliError("--steps must be positive")
     if args.bit is not None and not 0 <= args.bit < k:
         raise _CliError("--bit must be between 0 and %d" % (k - 1))
-    # print as the orbit is walked, so memory does not grow with --steps
-    for x in itertools.islice(dynamics.trajectory(_synthesize(kind, c), x0), args.steps):
+    line = to_hex if args.bit is None else lambda x: "%d" % ((x >> args.bit) & 1)
+    orbit = itertools.islice(dynamics.trajectory(_synthesize(kind, c), x0), args.steps)
+    # one write per block of the orbit: memory is bounded by the block, whatever --steps is
+    for block in iter(lambda: list(itertools.islice(orbit, _BLOCK)), []):
         if not args.quiet:
-            print("%d" % ((x >> args.bit) & 1) if args.bit is not None else to_hex(x))
+            sys.stdout.write("\n".join(map(line, block)) + "\n")
     return 0
 
 

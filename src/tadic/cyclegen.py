@@ -8,8 +8,6 @@ recurrence runs on the whole sequence packed into one int, a few big-int
 operations per level.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 

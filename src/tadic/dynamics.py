@@ -14,8 +14,6 @@ compatible level, other levels checked alone; the parity criterion that
 decides whether a single cycle lifts one level; and orbit iteration.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .gf2ps import (

@@ -17,8 +17,6 @@ a table at its degree bands, `tile` builds a per-slot mask and `fold`
 combines the slots of one band.
 """
 
-from __future__ import annotations
-
 import math
 import re
 import struct
@@ -29,9 +27,7 @@ __all__ = [
     "clmul",
     "clmul_trunc",
     "coeffs_document",
-    "degree",
     "fold",
-    "invert_unit",
     "order",
     "pack",
     "pack_residues",
@@ -46,11 +42,6 @@ __all__ = [
     "trunc",
     "unpack",
 ]
-
-
-def degree(a):
-    """Degree in T of an exact polynomial; -inf for the zero polynomial."""
-    return a.bit_length() - 1 if a else -math.inf
 
 
 def order(a):
@@ -78,23 +69,6 @@ def clmul_trunc(a, b, k):
     """Carry-less product reduced mod T^k; depends only on inputs mod T^k."""
     m = (1 << k) - 1
     return clmul(a & m, b & m) & m
-
-
-def invert_unit(a, prec):
-    """Inverse of a unit mod T^prec; a must have constant coefficient 1.
-
-    Newton iteration in characteristic 2: the error term squares each step.
-    """
-    if not a & 1:
-        raise ValueError("not a unit")
-    x = 1
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        m = (1 << k) - 1
-        e = (clmul(a & m, x) & m) ^ 1
-        x ^= clmul(x, e) & m
-    return x
 
 
 # struct codes of a little-endian slot of 1, 2, 4 or 8 bytes

@@ -11,8 +11,6 @@ decide 1-Lipschitz continuity, measure preservation, and ergodicity per
 level from the scaled coefficients b_alpha.
 """
 
-from __future__ import annotations
-
 import operator
 
 from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask

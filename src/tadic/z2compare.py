@@ -16,8 +16,6 @@ sums, O(2^k (L + 1)) additions of small ints for the indices up to L,
 and one O(2^k) column of products for each stored index above L.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate, repeat
 from operator import add, and_, lshift, mul, sub
 

@@ -2,9 +2,10 @@
 
 The exact algebra lives here, not in the library: the Carlitz constants
 [i], L_i, D_i and factorial Pi(n), the polynomials e_d, E_i, G_n, G'_n
-and H_n over F2[T], Lucas binomials mod 2, F2[T] long division, the
-T-adic absolute value, the van der Put ball indicator chi and scaled
-coefficient b_alpha, and Mahler sums of exact integer binomials.  They
+and H_n over F2[T], Lucas binomials mod 2, F2[T] long division, degree
+and Newton unit inversion, the T-adic absolute value, the van der Put
+ball indicator chi and scaled coefficient b_alpha, and Mahler sums of
+exact integer binomials.  They
 are the slow references that the library's truncated transforms and
 criteria are checked against, together with the definitions that the library's
 one-pass kernels replace: the Carlitz butterfly with one product per pair of
@@ -60,6 +61,28 @@ def exact_div(a, b):
     if r:
         raise ValueError("inexact division")
     return q
+
+
+def degree(a):
+    """Degree in T of an exact polynomial; -inf for the zero polynomial."""
+    return a.bit_length() - 1 if a else -math.inf
+
+
+def invert_unit(a, prec):
+    """Inverse of a unit mod T^prec; a must have constant coefficient 1.
+
+    Newton iteration in characteristic 2: the error term squares each step.
+    """
+    if not a & 1:
+        raise ValueError("not a unit")
+    x = 1
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        m = (1 << k) - 1
+        e = (clmul(a & m, x) & m) ^ 1
+        x ^= clmul(x, e) & m
+    return x
 
 
 def ord_abs(a):

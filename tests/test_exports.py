@@ -1,6 +1,8 @@
-"""Public surface: every name a module exports resolves, the Z2 aliases stay in z2compare, and importing the CLI stays light."""
+"""Public surface: every name a module exports resolves, the Z2 aliases stay in z2compare, and each CLI run loads only
+the modules its command uses."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -9,6 +11,10 @@ import sys
 import pytest
 
 import tadic
+from helpers import reference_coefficients
+from tadic.cyclegen import gen_cycle, random_data
+from tadic.vanderput import to_vdp
+from tadic.z2compare import MahlerCoefficients, Z2FunctionTable
 
 MODULES = ["tadic", "tadic.gf2ps", "tadic.dynamics", "tadic.vanderput", "tadic.carlitz",
            "tadic.cyclegen", "tadic.z2compare", "tadic.cli"]
@@ -22,15 +28,106 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+PUBLIC = [
+    "CarlitzCoefficients", "CycleData", "FunctionTable", "LevelVerdicts", "MahlerCoefficients", "VdpCoefficients",
+    "Z2FunctionTable", "Z2VdpCoefficients", "carlitz_table", "check_ergodic_carlitz", "check_ergodic_mahler_z2",
+    "check_ergodic_vdp", "check_lipschitz_carlitz", "check_lipschitz_vdp", "check_mp_vdp", "clmul", "clmul_trunc",
+    "from_carlitz", "from_vdp", "gen_cycle", "is_bijective_mod", "is_compatible", "is_transitive_mod", "mahler_eval",
+    "orbit", "order", "parity_lift", "random_data", "to_carlitz", "to_vdp", "trunc", "vdp_table",
+]
+
+
+def test_package_exports_resolve_lazily_to_their_modules():
+    assert tadic.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(tadic))
+    for name in PUBLIC:
+        # __getattr__ itself, whether or not an earlier lookup has cached the name
+        value = tadic.__getattr__(name)
+        assert getattr(tadic, name) is value
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError):
+        tadic.__getattr__("invert_unit")
+
+
+def _python(*argv):
+    """Run the interpreter on the tier-1 path: this checkout's sources first."""
+    src = os.path.dirname(os.path.dirname(tadic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    got = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    return got.stdout
+
+
 def test_cli_import_leaves_out_heavy_stdlib_modules():
     # `python -m tadic` pays for every module that importing the CLI loads;
     # the value types need neither dataclasses (which loads inspect) nor fractions
-    src = os.path.dirname(os.path.dirname(tadic.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys; import tadic.cli; print(' '.join(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules))))"
-    got = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert got.returncode == 0, got.stderr
-    assert got.stdout.split() == []
+    assert _python("-c", probe).split() == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = "import sys, tadic; print(' '.join(sorted(m for m in sys.modules if m.startswith('tadic.') or m == '__future__')))"
+    assert _python("-c", probe).split() == []
+
+
+# `python -m tadic ARGS` in one process, then the exit code and the tadic modules it left loaded, as JSON on stdout
+_FOOTPRINT = """
+import json, os, runpy, sys
+sys.argv, code = ["tadic", *sys.argv[1:]], None
+sys.stdout = open(os.devnull, "w")
+try:
+    runpy.run_module("tadic", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stdout = sys.__stdout__
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tadic"))]))
+"""
+_BASE = {"tadic", "tadic.cli", "tadic.gf2ps", "tadic.dynamics"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("footprint")
+    _, t = gen_cycle(random_data(3, 3))
+    z2 = Z2FunctionTable(4, tuple((5 * x + 3) & 15 for x in range(16)))
+    docs = {
+        "table": t.json_dict(),
+        "vdp": to_vdp(t).json_dict(),
+        "z2vdp": to_vdp(z2).json_dict(),
+        "carlitz": reference_coefficients(4).json_dict(),
+        "mahler": MahlerCoefficients(4, {0: 1, 1: 1}).json_dict(),
+    }
+    for name, doc in docs.items():
+        (tmp / (name + ".json")).write_text(json.dumps(doc))
+    return tmp
+
+
+# every command form of the cli-batch benchmark job, and the runs that stop at argparse: (argv, exit, modules past _BASE)
+FOOTPRINTS = [
+    ("gen-cycle --n 3 --seed 7", 0, {"cyclegen"}),
+    ("verify --exhaustive --table {table}", 0, set()),
+    ("expand --basis vdp --table {table}", 0, {"vanderput"}),
+    ("verify --ring f2t --basis vdp --check ergodic --coeffs {vdp}", 0, {"vanderput"}),
+    ("verify --ring z2 --basis vdp --check ergodic --coeffs {z2vdp}", 0, {"vanderput"}),
+    ("verify --ring f2t --basis carlitz --check ergodic --coeffs {carlitz}", 0, {"carlitz"}),
+    ("verify --ring z2 --basis mahler --check ergodic --coeffs {mahler}", 0, {"z2compare", "vanderput"}),
+    ("convert --from carlitz --to vdp --coeffs {carlitz}", 0, {"carlitz", "vanderput"}),
+    ("eval --coeffs {carlitz} --x 0x5", 0, {"carlitz"}),
+    ("eval --coeffs {vdp} --x 0x5", 0, {"vanderput"}),
+    ("keystream --coeffs {vdp} --x0 0x0 --steps 16", 0, {"vanderput"}),
+    ("--help", 0, set()),
+    ("verify --help", 0, set()),
+    ("eval --x 0x1", 2, set()),
+    ("frobnicate", 2, set()),
+]
+
+
+@pytest.mark.parametrize("argv, code, extra", FOOTPRINTS, ids=[f[0] for f in FOOTPRINTS])
+def test_each_cli_run_loads_only_the_modules_its_command_uses(cli_files, argv, code, extra):
+    args = argv.format(**{p.stem: str(p) for p in cli_files.iterdir()}).split()
+    got_code, modules = json.loads(_python("-c", _FOOTPRINT, *args))
+    assert got_code == code
+    assert set(modules) == _BASE | {"tadic." + m for m in extra}
 
 
 # the Z2 names of generic jobs; the ring travels with the argument, so only z2compare binds them

@@ -1,6 +1,8 @@
 """Front end: flag handling, file formats, verdict plumbing, exit codes."""
 
+import itertools
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -22,9 +24,9 @@ from helpers import (
 from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, check_lipschitz_carlitz, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
-from tadic.dynamics import FunctionTable
+from tadic.dynamics import FunctionTable, trajectory
 from tadic.gf2ps import coeffs_document, read_coeffs_document
-from tadic.vanderput import VdpCoefficients, check_lipschitz_vdp, check_mp_vdp, to_vdp, vdp_table
+from tadic.vanderput import VdpCoefficients, check_lipschitz_vdp, check_mp_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, check_mp_z2, to_vdp_z2
 
 
@@ -295,6 +297,72 @@ def test_keystream_works_from_any_basis(files, capsys):
     assert capsys.readouterr().out.split() == ["0x0", "0x1", "0x2"]
 
 
+@pytest.fixture
+def cycle12(files):
+    """A single-cycle table at k = 12 and its van der Put file."""
+    _, t = gen_cycle(random_data(5, 11))
+    return t, _write(files["tmp"], "cycle12.json", to_vdp(t).json_dict())
+
+
+def _orbit_lines(t, x0, steps, bit=None):
+    """The keystream output of the orbit, one residue (or bit) per line, from dynamics.trajectory."""
+    out = []
+    for x in itertools.islice(trajectory(t, x0), steps):
+        out.append("%d\n" % ((x >> bit) & 1) if bit is not None else hex(x) + "\n")
+    return "".join(out)
+
+
+# one block less one, one block, one block and one line, and several blocks past the period
+@pytest.mark.parametrize("steps", [1, 4095, 4096, 4097, 10000])
+def test_keystream_writes_the_orbit_in_blocks_byte_for_byte(cycle12, capsys, steps):
+    t, path = cycle12
+    assert run(["keystream", "--coeffs", path, "--x0", "0x5a3", "--steps", str(steps)]) == 0
+    assert capsys.readouterr() == (_orbit_lines(t, 0x5A3, steps), "")
+
+
+@pytest.mark.parametrize("bit", [0, 7, 11])
+def test_keystream_blocks_of_one_bit_match_the_orbit(cycle12, capsys, bit):
+    t, path = cycle12
+    assert run(["keystream", "--coeffs", path, "--x0", "0x0", "--steps", "4097", "--bit", str(bit)]) == 0
+    assert capsys.readouterr() == (_orbit_lines(t, 0, 4097, bit), "")
+
+
+def test_keystream_blocks_at_a_lower_precision(cycle12, capsys):
+    t, path = cycle12
+    low = vdp_table(restrict(to_vdp(t), 9))
+    assert run(["keystream", "--coeffs", path, "--x0", "0x1f", "--prec", "9", "--steps", "5000"]) == 0
+    assert capsys.readouterr() == (_orbit_lines(low, 0x1F, 5000), "")
+
+
+def test_keystream_quiet_walks_the_whole_orbit_and_writes_nothing(cycle12, capsys, monkeypatch):
+    walked = []
+
+    def counted(t, x0):
+        for x in trajectory(t, x0):
+            walked.append(x)
+            yield x
+
+    monkeypatch.setattr("tadic.dynamics.trajectory", counted)
+    assert run(["keystream", "--coeffs", cycle12[1], "--x0", "0x0", "--steps", "10000", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert len(walked) == 10000
+
+
+def test_keystream_memory_is_bounded_by_the_block(cycle12, capsys):
+    peaks = []
+    for steps in (1 << 13, 1 << 16):
+        tracemalloc.start()
+        try:
+            assert run(["keystream", "--coeffs", cycle12[1], "--x0", "0x0", "--steps", str(steps)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        peaks.append(peak)
+    # eight times the orbit, not eight times the memory
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 @pytest.mark.parametrize("value", NON_CANONICAL_HEX)
 def test_point_flags_refuse_non_canonical_hex(files, capsys, value):
     for argv in (["eval", "--x", value], ["keystream", "--x0", value, "--steps", "1"]):
@@ -427,13 +495,14 @@ def test_malformed_input_prints_no_traceback(files):
         assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1
 
 
-def test_a_reader_that_closes_the_pipe_early_gets_one_error_line(files):
-    # each output is far past a pipe's buffer, so the command is still writing when the reader leaves
-    _, t = gen_cycle(random_data(5, 11))
-    coeffs = _write(files["tmp"], "cycle12.json", to_vdp(t).json_dict())
-    for argv in (["gen-cycle", "--n", "12"], ["keystream", "--coeffs", coeffs, "--x0", "0x0", "--steps", "262144"]):
-        proc = subprocess.Popen([sys.executable, "-m", "tadic", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert len(proc.stdout.read(20)) == 20
+def test_a_reader_that_closes_the_pipe_early_gets_one_error_line(cycle12):
+    # each output is far past a pipe's buffer, so the command is still writing when the reader leaves after one
+    # line; unbuffered, each of keystream's blocks is one write
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    for argv in (["gen-cycle", "--n", "12"], ["keystream", "--coeffs", cycle12[1], "--x0", "0x0", "--steps", "262144"]):
+        proc = subprocess.Popen([sys.executable, "-m", "tadic", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        assert proc.stdout.readline() in (b"{\n", b"0x0\n")
         proc.stdout.close()
         err = proc.stderr.read().decode()
         proc.stderr.close()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NON_CANONICAL_HEX, exact_div, ord_abs, pdivmod
+from helpers import NON_CANONICAL_HEX, degree, exact_div, invert_unit, ord_abs, pdivmod
 from tadic.carlitz import CarlitzCoefficients
 from tadic.cyclegen import random_data
 from tadic.dynamics import FunctionTable, LevelVerdicts, Z2FunctionTable
@@ -19,9 +19,7 @@ from tadic.gf2ps import (
     check_residues,
     clmul,
     clmul_trunc,
-    degree,
     fold,
-    invert_unit,
     order,
     pack,
     pack_residues,
