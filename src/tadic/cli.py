@@ -158,9 +158,11 @@ def _kind(key):
 
 def _load_table(path):
     obj = _read_json(path)
-    table = _TABLES.get(obj.get("ring"))
+    ring = obj.get("ring")
+    # a tag must be a string before it is looked up: a list or an object is unhashable
+    table = _TABLES.get(ring) if isinstance(ring, str) else None
     if table is None:
-        raise _CliError("unsupported ring %r in %s" % (obj.get("ring"), path))
+        raise _CliError("unsupported ring %r in %s" % (ring, path))
     return table.from_json_dict(obj)
 
 
@@ -168,7 +170,7 @@ def _load_coeffs(path, prec=None):
     """The coefficient file and its (ring, basis) kind, truncated to precision `prec` when given (--prec)."""
     obj = _read_json(path)
     kind = (obj.get("ring"), obj.get("basis"))
-    if kind not in _KINDS:
+    if not all(isinstance(tag, str) for tag in kind) or kind not in _KINDS:
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
     c = _kind(kind).coeffs.from_json_dict(obj)
     return kind, c if prec is None else _kind(kind).restrict(c, prec)

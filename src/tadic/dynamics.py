@@ -8,12 +8,15 @@ The sparse coefficient type shared by the Carlitz and Mahler bases lives
 here too.  A table is checked and packed into one int once, when it is
 built: its `packed` attribute is pack's (int, slot width) in slots of
 k + 1 bits, read by every whole-table kernel.  The checks are exhaustive
-table oracles: compatibility in one O(2^k) pass; bijectivity from one set
-of the values and transitivity from one walk from 0, read at every
-compatible level, other levels checked alone; the parity criterion that
-decides whether a single cycle lifts one level; and orbit iteration.
+table oracles: compatibility in one O(2^k) pass; transitivity from one
+bare walk from 0 kept at steps 2^j (a first return divides any return
+time), read at every compatible level, other levels checked alone;
+bijectivity from that walk or one set of the values; the parity
+criterion that decides whether a single cycle lifts one level; and orbit
+iteration.  Each table computes its compatibility levels and walk once.
 """
 
+import functools
 import itertools
 
 from .gf2ps import (
@@ -40,7 +43,6 @@ __all__ = [
     "is_transitive_mod",
     "orbit",
     "parity_lift",
-    "single_cycle_levels",
     "trajectory",
 ]
 
@@ -101,7 +103,8 @@ class LevelVerdicts(Record):
 class FunctionTable(Record):
     """Transformation of F2[[T]]/T^k as a table: entry m is f(residue m).
 
-    `packed` is the table packed by pack_residues, not a field.
+    `packed` is the table packed by pack_residues, not a field; nor are
+    `_compatible` and `_checkpoints`, computed on first use by an oracle.
     """
 
     ring = "F2T"
@@ -114,6 +117,30 @@ class FunctionTable(Record):
         if len(self.table) != 1 << k:
             raise ValueError("table must have exactly 2^%d entries" % k)
         object.__setattr__(self, "packed", pack_residues(k, self.table, "table entry"))
+
+    @functools.cached_property
+    def _compatible(self):
+        """The levels of is_compatible, by one pass over the packed bands."""
+        w, width = self.packed
+        out, seen, slot = [True], 0, width << 3
+        for d, band, lower in split_bands(w, self.precision, width):
+            x, cut = band ^ lower, slot << d
+            while cut > slot:
+                cut >>= 1
+                x = x >> cut | x & ((1 << cut) - 1)
+            seen |= x
+            out.append(not seen & ((1 << d) - 1))
+        return tuple(reversed(out))
+
+    @functools.cached_property
+    def _checkpoints(self):
+        """f^(2^j)(0) for j = 0..k: one bare walk from 0 of 2^k steps, kept at the powers of two."""
+        values, x, out = self.table, 0, []
+        for n in (1, *(1 << j for j in range(self.precision))):
+            for _ in itertools.repeat(None, n):
+                x = values[x]
+            out.append(x)
+        return tuple(out)
 
     def json_dict(self):
         return {
@@ -185,29 +212,28 @@ def is_compatible(t):
     and a difference has the order of the XOR in both rings.  So suffix ORs of the XOR bands decide it in O(2^k):
     with the table packed in one int, a band is XORed with the block below it and ORed into one slot by halving.
     """
-    w, width = t.packed
-    out, seen, slot = [True], 0, width << 3
-    for d, band, lower in split_bands(w, t.precision, width):
-        x, cut = band ^ lower, slot << d
-        while cut > slot:
-            cut >>= 1
-            x = x >> cut | x & ((1 << cut) - 1)
-        seen |= x
-        out.append(not seen & ((1 << d) - 1))
-    return LevelVerdicts(tuple(reversed(out)))
+    return LevelVerdicts(t._compatible)
+
+
+def _first_return_at_top(p, m):
+    """True iff the walk mod T^m with checkpoints p first returns at step 2^m: it divides 2^m, not 2^(m-1)."""
+    mask = (1 << m) - 1
+    return p[m] & mask == 0 < p[m - 1] & mask
 
 
 def is_bijective_mod(t):
     """Level m true iff x -> f(x) mod T^m permutes the 2^m residues.
 
-    Level k is the size of the set of the values.  When f is onto, every
-    compatible level m < k holds too: f(x) mod T^m depends on x mod T^m
-    alone, so the first 2^m values reach every residue.  Any other level is
-    the set of the first 2^m slots of the packed table, cut to m bits.
+    Level k holds with no set when the walk from 0 first returns at step
+    2^k: one 2^k-cycle visits every residue.  Otherwise it is the size of
+    the set of the values.  When f is onto, every compatible level m < k
+    holds too: f(x) mod T^m depends on x mod T^m alone, so the first 2^m
+    values reach every residue.  Any other level is the set of the first
+    2^m slots of the packed table, cut to m bits.
     """
     w, width = t.packed
-    onto = len(set(t.table)) == len(t.table)
-    known = is_compatible(t).levels if onto else (False,) * t.precision
+    onto = _first_return_at_top(t._checkpoints, t.precision) or len(set(t.table)) == len(t.table)
+    known = t._compatible if onto else (False,) * t.precision
     out = [known[m - 1] or len(set(unpack(w & tile((1 << m) - 1, 1 << m, width), 1 << m, width))) == 1 << m
            for m in range(1, t.precision)]
     return LevelVerdicts((*out, onto))
@@ -223,37 +249,16 @@ def _single_cycle(values, m):
     return not x and step == mask + 1
 
 
-def single_cycle_levels(values, precision):
-    """Per-level single-cycle walk shared by both rings.
-
-    Reduction mod 2^m and mod T^m are the same bit mask on canonical
-    values, so one audited walk serves the series and the 2-adic side.
-    """
-    return LevelVerdicts(tuple(_single_cycle(values, m) for m in range(1, precision + 1)))
-
-
 def is_transitive_mod(t):
     """Level m true iff iterating from 0 mod T^m visits all 2^m residues.
 
-    One walk from 0 under f, at most 2^k steps, notes the first step with x == 0 mod T^m for each m.  At a
-    compatible level m (level k is one) the level-m walk is this walk mod T^m, by induction on the step, so
-    the level holds iff that step is 2^m.  Other levels walk their own.
+    One bare walk from 0 under f, 2^k steps, keeps the points at steps 2^j for j = 0..k.  At a compatible
+    level m (level k is one) the level-m walk is this walk mod T^m, by induction on the step, so the level
+    holds iff it first returns at step 2^m, which two checkpoints decide.  Other levels walk their own.
     """
-    values, k = t.table, t.precision
-    # first[m - 1]: the first step with x == 0 mod T^m; hit[x]: x == 0 mod T^(n + 1), n = len(first)
-    first, hit, x = [], [True, False] * (1 << (k - 1)), 0
-    for step in range(1, (1 << k) + 1):
-        x = values[x]
-        if hit[x]:
-            if not x:
-                break
-            while not x & ((2 << len(first)) - 1):
-                first.append(step)
-                hit[1 << len(first)::2 << len(first)] = [False] * (1 << (k - 1 - len(first)))
-    # after an exact return to 0, a return at every level left, the walk repeats
-    first += [0 if x else step] * (k - len(first))
-    return LevelVerdicts(tuple(first[m - 1] == 1 << m if ok else _single_cycle(values, m)
-                               for m, ok in enumerate(is_compatible(t).levels, start=1)))
+    p = t._checkpoints
+    return LevelVerdicts(tuple(_first_return_at_top(p, m) if ok else _single_cycle(t.table, m)
+                               for m, ok in enumerate(t._compatible, start=1)))
 
 
 def parity_lift(t, n):

@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,6 @@ from tadic.dynamics import (
     is_transitive_mod,
     orbit,
     parity_lift,
-    single_cycle_levels,
     trajectory,
 )
 from tadic.gf2ps import clmul_trunc
@@ -189,10 +189,18 @@ def test_function_table_json_roundtrip():
         FunctionTable.from_json_dict({"ring": "Z2", "precision": 1, "table": ["0x0", "0x1"]})
 
 
+def _fresh(t):
+    """A copy of t through the kernels' constructor, with no oracle run on it yet."""
+    return type(t)._trusted(t.precision, t.table, packed=t.packed)
+
+
 def _agree_with_the_entry_oracles(t):
-    assert is_bijective_mod(t) == bijective_by_sets(t)
-    assert is_transitive_mod(t) == transitive_by_walks(t.table, t.precision)
-    assert single_cycle_levels(list(t.table), t.precision) == transitive_by_walks(t.table, t.precision)
+    """Both call orders, each on a fresh copy: whichever oracle runs first fills the table's memo for the other."""
+    bij, trans = bijective_by_sets(t), transitive_by_walks(t.table, t.precision)
+    first = _fresh(t)
+    assert (is_bijective_mod(first), is_transitive_mod(first)) == (bij, trans)
+    second = _fresh(t)
+    assert (is_transitive_mod(second), is_bijective_mod(second)) == (trans, bij)
 
 
 @pytest.mark.parametrize("cls", [FunctionTable, Z2FunctionTable], ids=["F2T", "Z2"])
@@ -256,9 +264,61 @@ def test_bijectivity_and_transitivity_equal_the_entry_oracles_on_samples():
     assert seen == {key: {(True, True), (True, False), (False, True), (False, False)} for key in seen}
 
 
-def test_single_cycle_levels_accepts_raw_value_lists():
-    assert single_cycle_levels([1, 2, 3, 0], 2).levels == (True, True)
-    assert single_cycle_levels([1, 0, 3, 2], 2).levels == (True, False)
+def test_the_walk_oracle_reads_raw_value_lists_as_is_transitive_mod_reads_tables():
+    for values, levels in (([1, 2, 3, 0], (True, True)), ([1, 0, 3, 2], (True, False))):
+        assert transitive_by_walks(values, 2).levels == levels
+        assert is_transitive_mod(FunctionTable(2, values)).levels == levels
+
+
+def _returning_maps(k, ring):
+    """Compatible maps at precision k whose walk from 0 mod T^m first returns at step 2^m, earlier, or never.
+
+    For m >= 2, Z2 x -> 3x + 1 and F2T x -> x + 1 are back at 0 at step 2^m but first return at step 2^(m-1)
+    and 2.  Above level j, x -> x + 2^j first returns at step 2^(m-j) in Z2 and 2 in F2T, where it is an
+    involution; at and below level j it fixes 0.  3x and 2x fix 0; 2x + 1 never comes back to 0.
+    """
+    n, mask = 1 << k, (1 << k) - 1
+    add = operator.xor if ring == "F2T" else (lambda x, y: (x + y) & mask)
+    mul = (lambda a, x: clmul_trunc(a, x, k)) if ring == "F2T" else (lambda a, x: a * x & mask)
+    maps = {"x + 2^%d" % j: [add(x, 1 << j) for x in range(n)] for j in range(k)}
+    maps.update({
+        "3x + 1": [add(mul(3, x), 1) for x in range(n)],
+        "3x": [mul(3, x) for x in range(n)],
+        "2x": [mul(2, x) for x in range(n)],
+        "2x + 1": [add(mul(2, x), 1) for x in range(n)],
+    })
+    return maps
+
+
+@pytest.mark.parametrize("cls", [FunctionTable, Z2FunctionTable], ids=["F2T", "Z2"])
+def test_checkpoints_tell_a_short_first_return_from_a_full_one(cls):
+    # (step 2^m == 0 mod T^m, step 2^(m-1) == 0 mod T^m, verdict) at every level: a walk back at 0 at step 2^m
+    # holds only when it was not back at step 2^(m-1) already
+    seen = set()
+    for k in range(1, 13):
+        for values in _returning_maps(k, cls.ring).values():
+            t = cls(k, values)
+            assert is_compatible(t).overall is True
+            _agree_with_the_entry_oracles(t)
+            p = t._checkpoints
+            assert p == tuple(orbit(t, 0, (1 << j) + 1)[-1] for j in range(k + 1))
+            for m, verdict in enumerate(is_transitive_mod(t).levels, start=1):
+                mask = (1 << m) - 1
+                seen.add((p[m] & mask == 0, p[m - 1] & mask == 0, verdict))
+    assert seen == {(True, False, True), (True, True, False), (False, False, False)}
+
+
+def test_transitivity_after_compatibility_takes_no_table_sized_memory():
+    # the walk reads the table and keeps k + 1 points; the compatibility levels are already the table's
+    _, t = gen_cycle(random_data(16, 15))
+    assert is_compatible(t).overall is True
+    tracemalloc.start()
+    try:
+        assert is_transitive_mod(t).overall is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_transitive_implies_bijective_on_random_tables():

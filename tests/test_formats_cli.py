@@ -440,6 +440,26 @@ def test_coeffs_that_are_not_an_object_exit_two(files, capsys, ring, basis):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("tag", [["F2T"], {"F2T": "carlitz"}], ids=["list", "object"])
+@pytest.mark.parametrize("field, argv", [
+    ("ring", ["eval", "--x", "0x1", "--coeffs"]),
+    ("basis", ["eval", "--x", "0x1", "--coeffs"]),
+    ("ring", ["verify", "--exhaustive", "--table"]),
+], ids=["coeffs-ring", "coeffs-basis", "table-ring"])
+def test_tags_that_are_not_strings_exit_two_naming_the_file(files, capsys, tag, field, argv):
+    # an unhashable tag once reached the kind lookup and exited with only "unhashable type: 'list'"
+    if argv[0] == "eval":
+        doc = {"ring": "F2T", "basis": "carlitz", "precision": 2, "coeffs": {"0": "0x1"}}
+    else:
+        doc = FunctionTable(2, (1, 2, 3, 0)).json_dict()
+    doc[field] = tag
+    path = _write(files["tmp"], "tag.json", doc)
+    assert run(argv + [path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unsupported ring") and err.count("\n") == 1
+    assert path in err and "Traceback" not in err
+
+
 def _deep_files(tmp):
     # precision-40 files: a Carlitz set needs no table, a vdp set is one
     return {

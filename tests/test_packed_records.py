@@ -5,7 +5,9 @@ field, so equality, hashing, pickling, copying and repr see only the
 values, and the residue rule's error is the same whichever way a value
 breaks it.  The kernels (`to_vdp`, `vdp_table`, `carlitz_table` and
 `to_carlitz`) build their records through the private constructor that
-skips the check, and those records equal the public constructor's.
+skips the check, and those records equal the public constructor's.  The
+compatibility levels and walk checkpoints that the table oracles cache on
+a table are no fields either.
 """
 
 import copy
@@ -25,7 +27,7 @@ from helpers import (
 )
 from tadic.carlitz import CarlitzCoefficients, carlitz_table, to_carlitz
 from tadic.cyclegen import gen_cycle, random_data
-from tadic.dynamics import FunctionTable, Z2FunctionTable
+from tadic.dynamics import FunctionTable, Z2FunctionTable, is_bijective_mod, is_compatible, is_transitive_mod
 from tadic.gf2ps import pack
 from tadic.vanderput import VdpCoefficients, Z2VdpCoefficients, to_vdp, vdp_table
 from tadic.z2compare import mahler_table
@@ -120,3 +122,22 @@ def test_to_carlitz_equals_the_public_constructors_set():
             assert c == public and pickle.loads(pickle.dumps(c)) == public and repr(c) == repr(public)
             assert c.a == {n: v for n, v in enumerate(values) if v} and c.json_dict() == public.json_dict()
         assert to_carlitz(zero).a == {}
+
+
+def test_the_oracles_memo_is_not_a_field():
+    rng = random.Random(18)
+    for k in (1, 2, 4, 7, 8, 9):
+        _, cycle = gen_cycle(random_data(rng.getrandbits(32), k - 1))
+        for t in (cycle, random_table(rng, k), Z2FunctionTable(k, cycle.table), vdp_table(to_vdp(cycle))):
+            trusted = type(t)._trusted(k, t.table, packed=t.packed)
+            seen = (hash(t), repr(t), pickle.dumps(t))
+            assert seen == (hash(trusted), repr(trusted), pickle.dumps(trusted))
+            verdicts = [oracle(t) for oracle in (is_compatible, is_bijective_mod, is_transitive_mod)]
+            assert {"_compatible", "_checkpoints"} <= set(vars(t))
+            assert (hash(t), repr(t), pickle.dumps(t)) == seen
+            assert t == trusted and t.__reduce__() == trusted.__reduce__()
+            twin = pickle.loads(pickle.dumps(t))
+            assert twin == t and "_checkpoints" not in vars(twin)
+            assert [oracle(twin) for oracle in (is_transitive_mod, is_bijective_mod, is_compatible)] == verdicts[::-1]
+            with pytest.raises(AttributeError):
+                t._checkpoints = []
