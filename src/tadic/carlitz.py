@@ -7,11 +7,15 @@ E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
 level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
 exact mod T^k.  Both directions of the transform are one top-digit
 butterfly over the canonical points, run on all 2^k values packed into
-one int: O(k^3) whole-table big-int operations on slots of O(k) bits.
+one int: one right shift and one XOR of the whole table per set bit of
+each level constant (122 of each per direction at k = 9), and one cut to
+k bits at the end.  One cut is enough: each product reads k-bit values,
+so it fits in a slot of 2k - 1 bits, and a carry-less product moves no
+bit down, so no bit above T^k ever reaches a lower digit.
 """
 
 import functools
-from itertools import compress
+from itertools import compress, repeat
 
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
 from .gf2ps import check_residues, clmul, clmul_trunc, pack, repack, tile, trunc, unpack
@@ -31,6 +35,11 @@ class CarlitzCoefficients(SparseCoefficients):
     """Sparse coefficients a_n mod T^k; missing indices are zero."""
 
     ring, basis = "F2T", "carlitz"
+
+    @functools.cached_property
+    def _scanned(self):
+        """_scan's (top, bad bands), computed at most once per set and kept out of the fields."""
+        return _scan(self)
 
 
 def _E_values(x, k):
@@ -56,12 +65,12 @@ def _E_values(x, k):
 
 
 @functools.lru_cache(maxsize=None)
-def _level_constants(k):
-    """Per level j < k, the shift constants c_i = E_i(T^j) mod T^k for i < j."""
-    return tuple(tuple(_E_values(1 << j, k)[:j]) for j in range(k))
+def _level_shifts(k):
+    """Per level j < k and i < j, the set bit positions of c_i = E_i(T^j) mod T^k: a product by c_i is one shift per bit."""
+    return tuple(tuple(tuple(s for s in range(k) if c >> s & 1) for c in _E_values(1 << j, k)[:j]) for j in range(k))
 
 
-def _butterfly(packed, k, synthesize):
+def _butterfly(w, size, k, synthesize):
     """Coefficients to table (synthesize) or table to coefficients, on the 2^k values of indices 0..2^k - 1.
 
     A level splits blocks of 2h points, h = 2^j, on the top digit: on the
@@ -72,33 +81,35 @@ def _butterfly(packed, k, synthesize):
     Kronecker product of [[1, c_i], [0, 1]] over i < j) is its own inverse
     in characteristic 2.  Index n holds slot n of one int, a power of two
     bytes wide so a product of two k-bit values fits, and a level is a few
-    whole-table operations: factor i of the shift takes the upper-half
-    slots with digit i set from what factor i - 1 left, multiplies them by
-    c_i, cuts them to k bits and XORs them 2^i slots down.  The values come
-    and go packed in slots of 2k - 1 bits, as pack's (int, slot width).
+    whole-table operations: factor i of the shift takes the low k bits of
+    the upper-half slots with digit i set from what factor i - 1 left and,
+    per set bit s of c_i, XORs them in 2^i slots down and s bits up.  What
+    that puts at T^k and above stays in the slot, below bit 2k - 1, until
+    the one cut at the end.  The values come packed in slots of 2k - 1 bits
+    as pack's int w and slot width, and go back as pack's pair.
     """
-    w, size = packed
     mask = ((1 << k) - 1).to_bytes(size, "little")
-    full = tile((1 << k) - 1, 1 << k, size)
-    # digit[i]: the slots whose index has digit i set
+    # digit[i]: the low k bits of the slots whose index has digit i set
     digit = [int.from_bytes((bytes(size << i) + mask * (1 << i)) * (1 << (k - 1 - i)), "little") for i in range(k)]
-    for j, c in sorted(enumerate(_level_constants(k)), reverse=synthesize):
+    for j, shifts in sorted(enumerate(_level_shifts(k)), reverse=synthesize):
         upper = w & digit[j]
         lower = w ^ upper
         if synthesize:
             upper ^= lower << (size << (j + 3))
-        for i, ci in enumerate(c):
-            upper ^= (clmul(upper & digit[i], ci) & full) >> (size << (i + 3))
+        for i, bits in enumerate(shifts):
+            u, cut = upper & digit[i], size << (i + 3)
+            for s in bits:
+                upper ^= u >> (cut - s)
         if not synthesize:
             upper ^= lower << (size << (j + 3))
         w = lower | upper
-    return w, size
+    return w & tile((1 << k) - 1, 1 << k, size), size
 
 
 def to_carlitz(t):
     """Extract a_n mod T^k for n < 2^k from the full table: the butterfly's nonzero values, already in range."""
     k = t.precision
-    w, size = _butterfly(repack(t.packed, 1 << k, 2 * k - 1), k, synthesize=False)
+    w, size = _butterfly(*repack(t.packed, 1 << k, 2 * k - 1), k, synthesize=False)
     values = unpack(w, 1 << k, size)
     return CarlitzCoefficients._trusted(k, dict(compress(enumerate(values), values)))
 
@@ -126,7 +137,7 @@ def from_carlitz(c, x):
 def carlitz_table(c):
     """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
     k = c.precision
-    w, size = _butterfly(pack([c.a.get(n, 0) for n in range(1 << k)], 2 * k - 1), k, synthesize=True)
+    w, size = _butterfly(*pack(list(map(c.a.get, range(1 << k), repeat(0))), 2 * k - 1), k, synthesize=True)
     return FunctionTable._trusted(k, unpack(w, 1 << k, size), packed=repack((w, size), 1 << k, k + 1))
 
 
@@ -155,7 +166,7 @@ def _scan(c):
 
 def check_lipschitz_carlitz(c):
     """True iff c is 1-Lipschitz through level k (top == k): ord(a_n) >= floor(log2 n) for every stored n."""
-    return _scan(c)[0] == c.precision
+    return c._scanned[0] == c.precision
 
 
 def check_ergodic_carlitz(c):
@@ -171,7 +182,7 @@ def check_ergodic_carlitz(c):
     stored indices, so the cost is linear in the set.
     """
     k = c.precision
-    top, bad_bands = _scan(c)
+    top, bad_bands = c._scanned
     ok = top >= 1 and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
     raw = [ok]
     for m in range(2, k + 1):

@@ -191,14 +191,19 @@ def read_indexed(obj, key, parse):
     """The `key` body of a JSON document as {index: parse(value)}; an absent body reads as empty.
 
     The body must be a JSON object whose keys are canonical decimal indices
-    (ASCII digits, no sign, space or leading zero), so each index has one key.
+    (ASCII digits, no sign, space or leading zero), so each index has one key,
+    and no longer than int() reads from a string.
     """
     body = obj.get(key, {})
     if not isinstance(body, dict):
         raise ValueError("%s must be a JSON object, got %s" % (key, type(body).__name__))
     out = {}
     for n, v in body.items():
-        if not (n.isascii() and n.isdigit() and str(int(n)) == n):
+        try:
+            canonical = n.isascii() and n.isdigit() and str(int(n)) == n
+        except ValueError:  # more digits than the int-string conversion limit
+            canonical = False
+        if not canonical:
             raise ValueError("%s key %r is not a canonical decimal index" % (key, n))
         out[int(n)] = parse(v)
     return out

@@ -28,6 +28,7 @@ from helpers import (
     random_table,
     reference_coefficients,
 )
+from tadic import carlitz
 from tadic.carlitz import (
     CarlitzCoefficients,
     carlitz_table,
@@ -200,6 +201,29 @@ def test_packed_butterfly_equals_products_on_random_tables(k):
         _agree_with_products(tuple(rng.getrandbits(k) for _ in range(1 << k)), k)
 
 
+@pytest.mark.parametrize("fill", ["every-slot", "odd-digit-count"])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_packed_butterfly_equals_products_on_all_ones_slots(k, fill):
+    # the most bits a product can push past T^k, which the butterfly cuts off only once, at the end.  Equal
+    # slots cancel in the first sum of each block; all ones on the indices with an odd digit count and zero
+    # elsewhere make every first sum all ones, so each factor multiplies k-bit values of all ones.
+    ones = (1 << k) - 1
+    _agree_with_products(tuple(ones if fill == "every-slot" or n.bit_count() & 1 else 0 for n in range(1 << k)), k)
+
+
+def test_level_shifts_are_the_set_bits_of_the_exact_E_values():
+    # E_i(T^j) from the defining product over F2[T], not from the recurrence the library runs
+    for k in range(1, 11):
+        shifts = carlitz._level_shifts(k)
+        assert [len(level) for level in shifts] == list(range(k))
+        for j, level in enumerate(shifts):
+            for i, bits in enumerate(level):
+                c = trunc(eval_E(i, 1 << j), k)
+                assert bits == tuple(s for s in range(k) if c >> s & 1)
+    # one shift and one XOR per set bit: 122 of each per direction at k = 9
+    assert sum(len(bits) for level in carlitz._level_shifts(9) for bits in level) == 122
+
+
 def test_dense_round_trip_at_k16_stays_fast_and_small():
     # one truncated product per pair of points took about 7 s for this round trip on two vCPUs
     c = dense_lipschitz_carlitz(random.Random(16), 16)
@@ -326,6 +350,25 @@ def test_ergodic_criterion_matches_a_band_scan_on_sparse_sets():
             assert got == _ergodic_by_band_scan(c)
             falses += False in got
     assert 50 < falses < 250
+
+
+def test_both_criteria_answer_alike_in_either_order_on_fresh_sets():
+    # the two criteria share one cached scan per set, and whichever runs first fills it
+    rng = random.Random(19)
+    lipschitz = set()
+    for k in range(2, 9):
+        for _ in range(10):
+            dense = dict(dense_lipschitz_carlitz(rng, k).a)
+            n = rng.randrange(2, 1 << k)
+            off = {**dense, n: dense.get(n, 0) | 1 << rng.randrange(n.bit_length() - 1)}
+            sparse = {rng.randrange(1 << (k + 1)): rng.getrandbits(k) for _ in range(k)}
+            for a in (dense, off, dict(perturbed_reference(rng, k).a), sparse):
+                first, second = CarlitzCoefficients(k, a), CarlitzCoefficients(k, a)
+                forward = check_lipschitz_carlitz(first), check_ergodic_carlitz(first).levels
+                backward = check_ergodic_carlitz(second).levels, check_lipschitz_carlitz(second)
+                assert forward == backward[::-1] == (_floor(first, k), _ergodic_by_band_scan(first))
+                lipschitz.add(forward[0])
+    assert lipschitz == {True, False}
 
 
 def _agree_with_both_oracles(c):

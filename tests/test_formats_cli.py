@@ -711,6 +711,22 @@ def _wrong_shapes():
             yield pytest.param(kind, {**doc, name: body}, id="%s-hex-%d" % (kind, i))
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("carlitz", ["eval", "--x", "0x1", "--coeffs"]),
+    ("carlitz", ["verify", "--ring", "f2t", "--basis", "carlitz", "--check", "ergodic", "--coeffs"]),
+    ("carlitz", ["convert", "--from", "carlitz", "--to", "vdp", "--coeffs"]),
+    ("data", ["gen-cycle", "--data"]),
+], ids=["eval", "verify", "convert", "gen-cycle"])
+def test_index_keys_past_the_int_string_limit_exit_two_naming_the_body(files, capsys, kind, argv):
+    # a 5000-digit key once exited with int()'s "Exceeds the limit (4300 digits)", naming neither body nor key
+    doc, name = _DOCS[kind]
+    doc = {**doc, name: {**doc[name], "9" * 5000: doc[name]["1"]}}
+    assert run(argv + [_write(files["tmp"], "long_key.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: %s key '999" % name) and err.count("\n") == 1
+    assert err.rstrip().endswith("is not a canonical decimal index") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", sorted(_DOCS))
 def test_well_formed_documents_read_back(kind):
     doc, _ = _DOCS[kind]

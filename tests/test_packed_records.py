@@ -7,7 +7,8 @@ breaks it.  The kernels (`to_vdp`, `vdp_table`, `carlitz_table` and
 `to_carlitz`) build their records through the private constructor that
 skips the check, and those records equal the public constructor's.  The
 compatibility levels and walk checkpoints that the table oracles cache on
-a table are no fields either.
+a table are no fields either, nor is the scan that the Carlitz criteria
+cache on a coefficient set.
 """
 
 import copy
@@ -25,7 +26,7 @@ from helpers import (
     random_z2_compatible,
     reference_coefficients,
 )
-from tadic.carlitz import CarlitzCoefficients, carlitz_table, to_carlitz
+from tadic.carlitz import CarlitzCoefficients, carlitz_table, check_ergodic_carlitz, check_lipschitz_carlitz, to_carlitz
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable, Z2FunctionTable, is_bijective_mod, is_compatible, is_transitive_mod
 from tadic.gf2ps import pack
@@ -141,3 +142,21 @@ def test_the_oracles_memo_is_not_a_field():
             assert [oracle(twin) for oracle in (is_transitive_mod, is_bijective_mod, is_compatible)] == verdicts[::-1]
             with pytest.raises(AttributeError):
                 t._checkpoints = []
+
+
+def test_the_carlitz_scan_memo_is_not_a_field():
+    rng = random.Random(19)
+    for k in (2, 3, 4, 9):
+        off_floor = CarlitzCoefficients(k, {0: 1, 1: 1, (1 << k) - 1: 1})
+        for c in (dense_lipschitz_carlitz(rng, k), to_carlitz(random_table(rng, k)), reference_coefficients(k), off_floor):
+            trusted = CarlitzCoefficients._trusted(k, dict(c.a))
+            seen = (repr(c), pickle.dumps(c), c.json_dict())
+            verdicts = (check_lipschitz_carlitz(c), check_ergodic_carlitz(c))
+            assert "_scanned" in vars(c)
+            assert (repr(c), pickle.dumps(c), c.json_dict()) == seen
+            assert c == trusted and c.__reduce__() == trusted.__reduce__() and copy.copy(c) == c
+            twin = pickle.loads(pickle.dumps(c))
+            assert twin == c and "_scanned" not in vars(twin)
+            assert (check_ergodic_carlitz(twin), check_lipschitz_carlitz(twin)) == verdicts[::-1]
+            with pytest.raises(AttributeError):
+                c._scanned = (k, set())
