@@ -16,6 +16,7 @@ bit down, so no bit above T^k ever reaches a lower digit.
 
 import functools
 from itertools import compress, repeat
+from types import MappingProxyType
 
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
 from .gf2ps import check_residues, clmul, clmul_trunc, pack, repack, tile, trunc, unpack
@@ -111,7 +112,7 @@ def to_carlitz(t):
     k = t.precision
     w, size = _butterfly(*repack(t.packed, 1 << k, 2 * k - 1), k, synthesize=False)
     values = unpack(w, 1 << k, size)
-    return CarlitzCoefficients._trusted(k, dict(compress(enumerate(values), values)))
+    return CarlitzCoefficients._trusted(k, MappingProxyType(dict(compress(enumerate(values), values))))
 
 
 def from_carlitz(c, x):
@@ -137,7 +138,8 @@ def from_carlitz(c, x):
 def carlitz_table(c):
     """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
     k = c.precision
-    w, size = _butterfly(*pack(list(map(c.a.get, range(1 << k), repeat(0))), 2 * k - 1), k, synthesize=True)
+    # a plain dict's get: the read-only view looks its get up on every call
+    w, size = _butterfly(*pack(list(map(c.a.copy().get, range(1 << k), repeat(0))), 2 * k - 1), k, synthesize=True)
     return FunctionTable._trusted(k, unpack(w, 1 << k, size), packed=repack((w, size), 1 << k, k + 1))
 
 

@@ -72,11 +72,15 @@ def gen_cycle(d):
         w |= (w ^ tile(half, half, width)) << (width * half << 3)
     xs = unpack(w, 1 << bits, width)
     del w  # the packed sequence goes before the table packs its successors
+    # bits of 0 and 1 keep every entry below 2^bits, so the table skips its range check
+    if max(xs) >> bits:
+        raise ValueError("steering bits must be 0 or 1")
     # the last entry's successor is the first; the loop sets every other one
     succ = [xs[0]] * len(xs)
     for x, y in zip(xs, itertools.islice(xs, 1, None)):
         succ[x] = y
-    return xs, FunctionTable(bits, succ)
+    succ = tuple(succ)
+    return xs, FunctionTable._trusted(bits, succ, packed=pack(succ, bits + 1))
 
 
 # the ASCII digits 0 and 1 as the bytes 0 and 1
@@ -93,4 +97,5 @@ def random_data(seed, n):
         # bit j of the word is character j of its reversed 2^k-digit binary string
         word = rng.getrandbits(1 << k)
         bits.append(tuple(format(word, "0%db" % (1 << k))[::-1].encode().translate(_DIGITS)))
-    return CycleData(n, tuple(bits))
+    # translate of binary digits gives bits of 0 and 1 only, so the record skips its check
+    return CycleData._trusted(n, tuple(bits))

@@ -11,13 +11,15 @@ k + 1 bits, read by every whole-table kernel.  The checks are exhaustive
 table oracles: compatibility in one O(2^k) pass; transitivity from one
 bare walk from 0 kept at steps 2^j (a first return divides any return
 time), read at every compatible level, other levels checked alone;
-bijectivity from that walk or one set of the values; the parity
+bijectivity from the top level down, a compatible level read off that
+walk or a bijective level above it, other levels one set each; the parity
 criterion that decides whether a single cycle lifts one level; and orbit
 iteration.  Each table computes its compatibility levels and walk once.
 """
 
 import functools
 import itertools
+from types import MappingProxyType
 
 from .gf2ps import (
     Record,
@@ -167,6 +169,8 @@ class Z2FunctionTable(FunctionTable):
 class SparseCoefficients(Record):
     """Sparse coefficients a_n mod T^k or 2^k; missing indices are zero.
 
+    `a` is a read-only view of the nonzero values, so a set cannot change
+    under its memos; it hashes by its items and pickles as a plain dict.
     Subclasses set only the `ring` and `basis` tags that their JSON carries.
     """
 
@@ -179,7 +183,13 @@ class SparseCoefficients(Record):
         check_residues(k, a.values(), "coefficient")
         if a and min(a) < 0:
             raise ValueError("index must be non-negative")
-        object.__setattr__(self, "a", {n: v for n, v in a.items() if v})
+        object.__setattr__(self, "a", MappingProxyType({n: v for n, v in a.items() if v}))
+
+    def __hash__(self):
+        return hash((type(self), self.precision, frozenset(self.a.items())))
+
+    def __reduce__(self):
+        return type(self), (self.precision, dict(self.a))
 
     def coeff(self, n):
         return self.a.get(n, 0)
@@ -224,19 +234,22 @@ def _first_return_at_top(p, m):
 def is_bijective_mod(t):
     """Level m true iff x -> f(x) mod T^m permutes the 2^m residues.
 
-    Level k holds with no set when the walk from 0 first returns at step
-    2^k: one 2^k-cycle visits every residue.  Otherwise it is the size of
-    the set of the values.  When f is onto, every compatible level m < k
-    holds too: f(x) mod T^m depends on x mod T^m alone, so the first 2^m
-    values reach every residue.  Any other level is the set of the first
-    2^m slots of the packed table, cut to m bits.
+    Levels run from k down.  A compatible level m holds with no set when a
+    higher level holds, since f(x) mod T^m depends on x mod T^m alone, so
+    the first 2^m values reach every residue the first 2^j did; or when
+    the walk from 0 first returns at step 2^m, since one 2^m-cycle visits
+    every residue.  Any other level is the set of its first 2^m values: the
+    table at level k, below it the first 2^m packed slots cut to m bits.
     """
-    w, width = t.packed
-    onto = _first_return_at_top(t._checkpoints, t.precision) or len(set(t.table)) == len(t.table)
-    known = t._compatible if onto else (False,) * t.precision
-    out = [known[m - 1] or len(set(unpack(w & tile((1 << m) - 1, 1 << m, width), 1 << m, width))) == 1 << m
-           for m in range(1, t.precision)]
-    return LevelVerdicts((*out, onto))
+    (w, width), p, k = t.packed, t._checkpoints, t.precision
+    out, onto = [], False
+    for m in range(k, 0, -1):
+        n = 1 << m
+        ok = t._compatible[m - 1] and (onto or _first_return_at_top(p, m)) or len(set(
+            t.table if m == k else unpack(w & tile(n - 1, n, width), n, width))) == n
+        onto = onto or ok
+        out.append(ok)
+    return LevelVerdicts(tuple(reversed(out)))
 
 
 def _single_cycle(values, m):

@@ -192,7 +192,8 @@ def read_indexed(obj, key, parse):
 
     The body must be a JSON object whose keys are canonical decimal indices
     (ASCII digits, no sign, space or leading zero), so each index has one key,
-    and no longer than int() reads from a string.
+    and no longer than int() reads from a string.  An offending key is shown
+    cut to 40 characters, so the error stays one short line.
     """
     body = obj.get(key, {})
     if not isinstance(body, dict):
@@ -204,7 +205,7 @@ def read_indexed(obj, key, parse):
         except ValueError:  # more digits than the int-string conversion limit
             canonical = False
         if not canonical:
-            raise ValueError("%s key %r is not a canonical decimal index" % (key, n))
+            raise ValueError("%s key %.40r is not a canonical decimal index" % (key, n))
         out[int(n)] = parse(v)
     return out
 

@@ -8,9 +8,12 @@ ring's addition: XOR in F2[[T]], carrying addition in Z2.  The types carry
 the ring as a tag (`Z2VdpCoefficients` is a `VdpCoefficients` tagged "Z2")
 and every function here reads the ring off its argument.  The criteria
 decide 1-Lipschitz continuity, measure preservation, and ergodicity per
-level from the scaled coefficients b_alpha.
+level from the scaled coefficients b_alpha.  All three read one scan of
+the packed bands per set, kept as the set's `_scanned` memo: its verdicts
+only, so no band outlives the scan.
 """
 
+import functools
 import operator
 
 from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask
@@ -45,7 +48,8 @@ __all__ = [
 class VdpCoefficients(Record):
     """Coefficients B_alpha indexed by the canonical integer of alpha.
 
-    `packed` is B packed by pack_residues, as a table's, not a field.
+    `packed` is B packed by pack_residues, as a table's, not a field; nor
+    is `_scanned`, the one band scan that every criterion reads.
     """
 
     ring, basis = "F2T", "vanderput"
@@ -58,6 +62,11 @@ class VdpCoefficients(Record):
         if len(self.B) != 1 << k:
             raise ValueError("need exactly 2^%d coefficients" % k)
         object.__setattr__(self, "packed", pack_residues(k, self.B, "coefficient"))
+
+    @functools.cached_property
+    def _scanned(self):
+        """_scan's (top, mp levels, raw ergodic levels), computed at most once per set; B is a tuple, so it cannot go stale."""
+        return _scan(self)
 
     def json_dict(self):
         return coeffs_document(self, ((m, v) for m, v in enumerate(self.B) if v))
@@ -160,48 +169,45 @@ def restrict(c, prec):
     return type(c)(prec, tuple(v & mask for v in c.B[: 1 << prec]))
 
 
-def _bands(c):
-    """c's packed B cut at the degree bands: (slot width, {d: band d} for d >= 1)."""
-    w, width = c.packed
-    return width, {d: band for d, band, _ in split_bands(w, c.precision, width)}
+def _scan(c):
+    """One split of c's packed bands: top, the levels of check_mp_vdp, and the raw levels of check_ergodic_vdp.
 
-
-def _top(c, width, bands):
-    """The highest level m through which the set is 1-Lipschitz: ord(B_alpha) >= min(deg alpha, m) for every alpha.
-
-    That is k when every B_alpha clears its floor, and otherwise the least
-    order of an off-floor coefficient: per band, the lowest bit of the OR
-    below the floor.
+    top is the highest level m through which the set is 1-Lipschitz,
+    ord(B_alpha) >= min(deg alpha, m) for every alpha: k, or the least
+    order below a band's floor, from the band's OR.  Level d + 1 then adds
+    the unit clause of band d (bit d set in each of its 2^d slots) and,
+    for ergodicity, a lift clause: on b_0 + b_1 at level 2, and above it
+    on the sum of band d - 1, whose bits d - 1 and d are the scaled sum
+    mod pi^2, so d + 1 bits of each partial sum suffice.  A clause is read
+    only while its level can still hold.  The bands go with the call.
     """
-    top = c.precision
-    for d in range(1, c.precision):
-        low = fold(bands[d], 1 << d, width, operator.or_) & ((1 << d) - 1)
+    ring, k, B = RINGS[c.ring], c.precision, c.B
+    w, width = c.packed
+    top, bands = k, {}
+    for d, band, _ in split_bands(w, k, width):
+        bands[d] = band
+        low = fold(band, 1 << d, width, operator.or_) & ((1 << d) - 1)
         if low:
             top = min(top, order(low))
-    return top
+    mp = top >= 1 and bool((B[0] ^ B[1]) & 1)
+    ergodic = mp and bool(B[0] & 1)
+    levels = [(mp, ergodic)]
+    for d in range(1, k):
+        n = 1 << d
+        mp = mp and d < top and bands[d] & (unit := tile(n, n, width)) == unit
+        if ergodic and mp and d > 1:
+            s = fold(bands[d - 1], n >> 1, width, ring.add, tile((2 << d) - 1, n >> 2, width))
+            ergodic = (s >> (d - 1)) & 3 == ring.lift(d + 1)
+        else:
+            ergodic = ergodic and mp and (d > 1 or bool(ring.add(B[0], B[1]) & 2))
+        levels.append((mp, ergodic))
+    mp_levels, raw = zip(*levels)
+    return top, mp_levels, raw
 
 
 def check_lipschitz_vdp(c):
     """True iff c is 1-Lipschitz through level k (top == k): ord(B_alpha) >= deg alpha for every alpha."""
-    return _top(c, *_bands(c)) == c.precision
-
-
-def _units(band, d, width):
-    """True iff every scaled coefficient of band d is a unit: bit d is set in each of its 2^d slots."""
-    unit = tile(1 << d, 1 << d, width)
-    return band & unit == unit
-
-
-def _mp_levels(c, width, bands):
-    """The levels of check_mp_vdp on c's packed bands."""
-    top = _top(c, width, bands)
-    B = c.B
-    ok = top >= 1 and bool((B[0] ^ B[1]) & 1)
-    out = [ok]
-    for d in range(1, c.precision):
-        ok = ok and d < top and _units(bands[d], d, width)
-        out.append(ok)
-    return out
+    return c._scanned[0] == c.precision
 
 
 def check_mp_vdp(c):
@@ -214,17 +220,7 @@ def check_mp_vdp(c):
     off its floor gets False from level top + 1 on.  Units and the parity
     of b_0 + b_1 are the same bit tests in both rings.
     """
-    return LevelVerdicts(tuple(_mp_levels(c, *_bands(c))))
-
-
-def _lifts(ring, c, m, width, bands):
-    """The lift clause of level m >= 2, read off the raw coefficients."""
-    if m == 2:
-        return bool(ring.add(c.B[0], c.B[1]) & 2)
-    # the scaled sum mod pi^2 is bits m-2 and m-1 of the raw sum, so m bits of each partial sum suffice
-    n = 1 << (m - 2)
-    s = fold(bands[m - 2], n, width, ring.add, tile((1 << m) - 1, n >> 1, width))
-    return (s >> (m - 2)) & 3 == ring.lift(m)
+    return LevelVerdicts(c._scanned[1])
 
 
 def check_ergodic_vdp(c):
@@ -241,11 +237,4 @@ def check_ergodic_vdp(c):
     matches a table compatible at every level j <= m and transitive mod
     pi^m; level k stays undecided unless some clause fails outright.
     """
-    ring = RINGS[c.ring]
-    width, bands = _bands(c)
-    ok = bool(c.B[0] & 1)
-    raw = []
-    for m, mp in enumerate(_mp_levels(c, width, bands), start=1):
-        ok = ok and mp and (m == 1 or _lifts(ring, c, m, width, bands))
-        raw.append(ok)
-    return LevelVerdicts.below_precision(raw)
+    return LevelVerdicts.below_precision(c._scanned[2])

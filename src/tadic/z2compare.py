@@ -12,15 +12,16 @@ criterion at p=2.  Neither Mahler path builds a binomial C(x, i).  A
 point takes each C(x, i) mod 2^k in poly(k) from Kummer's carry count and
 the odd parts of three factorials (Granville, "Arithmetic properties of
 binomial coefficients I", 1997).  The table is a Horner scheme of running
-sums, O(2^k (L + 1)) additions of small ints for the indices up to L,
-and one O(2^k) column of products for each stored index above L.
+sums on the table packed in one int, one prefix sum by doubling (k
+shifted whole-table additions) per index up to L, and one O(2^k) column
+of products for each stored index above L.
 """
 
 from itertools import accumulate, repeat
-from operator import add, and_, lshift, mul, sub
+from operator import add, lshift, mul, sub
 
 from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod
-from .gf2ps import check_residues
+from .gf2ps import check_residues, pack, tile, unpack
 from .vanderput import Z2VdpCoefficients, check_ergodic_vdp, check_mp_vdp, to_vdp, vdp_table
 
 __all__ = [
@@ -165,9 +166,10 @@ def _binomial_columns(terms, k):
     return col
 
 
-# in passes of a running sum over the table: the cost of one column of its
-# own, and of the factorial tables that the columns share (timeit, k = 12 and 16)
-_COLUMN_PASSES, _FACTORIAL_PASSES = 12, 16
+# in packed prefix sums over the table: the cost of one column of its own, and of
+# the factorial tables that the columns share (timeit, k = 10 to 14; at k = 16,
+# where a slot grows to 4 bytes, about 7 and 14)
+_COLUMN_PASSES, _FACTORIAL_PASSES = 20, 24
 
 
 def mahler_table(c):
@@ -175,11 +177,13 @@ def mahler_table(c):
 
     By the hockey-stick identity g_i(x) = sum of a_j * C(x, j - i) over
     j >= i, so one running sum per index from L down to 0 covers the
-    indices up to L in O(2^k (L + 1)) small additions, masked every few
-    steps so the ints stay under about 256 bits.  A stored index above L
-    takes a column of its own, O(2^k) products; L is the stored index
-    that makes the sum of both costs least, so dense low indices run as
-    sums and a few high ones as columns.
+    indices up to L.  The table sits packed in slots of k + 1 bits, so a
+    running sum is a prefix sum by doubling, w + (w shifted up 2^j slots)
+    cut to k bits per slot for j < k, then one slot up with a_i added in
+    every slot: O(k) whole-table operations per index.  A stored index
+    above L takes a column of its own, O(2^k) products, masked and added
+    packed; L is the stored index that makes the sum of both costs least,
+    so dense low indices run as sums and a few high ones as columns.
     """
     k = c.precision
     size = 1 << k
@@ -187,14 +191,16 @@ def mahler_table(c):
     stored = sorted((i for i in c.a if i < size), reverse=True) + [-1]
     # the top n stored indices take columns, the rest running sums from L = stored[n]
     n = min(range(len(stored)), key=lambda n: stored[n] + 1 + (n and _FACTORIAL_PASSES + _COLUMN_PASSES * n))
-    col = [0] * size
-    every = max(1, 256 // k)
+    w, width = pack((), k + 1)  # 0, and the slot width
+    slot, full, ones = width << 3, tile(mask, size, width), tile(1, size, width)
     for i in range(stored[n], -1, -1):
-        col = accumulate(col[:-1], initial=c.a.get(i, 0))
-        col = list(map(and_, col, repeat(mask)) if i % every == 0 else col)
+        for j in range(k):
+            w = (w + (w << (slot << j))) & full
+        w = ((w << slot) + c.a.get(i, 0) * ones) & full
     if n:
-        col = map(and_, map(add, col, _binomial_columns([(i, c.a[i]) for i in stored[:n]], k)), repeat(mask))
-    return Z2FunctionTable(k, tuple(col))
+        columns = _binomial_columns([(i, c.a[i]) for i in stored[:n]], k)
+        w = (w + pack([v & mask for v in columns], k + 1)[0]) & full
+    return Z2FunctionTable._trusted(k, unpack(w, size, width), packed=(w, width))
 
 
 def check_ergodic_mahler_z2(c):

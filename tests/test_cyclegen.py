@@ -121,6 +121,12 @@ def test_data_validation():
         CycleData(1, ((0, 2),))
 
 
+def test_gen_cycle_keeps_a_range_guard_for_unchecked_steering_bits():
+    # a bit of 2 at level 1 lifts an entry to 2^2 and above: caught before the unchecked table is built
+    with pytest.raises(ValueError, match="0 or 1"):
+        gen_cycle(CycleData._trusted(1, ((0, 2),)))
+
+
 def test_data_json_roundtrip():
     d = random_data(5, 3)
     obj = d.json_dict()

@@ -10,8 +10,13 @@ import pytest
 from helpers import (
     REFERENCE_TABLE_K4,
     bijective_by_sets,
+    break_floor,
     brute_compatible,
+    corrupt_vdp,
+    corrupt_z2,
+    random_ergodic_vdp,
     random_table,
+    random_z2_ergodic,
     reference_coefficients,
     transitive_by_walks,
 )
@@ -28,8 +33,9 @@ from tadic.dynamics import (
     parity_lift,
     trajectory,
 )
-from tadic.gf2ps import clmul_trunc
-from tadic.vanderput import Z2VdpCoefficients, from_vdp, to_vdp
+from tadic import dynamics
+from tadic.gf2ps import clmul_trunc, unpack
+from tadic.vanderput import Z2VdpCoefficients, from_vdp, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, mahler_eval
 
 CYCLE_K2 = FunctionTable(2, (1, 2, 3, 0))
@@ -233,6 +239,11 @@ def _families(rng, k, ring):
     # a single cycle of the low j bits, the high bits fixed: the cycle through 0 has length 2^j at every level >= j
     j = rng.randrange(1, k)
     short = gen_cycle(random_data(rng.getrandbits(32), j - 1))[1].table
+    # compatible up to level m and random above: a level above, neither compatible nor onto, vouches for none below
+    up_to_m = [mul(2, x) & ((1 << m) - 1) | rng.randrange(n) >> m << m for x in range(n)]
+    # the identity on the first 2^j slots, random bits above m - 1 elsewhere: level j is onto but not compatible
+    onto_at_j = [x if x >> j == 0 else x & ((1 << (m - 1)) - 1) | rng.randrange(n) >> (m - 1) << (m - 1)
+                 for x in range(n)]
     return {
         "cycle": cycle,
         "flipped bit": flipped,
@@ -246,6 +257,9 @@ def _families(rng, k, ring):
         "compatible from m, onto": [x >> m << m | low[0][x & ((1 << m) - 1)] for x in range(n)],
         "compatible from m, into": [x >> m << m | low[1][x & ((1 << m) - 1)] for x in range(n)],
         "short cycle through 0": [x >> j << j | short[x & ((1 << j) - 1)] for x in range(n)],
+        "transitive below k, not onto": [v & (mask >> 1) for v in cycle],
+        "compatible up to m, random above": up_to_m,
+        "onto at j, compatible up to m - 1": onto_at_j,
     }
 
 
@@ -262,6 +276,27 @@ def test_bijectivity_and_transitivity_equal_the_entry_oracles_on_samples():
                 seen["bijective"] |= set(zip(comp, is_bijective_mod(t).levels))
                 seen["transitive"] |= set(zip(comp, is_transitive_mod(t).levels))
     assert seen == {key: {(True, True), (True, False), (False, True), (False, False)} for key in seen}
+
+
+def test_bijectivity_equals_the_set_oracle_on_the_benchmark_samplers():
+    rng = random.Random(20)
+    for k in range(3, 13):
+        for c in (random_ergodic_vdp(rng, k), random_z2_ergodic(rng, k)):
+            corrupt = corrupt_vdp if c.ring == "F2T" else corrupt_z2
+            for s in (c, corrupt(rng, c), corrupt(rng, c), break_floor(rng, c)):
+                t = vdp_table(s)
+                assert is_bijective_mod(_fresh(t)) == bijective_by_sets(t)
+
+
+def test_a_walk_that_first_returns_at_level_k_minus_one_decides_every_level_with_no_set(monkeypatch):
+    # x -> (x + 1) mod 2^(k-1) misses half the residues mod 2^k, and is one 2^m-cycle mod 2^m for every m < k
+    k = 14
+    t = Z2FunctionTable(k, tuple((x + 1) % (1 << (k - 1)) for x in range(1 << k)))
+    unpacked = []
+    monkeypatch.setattr(dynamics, "unpack", lambda *args: unpacked.append(args) or unpack(*args))
+    assert is_bijective_mod(t).levels == (True,) * (k - 1) + (False,) == is_transitive_mod(t).levels
+    assert unpacked == []
+    assert is_bijective_mod(_fresh(t)) == bijective_by_sets(t)
 
 
 def test_the_walk_oracle_reads_raw_value_lists_as_is_transitive_mod_reads_tables():

@@ -727,6 +727,20 @@ def test_index_keys_past_the_int_string_limit_exit_two_naming_the_body(files, ca
     assert err.rstrip().endswith("is not a canonical decimal index") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("carlitz", ["eval", "--x", "0x1", "--coeffs"]),
+    ("data", ["gen-cycle", "--data"]),
+], ids=["eval", "gen-cycle"])
+def test_a_long_bad_key_gives_one_short_error_line(files, capsys, kind, argv):
+    # the whole key was once printed: "0" and 100,000 ones gave 100,055 bytes of stderr
+    doc, name = _DOCS[kind]
+    doc = {**doc, name: {**doc[name], "0" + "1" * 100_000: doc[name]["1"]}}
+    assert run(argv + [_write(files["tmp"], "long_bad_key.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: %s key '0111" % name) and err.count("\n") == 1
+    assert len(err.encode()) < 200 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", sorted(_DOCS))
 def test_well_formed_documents_read_back(kind):
     doc, _ = _DOCS[kind]

@@ -7,8 +7,9 @@ breaks it.  The kernels (`to_vdp`, `vdp_table`, `carlitz_table` and
 `to_carlitz`) build their records through the private constructor that
 skips the check, and those records equal the public constructor's.  The
 compatibility levels and walk checkpoints that the table oracles cache on
-a table are no fields either, nor is the scan that the Carlitz criteria
-cache on a coefficient set.
+a table are no fields either, nor is the scan that the Carlitz or van der
+Put criteria cache on a coefficient set.  A sparse set's coefficients are
+read-only, so no memo can go stale.
 """
 
 import copy
@@ -30,8 +31,16 @@ from tadic.carlitz import CarlitzCoefficients, carlitz_table, check_ergodic_carl
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable, Z2FunctionTable, is_bijective_mod, is_compatible, is_transitive_mod
 from tadic.gf2ps import pack
-from tadic.vanderput import VdpCoefficients, Z2VdpCoefficients, to_vdp, vdp_table
-from tadic.z2compare import mahler_table
+from tadic.vanderput import (
+    VdpCoefficients,
+    Z2VdpCoefficients,
+    check_ergodic_vdp,
+    check_lipschitz_vdp,
+    check_mp_vdp,
+    to_vdp,
+    vdp_table,
+)
+from tadic.z2compare import MahlerCoefficients, mahler_table
 
 TYPES = (FunctionTable, Z2FunctionTable, VdpCoefficients, Z2VdpCoefficients)
 
@@ -97,6 +106,7 @@ def _kernel_records():
         t, z2 = random_table(rng, k), random_z2_compatible(rng, k)
         out += [to_vdp(t), to_vdp(z2), vdp_table(random_lipschitz_vdp(rng, k)), vdp_table(to_vdp(z2))]
         out += [carlitz_table(dense_lipschitz_carlitz(rng, k)), carlitz_table(CarlitzCoefficients(k, {}))]
+        out += [mahler_table(random_mahler(rng, k, 15)), gen_cycle(random_data(rng.getrandbits(32), k - 1))[1]]
     return out
 
 
@@ -160,3 +170,68 @@ def test_the_carlitz_scan_memo_is_not_a_field():
             assert (check_ergodic_carlitz(twin), check_lipschitz_carlitz(twin)) == verdicts[::-1]
             with pytest.raises(AttributeError):
                 c._scanned = (k, set())
+
+
+def test_the_vdp_scan_memo_is_not_a_field():
+    rng = random.Random(20)
+    for k in (1, 2, 3, 4, 9):
+        off_floor = VdpCoefficients(k, (1,) * (1 << k))
+        for c in (to_vdp(random_table(rng, k)), random_lipschitz_vdp(rng, k), random_z2_compatible(rng, k), off_floor):
+            trusted = type(c)._trusted(k, c.B, packed=c.packed)
+            seen = (hash(c), repr(c), pickle.dumps(c), c.json_dict())
+            verdicts = (check_lipschitz_vdp(c), check_mp_vdp(c), check_ergodic_vdp(c))
+            assert "_scanned" in vars(c)
+            assert (hash(c), repr(c), pickle.dumps(c), c.json_dict()) == seen
+            assert c == trusted and c.__reduce__() == trusted.__reduce__() and copy.copy(c) == c
+            twin = pickle.loads(pickle.dumps(c))
+            assert twin == c and "_scanned" not in vars(twin)
+            assert (check_ergodic_vdp(twin), check_mp_vdp(twin), check_lipschitz_vdp(twin)) == verdicts[::-1]
+            with pytest.raises(AttributeError):
+                c._scanned = (k, (), {})
+
+
+def _sparse_sets():
+    rng = random.Random(21)
+    for k in (1, 2, 3, 9):
+        yield dense_lipschitz_carlitz(rng, k)
+        yield to_carlitz(random_table(rng, k))
+        yield CarlitzCoefficients(k, {0: 1, 1: 1, (1 << k) - 1: 1, 5 << k: 1})
+        yield random_mahler(rng, k, 15)
+        yield MahlerCoefficients(k, {})
+
+
+def test_sparse_sets_are_frozen():
+    for c in _sparse_sets():
+        for change in (lambda a: a.__setitem__(2, 1), lambda a: a.__delitem__(0), lambda a: a.clear()):
+            with pytest.raises((TypeError, AttributeError)):
+                change(c.a)
+        with pytest.raises(AttributeError):
+            c.a = {}
+
+
+def test_equal_sparse_sets_hash_equal_and_survive_pickle_and_copy():
+    for c in _sparse_sets():
+        twin = type(c)(c.precision, {**c.a, 1 << 12: 0})
+        assert c == twin and hash(c) == hash(twin) and c.a == dict(c.a) == twin.a
+        assert len({c, twin}) == 1
+        assert c.__reduce__() == (type(c), (c.precision, dict(c.a)))
+        for copied in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert copied == c and hash(copied) == hash(c) and repr(copied) == repr(c)
+            assert copied.json_dict() == c.json_dict()
+        if c.a:
+            other = type(c)(c.precision, {**c.a, min(c.a): 0})
+            assert other != c and other.a != c.a
+
+
+def test_the_carlitz_scan_memo_cannot_be_fooled():
+    # a set judged once keeps its verdict because its coefficients cannot change afterwards
+    c = CarlitzCoefficients(3, {0: 1, 1: 1})
+    assert check_lipschitz_carlitz(c)
+    with pytest.raises(TypeError):
+        c.a[2] = 1
+    source = {0: 1, 1: 1}
+    c = CarlitzCoefficients(3, source)
+    assert check_lipschitz_carlitz(c)
+    source[2] = 1  # the caller's dict is copied, not kept
+    assert c.a == {0: 1, 1: 1} and check_lipschitz_carlitz(c) == check_lipschitz_carlitz(CarlitzCoefficients(3, c.a))
+    assert not check_lipschitz_carlitz(CarlitzCoefficients(3, source))

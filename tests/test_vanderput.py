@@ -350,6 +350,23 @@ def _sampled_sets(rng, k):
     return sets
 
 
+def test_the_three_criteria_agree_in_any_call_order_on_fresh_sets():
+    # whichever criterion runs first fills the set's scan memo for the other two
+    rng = random.Random(20)
+    criteria = {"lipschitz": check_lipschitz_vdp, "mp": check_mp_vdp, "ergodic": check_ergodic_vdp}
+    for k in (1, 2, 3, 5, 8):
+        sets = [random_lipschitz_vdp(rng, k), random_z2_compatible(rng, k), to_vdp(random_table(rng, k))]
+        if k >= 2:
+            sets += [random_ergodic_vdp(rng, k), random_z2_ergodic(rng, k)]
+            sets += [corrupt_vdp(rng, sets[-2]), corrupt_z2(rng, sets[-1]), break_floor(rng, sets[-2])]
+        for c in sets:
+            top, mp, ergodic = band_scans(c)
+            want = {"lipschitz": top == k, "mp": mp, "ergodic": ergodic}
+            for order in itertools.permutations(criteria):
+                fresh = type(c)(k, c.B)
+                assert {name: criteria[name](fresh) for name in order} == want
+
+
 @pytest.mark.parametrize("k", range(3, 13))
 def test_packed_layer_equals_the_band_oracles_on_sampled_sets(k):
     # the k + 1 bit slots widen from one byte to two at k = 8

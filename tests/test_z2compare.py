@@ -19,6 +19,7 @@ from helpers import (
     random_z2_table,
     scaled_vdp,
 )
+from tadic import z2compare
 from tadic.dynamics import is_bijective_mod, is_compatible, restrict_sparse
 from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import (
@@ -197,6 +198,46 @@ def test_mahler_table_matches_pointwise_evaluation():
         for c in sets:
             assert mahler_table(c).table == exact_mahler_table(c).table == tuple(mahler_eval(c, x) for x in range(size))
     assert mahler_table(MahlerCoefficients(3, {})).table == (0,) * 8
+
+
+@pytest.fixture(params=[None, (0, 0), (1 << 40, 1 << 40)], ids=["chosen", "all columns", "all sums"])
+def split(request, monkeypatch):
+    """mahler_table's own split of the stored indices, or (column, factorial) costs that make every one a column or a sum."""
+    if request.param:
+        monkeypatch.setattr(z2compare, "_COLUMN_PASSES", request.param[0])
+        monkeypatch.setattr(z2compare, "_FACTORIAL_PASSES", request.param[1])
+
+
+def _agrees_with_exact_binomials(c):
+    t, exact = mahler_table(c), exact_mahler_table(c)
+    assert t.table == exact.table and t.packed == exact.packed
+
+
+def test_mahler_table_equals_exact_binomials_on_every_small_set(split):
+    """Every value at every index up to 2^k for k <= 2; at k = 3 every subset of the indices up to 2^k, two value rules."""
+    for k in (1, 2):
+        size = 1 << k
+        for values in itertools.product(range(size), repeat=size + 1):
+            _agrees_with_exact_binomials(MahlerCoefficients(k, dict(enumerate(values))))
+    for mask in range(1 << 9):
+        indices = [i for i in range(9) if mask >> i & 1]
+        _agrees_with_exact_binomials(MahlerCoefficients(3, {i: 7 for i in indices}))
+        _agrees_with_exact_binomials(MahlerCoefficients(3, {i: (5 * i + 3) & 7 for i in indices}))
+
+
+def test_mahler_table_equals_exact_binomials_on_samples(split):
+    """Sparse, dense, near-the-top and past-the-top indices up to k = 10, with the column path on its own and mixed."""
+    rng = random.Random(20)
+    for k in range(4, 11):
+        size = 1 << k
+        sets = [random_mahler(rng, k, 15), random_mahler_ergodic(rng, k, 15)]
+        sets.append(MahlerCoefficients(k, {rng.randrange(2 * size): rng.getrandbits(k) for _ in range(6)}))
+        sets.append(MahlerCoefficients(k, {size - 1 - rng.randrange(size >> 2): rng.getrandbits(k) for _ in range(4)}))
+        sets.append(MahlerCoefficients(k, {0: 1, 1: 5, 40: 3, size - 2: rng.getrandbits(k), size + 3: 1}))
+        if k <= 8:
+            sets.append(MahlerCoefficients(k, {i: rng.getrandbits(k) for i in range(size) if rng.random() < 0.5}))
+        for c in sets:
+            _agrees_with_exact_binomials(c)
 
 
 def test_mahler_table_cost_follows_the_stored_indices_near_the_top():
