@@ -7,11 +7,12 @@ E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
 level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
 exact mod T^k.  Both directions of the transform are one top-digit
 butterfly over the canonical points, run on all 2^k values packed into
-one int: one right shift and one XOR of the whole table per set bit of
-each level constant (122 of each per direction at k = 9), and one cut to
-k bits at the end.  One cut is enough: each product reads k-bit values,
-so it fits in a slot of 2k - 1 bits, and a carry-less product moves no
-bit down, so no bit above T^k ever reaches a lower digit.
+one int in the table's own slots of W >= k + 1 bits: one right shift and
+one XOR of the whole table per set bit of each level constant (122 of
+each per direction at k = 9), and one cut to k bits at the end.  A shift
+by s carries a k-bit value out of its slot only when k - 1 + s >= W, so
+only those shifts first keep the low k - s bits of their factor, all
+that survives mod T^k; the table's `packed` form goes in and out as is.
 """
 
 import functools
@@ -19,7 +20,7 @@ from itertools import compress, repeat
 from types import MappingProxyType
 
 from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
-from .gf2ps import check_residues, clmul, clmul_trunc, pack, repack, tile, trunc, unpack
+from .gf2ps import check_residues, clmul, clmul_trunc, pack, tile, trunc, unpack
 
 __all__ = [
     "CarlitzCoefficients",
@@ -66,9 +67,18 @@ def _E_values(x, k):
 
 
 @functools.lru_cache(maxsize=None)
-def _level_shifts(k):
-    """Per level j < k and i < j, the set bit positions of c_i = E_i(T^j) mod T^k: a product by c_i is one shift per bit."""
-    return tuple(tuple(tuple(s for s in range(k) if c >> s & 1) for c in _E_values(1 << j, k)[:j]) for j in range(k))
+def _level_shifts(k, size):
+    """c_i = E_i(T^j) mod T^k, per level j < k and i < j, as right shifts of a table in slots of `size` bytes.
+
+    A product by c_i moves a value 2^i slots down and s bits up per set bit
+    s: one right shift by d = 8 * size * 2^i - s.  Returns the least s whose
+    shift would carry a k-bit value out of its slot (k - 1 + s >= 8 * size),
+    and per level and i the d of the shifts below it and the (d, s) of the rest.
+    """
+    first = (size << 3) - k + 1
+    return first, tuple(tuple((tuple((size << (i + 3)) - s for s in range(min(first, k)) if c >> s & 1),
+                               tuple(((size << (i + 3)) - s, s) for s in range(first, k) if c >> s & 1))
+                              for i, c in enumerate(_E_values(1 << j, k)[:j])) for j in range(k))
 
 
 def _butterfly(w, size, k, synthesize):
@@ -80,37 +90,44 @@ def _butterfly(w, size, k, synthesize):
     hi <- shift_c(lo + hi) from the top level down; expansion undoes it,
     hi <- lo + shift_c(hi) from the bottom level up, since the shift (the
     Kronecker product of [[1, c_i], [0, 1]] over i < j) is its own inverse
-    in characteristic 2.  Index n holds slot n of one int, a power of two
-    bytes wide so a product of two k-bit values fits, and a level is a few
-    whole-table operations: factor i of the shift takes the low k bits of
-    the upper-half slots with digit i set from what factor i - 1 left and,
-    per set bit s of c_i, XORs them in 2^i slots down and s bits up.  What
-    that puts at T^k and above stays in the slot, below bit 2k - 1, until
-    the one cut at the end.  The values come packed in slots of 2k - 1 bits
-    as pack's int w and slot width, and go back as pack's pair.
+    in characteristic 2.  Index n holds slot n of one int, the table's slot
+    of W = 8 * size bits, and a level is a few whole-table operations:
+    factor i of the shift takes the low k bits of the upper-half slots with
+    digit i set from what factor i - 1 left and, per set bit s of c_i, XORs
+    them in 2^i slots down and s bits up.  Where k - 1 + s >= W that would
+    spill into the next slot, so those shifts first keep the low k - s bits
+    of each slot, all that survives mod T^k.  What the other shifts put at
+    T^k and above stays in the slot until the one cut at the end.  The
+    values come as pack's int w and slot width and go back as pack's pair.
     """
-    mask = ((1 << k) - 1).to_bytes(size, "little")
+    ones = (1 << k) - 1
+    mask = ones.to_bytes(size, "little")
     # digit[i]: the low k bits of the slots whose index has digit i set
     digit = [int.from_bytes((bytes(size << i) + mask * (1 << i)) * (1 << (k - 1 - i)), "little") for i in range(k)]
-    for j, shifts in sorted(enumerate(_level_shifts(k)), reverse=synthesize):
+    first, levels = _level_shifts(k, size)
+    # keep[s]: the low k - s bits of every slot, for the shifts by s that would spill
+    keep = {s: tile(ones >> s, 1 << k, size) for s in range(first, k)}
+    for j, shifts in sorted(enumerate(levels), reverse=synthesize):
         upper = w & digit[j]
         lower = w ^ upper
         if synthesize:
             upper ^= lower << (size << (j + 3))
-        for i, bits in enumerate(shifts):
-            u, cut = upper & digit[i], size << (i + 3)
-            for s in bits:
-                upper ^= u >> (cut - s)
+        for i, (fits, spills) in enumerate(shifts):
+            u = upper & digit[i]
+            for d in fits:
+                upper ^= u >> d
+            for d, s in spills:
+                upper ^= (u & keep[s]) >> d
         if not synthesize:
             upper ^= lower << (size << (j + 3))
         w = lower | upper
-    return w & tile((1 << k) - 1, 1 << k, size), size
+    return w & tile(ones, 1 << k, size), size
 
 
 def to_carlitz(t):
     """Extract a_n mod T^k for n < 2^k from the full table: the butterfly's nonzero values, already in range."""
     k = t.precision
-    w, size = _butterfly(*repack(t.packed, 1 << k, 2 * k - 1), k, synthesize=False)
+    w, size = _butterfly(*t.packed, k, synthesize=False)
     values = unpack(w, 1 << k, size)
     return CarlitzCoefficients._trusted(k, MappingProxyType(dict(compress(enumerate(values), values))))
 
@@ -139,8 +156,8 @@ def carlitz_table(c):
     """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
     k = c.precision
     # a plain dict's get: the read-only view looks its get up on every call
-    w, size = _butterfly(*pack(list(map(c.a.copy().get, range(1 << k), repeat(0))), 2 * k - 1), k, synthesize=True)
-    return FunctionTable._trusted(k, unpack(w, 1 << k, size), packed=repack((w, size), 1 << k, k + 1))
+    w, size = _butterfly(*pack(list(map(c.a.copy().get, range(1 << k), repeat(0))), k + 1), k, synthesize=True)
+    return FunctionTable._trusted(k, unpack(w, 1 << k, size), packed=(w, size))
 
 
 restrict = restrict_sparse

@@ -12,9 +12,8 @@ rings, and one codec pair writes and reads every coefficient file.  A whole
 table runs as one int too: `pack` puts value i in slot i, a power of two
 bytes wide, little-endian on every host, so the table transforms and band
 criteria are a few big-int operations per band; `unpack` gives the values
-back, `repack` moves them into slots of another width, `split_bands` cuts
-a table at its degree bands, `tile` builds a per-slot mask and `fold`
-combines the slots of one band.
+back, `split_bands` cuts a table at its degree bands, `tile` builds a
+per-slot mask and `fold` combines the slots of one band.
 """
 
 import math
@@ -35,7 +34,6 @@ __all__ = [
     "read_coeffs_document",
     "read_header",
     "read_indexed",
-    "repack",
     "split_bands",
     "tile",
     "to_hex",
@@ -89,22 +87,6 @@ def pack(values, bits):
 def _slot_width(bits):
     """The least power of two bytes that holds `bits` bits."""
     return 1 << max((bits - 1).bit_length() - 3, 0)
-
-
-def repack(packed, n, bits):
-    """The n slots of packed = (w, width) moved into slots that hold `bits` bits: pack's result, without unpacking.
-
-    Each byte lane of the old slots is copied into the new slots by one
-    strided slice; the values must fit in the new slots.
-    """
-    w, width = packed
-    to = _slot_width(bits)
-    if to == width:
-        return packed
-    src, out = w.to_bytes(n * width, "little"), bytearray(n * to)
-    for i in range(min(width, to)):
-        out[i::to] = src[i::width]
-    return int.from_bytes(out, "little"), to
 
 
 def unpack(w, n, width):

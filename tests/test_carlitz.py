@@ -39,7 +39,7 @@ from tadic.carlitz import (
     to_carlitz,
 )
 from tadic.dynamics import FunctionTable, LevelVerdicts, is_transitive_mod
-from tadic.gf2ps import clmul, order, trunc
+from tadic.gf2ps import clmul, order, pack, trunc
 from tadic.vanderput import check_ergodic_vdp, to_vdp, vdp_table
 
 
@@ -170,13 +170,41 @@ def test_dense_and_sparse_table_paths_agree():
             assert carlitz_table(c).table == tuple(from_carlitz(c, x) for x in range(1 << k))
 
 
+def _agree_pointwise(c, rng, samples):
+    """carlitz_table(c) equals from_carlitz at 0, 2^k - 1 and sampled points, and its packed form is pack's own."""
+    k = c.precision
+    t = carlitz_table(c)
+    assert t.packed == pack(t.table, k + 1)
+    for x in [0, (1 << k) - 1] + [rng.randrange(1 << k) for _ in range(samples)]:
+        assert t.table[x] == from_carlitz(c, x)
+    return t
+
+
 @pytest.mark.parametrize("k", [13, 17])
 def test_sparse_sets_pack_straight_from_their_entries(k):
     rng = random.Random(k)
-    c = CarlitzCoefficients(k, {rng.randrange(1 << (k + 2)): rng.getrandbits(k) for _ in range(3 * k)})
-    table = carlitz_table(c).table
-    for x in [0, (1 << k) - 1] + [rng.randrange(1 << k) for _ in range(498)]:
-        assert table[x] == from_carlitz(c, x)
+    _agree_pointwise(CarlitzCoefficients(k, {rng.randrange(1 << (k + 2)): rng.getrandbits(k) for _ in range(3 * k)}), rng, 498)
+
+
+@pytest.mark.parametrize("fill", ["random", "all-ones", "odd-digit-table"])
+@pytest.mark.parametrize("k", [9, 15, 17])
+def test_dense_sets_pack_straight_from_their_entries(k, fill):
+    # past k = 12, where a product per pair of points is too slow, the butterfly still masks the shifts that
+    # would spill out of the table's slots: every top shift at k = 9 and most shifts at k = 15 (16-bit
+    # slots), and the shifts by 16 at k = 17 (32-bit slots)
+    rng = random.Random(k)
+    ones, table = (1 << k) - 1, None
+    if fill == "random":
+        c = dense_lipschitz_carlitz(rng, k)
+    elif fill == "all-ones":
+        c = CarlitzCoefficients(k, {n: ones >> max(n.bit_length() - 1, 0) << max(n.bit_length() - 1, 0) for n in range(1 << k)})
+    else:
+        # all ones on the indices with an odd digit count: every factor multiplies k-bit values of all ones
+        table = tuple(ones if n.bit_count() & 1 else 0 for n in range(1 << k))
+        c = to_carlitz(FunctionTable(k, table))
+    t = _agree_pointwise(c, rng, 1 << max(17 - k, 1))
+    assert to_carlitz(t) == c
+    assert table is None or t.table == table
 
 
 def _agree_with_products(values, k):
@@ -195,7 +223,8 @@ def test_packed_butterfly_equals_products_on_every_table_to_k2():
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_packed_butterfly_equals_products_on_random_tables(k):
-    # the slots widen from one byte to two at k = 5 and from two to four at k = 9
+    # the table's slots widen from one byte to two at k = 8 (and from two to four at k = 16); the shifts that
+    # would spill out of them are masked at k = 5..7 and 9..12
     rng = random.Random(k)
     for _ in range(3 if k < 10 else 1):
         _agree_with_products(tuple(rng.getrandbits(k) for _ in range(1 << k)), k)
@@ -204,7 +233,8 @@ def test_packed_butterfly_equals_products_on_random_tables(k):
 @pytest.mark.parametrize("fill", ["every-slot", "odd-digit-count"])
 @pytest.mark.parametrize("k", range(1, 13))
 def test_packed_butterfly_equals_products_on_all_ones_slots(k, fill):
-    # the most bits a product can push past T^k, which the butterfly cuts off only once, at the end.  Equal
+    # the most bits a product can push past T^k: they stay in the slot until the butterfly's one cut at the end,
+    # except on the shifts that would carry them into the next slot, whose factor is masked first.  Equal
     # slots cancel in the first sum of each block; all ones on the indices with an odd digit count and zero
     # elsewhere make every first sum all ones, so each factor multiplies k-bit values of all ones.
     ones = (1 << k) - 1
@@ -214,14 +244,23 @@ def test_packed_butterfly_equals_products_on_all_ones_slots(k, fill):
 def test_level_shifts_are_the_set_bits_of_the_exact_E_values():
     # E_i(T^j) from the defining product over F2[T], not from the recurrence the library runs
     for k in range(1, 11):
-        shifts = carlitz._level_shifts(k)
+        size = pack((), k + 1)[1]
+        first, shifts = carlitz._level_shifts(k, size)
         assert [len(level) for level in shifts] == list(range(k))
         for j, level in enumerate(shifts):
-            for i, bits in enumerate(level):
-                c = trunc(eval_E(i, 1 << j), k)
-                assert bits == tuple(s for s in range(k) if c >> s & 1)
-    # one shift and one XOR per set bit: 122 of each per direction at k = 9
-    assert sum(len(bits) for level in carlitz._level_shifts(9) for bits in level) == 122
+            for i, (fits, spills) in enumerate(level):
+                c, cut = trunc(eval_E(i, 1 << j), k), size << (i + 3)
+                assert tuple(cut - d for d in fits) + tuple(s for _, s in spills) == tuple(s for s in range(k) if c >> s & 1)
+                # a shift spills exactly when it would carry a k-bit value out of its slot
+                assert all(k - 1 + cut - d < size << 3 for d in fits)
+                assert all(d == cut - s and k - 1 + s >= size << 3 for d, s in spills)
+        assert first == (size << 3) - k + 1
+    # one shift and one XOR per set bit: 122 of each per direction at k = 9, 20 of them masked
+    shifts = [pair for level in carlitz._level_shifts(9, 2)[1] for pair in level]
+    assert sum(len(fits) + len(spills) for fits, spills in shifts) == 122
+    assert sum(len(spills) for _, spills in shifts) == 20
+    # the table's slots already hold every product at k = 8 and 16: no shift is masked there
+    assert not any(spills for k in (8, 16) for level in carlitz._level_shifts(k, pack((), k + 1)[1])[1] for _, spills in level)
 
 
 def test_dense_round_trip_at_k16_stays_fast_and_small():

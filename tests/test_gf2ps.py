@@ -26,7 +26,6 @@ from tadic.gf2ps import (
     parse_hex,
     read_header,
     read_indexed,
-    repack,
     split_bands,
     tile,
     to_hex,
@@ -200,13 +199,6 @@ def test_unpack_inverts_pack_and_tile_packs_one_value_everywhere(bits, raw, v):
     w, width = pack(values, bits)
     assert unpack(w, len(values), width) == values
     assert tile(v, len(values), width) == pack((v,) * len(values), bits)[0]
-
-
-@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64),
-       st.lists(st.integers(min_value=0), max_size=40))
-def test_repack_equals_pack_at_the_new_width(bits, to, raw):
-    values = tuple(x & ((1 << min(bits, to)) - 1) for x in raw)
-    assert repack(pack(values, bits), len(values), to) == pack(values, to)
 
 
 def test_pack_residues_is_the_range_rule_of_a_packed_table():
