@@ -1,7 +1,7 @@
 """Carlitz basis machinery over F2[T] at r=2.
 
-Coefficient extraction from a function table and evaluation back;
-Lipschitz and single-cycle criteria read off the coefficients.  The
+Coefficient extraction from a function table and evaluation back; the
+criteria read the sparse scan shared with Mahler, with lift tag 1.  The
 transform pair and point evaluation work mod T^k with the recurrence
 E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
 level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
@@ -34,14 +34,9 @@ __all__ = [
 
 
 class CarlitzCoefficients(SparseCoefficients):
-    """Sparse coefficients a_n mod T^k; missing indices are zero."""
+    """Sparse coefficients a_n mod T^k; missing indices are zero; the lift clauses want 1 digits."""
 
-    ring, basis = "F2T", "carlitz"
-
-    @functools.cached_property
-    def _scanned(self):
-        """_scan's (top, bad bands), computed at most once per set and kept out of the fields."""
-        return _scan(self)
+    ring, basis, lift = "F2T", "carlitz", 1
 
 
 def _E_values(x, k):
@@ -163,48 +158,21 @@ def carlitz_table(c):
 restrict = restrict_sparse
 
 
-def _scan(c):
-    """One pass over the stored indices: the level `top` through which c is 1-Lipschitz, and the bad bands.
-
-    top is k, or the least order of an off-floor a_n (ord(a_n) <
-    floor(log2 n)); as a_n < 2^k, past the precision the floor refutes any
-    stored a_n.  Band m is bad when some a_n with floor(log2 n) = m-1 has
-    a digit below T^m.
-    """
-    top, bad = c.precision, set()
-    for n, v in c.a.items():
-        band = n.bit_length()
-        low = v & ((1 << band) - 1)
-        if low:
-            bad.add(band)
-            off = low & ((1 << (band - 1)) - 1)
-            if off:
-                top = min(top, (off & -off).bit_length() - 1)
-    return top, bad
-
-
 def check_lipschitz_carlitz(c):
     """True iff c is 1-Lipschitz through level k (top == k): ord(a_n) >= floor(log2 n) for every stored n."""
     return c._scanned[0] == c.precision
 
 
 def check_ergodic_carlitz(c):
-    """Single-cycle criterion per level, three-valued.
+    """Single-cycle criterion per level, three-valued: the raw ergodic levels of the set's sparse scan.
 
     Every level m first needs c 1-Lipschitz through level m, so a set off
     its floor gets False from level top + 1 on, and no set raises.  Level 1
     needs a_0 and a_1 odd.  Level m adds ord(a_n) >= m across the band
     floor(log2 n) = m-1 and a lift clause pinning the next coefficient of
-    the chain a_{2^j - 1}: the T^{m-1} digit of a_{2^{m-1}-1} (the T digit
-    of a_1 at m = 2).  True is only reported below the precision; level k
-    stays undecided unless a clause fails outright.  Each clause reads only
-    stored indices, so the cost is linear in the set.
+    the chain a_{2^j - 1}: the T^{m-1} digit of a_{2^{m-1}-1} is 1 (the T
+    digit of a_1 at m = 2).  True is only reported below the precision;
+    level k stays undecided unless a clause fails outright.  Each clause
+    reads only stored indices, so the cost is linear in the set.
     """
-    k = c.precision
-    top, bad_bands = c._scanned
-    ok = top >= 1 and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
-    raw = [ok]
-    for m in range(2, k + 1):
-        ok = ok and m <= top and m not in bad_bands and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
-        raw.append(ok)
-    return LevelVerdicts.below_precision(raw)
+    return LevelVerdicts.below_precision(c._scanned[2])

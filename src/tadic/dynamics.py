@@ -5,16 +5,18 @@ table type carries its ring as a tag: `Z2FunctionTable` is a
 `FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
 same bit mask on canonical values, so every check here serves both rings.
 The sparse coefficient type shared by the Carlitz and Mahler bases lives
-here too.  A table is checked and packed into one int once, when it is
-built: its `packed` attribute is pack's (int, slot width) in slots of
-k + 1 bits, read by every whole-table kernel.  The checks are exhaustive
-table oracles: compatibility in one O(2^k) pass; transitivity from one
-bare walk from 0 kept at steps 2^j (a first return divides any return
-time), read at every compatible level, other levels checked alone;
-bijectivity from the top level down, a compatible level read off that
-walk or a bijective level above it, other levels one set each; the parity
-criterion that decides whether a single cycle lifts one level; and orbit
-iteration.  Each table computes its compatibility levels and walk once.
+here too, with `clause_levels`, the one level recurrence of every
+coefficient criterion.  A table is checked and packed into one int once,
+when it is built: its `packed` attribute is pack's (int, slot width) in
+slots of k + 1 bits, read by every whole-table kernel.  The checks are
+exhaustive table oracles: compatibility in one O(2^k) pass; transitivity
+from one bare walk from 0 kept at steps 2^j (a first return divides any
+return time), read at every compatible level, other levels checked
+alone; bijectivity from the top level down, a compatible level read off
+that walk or a bijective level above it, other levels one set each; the
+parity criterion that decides whether a single cycle lifts one level;
+and orbit iteration.  Each table computes its compatibility levels and
+walk once.
 """
 
 import functools
@@ -25,6 +27,7 @@ from .gf2ps import (
     Record,
     check_residues,
     coeffs_document,
+    order,
     pack_residues,
     parse_hex,
     read_coeffs_document,
@@ -166,15 +169,37 @@ class Z2FunctionTable(FunctionTable):
     ring = "Z2"
 
 
+def clause_levels(k, top, start, band, lift):
+    """The raw mp and ergodic levels of a coefficient criterion: the one level recurrence of every basis.
+
+    Level 1 needs top >= 1 (1-Lipschitz mod pi) and the start clauses,
+    start = (mp, ergodic).  Level m adds m <= top and the unit clause
+    band(m - 1) of degree band m - 1, and for ergodicity the lift clause
+    lift(m).  A level needs the one below it, so a clause is read only
+    while its level can still hold.
+    """
+    mp = top >= 1 and start[0]
+    ergodic = mp and start[1]
+    levels = [(mp, ergodic)]
+    for m in range(2, k + 1):
+        mp = mp and m <= top and band(m - 1)
+        ergodic = ergodic and mp and lift(m)
+        levels.append((mp, ergodic))
+    return tuple(zip(*levels))
+
+
 class SparseCoefficients(Record):
     """Sparse coefficients a_n mod T^k or 2^k; missing indices are zero.
 
     `a` is a read-only view of the nonzero values, so a set cannot change
     under its memos; it hashes by its items and pickles as a plain dict.
-    Subclasses set only the `ring` and `basis` tags that their JSON carries.
+    Subclasses set the `ring` and `basis` tags that their JSON carries and
+    the `lift` tag, the digit m - 1 of a_{2^(m-1)-1} that level m's lift
+    clause asks for.  `_scanned`, the one scan that every criterion reads,
+    is no field.
     """
 
-    ring = basis = None
+    ring = basis = lift = None
     _fields, _bodies = ("precision", "a"), ("a",)
 
     def _check(self):
@@ -193,6 +218,25 @@ class SparseCoefficients(Record):
 
     def coeff(self, n):
         return self.a.get(n, 0)
+
+    @functools.cached_property
+    def _scanned(self):
+        """(top, raw mp levels, raw ergodic levels) from one pass over the stored a_n, ORed by bit length.
+
+        top is k, or the least order of an a_n below its floor
+        ord(a_n) >= floor(log2 n); as a_n < 2^k, past the precision the
+        floor refutes any stored a_n.  Band d's unit clause is
+        ord(a_n) >= d + 1 for 2^d <= n < 2^(d+1), mp starts from a_1 odd
+        and ergodicity from a_0 odd.
+        """
+        k, a, ors = self.precision, self.a, {}
+        for n, v in a.items():
+            b = n.bit_length()
+            ors[b] = ors.get(b, 0) | v
+        top = min([k, *(order(off) for b, v in ors.items() if b > 1 and (off := v & ((1 << (b - 1)) - 1)))])
+        return (top, *clause_levels(k, top, (bool(a.get(1, 0) & 1), bool(a.get(0, 0) & 1)),
+                                    lambda d: not ors.get(d + 1, 0) & ((2 << d) - 1),
+                                    lambda m: (a.get((1 << (m - 1)) - 1, 0) >> (m - 1)) & 1 == self.lift))
 
     def json_dict(self):
         return coeffs_document(self, sorted(self.a.items()))

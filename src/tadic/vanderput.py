@@ -8,15 +8,15 @@ ring's addition: XOR in F2[[T]], carrying addition in Z2.  The types carry
 the ring as a tag (`Z2VdpCoefficients` is a `VdpCoefficients` tagged "Z2")
 and every function here reads the ring off its argument.  The criteria
 decide 1-Lipschitz continuity, measure preservation, and ergodicity per
-level from the scaled coefficients b_alpha.  All three read one scan of
-the packed bands per set, kept as the set's `_scanned` memo: its verdicts
-only, so no band outlives the scan.
+level from the scaled coefficients b_alpha.  All three read one split of
+the packed bands per set, the `_scanned` memo, which hands its unit and
+lift clauses to `clause_levels`; no band outlives the scan.
 """
 
 import functools
 import operator
 
-from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, truncation_mask
+from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, clause_levels, truncation_mask
 from .gf2ps import (
     Record,
     check_residues,
@@ -174,12 +174,12 @@ def _scan(c):
 
     top is the highest level m through which the set is 1-Lipschitz,
     ord(B_alpha) >= min(deg alpha, m) for every alpha: k, or the least
-    order below a band's floor, from the band's OR.  Level d + 1 then adds
-    the unit clause of band d (bit d set in each of its 2^d slots) and,
-    for ergodicity, a lift clause: on b_0 + b_1 at level 2, and above it
-    on the sum of band d - 1, whose bits d - 1 and d are the scaled sum
-    mod pi^2, so d + 1 bits of each partial sum suffice.  A clause is read
-    only while its level can still hold.  The bands go with the call.
+    order below a band's floor, from the band's OR.  clause_levels reads
+    the rest: band d's unit clause (bit d set in each of its 2^d slots),
+    and the lift clause of level m, on b_0 + b_1 at m = 2 and above it on
+    the sum of band m - 2, whose bits m - 2 and m - 1 are the scaled sum
+    mod pi^2, so m bits of each partial sum suffice.  The bands go with
+    the call.
     """
     ring, k, B = RINGS[c.ring], c.precision, c.B
     w, width = c.packed
@@ -189,20 +189,15 @@ def _scan(c):
         low = fold(band, 1 << d, width, operator.or_) & ((1 << d) - 1)
         if low:
             top = min(top, order(low))
-    mp = top >= 1 and bool((B[0] ^ B[1]) & 1)
-    ergodic = mp and bool(B[0] & 1)
-    levels = [(mp, ergodic)]
-    for d in range(1, k):
-        n = 1 << d
-        mp = mp and d < top and bands[d] & (unit := tile(n, n, width)) == unit
-        if ergodic and mp and d > 1:
-            s = fold(bands[d - 1], n >> 1, width, ring.add, tile((2 << d) - 1, n >> 2, width))
-            ergodic = (s >> (d - 1)) & 3 == ring.lift(d + 1)
-        else:
-            ergodic = ergodic and mp and (d > 1 or bool(ring.add(B[0], B[1]) & 2))
-        levels.append((mp, ergodic))
-    mp_levels, raw = zip(*levels)
-    return top, mp_levels, raw
+
+    def lifts(m):
+        if m == 2:
+            return bool(ring.add(B[0], B[1]) & 2)
+        s = fold(bands[m - 2], 1 << (m - 2), width, ring.add, tile((1 << m) - 1, 1 << (m - 3), width))
+        return (s >> (m - 2)) & 3 == ring.lift(m)
+
+    return (top, *clause_levels(k, top, (bool((B[0] ^ B[1]) & 1), bool(B[0] & 1)),
+                                lambda d: bands[d] & (unit := tile(1 << d, 1 << d, width)) == unit, lifts))
 
 
 def check_lipschitz_vdp(c):

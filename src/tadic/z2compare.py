@@ -8,13 +8,13 @@ the F2[[T]] ones tagged "Z2"; they live beside their parents and are
 re-exported here.  The Z2 names to_vdp_z2, vdp_table_z2, check_ergodic_z2
 and is_transitive_mod_z2 are the generic functions under other names.
 What is 2-adic only lives here: the Mahler basis and its single-cycle
-criterion at p=2.  Neither Mahler path builds a binomial C(x, i).  A
-point takes each C(x, i) mod 2^k in poly(k) from Kummer's carry count and
-the odd parts of three factorials (Granville, "Arithmetic properties of
-binomial coefficients I", 1997).  The table is a Horner scheme of running
-sums on the table packed in one int, one prefix sum by doubling (k
-shifted whole-table additions) per index up to L, and one O(2^k) column
-of products for each stored index above L.
+criterion at p=2 (the sparse scan, lift tag 0).  Neither Mahler path
+builds a binomial C(x, i).  A point takes each C(x, i) mod 2^k in poly(k)
+from Kummer's carry count and the odd parts of three factorials
+(Granville, "Arithmetic properties of binomial coefficients I", 1997).
+The table is a Horner scheme of running sums on the table packed in one
+int, one prefix sum by doubling (k shifted whole-table additions) per
+index up to L, and one O(2^k) column of products per stored index above L.
 """
 
 from itertools import accumulate, repeat
@@ -46,9 +46,9 @@ is_transitive_mod_z2 = is_transitive_mod
 
 
 class MahlerCoefficients(SparseCoefficients):
-    """Sparse binomial-basis coefficients a_i mod 2^k; missing indices are zero."""
+    """Sparse binomial-basis coefficients a_i mod 2^k; missing indices are zero; the lift clauses want 0 digits."""
 
-    ring, basis = "Z2", "mahler"
+    ring, basis, lift = "Z2", "mahler", 0
 
 
 def check_mp_z2(c):
@@ -204,20 +204,11 @@ def mahler_table(c):
 
 
 def check_ergodic_mahler_z2(c):
-    """Binomial-basis single-cycle test: a_0 odd, a_1 = 1 mod 4, fast 2-power decay.
+    """Binomial-basis single-cycle test (Anashin): a_0 odd, a_1 = 1 mod 4, ord(a_i) >= floor(log2(i + 1)) + 1 for i >= 2.
 
-    Each modulus is capped at 2^k, so conditions deeper than the precision
-    are checked as far as the stored residues can certify them.
+    Each modulus is capped at 2^k.  This is the top raw ergodic level of
+    the set's sparse scan: the decay clause of a_i is the unit clause of
+    band floor(log2 i), plus, at i = 2^j - 1, the lift clause pinning
+    digit j to 0; the floor refutes any stored index from 2^k up.
     """
-    k = c.precision
-    if not c.coeff(0) & 1:
-        return False
-    if c.coeff(1) % min(4, 1 << k) != 1:
-        return False
-    for i, v in c.a.items():
-        if i < 2:
-            continue
-        w = min((i + 1).bit_length(), k)
-        if v & ((1 << w) - 1):
-            return False
-    return True
+    return all(c._scanned[2])

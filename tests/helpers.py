@@ -11,7 +11,9 @@ criteria are checked against, together with the definitions that the library's
 one-pass kernels replace: the Carlitz butterfly with one product per pair of
 points, table compatibility with one scan per level,
 the van der Put floor, unit and lift clauses read one coefficient at a
-time and again with one reduce per degree band, the van der Put
+time and again with one reduce per degree band, the sparse floor and
+Carlitz clauses index by index, the Mahler single-cycle test one stored
+index at a time, the van der Put
 transform pair with one map per band, steering bits read off a
 random word one shift at a time, the cycle recurrence one entry at a
 time, bijectivity with one set per level, and transitivity as walks with
@@ -364,6 +366,80 @@ def band_scans(c):
         ok = ok and level and lifts
         raw.append(ok)
     return top, LevelVerdicts(tuple(mp)), LevelVerdicts.below_precision(raw)
+
+
+def sparse_floor(c, m):
+    """The Lipschitz floor of level m in a sparse basis, one stored coefficient at a time: ord(a_n) >= min(floor(log2 n), m)."""
+    return all(order(v) >= min(max(n.bit_length() - 1, 0), m) for n, v in c.a.items())
+
+
+def ergodic_by_band_scan(c):
+    """The Carlitz single-cycle levels with every band scanned index by index: the oracle of the sparse scan.
+
+    Level 1 needs the floor and a_0, a_1 odd; level m adds the floor of
+    level m, ord(a_n) >= m for every n with floor(log2 n) = m-1, and the
+    T^{m-1} digit of a_{2^{m-1}-1} set.  The top level is undecided
+    unless a clause fails.
+    """
+    k = c.precision
+    ok = sparse_floor(c, 1) and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
+    raw = [ok]
+    for m in range(2, k + 1):
+        ok = ok and sparse_floor(c, m)
+        ok = ok and all(not c.coeff(n) & ((1 << m) - 1) for n in range(1 << (m - 1), 1 << m))
+        ok = ok and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
+        raw.append(ok)
+    return tuple(v if (v is False or m < k) else None for m, v in enumerate(raw, start=1))
+
+
+def mahler_ergodic_by_indices(c):
+    """Anashin's Mahler single-cycle test one stored index at a time: the oracle of check_ergodic_mahler_z2.
+
+    a_0 odd, a_1 = 1 mod 4, and ord(a_i) >= floor(log2(i + 1)) + 1 for
+    i >= 2, each modulus capped at 2^k; an index from 2^k up must vanish.
+    """
+    k = c.precision
+    if not c.coeff(0) & 1:
+        return False
+    if c.coeff(1) % min(4, 1 << k) != 1:
+        return False
+    for i, v in c.a.items():
+        if i < 2:
+            continue
+        w = min((i + 1).bit_length(), k)
+        if v & ((1 << w) - 1):
+            return False
+    return True
+
+
+def steered_sparse(rng, cls, k, keep=1.0):
+    """A sparse set below 2^k passing every clause of cls's criteria, then broken at 0 to 2 random clauses.
+
+    Built: a_0 and a_1 odd with the T (or 2) digit of a_1 the class's lift
+    tag, every other a_n above T^(floor(log2 n) + 1), and a_{2^j-1} with
+    digit j the lift tag.  Each index from 2 up is kept with chance `keep`.
+    A break pushes a coefficient off its floor, onto it (a unit clause),
+    flips a lift digit, or flips a low digit of a_0 or a_1.
+    """
+    a = {0: 1 | (rng.getrandbits(k) << 1), 1: 1 | (cls.lift << 1) | (rng.getrandbits(k) << 2)}
+    for n in range(2, 1 << k):
+        if rng.random() < keep:
+            d = n.bit_length() - 1
+            if (n + 1) & n:
+                a[n] = rng.getrandbits(k) << (d + 1)
+            else:
+                a[n] = (cls.lift << (d + 1)) | (rng.getrandbits(k) << (d + 2))
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        how = rng.randrange(4)
+        if how == 3 or k < 2:
+            n = rng.randrange(2)
+            a[n] = a[n] ^ (1 << rng.randrange(min(2, k)))
+            continue
+        n = rng.randrange(2, 1 << k) if how < 2 else (1 << rng.randrange(1, k)) - 1
+        d = n.bit_length() - 1
+        bit = rng.randrange(d) if how == 0 else d + how - 1  # below the floor, on it, or the lift digit
+        a[n] = a.get(n, 0) ^ (1 << bit)
+    return cls(k, {n: v & ((1 << k) - 1) for n, v in a.items()})
 
 
 def reference_coefficients(k):

@@ -22,11 +22,13 @@ from helpers import (
     eval_G,
     eval_Gprime,
     eval_H,
+    ergodic_by_band_scan,
     eval_e,
     perturbed_reference,
     random_ergodic_vdp,
     random_table,
     reference_coefficients,
+    sparse_floor,
 )
 from tadic import carlitz
 from tadic.carlitz import (
@@ -39,7 +41,7 @@ from tadic.carlitz import (
     to_carlitz,
 )
 from tadic.dynamics import FunctionTable, LevelVerdicts, is_transitive_mod
-from tadic.gf2ps import clmul, order, pack, trunc
+from tadic.gf2ps import clmul, pack, trunc
 from tadic.vanderput import check_ergodic_vdp, to_vdp, vdp_table
 
 
@@ -354,24 +356,6 @@ def test_the_floor_is_the_first_clause_of_every_level():
     assert check_ergodic_carlitz(CarlitzCoefficients(3, {**a, 9: 2})).levels == (True, False, False)
 
 
-def _floor(c, m):
-    # the Lipschitz floor of level m, one stored coefficient at a time
-    return all(order(v) >= min(max(n.bit_length() - 1, 0), m) for n, v in c.a.items())
-
-
-def _ergodic_by_band_scan(c):
-    # the per-level clauses with every band scanned index by index
-    k = c.precision
-    ok = _floor(c, 1) and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
-    raw = [ok]
-    for m in range(2, k + 1):
-        ok = ok and _floor(c, m)
-        ok = ok and all(not c.coeff(n) & ((1 << m) - 1) for n in range(1 << (m - 1), 1 << m))
-        ok = ok and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
-        raw.append(ok)
-    return tuple(v if (v is False or m < k) else None for m, v in enumerate(raw, start=1))
-
-
 def test_ergodic_criterion_matches_a_band_scan_on_sparse_sets():
     rng = random.Random(21)
     falses = 0
@@ -386,7 +370,7 @@ def test_ergodic_criterion_matches_a_band_scan_on_sparse_sets():
                 a[1] = a.get(1, 0) ^ 2
             c = CarlitzCoefficients(k, a)
             got = check_ergodic_carlitz(c).levels
-            assert got == _ergodic_by_band_scan(c)
+            assert got == ergodic_by_band_scan(c)
             falses += False in got
     assert 50 < falses < 250
 
@@ -405,7 +389,7 @@ def test_both_criteria_answer_alike_in_either_order_on_fresh_sets():
                 first, second = CarlitzCoefficients(k, a), CarlitzCoefficients(k, a)
                 forward = check_lipschitz_carlitz(first), check_ergodic_carlitz(first).levels
                 backward = check_ergodic_carlitz(second).levels, check_lipschitz_carlitz(second)
-                assert forward == backward[::-1] == (_floor(first, k), _ergodic_by_band_scan(first))
+                assert forward == backward[::-1] == (sparse_floor(first, k), ergodic_by_band_scan(first))
                 lipschitz.add(forward[0])
     assert lipschitz == {True, False}
 
@@ -414,10 +398,10 @@ def _agree_with_both_oracles(c):
     """The criterion equals the band scan and the table oracle; returns whether c is 1-Lipschitz."""
     t = carlitz_table(c)
     lipschitz = check_lipschitz_carlitz(c)
-    assert lipschitz == _floor(c, c.precision) == all(brute_compatible(t).levels)
+    assert lipschitz == sparse_floor(c, c.precision) == all(brute_compatible(t).levels)
     got = check_ergodic_carlitz(c)
     transitive = compatible_through(t, is_transitive_mod(t))
-    assert got.levels == _ergodic_by_band_scan(c) == LevelVerdicts.below_precision(transitive.levels).levels
+    assert got.levels == ergodic_by_band_scan(c) == LevelVerdicts.below_precision(transitive.levels).levels
     # the floor is the same level clause in both bases
     assert got == check_ergodic_vdp(to_vdp(t))
     return lipschitz

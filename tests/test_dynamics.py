@@ -12,15 +12,18 @@ from helpers import (
     bijective_by_sets,
     break_floor,
     brute_compatible,
+    compatible_through,
     corrupt_vdp,
     corrupt_z2,
     random_ergodic_vdp,
+    random_mahler,
     random_table,
     random_z2_ergodic,
     reference_coefficients,
+    steered_sparse,
     transitive_by_walks,
 )
-from tadic.carlitz import from_carlitz
+from tadic.carlitz import CarlitzCoefficients, carlitz_table, from_carlitz, to_carlitz
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import (
     FunctionTable,
@@ -36,7 +39,7 @@ from tadic.dynamics import (
 from tadic import dynamics
 from tadic.gf2ps import clmul_trunc, unpack
 from tadic.vanderput import Z2VdpCoefficients, from_vdp, to_vdp, vdp_table
-from tadic.z2compare import MahlerCoefficients, mahler_eval
+from tadic.z2compare import MahlerCoefficients, mahler_eval, mahler_table
 
 CYCLE_K2 = FunctionTable(2, (1, 2, 3, 0))
 XOR_ONE_K2 = FunctionTable(2, (1, 0, 3, 2))
@@ -368,3 +371,49 @@ def test_transitive_implies_bijective_on_random_tables():
                 seen_transitive += 1
                 assert bij.level(m)
     assert seen_transitive  # the sample did hit transitive levels
+
+
+def test_clause_levels_reads_a_clause_only_while_its_level_can_hold():
+    asked = []
+
+    def clause(name, holds):
+        return lambda level: asked.append((name, level)) or holds(level)
+
+    band, lift = clause("band", lambda d: d < 3), clause("lift", lambda m: m != 3)
+    assert dynamics.clause_levels(6, 6, (True, True), band, lift) == ((True,) * 3 + (False,) * 3,
+                                                                     (True,) * 2 + (False,) * 4)
+    assert asked == [("band", 1), ("lift", 2), ("band", 2), ("lift", 3), ("band", 3)]
+    # the floor cuts both kinds of level at top, and nothing is read past it
+    asked.clear()
+    always = clause("band", lambda d: True), clause("lift", lambda m: True)
+    assert dynamics.clause_levels(4, 2, (True, True), *always) == ((True, True, False, False),) * 2
+    assert asked == [("band", 1), ("lift", 2)]
+    # the start clauses and a floor at 0 decide level 1, and a failed mp start fails ergodicity too
+    asked.clear()
+    assert dynamics.clause_levels(3, 0, (True, True), *always) == ((False,) * 3,) * 2
+    assert dynamics.clause_levels(3, 3, (False, True), *always) == ((False,) * 3,) * 2
+    assert asked == []
+    assert dynamics.clause_levels(1, 1, (True, False), *always) == ((True,), (False,))
+
+
+@pytest.mark.parametrize("cls, table", [(CarlitzCoefficients, carlitz_table), (MahlerCoefficients, mahler_table)])
+def test_the_sparse_scan_equals_the_table_oracles_in_both_bases(cls, table):
+    # mp level m: compatible through m and bijective mod pi^m; ergodic below k: compatible through m and
+    # transitive; top == k: compatible at every level, on steered sets and on uniform ones
+    rng = random.Random(22)
+    seen = set()
+    for k in range(1, 8):
+        uniform = [to_carlitz(random_table(rng, k)) if cls is CarlitzCoefficients else
+                   random_mahler(rng, k, (1 << k) - 1) for _ in range(10)]
+        for c in uniform + [steered_sparse(rng, cls, k, keep=rng.choice((1.0, 0.7))) for _ in range(290)]:
+            t = table(c)
+            top, mp, raw = c._scanned
+            assert mp == compatible_through(t, is_bijective_mod(t)).levels
+            assert raw[:-1] == compatible_through(t, is_transitive_mod(t)).levels[:-1]
+            assert (top == k) == all(brute_compatible(t).levels)
+            seen.update(("mp", m, v) for m, v in enumerate(mp, start=1))
+            seen.update(("ergodic", m, v) for m, v in enumerate(raw[:-1], start=1))
+            seen.add(("top", top == k))
+    # both verdicts at every level
+    assert seen == {(kind, m, v) for kind, top in (("mp", 7), ("ergodic", 6)) for m in range(1, top + 1)
+                    for v in (True, False)} | {("top", True), ("top", False)}

@@ -7,8 +7,8 @@ breaks it.  The kernels (`to_vdp`, `vdp_table`, `carlitz_table` and
 `to_carlitz`) build their records through the private constructor that
 skips the check, and those records equal the public constructor's.  The
 compatibility levels and walk checkpoints that the table oracles cache on
-a table are no fields either, nor is the scan that the Carlitz or van der
-Put criteria cache on a coefficient set.  A sparse set's coefficients are
+a table are no fields either, nor is the scan that the Carlitz, Mahler or
+van der Put criteria cache on a coefficient set.  A sparse set's coefficients are
 read-only, so no memo can go stale.
 """
 
@@ -26,6 +26,7 @@ from helpers import (
     random_table,
     random_z2_compatible,
     reference_coefficients,
+    steered_sparse,
 )
 from tadic.carlitz import CarlitzCoefficients, carlitz_table, check_ergodic_carlitz, check_lipschitz_carlitz, to_carlitz
 from tadic.cyclegen import gen_cycle, random_data
@@ -40,7 +41,7 @@ from tadic.vanderput import (
     to_vdp,
     vdp_table,
 )
-from tadic.z2compare import MahlerCoefficients, mahler_table
+from tadic.z2compare import MahlerCoefficients, check_ergodic_mahler_z2, mahler_table
 
 TYPES = (FunctionTable, Z2FunctionTable, VdpCoefficients, Z2VdpCoefficients)
 
@@ -154,22 +155,35 @@ def test_the_oracles_memo_is_not_a_field():
                 t._checkpoints = []
 
 
+# the criteria that read a sparse set's scan, per basis
+SPARSE_CRITERIA = {
+    CarlitzCoefficients: (check_lipschitz_carlitz, check_ergodic_carlitz),
+    MahlerCoefficients: (check_ergodic_mahler_z2,),
+}
+
+
 def test_the_carlitz_scan_memo_is_not_a_field():
+    # the scan is SparseCoefficients' memo, so the Mahler basis keeps it out of its fields too
     rng = random.Random(19)
     for k in (2, 3, 4, 9):
-        off_floor = CarlitzCoefficients(k, {0: 1, 1: 1, (1 << k) - 1: 1})
-        for c in (dense_lipschitz_carlitz(rng, k), to_carlitz(random_table(rng, k)), reference_coefficients(k), off_floor):
-            trusted = CarlitzCoefficients._trusted(k, dict(c.a))
-            seen = (repr(c), pickle.dumps(c), c.json_dict())
-            verdicts = (check_lipschitz_carlitz(c), check_ergodic_carlitz(c))
+        sets = [dense_lipschitz_carlitz(rng, k), to_carlitz(random_table(rng, k)), reference_coefficients(k),
+                random_mahler(rng, k, (1 << k) - 1), steered_sparse(rng, MahlerCoefficients, k)]
+        sets += [cls(k, {0: 1, 1: 1, (1 << k) - 1: 1}) for cls in SPARSE_CRITERIA]  # off the floor
+        for c in sets:
+            criteria = SPARSE_CRITERIA[type(c)]
+            trusted = type(c)._trusted(k, dict(c.a))
+            seen = (hash(c), repr(c), pickle.dumps(c), c.json_dict())
+            verdicts = [check(c) for check in criteria]
             assert "_scanned" in vars(c)
-            assert (repr(c), pickle.dumps(c), c.json_dict()) == seen
-            assert c == trusted and c.__reduce__() == trusted.__reduce__() and copy.copy(c) == c
+            assert (hash(c), repr(c), pickle.dumps(c), c.json_dict()) == seen == (
+                hash(trusted), repr(trusted), pickle.dumps(trusted), trusted.json_dict())
+            assert c == trusted and c.__reduce__() == trusted.__reduce__()
+            assert copy.copy(c) == c and "_scanned" not in vars(copy.copy(c))
             twin = pickle.loads(pickle.dumps(c))
             assert twin == c and "_scanned" not in vars(twin)
-            assert (check_ergodic_carlitz(twin), check_lipschitz_carlitz(twin)) == verdicts[::-1]
+            assert [check(twin) for check in reversed(criteria)] == verdicts[::-1]
             with pytest.raises(AttributeError):
-                c._scanned = (k, set())
+                c._scanned = (k, (), ())
 
 
 def test_the_vdp_scan_memo_is_not_a_field():

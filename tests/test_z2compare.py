@@ -12,12 +12,14 @@ from helpers import (
     corrupt_z2,
     exact_mahler_eval,
     exact_mahler_table,
+    mahler_ergodic_by_indices,
     random_mahler,
     random_mahler_ergodic,
     random_z2_compatible,
     random_z2_ergodic,
     random_z2_table,
     scaled_vdp,
+    steered_sparse,
 )
 from tadic import z2compare
 from tadic.dynamics import is_bijective_mod, is_compatible, restrict_sparse
@@ -117,6 +119,33 @@ def test_mahler_ergodic_criterion_known_values():
     assert check_ergodic_mahler_z2(MahlerCoefficients(4, {0: 1, 1: 1})) is True
     assert check_ergodic_mahler_z2(MahlerCoefficients(4, {0: 1, 1: 1, 2: 2})) is False
     assert check_ergodic_mahler_z2(MahlerCoefficients(4, {0: 2, 1: 1})) is False
+
+
+def test_mahler_criterion_equals_the_index_oracle_on_every_small_set():
+    trues = count = 0
+    for k, stored in ((1, 4), (2, 6), (3, 5)):
+        for values in itertools.product(range(1 << k), repeat=stored):
+            c = MahlerCoefficients(k, dict(enumerate(values)))
+            got = check_ergodic_mahler_z2(c)
+            assert got is mahler_ergodic_by_indices(c)
+            trues += got
+            count += 1
+    assert count == 36880 and trues == 1 + 2 + 16
+
+
+def test_mahler_criterion_equals_the_index_oracle_on_samples():
+    rng = random.Random(22)
+    trues = 0
+    for k in range(1, 11):
+        for _ in range(40):
+            sets = [random_mahler(rng, k, (1 << k) + 3), steered_sparse(rng, MahlerCoefficients, k, keep=rng.random())]
+            # an index from 2^k up is off the floor in both forms
+            past = {**sets[1].a, rng.randrange(1 << k, (1 << k) + 4): rng.getrandbits(k)}
+            for c in sets + [MahlerCoefficients(k, past)]:
+                got = check_ergodic_mahler_z2(c)
+                assert got is mahler_ergodic_by_indices(c)
+                trues += got
+    assert 40 < trues < 300
 
 
 def test_transitivity_oracle_z2():
