@@ -19,14 +19,13 @@ __version__ = "0.1.0"
 
 # the public names of each submodule
 _EXPORTS = {
-    "carlitz": "CarlitzCoefficients carlitz_table check_ergodic_carlitz check_lipschitz_carlitz from_carlitz to_carlitz",
+    "carlitz": "CarlitzCoefficients carlitz_table from_carlitz to_carlitz",
     "cyclegen": "CycleData gen_cycle random_data",
-    "dynamics": "FunctionTable LevelVerdicts Z2FunctionTable is_bijective_mod is_compatible is_transitive_mod orbit "
-                "parity_lift",
+    "dynamics": "FunctionTable LevelVerdicts Z2FunctionTable check_ergodic check_lipschitz check_mp is_bijective_mod "
+                "is_compatible is_transitive_mod orbit parity_lift",
     "gf2ps": "clmul clmul_trunc order trunc",
-    "vanderput": "VdpCoefficients Z2VdpCoefficients check_ergodic_vdp check_lipschitz_vdp check_mp_vdp from_vdp to_vdp "
-                 "vdp_table",
-    "z2compare": "MahlerCoefficients check_ergodic_mahler_z2 mahler_eval",
+    "vanderput": "VdpCoefficients Z2VdpCoefficients from_vdp to_vdp vdp_table",
+    "z2compare": "MahlerCoefficients mahler_eval",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

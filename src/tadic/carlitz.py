@@ -1,7 +1,9 @@
 """Carlitz basis machinery over F2[T] at r=2.
 
-Coefficient extraction from a function table and evaluation back; the
-criteria read the sparse scan shared with Mahler, with lift tag 1.  The
+Coefficient extraction from a function table and evaluation back.  The
+criteria are dynamics' check_lipschitz, check_mp and check_ergodic, read
+off the sparse scan shared with Mahler with lift tag 1; two keep their
+Carlitz names, check_lipschitz_carlitz and check_ergodic_carlitz.  The
 transform pair and point evaluation work mod T^k with the recurrence
 E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
 level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
@@ -19,7 +21,7 @@ import functools
 from itertools import compress, repeat
 from types import MappingProxyType
 
-from .dynamics import FunctionTable, LevelVerdicts, SparseCoefficients, restrict_sparse
+from .dynamics import FunctionTable, SparseCoefficients, check_ergodic, check_lipschitz, restrict_sparse
 from .gf2ps import check_residues, clmul, clmul_trunc, pack, tile, trunc, unpack
 
 __all__ = [
@@ -158,21 +160,5 @@ def carlitz_table(c):
 restrict = restrict_sparse
 
 
-def check_lipschitz_carlitz(c):
-    """True iff c is 1-Lipschitz through level k (top == k): ord(a_n) >= floor(log2 n) for every stored n."""
-    return c._scanned[0] == c.precision
-
-
-def check_ergodic_carlitz(c):
-    """Single-cycle criterion per level, three-valued: the raw ergodic levels of the set's sparse scan.
-
-    Every level m first needs c 1-Lipschitz through level m, so a set off
-    its floor gets False from level top + 1 on, and no set raises.  Level 1
-    needs a_0 and a_1 odd.  Level m adds ord(a_n) >= m across the band
-    floor(log2 n) = m-1 and a lift clause pinning the next coefficient of
-    the chain a_{2^j - 1}: the T^{m-1} digit of a_{2^{m-1}-1} is 1 (the T
-    digit of a_1 at m = 2).  True is only reported below the precision;
-    level k stays undecided unless a clause fails outright.  Each clause
-    reads only stored indices, so the cost is linear in the set.
-    """
-    return LevelVerdicts.below_precision(c._scanned[2])
+# the Carlitz names of two criteria, whose one body each is in dynamics
+check_lipschitz_carlitz, check_ergodic_carlitz = check_lipschitz, check_ergodic

@@ -6,9 +6,10 @@ keystream emits plain hex lines, one write per block of the orbit.  All
 verdicts come straight from the library calls, the front end adds no logic
 of its own: every command looks its coefficient format up in one table
 keyed by (ring, basis), which holds the reader, expansion, evaluator,
-synthesiser, restrictor and the criterion behind each --check, read off
-the format's module on first use, so a run imports only the modules its
-command uses.  Each format's reader owns its document
+synthesiser and restrictor, read off the format's module on first use, so
+a run imports only the modules its command uses.  Each --check is one
+criterion for every format, read off the set's own scan, so every (ring,
+basis) row takes all three checks.  Each format's reader owns its document
 rules (header, body shape, index keys and precision cap); the front end
 only reads the JSON text, refusing repeated keys, and checks the table
 budget where it builds a table itself (keystream and convert from a sparse
@@ -30,6 +31,8 @@ __all__ = ["main", "run"]
 _RING = {"f2t": "F2T", "z2": "Z2"}
 _BASIS = {"vdp": "vanderput", "carlitz": "carlitz", "mahler": "mahler"}
 _FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
+# --check name -> criterion, which returns a bool or per-level verdicts
+_CHECKS = {"lipschitz": dynamics.check_lipschitz, "mp": dynamics.check_mp, "ergodic": dynamics.check_ergodic}
 # keystream lines per write
 _BLOCK = 4096
 
@@ -55,7 +58,7 @@ def _build_parser():
     v = sub.add_parser("verify", parents=[common], help="check a criterion on coefficients, or a table exhaustively")
     v.add_argument("--ring", choices=sorted(_RING))
     v.add_argument("--basis", choices=sorted(_BASIS))
-    v.add_argument("--check", choices=["ergodic", "lipschitz", "mp"])
+    v.add_argument("--check", choices=sorted(_CHECKS))
     v.add_argument("--coeffs", metavar="FILE")
     v.add_argument("--exhaustive", action="store_true", help="brute-force a table per level instead")
     v.add_argument("--table", metavar="FILE")
@@ -120,11 +123,10 @@ class _Kind(Record):
     Fields: the coefficient type; expand, table -> coefficients (None when
     the basis has no expansion); evaluate, (coefficients, x) -> value;
     synthesize, coefficients -> table; restrict, (coefficients, precision)
-    -> coefficients; checks, --check name -> criterion, which returns a bool
-    or per-level verdicts.
+    -> coefficients.
     """
 
-    _fields = ("coeffs", "expand", "evaluate", "synthesize", "restrict", "checks")
+    _fields = ("coeffs", "expand", "evaluate", "synthesize", "restrict")
 
 
 # Each row names the module of its format and builds the _Kind from it, the
@@ -132,17 +134,11 @@ class _Kind(Record):
 _KINDS = {
     # one van der Put row per ring: the rows differ only in the coefficient type
     **{(ring, "vanderput"): ("vanderput", lambda m, ring=ring: _Kind(
-        m.RINGS[ring].vdp, m.to_vdp, m.from_vdp, m.vdp_table, m.restrict,
-        {"lipschitz": m.check_lipschitz_vdp, "mp": m.check_mp_vdp, "ergodic": m.check_ergodic_vdp},
-    )) for ring in _RING.values()},
+        m.RINGS[ring].vdp, m.to_vdp, m.from_vdp, m.vdp_table, m.restrict)) for ring in _RING.values()},
     ("F2T", "carlitz"): ("carlitz", lambda m: _Kind(
-        m.CarlitzCoefficients, m.to_carlitz, m.from_carlitz, m.carlitz_table, m.restrict,
-        {"lipschitz": m.check_lipschitz_carlitz, "ergodic": m.check_ergodic_carlitz},
-    )),
+        m.CarlitzCoefficients, m.to_carlitz, m.from_carlitz, m.carlitz_table, m.restrict)),
     ("Z2", "mahler"): ("z2compare", lambda m: _Kind(
-        m.MahlerCoefficients, None, m.mahler_eval, m.mahler_table, dynamics.restrict_sparse,
-        {"ergodic": m.check_ergodic_mahler_z2},
-    )),
+        m.MahlerCoefficients, None, m.mahler_eval, m.mahler_table, dynamics.restrict_sparse)),
 }
 _TABLES = {t.ring: t for t in (dynamics.FunctionTable, dynamics.Z2FunctionTable)}
 
@@ -218,11 +214,8 @@ def _cmd_verify(args):
     want = (_RING[args.ring], _BASIS[args.basis])
     if kind != want:
         raise _CliError("coefficient file is %s/%s but flags say %s/%s" % (kind + want))
-    check = _kind(kind).checks.get(args.check)
-    if check is None:
-        raise _CliError("unsupported combination: --ring %s --basis %s --check %s" % (args.ring, args.basis, args.check))
-    result = check(c)
-    # a per-level criterion holds unless some level is False (check_mp_vdp decides them all)
+    result = _CHECKS[args.check](c)
+    # a per-level criterion holds unless some level is False (check_mp decides them all)
     per_level = isinstance(result, dynamics.LevelVerdicts)
     verdict = result.overall is not False if per_level else result
     report = {

@@ -43,6 +43,9 @@ __all__ = [
     "LevelVerdicts",
     "TABLE_BUDGET",
     "Z2FunctionTable",
+    "check_ergodic",
+    "check_lipschitz",
+    "check_mp",
     "is_bijective_mod",
     "is_compatible",
     "is_transitive_mod",
@@ -188,6 +191,29 @@ def clause_levels(k, top, start, band, lift):
     return tuple(zip(*levels))
 
 
+def check_lipschitz(c):
+    """True iff the coefficient set c, in any basis, is 1-Lipschitz through level k: its floor's top is k."""
+    return c._top == c.precision
+
+
+def check_mp(c):
+    """Measure preservation per level, in any basis: the mp levels of c's scan, all decided, on any set.
+
+    Level m matches a table compatible at every level j <= m and bijective
+    mod pi^m; a set off its floor gets False from level top + 1 on.
+    """
+    return LevelVerdicts(c._scanned[1])
+
+
+def check_ergodic(c):
+    """Single-cycle criterion per level, in any basis, three-valued: the raw ergodic levels of c's scan.
+
+    True at level m < k matches a table compatible at every level j <= m
+    and transitive mod pi^m; level k stays None unless a clause fails.
+    """
+    return LevelVerdicts.below_precision(c._scanned[2])
+
+
 class SparseCoefficients(Record):
     """Sparse coefficients a_n mod T^k or 2^k; missing indices are zero.
 
@@ -195,8 +221,8 @@ class SparseCoefficients(Record):
     under its memos; it hashes by its items and pickles as a plain dict.
     Subclasses set the `ring` and `basis` tags that their JSON carries and
     the `lift` tag, the digit m - 1 of a_{2^(m-1)-1} that level m's lift
-    clause asks for.  `_scanned`, the one scan that every criterion reads,
-    is no field.
+    clause asks for.  `_floor` and `_scanned`, the scans that the criteria
+    read, are no fields.
     """
 
     ring = basis = lift = None
@@ -220,21 +246,31 @@ class SparseCoefficients(Record):
         return self.a.get(n, 0)
 
     @functools.cached_property
-    def _scanned(self):
-        """(top, raw mp levels, raw ergodic levels) from one pass over the stored a_n, ORed by bit length.
+    def _floor(self):
+        """(top, the stored a_n ORed by bit length): the one pass over them, all that check_lipschitz reads.
 
         top is k, or the least order of an a_n below its floor
         ord(a_n) >= floor(log2 n); as a_n < 2^k, past the precision the
-        floor refutes any stored a_n.  Band d's unit clause is
-        ord(a_n) >= d + 1 for 2^d <= n < 2^(d+1), mp starts from a_1 odd
-        and ergodicity from a_0 odd.
+        floor refutes any stored a_n.
         """
-        k, a, ors = self.precision, self.a, {}
-        for n, v in a.items():
+        k, ors = self.precision, {}
+        for n, v in self.a.items():
             b = n.bit_length()
             ors[b] = ors.get(b, 0) | v
-        top = min([k, *(order(off) for b, v in ors.items() if b > 1 and (off := v & ((1 << (b - 1)) - 1)))])
-        return (top, *clause_levels(k, top, (bool(a.get(1, 0) & 1), bool(a.get(0, 0) & 1)),
+        return min([k, *(order(off) for b, v in ors.items() if b > 1 and (off := v & ((1 << (b - 1)) - 1)))]), ors
+
+    _top = property(lambda self: self._floor[0])
+
+    @functools.cached_property
+    def _scanned(self):
+        """(top, raw mp levels, raw ergodic levels), read off the floor pass's ORs by clause_levels.
+
+        Band d's unit clause is ord(a_n) >= d + 1 for 2^d <= n < 2^(d+1),
+        mp starts from a_1 odd and ergodicity from a_0 odd, and level m's
+        lift clause asks digit m - 1 of a_{2^(m-1)-1} to be the `lift` tag.
+        """
+        (top, ors), a = self._floor, self.a
+        return (top, *clause_levels(self.precision, top, (bool(a.get(1, 0) & 1), bool(a.get(0, 0) & 1)),
                                     lambda d: not ors.get(d + 1, 0) & ((2 << d) - 1),
                                     lambda m: (a.get((1 << (m - 1)) - 1, 0) >> (m - 1)) & 1 == self.lift))
 

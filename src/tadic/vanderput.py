@@ -7,16 +7,20 @@ finite differences of f, so expansion and evaluation accumulate with the
 ring's addition: XOR in F2[[T]], carrying addition in Z2.  The types carry
 the ring as a tag (`Z2VdpCoefficients` is a `VdpCoefficients` tagged "Z2")
 and every function here reads the ring off its argument.  The criteria
-decide 1-Lipschitz continuity, measure preservation, and ergodicity per
-level from the scaled coefficients b_alpha.  All three read one split of
-the packed bands per set, the `_scanned` memo, which hands its unit and
-lift clauses to `clause_levels`; no band outlives the scan.
+for 1-Lipschitz continuity, measure preservation and ergodicity per level
+are the ones of every basis, dynamics' check_lipschitz, check_mp and
+check_ergodic, exported here under their van der Put names.  What is van
+der Put's own is `_scan`, their clauses on the scaled coefficients
+b_alpha: one split of the packed bands per set, the `_scanned` memo, which
+hands its unit and lift clauses to `clause_levels`; no band outlives the
+scan.
 """
 
 import functools
 import operator
 
-from .dynamics import TABLE_BUDGET, FunctionTable, LevelVerdicts, Z2FunctionTable, clause_levels, truncation_mask
+from .dynamics import TABLE_BUDGET, FunctionTable, Z2FunctionTable, clause_levels, truncation_mask
+from .dynamics import check_ergodic, check_lipschitz, check_mp
 from .gf2ps import (
     Record,
     check_residues,
@@ -67,6 +71,9 @@ class VdpCoefficients(Record):
     def _scanned(self):
         """_scan's (top, mp levels, raw ergodic levels), computed at most once per set; B is a tuple, so it cannot go stale."""
         return _scan(self)
+
+    # one split of the bands serves all three criteria, so check_lipschitz reads top off the whole scan
+    _top = property(lambda self: self._scanned[0])
 
     def json_dict(self):
         return coeffs_document(self, ((m, v) for m, v in enumerate(self.B) if v))
@@ -170,16 +177,20 @@ def restrict(c, prec):
 
 
 def _scan(c):
-    """One split of c's packed bands: top, the levels of check_mp_vdp, and the raw levels of check_ergodic_vdp.
+    """One split of c's packed bands: top, and the raw mp and ergodic levels of the criteria in dynamics.
 
     top is the highest level m through which the set is 1-Lipschitz,
     ord(B_alpha) >= min(deg alpha, m) for every alpha: k, or the least
     order below a band's floor, from the band's OR.  clause_levels reads
-    the rest: band d's unit clause (bit d set in each of its 2^d slots),
-    and the lift clause of level m, on b_0 + b_1 at m = 2 and above it on
-    the sum of band m - 2, whose bits m - 2 and m - 1 are the scaled sum
-    mod pi^2, so m bits of each partial sum suffice.  The bands go with
-    the call.
+    the rest on the scaled coefficients b_alpha.  The mp start clause is
+    b_0 + b_1 a unit, the ergodic one b_0 a unit; band d's unit clause is
+    b_alpha a unit for every alpha of degree d (bit d set in each of its
+    2^d slots).  Units and the parity of b_0 + b_1 are the same bit tests
+    in both rings.  The lift clause of level m is b_0 + b_1 = 1 + pi mod
+    pi^2 at m = 2, and above it the sum of b_alpha over deg alpha = m - 2
+    equal to the ring's lift target mod pi^2 (T in F2[[T]]; 2 at m = 3 and
+    0 beyond in Z2): bits m - 2 and m - 1 of the sum of band m - 2, so m
+    bits of each partial sum suffice.  The bands go with the call.
     """
     ring, k, B = RINGS[c.ring], c.precision, c.B
     w, width = c.packed
@@ -200,36 +211,5 @@ def _scan(c):
                                 lambda d: bands[d] & (unit := tile(1 << d, 1 << d, width)) == unit, lifts))
 
 
-def check_lipschitz_vdp(c):
-    """True iff c is 1-Lipschitz through level k (top == k): ord(B_alpha) >= deg alpha for every alpha."""
-    return c._scanned[0] == c.precision
-
-
-def check_mp_vdp(c):
-    """Measure preservation per level.
-
-    Level m holds iff c is 1-Lipschitz through level m, b_0 + b_1 is a
-    unit, and b_alpha is a unit for every alpha of degree below m; this
-    matches a table compatible at every level j <= m and bijective mod
-    pi^m exactly, so all k levels are decided booleans, on any set.  A set
-    off its floor gets False from level top + 1 on.  Units and the parity
-    of b_0 + b_1 are the same bit tests in both rings.
-    """
-    return LevelVerdicts(c._scanned[1])
-
-
-def check_ergodic_vdp(c):
-    """Single-cycle criterion per level, three-valued.
-
-    Level 1 needs b_0 and b_0 + b_1 odd.  Each next level m adds the unit
-    conditions at degree m-1 and a lift clause: b_0 + b_1 = 1 + pi mod pi^2
-    for m = 2, and for m >= 3 the sum of b_alpha over deg alpha = m-2 equal
-    to the ring's lift target mod pi^2 (T in F2[[T]]; 2 at m = 3 and 0
-    beyond in Z2), each sum checked once.  The floor clause, the parity of
-    b_0 + b_1 and the unit conditions are the levels of check_mp_vdp, so a
-    set off its floor gets False from level top + 1 on, and no set raises.
-    A True verdict at level m is only reported for m <= k-1, where it
-    matches a table compatible at every level j <= m and transitive mod
-    pi^m; level k stays undecided unless some clause fails outright.
-    """
-    return LevelVerdicts.below_precision(c._scanned[2])
+# the van der Put names of the criteria, whose one body each is in dynamics
+check_lipschitz_vdp, check_mp_vdp, check_ergodic_vdp = check_lipschitz, check_mp, check_ergodic

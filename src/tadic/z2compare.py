@@ -6,9 +6,10 @@ bijectivity, and cycle walks carry over as is; only the ring addition
 differs (carries instead of XOR).  The Z2 table and Van der Put types are
 the F2[[T]] ones tagged "Z2"; they live beside their parents and are
 re-exported here.  The Z2 names to_vdp_z2, vdp_table_z2, check_ergodic_z2
-and is_transitive_mod_z2 are the generic functions under other names.
-What is 2-adic only lives here: the Mahler basis and its single-cycle
-criterion at p=2 (the sparse scan, lift tag 0).  Neither Mahler path
+and is_transitive_mod_z2 are the generic functions under other names;
+check_mp_z2 and check_ergodic_mahler_z2 are bool views of the criteria.
+What is 2-adic only lives here: the Mahler basis, whose sets take every
+criterion off the sparse scan with lift tag 0.  Neither Mahler path
 builds a binomial C(x, i).  A point takes each C(x, i) mod 2^k in poly(k)
 from Kummer's carry count and the odd parts of three factorials
 (Granville, "Arithmetic properties of binomial coefficients I", 1997).
@@ -20,9 +21,9 @@ index up to L, and one O(2^k) column of products per stored index above L.
 from itertools import accumulate, repeat
 from operator import add, lshift, mul, sub
 
-from .dynamics import SparseCoefficients, Z2FunctionTable, is_transitive_mod
+from .dynamics import SparseCoefficients, Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod
 from .gf2ps import check_residues, pack, tile, unpack
-from .vanderput import Z2VdpCoefficients, check_ergodic_vdp, check_mp_vdp, to_vdp, vdp_table
+from .vanderput import Z2VdpCoefficients, to_vdp, vdp_table
 
 __all__ = [
     "MahlerCoefficients",
@@ -41,19 +42,24 @@ __all__ = [
 # The ring travels with the argument, so the Z2 names are the generic functions.
 to_vdp_z2 = to_vdp
 vdp_table_z2 = vdp_table
-check_ergodic_z2 = check_ergodic_vdp
+check_ergodic_z2 = check_ergodic
 is_transitive_mod_z2 = is_transitive_mod
 
 
 class MahlerCoefficients(SparseCoefficients):
-    """Sparse binomial-basis coefficients a_i mod 2^k; missing indices are zero; the lift clauses want 0 digits."""
+    """Sparse binomial-basis coefficients a_i mod 2^k; missing indices are zero; the lift clauses want 0 digits.
+
+    So the scan reads Anashin's clauses, each modulus capped at 2^k: mp iff
+    a_1 is odd and ord(a_i) >= floor(log2 i) + 1 for i >= 2, 1-Lipschitz
+    with floor(log2 i) in place of floor(log2 i) + 1.
+    """
 
     ring, basis, lift = "Z2", "mahler", 0
 
 
 def check_mp_z2(c):
-    """Compatible and bijective mod 2^m at every level: 1-Lipschitz, b_0 + b_1 odd, all b_m odd."""
-    return check_mp_vdp(c).overall is True
+    """check_mp's overall verdict as a bool: compatible and bijective mod 2^m at every level."""
+    return check_mp(c).overall is True
 
 
 # per precision k, entry e is G_e(t) = prod of 2^e t + j over odd j < 2^e,
@@ -206,9 +212,8 @@ def mahler_table(c):
 def check_ergodic_mahler_z2(c):
     """Binomial-basis single-cycle test (Anashin): a_0 odd, a_1 = 1 mod 4, ord(a_i) >= floor(log2(i + 1)) + 1 for i >= 2.
 
-    Each modulus is capped at 2^k.  This is the top raw ergodic level of
-    the set's sparse scan: the decay clause of a_i is the unit clause of
-    band floor(log2 i), plus, at i = 2^j - 1, the lift clause pinning
-    digit j to 0; the floor refutes any stored index from 2^k up.
+    Each modulus is capped at 2^k.  This is every raw ergodic level of the
+    sparse scan, level k too: the decay clause of a_i is band floor(log2 i)'s
+    unit clause and, at i = 2^j - 1, the lift clause pinning digit j to 0.
     """
     return all(c._scanned[2])

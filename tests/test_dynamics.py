@@ -417,3 +417,80 @@ def test_the_sparse_scan_equals_the_table_oracles_in_both_bases(cls, table):
     # both verdicts at every level
     assert seen == {(kind, m, v) for kind, top in (("mp", 7), ("ergodic", 6)) for m in range(1, top + 1)
                     for v in (True, False)} | {("top", True), ("top", False)}
+
+
+def _redrawn_cycle(rng, ring, k):
+    """A generated single cycle at precision k in `ring`, its van der Put band k - 2 redrawn: level k's lift is a coin.
+
+    Every redrawn coefficient keeps its unit clause (B_1 even beside an
+    odd B_0 when k = 2), so the set stays compatible and transitive below k.
+    """
+    _, t = gen_cycle(random_data(rng.getrandbits(32), k - 1))
+    c = to_vdp(Z2FunctionTable(k, t.table) if ring == "Z2" else t)
+    B, d = list(c.B), k - 2
+    for alpha in range(1 << d, 2 << d):
+        B[alpha] = (rng.getrandbits(k) << 1 | (d > 0)) << d & ((1 << k) - 1)
+    return type(c)(k, B)
+
+
+def _flipped_chain(rng, k):
+    """A steered Carlitz set with the lift digit that level k reads, digit k - 1 of a_{2^(k-1)-1}, flipped at random."""
+    c = steered_sparse(rng, CarlitzCoefficients, k)
+    n = (1 << (k - 1)) - 1
+    return CarlitzCoefficients(k, {**c.a, n: c.coeff(n) ^ rng.getrandbits(1) << (k - 1)})
+
+
+@pytest.mark.parametrize("build, table", [
+    (lambda rng, k: _redrawn_cycle(rng, "F2T", k), vdp_table),
+    (lambda rng, k: _redrawn_cycle(rng, "Z2", k), vdp_table),
+    (_flipped_chain, carlitz_table),
+], ids=["vdp-f2t", "vdp-z2", "carlitz"])
+def test_the_raw_level_k_clause_decides_transitivity_at_level_k(build, table):
+    # on a set compatible and transitive below k the driver's raw level-k ergodic clause is is_transitive_mod at
+    # level k, although the criteria report that level as None
+    rng = random.Random(23)
+    seen = set()
+    for k in range(2, 11):
+        for _ in range(30):
+            c = build(rng, k)
+            t = table(c)
+            if not (all(is_compatible(t).levels) and all(is_transitive_mod(t).levels[:-1])):
+                continue
+            raw = c._scanned[2][-1]
+            assert raw == is_transitive_mod(t).level(k)
+            assert dynamics.check_ergodic(c).level(k) is (None if raw else False)
+            seen.add((k, raw))
+    assert seen == {(k, v) for k in range(2, 11) for v in (True, False)}
+
+
+@pytest.mark.parametrize("cls", [CarlitzCoefficients, MahlerCoefficients])
+def test_a_lipschitz_check_on_a_sparse_set_reads_only_its_floor(monkeypatch, cls):
+    # check_lipschitz never runs the level loop; a later mp or ergodic check runs it once, on the same floor pass
+    loops = []
+    real = dynamics.clause_levels
+    monkeypatch.setattr(dynamics, "clause_levels", lambda k, *rest: loops.append(k) or real(k, *rest))
+    rng = random.Random(24)
+    # the chain a_{2^j-1} that passes every clause at precision 1024: digit j is the lift tag, digits below j are 0
+    chain = {0: 1, 1: 1 | cls.lift << 1, **{(1 << j) - 1: (1 << j if cls.lift else 2 << j) & ((1 << 1024) - 1)
+                                            for j in range(2, 1024)}}
+    sets = [cls(1024, chain), cls(1024, {**chain, 5: 1})] + [steered_sparse(rng, cls, k) for k in (1, 3, 6, 6, 6)]
+
+    class Passes(dict):
+        """The stored a_n, counting the passes over them."""
+        passes = 0
+
+        def items(self):
+            self.passes += 1
+            return super().items()
+
+    for c in sets:
+        k = c.precision
+        c = cls._trusted(k, Passes(c.a))
+        lipschitz = dynamics.check_lipschitz(c)
+        assert loops == [] and "_scanned" not in vars(c)
+        dynamics.check_mp(c), dynamics.check_ergodic(c)
+        assert loops == [k] and c.a.passes == 1
+        assert lipschitz is (c._scanned[0] == k)
+        loops.clear()
+    assert [dynamics.check_lipschitz(c) for c in sets[:2]] == [True, False]
+    assert (dynamics.check_mp(sets[0]).overall, dynamics.check_ergodic(sets[0]).overall) == (True, None)

@@ -30,10 +30,9 @@ def test_every_exported_name_resolves(name):
 
 PUBLIC = [
     "CarlitzCoefficients", "CycleData", "FunctionTable", "LevelVerdicts", "MahlerCoefficients", "VdpCoefficients",
-    "Z2FunctionTable", "Z2VdpCoefficients", "carlitz_table", "check_ergodic_carlitz", "check_ergodic_mahler_z2",
-    "check_ergodic_vdp", "check_lipschitz_carlitz", "check_lipschitz_vdp", "check_mp_vdp", "clmul", "clmul_trunc",
-    "from_carlitz", "from_vdp", "gen_cycle", "is_bijective_mod", "is_compatible", "is_transitive_mod", "mahler_eval",
-    "orbit", "order", "parity_lift", "random_data", "to_carlitz", "to_vdp", "trunc", "vdp_table",
+    "Z2FunctionTable", "Z2VdpCoefficients", "carlitz_table", "check_ergodic", "check_lipschitz", "check_mp", "clmul",
+    "clmul_trunc", "from_carlitz", "from_vdp", "gen_cycle", "is_bijective_mod", "is_compatible", "is_transitive_mod",
+    "mahler_eval", "orbit", "order", "parity_lift", "random_data", "to_carlitz", "to_vdp", "trunc", "vdp_table",
 ]
 
 
@@ -47,6 +46,25 @@ def test_package_exports_resolve_lazily_to_their_modules():
         assert getattr(importlib.import_module(value.__module__), name) is value
     with pytest.raises(AttributeError):
         tadic.__getattr__("invert_unit")
+
+
+# the per-basis names that the gate and the benchmark import: (module, name, the criterion of every basis it is)
+BASIS_NAMES = [
+    ("vanderput", "check_lipschitz_vdp", "check_lipschitz"),
+    ("vanderput", "check_mp_vdp", "check_mp"),
+    ("vanderput", "check_ergodic_vdp", "check_ergodic"),
+    ("carlitz", "check_lipschitz_carlitz", "check_lipschitz"),
+    ("carlitz", "check_ergodic_carlitz", "check_ergodic"),
+    ("z2compare", "check_ergodic_z2", "check_ergodic"),
+]
+
+
+@pytest.mark.parametrize("module, name, criterion", BASIS_NAMES, ids=[n for _, n, _ in BASIS_NAMES])
+def test_each_basis_name_is_the_criterion_of_every_basis(module, name, criterion):
+    # one body per criterion: a per-basis name is the dynamics function itself, not a second path
+    home = importlib.import_module("tadic." + module)
+    assert name in home.__all__
+    assert getattr(home, name) is getattr(importlib.import_module("tadic.dynamics"), criterion)
 
 
 def _python(*argv):
@@ -102,7 +120,8 @@ def cli_files(tmp_path_factory):
     return tmp
 
 
-# every command form of the cli-batch benchmark job, and the runs that stop at argparse: (argv, exit, modules past _BASE)
+# every command form of the cli-batch benchmark job, two more cells of the (basis, check) matrix, and the runs that
+# stop at argparse: (argv, exit, modules past _BASE)
 FOOTPRINTS = [
     ("gen-cycle --n 3 --seed 7", 0, {"cyclegen"}),
     ("verify --exhaustive --table {table}", 0, set()),
@@ -111,6 +130,8 @@ FOOTPRINTS = [
     ("verify --ring z2 --basis vdp --check ergodic --coeffs {z2vdp}", 0, {"vanderput"}),
     ("verify --ring f2t --basis carlitz --check ergodic --coeffs {carlitz}", 0, {"carlitz"}),
     ("verify --ring z2 --basis mahler --check ergodic --coeffs {mahler}", 0, {"z2compare", "vanderput"}),
+    ("verify --ring f2t --basis carlitz --check mp --coeffs {carlitz}", 0, {"carlitz"}),
+    ("verify --ring z2 --basis mahler --check lipschitz --coeffs {mahler}", 0, {"z2compare", "vanderput"}),
     ("convert --from carlitz --to vdp --coeffs {carlitz}", 0, {"carlitz", "vanderput"}),
     ("eval --coeffs {carlitz} --x 0x5", 0, {"carlitz"}),
     ("eval --coeffs {vdp} --x 0x5", 0, {"vanderput"}),

@@ -17,16 +17,17 @@ from helpers import (
     binom_mod2,
     break_floor,
     random_ergodic_vdp,
+    random_mahler_ergodic,
     random_z2_ergodic,
     reference_coefficients,
     reference_table,
 )
 from tadic.cli import run
-from tadic.carlitz import CarlitzCoefficients, check_lipschitz_carlitz, from_carlitz, to_carlitz
+from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
-from tadic.dynamics import FunctionTable, trajectory
+from tadic.dynamics import FunctionTable, check_ergodic, check_lipschitz, check_mp, trajectory
 from tadic.gf2ps import coeffs_document, read_coeffs_document
-from tadic.vanderput import VdpCoefficients, check_lipschitz_vdp, check_mp_vdp, restrict, to_vdp, vdp_table
+from tadic.vanderput import VdpCoefficients, check_mp_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, check_mp_z2, to_vdp_z2
 
 
@@ -137,32 +138,42 @@ def test_z2_mp_reports_carry_the_levels(files, capsys):
     assert [check_mp_z2(c) for c in sets] == [True, False, False]
 
 
-@pytest.mark.parametrize("ring, basis", [("f2t", "vdp"), ("z2", "vdp"), ("f2t", "carlitz")])
+@pytest.mark.parametrize("ring, basis", [("f2t", "vdp"), ("z2", "vdp"), ("f2t", "carlitz"), ("z2", "mahler")])
 def test_well_formed_files_get_a_verdict_on_or_off_their_floor(files, capsys, ring, basis):
-    """Every --check exits 0 or 1 on a well-formed file, 1-Lipschitz or not; exit 2 is for malformed input only."""
+    """Every row takes every --check: exit 0 or 1 on a well-formed file, 1-Lipschitz or not; 2 is for malformed input."""
     rng = random.Random(17)
     build = random_z2_ergodic if ring == "z2" else random_ergodic_vdp
-    checks = ("lipschitz", "mp", "ergodic") if basis == "vdp" else ("lipschitz", "ergodic")
-    lipschitz = check_lipschitz_vdp if basis == "vdp" else check_lipschitz_carlitz
-    off = 0
+    off, seen = 0, set()
     for k in range(2, 7):
         for flips in (0, 1, 1, 3):
-            c = break_floor(rng, build(rng, k), flips)
+            if basis == "mahler":
+                # a set that passes every Mahler clause, then `flips` indices i >= 2 pushed below ord floor(log2 i)
+                a = dict(random_mahler_ergodic(rng, k, (1 << k) - 1).a)
+                for _ in range(flips):
+                    i = rng.randrange(2, 1 << k)
+                    a[i] = a.get(i, 0) | 1 << rng.randrange(i.bit_length() - 1)
+                c = MahlerCoefficients(k, a)
+            else:
+                c = break_floor(rng, build(rng, k), flips)
             if basis == "carlitz":
                 c = to_carlitz(vdp_table(c))
             path = _write(files["tmp"], "floor.json", c.json_dict())
-            off += not lipschitz(c)
-            for check in checks:
+            off += not check_lipschitz(c)
+            for check, criterion in (("lipschitz", check_lipschitz), ("mp", check_mp), ("ergodic", check_ergodic)):
                 code = run(["verify", "--ring", ring, "--basis", basis, "--check", check, "--coeffs", path])
                 out, err = capsys.readouterr()
                 assert code in (0, 1) and err == ""
                 report = json.loads(out)
                 assert report["verdict"] is (code == 0)
+                seen.add((check, code))
                 if check == "lipschitz":
-                    assert report["verdict"] is lipschitz(c)
-                elif not lipschitz(c):
-                    assert code == 1
+                    assert report["verdict"] is criterion(c) and "levels" not in report
+                else:
+                    assert report["levels"] == criterion(c).json_dict()
+                    if not check_lipschitz(c):
+                        assert code == 1
     assert off >= 10
+    assert seen == {(check, code) for check in ("lipschitz", "mp", "ergodic") for code in (0, 1)}
 
 
 def test_verify_ignores_stored_zeros_past_the_table(files, capsys):
@@ -180,12 +191,10 @@ def test_verify_ignores_stored_zeros_past_the_table(files, capsys):
 def test_verify_usage_errors(files, capsys):
     assert run(["verify", "--exhaustive"]) == 2
     assert run(["verify", "--ring", "f2t", "--basis", "vdp", "--check", "mp"]) == 2
-    assert run(["verify", "--ring", "f2t", "--basis", "carlitz", "--check", "mp",
-                "--coeffs", files["car4"]]) == 2
     assert run(["verify", "--ring", "f2t", "--basis", "vdp", "--check", "mp",
                 "--coeffs", files["car4"]]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 3
 
 
 def test_data_errors_exit_two(files, capsys):
