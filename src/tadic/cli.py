@@ -5,9 +5,9 @@ property fails, 2 usage or data errors.  Reports are JSON on stdout;
 keystream emits plain hex lines, one write per block of the orbit.  All
 verdicts come straight from the library calls, the front end adds no logic
 of its own: every command looks its coefficient format up in one table
-keyed by (ring, basis), which holds the reader, expansion, evaluator,
-synthesiser and restrictor, read off the format's module on first use, so
-a run imports only the modules its command uses.  Each --check is one
+keyed by (ring, basis), whose row names the format's module and its type,
+expansion, evaluator, synthesiser and restrictor, looked up on first use,
+so a run imports only the modules its command uses.  Each --check is one
 criterion for every format, read off the set's own scan, so every (ring,
 basis) row takes all three checks.  Each format's reader owns its document
 rules (header, body shape, index keys and precision cap); the front end
@@ -129,16 +129,13 @@ class _Kind(Record):
     _fields = ("coeffs", "expand", "evaluate", "synthesize", "restrict")
 
 
-# Each row names the module of its format and builds the _Kind from it, the
-# first time a command uses the row.
+# Each row names the module of its format and, in it, the five _Kind fields
+# (None: no expansion); the first command that uses a row builds its _Kind.
 _KINDS = {
-    # one van der Put row per ring: the rows differ only in the coefficient type
-    **{(ring, "vanderput"): ("vanderput", lambda m, ring=ring: _Kind(
-        m.RINGS[ring].vdp, m.to_vdp, m.from_vdp, m.vdp_table, m.restrict)) for ring in _RING.values()},
-    ("F2T", "carlitz"): ("carlitz", lambda m: _Kind(
-        m.CarlitzCoefficients, m.to_carlitz, m.from_carlitz, m.carlitz_table, m.restrict)),
-    ("Z2", "mahler"): ("z2compare", lambda m: _Kind(
-        m.MahlerCoefficients, None, m.mahler_eval, m.mahler_table, dynamics.restrict_sparse)),
+    ("F2T", "vanderput"): ("vanderput", "VdpCoefficients", "to_vdp", "from_vdp", "vdp_table", "restrict"),
+    ("Z2", "vanderput"): ("vanderput", "Z2VdpCoefficients", "to_vdp", "from_vdp", "vdp_table", "restrict"),
+    ("F2T", "carlitz"): ("carlitz", "CarlitzCoefficients", "to_carlitz", "from_carlitz", "carlitz_table", "restrict"),
+    ("Z2", "mahler"): ("z2compare", "MahlerCoefficients", None, "mahler_eval", "mahler_table", "restrict_sparse"),
 }
 _TABLES = {t.ring: t for t in (dynamics.FunctionTable, dynamics.Z2FunctionTable)}
 
@@ -147,8 +144,8 @@ def _kind(key):
     """The _Kind of a (ring, basis) format, importing its module on first use."""
     row = _KINDS[key]
     if not isinstance(row, _Kind):
-        module, build = row
-        row = _KINDS[key] = build(importlib.import_module("." + module, __package__))
+        module = importlib.import_module("." + row[0], __package__)
+        row = _KINDS[key] = _Kind(*(name and getattr(module, name) for name in row[1:]))
     return row
 
 

@@ -5,15 +5,14 @@ B_alpha * chi_alpha(x) over indices alpha below 2^k, where chi_alpha is the
 indicator of the ball x = alpha mod T^{deg alpha + 1}.  Coefficients are
 finite differences of f, so expansion and evaluation accumulate with the
 ring's addition: XOR in F2[[T]], carrying addition in Z2.  The types carry
-the ring as a tag (`Z2VdpCoefficients` is a `VdpCoefficients` tagged "Z2")
-and every function here reads the ring off its argument.  The criteria
-for 1-Lipschitz continuity, measure preservation and ergodicity per level
-are the ones of every basis, dynamics' check_lipschitz, check_mp and
-check_ergodic, exported here under their van der Put names.  What is van
-der Put's own is `_scan`, their clauses on the scaled coefficients
-b_alpha: one split of the packed bands per set, the `_scanned` memo, which
-hands its unit and lift clauses to `clause_levels`; no band outlives the
-scan.
+their ring as class tags (`Z2VdpCoefficients` is a `VdpCoefficients` with
+Z2's tag, addition and table type), read off the argument's type.  The
+criteria per level are the ones of every basis, dynamics' check_lipschitz,
+check_mp and check_ergodic, exported here under their van der Put names.
+What is van der Put's own is the floor memo `_top`, one AND of the packed
+set with its floor bits, and `_scan`, their other clauses on the scaled
+coefficients b_alpha: one split of the packed bands per set, the
+`_scanned` memo, which hands its unit and lift clauses to `clause_levels`.
 """
 
 import functools
@@ -35,8 +34,6 @@ from .gf2ps import (
 )
 
 __all__ = [
-    "RINGS",
-    "Ring",
     "VdpCoefficients",
     "Z2VdpCoefficients",
     "check_ergodic_vdp",
@@ -52,11 +49,14 @@ __all__ = [
 class VdpCoefficients(Record):
     """Coefficients B_alpha indexed by the canonical integer of alpha.
 
-    `packed` is B packed by pack_residues, as a table's, not a field; nor
-    is `_scanned`, the one band scan that every criterion reads.
+    Class tags: the ring's `table_type`, `add` and `sub`, and `lift`, the
+    value mod pi^2 of level m's lift clause for m > 3 (both rings ask 2 at
+    m = 3).  `packed` is B packed by pack_residues, as a table's, not a
+    field; nor are the memos `_top` (the floor) and `_scanned` (the scan).
     """
 
     ring, basis = "F2T", "vanderput"
+    table_type, add, sub, lift = FunctionTable, operator.xor, operator.xor, 2
     _fields, _bodies = ("precision", "B"), ("B",)
 
     def _check(self):
@@ -68,12 +68,17 @@ class VdpCoefficients(Record):
         object.__setattr__(self, "packed", pack_residues(k, self.B, "coefficient"))
 
     @functools.cached_property
+    def _top(self):
+        """The floor's top: k, or the least order of a digit below pi^deg alpha, by one AND with a tile of them."""
+        (w, width), k = self.packed, self.precision
+        floor = b"".join(((1 << d) - 1).to_bytes(width, "little") * (1 << d) for d in range(k))
+        low = w & int.from_bytes(bytes(width) + floor, "little")
+        return order(fold(low, 1 << k, width, operator.or_)) if low else k
+
+    @functools.cached_property
     def _scanned(self):
         """_scan's (top, mp levels, raw ergodic levels), computed at most once per set; B is a tuple, so it cannot go stale."""
         return _scan(self)
-
-    # one split of the bands serves all three criteria, so check_lipschitz reads top off the whole scan
-    _top = property(lambda self: self._scanned[0])
 
     def json_dict(self):
         return coeffs_document(self, ((m, v) for m, v in enumerate(self.B) if v))
@@ -94,28 +99,14 @@ class Z2VdpCoefficients(VdpCoefficients):
     """Coefficients B_m of the ball-indicator expansion mod 2^k."""
 
     ring = "Z2"
+    table_type, add, sub, lift = Z2FunctionTable, operator.add, operator.sub, 0
 
 
-class Ring(Record):
-    """One coefficient ring: its tag, addition, tagged types, and lift target.
-
-    `lift(m)` is the value mod pi^2 that the scaled band sum over
-    deg alpha = m-2 must take for a single cycle to lift to level m >= 3.
-    """
-
-    _fields = ("name", "add", "sub", "table", "vdp", "lift")
+# the coefficient type that to_vdp gives a table of each ring
+_VDP = {cls.ring: cls for cls in (VdpCoefficients, Z2VdpCoefficients)}
 
 
-RINGS = {
-    r.name: r
-    for r in (
-        Ring("F2T", operator.xor, operator.xor, FunctionTable, VdpCoefficients, lambda m: 2),
-        Ring("Z2", operator.add, operator.sub, Z2FunctionTable, Z2VdpCoefficients, lambda m: 2 if m == 3 else 0),
-    )
-}
-
-
-def _sweep(r, ring, synthesize):
+def _sweep(r, cls, synthesize):
     """The transform pair on a record's packed 2^k values: B_m = f(m) - f(m - 2^{deg m}), or back.
 
     Synthesis is f(m) = B_m + f(m - 2^{deg m}).  Value m sits in slot m of
@@ -133,26 +124,26 @@ def _sweep(r, ring, synthesize):
     if synthesize:
         for d in range(1, k):
             cut = width << (d + 3)
-            w = ring.add(w, (w & ((1 << cut) - 1)) << cut) & full
+            w = cls.add(w, (w & ((1 << cut) - 1)) << cut) & full
     else:
         s = 0
         for d in range(1, k):
             cut = width << (d + 3)
             s |= (w & ((1 << cut) - 1)) << cut
         # 2^k in every slot: no Z2 difference borrows from the slot above
-        w = ring.sub(w | tile(n, n, width), s) & full
-    return (ring.table if synthesize else ring.vdp)._trusted(k, unpack(w, n, width), packed=(w, width))
+        w = cls.sub(w | tile(n, n, width), s) & full
+    return (cls.table_type if synthesize else cls)._trusted(k, unpack(w, n, width), packed=(w, width))
 
 
 def to_vdp(t):
     """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
-    return _sweep(t, RINGS[t.ring], synthesize=False)
+    return _sweep(t, _VDP[t.ring], synthesize=False)
 
 
 def from_vdp(c, x):
     """Evaluate the expansion at x; nested balls leave at most k nonzero terms."""
     check_residues(c.precision, (x,), "point")
-    add = RINGS[c.ring].add
+    add = type(c).add
     B = c.B
     acc = B[x & 1]
     n = x >> 1
@@ -167,7 +158,7 @@ def from_vdp(c, x):
 
 def vdp_table(c):
     """Synthesize the full table of the expansion at its own precision: the sweep of to_vdp inverted."""
-    return _sweep(c, RINGS[c.ring], synthesize=True)
+    return _sweep(c, type(c), synthesize=True)
 
 
 def restrict(c, prec):
@@ -177,35 +168,28 @@ def restrict(c, prec):
 
 
 def _scan(c):
-    """One split of c's packed bands: top, and the raw mp and ergodic levels of the criteria in dynamics.
+    """One split of c's packed bands: the floor's top, and the raw mp and ergodic levels of the criteria in dynamics.
 
-    top is the highest level m through which the set is 1-Lipschitz,
-    ord(B_alpha) >= min(deg alpha, m) for every alpha: k, or the least
-    order below a band's floor, from the band's OR.  clause_levels reads
-    the rest on the scaled coefficients b_alpha.  The mp start clause is
-    b_0 + b_1 a unit, the ergodic one b_0 a unit; band d's unit clause is
-    b_alpha a unit for every alpha of degree d (bit d set in each of its
-    2^d slots).  Units and the parity of b_0 + b_1 are the same bit tests
-    in both rings.  The lift clause of level m is b_0 + b_1 = 1 + pi mod
+    top is c._top, the floor memo.  clause_levels reads the rest on the
+    scaled coefficients b_alpha.  The mp start clause is b_0 + b_1 a
+    unit, the ergodic one b_0 a unit; band d's unit clause is b_alpha a
+    unit for every alpha of degree d (bit d set in each of its 2^d
+    slots).  Units and the parity of b_0 + b_1 are the same bit tests in
+    both rings.  The lift clause of level m is b_0 + b_1 = 1 + pi mod
     pi^2 at m = 2, and above it the sum of b_alpha over deg alpha = m - 2
-    equal to the ring's lift target mod pi^2 (T in F2[[T]]; 2 at m = 3 and
-    0 beyond in Z2): bits m - 2 and m - 1 of the sum of band m - 2, so m
-    bits of each partial sum suffice.  The bands go with the call.
+    equal to 2 mod pi^2 at m = 3 and to the type's `lift` tag beyond (T
+    in F2[[T]], 0 in Z2): bits m - 2 and m - 1 of the sum of band m - 2,
+    so m bits of each partial sum suffice.  The bands go with the call.
     """
-    ring, k, B = RINGS[c.ring], c.precision, c.B
+    cls, k, B, top = type(c), c.precision, c.B, c._top
     w, width = c.packed
-    top, bands = k, {}
-    for d, band, _ in split_bands(w, k, width):
-        bands[d] = band
-        low = fold(band, 1 << d, width, operator.or_) & ((1 << d) - 1)
-        if low:
-            top = min(top, order(low))
+    bands = {d: band for d, band, _ in split_bands(w, k, width)}
 
     def lifts(m):
         if m == 2:
-            return bool(ring.add(B[0], B[1]) & 2)
-        s = fold(bands[m - 2], 1 << (m - 2), width, ring.add, tile((1 << m) - 1, 1 << (m - 3), width))
-        return (s >> (m - 2)) & 3 == ring.lift(m)
+            return bool(cls.add(B[0], B[1]) & 2)
+        s = fold(bands[m - 2], 1 << (m - 2), width, cls.add, tile((1 << m) - 1, 1 << (m - 3), width))
+        return (s >> (m - 2)) & 3 == (2 if m == 3 else cls.lift)
 
     return (top, *clause_levels(k, top, (bool((B[0] ^ B[1]) & 1), bool(B[0] & 1)),
                                 lambda d: bands[d] & (unit := tile(1 << d, 1 << d, width)) == unit, lifts))

@@ -21,7 +21,8 @@ index up to L, and one O(2^k) column of products per stored index above L.
 from itertools import accumulate, repeat
 from operator import add, lshift, mul, sub
 
-from .dynamics import SparseCoefficients, Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod
+# restrict_sparse is the Mahler restrictor, which the CLI's format table looks up here
+from .dynamics import SparseCoefficients, Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod, restrict_sparse
 from .gf2ps import check_residues, pack, tile, unpack
 from .vanderput import Z2VdpCoefficients, to_vdp, vdp_table
 

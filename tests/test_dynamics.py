@@ -396,27 +396,70 @@ def test_clause_levels_reads_a_clause_only_while_its_level_can_hold():
     assert dynamics.clause_levels(1, 1, (True, False), *always) == ((True,), (False,))
 
 
-@pytest.mark.parametrize("cls, table", [(CarlitzCoefficients, carlitz_table), (MahlerCoefficients, mahler_table)])
+SPARSE_BASES = [(CarlitzCoefficients, carlitz_table), (MahlerCoefficients, mahler_table)]
+
+
+def _scan_equals_the_table_oracles(c, table):
+    """The sparse scan of c against the table oracles on table(c); returns the verdicts it saw.
+
+    mp level m: compatible through m and bijective mod pi^m; ergodic below
+    k: compatible through m and transitive; top == k: compatible at every
+    level.
+    """
+    t, k = table(c), c.precision
+    top, mp, raw = c._scanned
+    assert mp == compatible_through(t, is_bijective_mod(t)).levels
+    assert raw[:-1] == compatible_through(t, is_transitive_mod(t)).levels[:-1]
+    assert (top == k) == all(brute_compatible(t).levels)
+    return {("top", top == k), *(("mp", m, v) for m, v in enumerate(mp, start=1)),
+            *(("ergodic", m, v) for m, v in enumerate(raw[:-1], start=1))}
+
+
+def _both_verdicts_at_every_level(k):
+    return {(kind, m, v) for kind, top in (("mp", k), ("ergodic", k - 1)) for m in range(1, top + 1)
+            for v in (True, False)} | {("top", True), ("top", False)}
+
+
+@pytest.mark.parametrize("cls, table", SPARSE_BASES)
 def test_the_sparse_scan_equals_the_table_oracles_in_both_bases(cls, table):
-    # mp level m: compatible through m and bijective mod pi^m; ergodic below k: compatible through m and
-    # transitive; top == k: compatible at every level, on steered sets and on uniform ones
+    # on steered sets and on uniform ones
     rng = random.Random(22)
     seen = set()
     for k in range(1, 8):
         uniform = [to_carlitz(random_table(rng, k)) if cls is CarlitzCoefficients else
                    random_mahler(rng, k, (1 << k) - 1) for _ in range(10)]
         for c in uniform + [steered_sparse(rng, cls, k, keep=rng.choice((1.0, 0.7))) for _ in range(290)]:
-            t = table(c)
-            top, mp, raw = c._scanned
-            assert mp == compatible_through(t, is_bijective_mod(t)).levels
-            assert raw[:-1] == compatible_through(t, is_transitive_mod(t)).levels[:-1]
-            assert (top == k) == all(brute_compatible(t).levels)
-            seen.update(("mp", m, v) for m, v in enumerate(mp, start=1))
-            seen.update(("ergodic", m, v) for m, v in enumerate(raw[:-1], start=1))
-            seen.add(("top", top == k))
-    # both verdicts at every level
-    assert seen == {(kind, m, v) for kind, top in (("mp", 7), ("ergodic", 6)) for m in range(1, top + 1)
-                    for v in (True, False)} | {("top", True), ("top", False)}
+            seen |= _scan_equals_the_table_oracles(c, table)
+    assert seen == _both_verdicts_at_every_level(7)
+
+
+@pytest.mark.parametrize("cls, table", SPARSE_BASES)
+def test_the_sparse_scan_equals_the_table_oracles_on_every_small_set(cls, table):
+    # every set at k <= 2 with indices below 2^k, and every set on its floor at k = 3: a_n a multiple of
+    # pi^floor(log2 n), 8 * 8 * 4^2 * 2^4 sets
+    seen = {1: set(), 2: set(), 3: set()}
+    for k in (1, 2):
+        for a in itertools.product(range(1 << k), repeat=1 << k):
+            seen[k] |= _scan_equals_the_table_oracles(cls(k, dict(enumerate(a))), table)
+    floors = [0, 0] + [n.bit_length() - 1 for n in range(2, 8)]
+    count = 0
+    for a in itertools.product(*(range(0, 8, 1 << d) for d in floors)):
+        seen[3] |= _scan_equals_the_table_oracles(cls(3, dict(enumerate(a))), table)
+        count += 1
+    assert count == 16384
+    # every set at k = 1, and every on-floor set at k = 3, is 1-Lipschitz
+    assert seen == {k: _both_verdicts_at_every_level(k) - ({("top", False)} if k != 2 else set()) for k in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("cls, table", SPARSE_BASES)
+def test_the_sparse_scan_equals_the_table_oracles_on_steered_sets_to_k10(cls, table):
+    rng = random.Random(25)
+    for k in (8, 9, 10):
+        seen = set()
+        for _ in range(20):
+            seen |= _scan_equals_the_table_oracles(steered_sparse(rng, cls, k, keep=rng.choice((1.0, 0.3))), table)
+        # steered sets pass every clause unless broken, so they reach level k
+        assert ("mp", k, True) in seen and ("ergodic", k - 1, True) in seen
 
 
 def _redrawn_cycle(rng, ring, k):

@@ -22,6 +22,7 @@ from helpers import (
     reference_coefficients,
     reference_table,
 )
+from tadic import cli
 from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
@@ -59,6 +60,16 @@ def files(tmp_path):
 def _json_out(capsys):
     out = capsys.readouterr().out
     return json.loads(out)
+
+
+@pytest.mark.parametrize("key", sorted(cli._KINDS), ids="/".join)
+def test_every_format_row_resolves_to_its_type_and_functions(key):
+    # a misspelt name in a row fails here, not only in the commands that use the row
+    kind = cli._kind(key)
+    assert (kind.coeffs.ring, kind.coeffs.basis) == key
+    fields = kind._values()
+    assert [f is None for f in fields] == [False, key == ("Z2", "mahler"), False, False, False]
+    assert all(callable(f) for f in fields if f is not None)
 
 
 def test_verify_exhaustive_accepts_the_reference_table(files, capsys):

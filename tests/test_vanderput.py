@@ -37,8 +37,8 @@ from tadic.dynamics import (
     is_compatible,
     is_transitive_mod,
 )
+from tadic import vanderput
 from tadic.vanderput import (
-    RINGS,
     VdpCoefficients,
     Z2VdpCoefficients,
     check_ergodic_vdp,
@@ -249,11 +249,11 @@ def _agree_with_the_band_oracles(c, brute=True):
     With `brute`, the criteria and compatibility are also checked against
     the per-coefficient and per-level definitions.
     """
-    ring, k = RINGS[c.ring], c.precision
-    t = ring.table(k, c.B)
-    assert to_vdp(t).B == sweep_by_bands(c.B, k, ring.sub, synthesize=False)
+    cls, k = type(c), c.precision
+    t = cls.table_type(k, c.B)
+    assert to_vdp(t).B == sweep_by_bands(c.B, k, cls.sub, synthesize=False)
     synthesized = vdp_table(c)
-    assert synthesized.table == sweep_by_bands(c.B, k, ring.add, synthesize=True)
+    assert synthesized.table == sweep_by_bands(c.B, k, cls.add, synthesize=True)
     top, mp, ergodic = band_scans(c)
     assert check_lipschitz_vdp(c) == (top == k)
     assert check_mp_vdp(c) == mp
@@ -367,6 +367,34 @@ def test_the_three_criteria_agree_in_any_call_order_on_fresh_sets():
                 assert {name: criteria[name](fresh) for name in order} == want
 
 
+@pytest.mark.parametrize("k", [2, 3, 7, 8, 12, 16])
+def test_the_floor_memo_is_the_band_scans_top_on_sampled_sets(k):
+    # the least order below a floor, not only whether there is one: break_floor pushes digits below it
+    rng = random.Random(300 + k)
+    tops = set()
+    for _ in range(3 if k < 12 else 1):
+        for c in _sampled_sets(rng, k):
+            assert c._top == band_scans(c)[0] == type(c)(k, c.B)._scanned[0]
+            tops.add(c._top)
+    assert k in tops and len(tops) > 1
+
+
+def test_a_lipschitz_check_on_a_van_der_put_set_splits_no_band(monkeypatch):
+    # check_lipschitz reads the floor memo alone; a later mp or ergodic check splits the bands once
+    splits = []
+    real = vanderput.split_bands
+    monkeypatch.setattr(vanderput, "split_bands", lambda w, k, width: splits.append(k) or real(w, k, width))
+    rng = random.Random(21)
+    for k in (2, 9, 14):
+        for c in _sampled_sets(rng, k):
+            fresh = type(c)(k, c.B)
+            lipschitz = check_lipschitz_vdp(fresh)
+            assert splits == [] and "_scanned" not in vars(fresh)
+            check_mp_vdp(fresh), check_ergodic_vdp(fresh)
+            assert splits == [k] and lipschitz is (band_scans(c)[0] == k)
+            splits.clear()
+
+
 @pytest.mark.parametrize("k", range(3, 13))
 def test_packed_layer_equals_the_band_oracles_on_sampled_sets(k):
     # the k + 1 bit slots widen from one byte to two at k = 8
@@ -417,12 +445,12 @@ def _peak(job):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("ring", ["F2T", "Z2"])
-def test_packed_transforms_peak_below_the_list_sweep_at_k16(ring):
+@pytest.mark.parametrize("cls", [VdpCoefficients, Z2VdpCoefficients], ids=["F2T", "Z2"])
+def test_packed_transforms_peak_below_the_list_sweep_at_k16(cls):
     # measured about 0.65 of the list sweep in both directions and rings, at k = 16 and k = 20
-    k, ring = 16, RINGS[ring]
+    k = 16
     rng = random.Random(16)
     values = tuple(rng.getrandbits(k) for _ in range(1 << k))
-    t, c = ring.table(k, values), ring.vdp(k, values)
-    assert _peak(lambda: to_vdp(t)) < _peak(lambda: ring.vdp(k, sweep_by_bands(values, k, ring.sub, False)))
-    assert _peak(lambda: vdp_table(c)) < _peak(lambda: ring.table(k, sweep_by_bands(values, k, ring.add, True)))
+    t, c = cls.table_type(k, values), cls(k, values)
+    assert _peak(lambda: to_vdp(t)) < _peak(lambda: cls(k, sweep_by_bands(values, k, cls.sub, False)))
+    assert _peak(lambda: vdp_table(c)) < _peak(lambda: cls.table_type(k, sweep_by_bands(values, k, cls.add, True)))
