@@ -18,7 +18,7 @@ that survives mod T^k; the table's `packed` form goes in and out as is.
 """
 
 import functools
-from itertools import compress, repeat
+from itertools import compress
 from types import MappingProxyType
 
 from .dynamics import FunctionTable, SparseCoefficients, check_ergodic, check_lipschitz, restrict_sparse
@@ -78,6 +78,16 @@ def _level_shifts(k, size):
                               for i, c in enumerate(_E_values(1 << j, k)[:j])) for j in range(k))
 
 
+def _digit_masks(k, size):
+    """The low k bits of 2^k slots of `size` bytes, and per digit i those of the slots whose index has digit i set."""
+    full = tile((1 << k) - 1, 1 << k, size)
+    digit = [full >> (size << (k + 2)) << (size << (k + 2))]
+    # digit i from digit i + 1 and its shift down 2^i slots: adding 2^i mod 2^k flips digit i + 1 iff digit i is 1
+    for i in range(k - 2, -1, -1):
+        digit.append(digit[-1] ^ digit[-1] >> (size << (i + 3)))
+    return full, digit[::-1]
+
+
 def _butterfly(w, size, k, synthesize):
     """Coefficients to table (synthesize) or table to coefficients, on the 2^k values of indices 0..2^k - 1.
 
@@ -97,13 +107,10 @@ def _butterfly(w, size, k, synthesize):
     T^k and above stays in the slot until the one cut at the end.  The
     values come as pack's int w and slot width and go back as pack's pair.
     """
-    ones = (1 << k) - 1
-    mask = ones.to_bytes(size, "little")
-    # digit[i]: the low k bits of the slots whose index has digit i set
-    digit = [int.from_bytes((bytes(size << i) + mask * (1 << i)) * (1 << (k - 1 - i)), "little") for i in range(k)]
+    full, digit = _digit_masks(k, size)
     first, levels = _level_shifts(k, size)
     # keep[s]: the low k - s bits of every slot, for the shifts by s that would spill
-    keep = {s: tile(ones >> s, 1 << k, size) for s in range(first, k)}
+    keep = {s: tile((1 << (k - s)) - 1, 1 << k, size) for s in range(first, k)}
     for j, shifts in sorted(enumerate(levels), reverse=synthesize):
         upper = w & digit[j]
         lower = w ^ upper
@@ -118,7 +125,7 @@ def _butterfly(w, size, k, synthesize):
         if not synthesize:
             upper ^= lower << (size << (j + 3))
         w = lower | upper
-    return w & tile(ones, 1 << k, size), size
+    return w & full, size
 
 
 def to_carlitz(t):
@@ -150,11 +157,13 @@ def from_carlitz(c, x):
 
 
 def carlitz_table(c):
-    """Synthesize the full table of the expansion at its own precision; indices n >= 2^k vanish there."""
-    k = c.precision
-    # a plain dict's get: the read-only view looks its get up on every call
-    w, size = _butterfly(*pack(list(map(c.a.copy().get, range(1 << k), repeat(0))), k + 1), k, synthesize=True)
-    return FunctionTable._trusted(k, unpack(w, 1 << k, size), packed=(w, size))
+    """Synthesize the full table at its own precision from one pass over the stored items; n >= 2^k vanish there."""
+    k, size = c.precision, 1 << c.precision
+    values = [0] * size
+    for n, v in c.a.items():
+        if n < size:
+            values[n] = v
+    return FunctionTable._trusted(k, packed=_butterfly(*pack(values, k + 1), k, synthesize=True))
 
 
 restrict = restrict_sparse

@@ -7,16 +7,16 @@ same bit mask on canonical values, so every check here serves both rings.
 The sparse coefficient type shared by the Carlitz and Mahler bases lives
 here too, with `clause_levels`, the one level recurrence of every
 coefficient criterion.  A table is checked and packed into one int once,
-when it is built: its `packed` attribute is pack's (int, slot width) in
-slots of k + 1 bits, read by every whole-table kernel.  The checks are
-exhaustive table oracles: compatibility in one O(2^k) pass; transitivity
-from one bare walk from 0 kept at steps 2^j (a first return divides any
-return time), read at every compatible level, other levels checked
-alone; bijectivity from the top level down, a compatible level read off
-that walk or a bijective level above it, other levels one set each; the
-parity criterion that decides whether a single cycle lifts one level;
-and orbit iteration.  Each table computes its compatibility levels and
-walk once.
+when it is built: `packed`, pack's (int, slot width) in slots of k + 1
+bits, is read by every kernel, and `table` unpacked on first read.  The
+checks are exhaustive table oracles: compatibility in one O(2^k) pass;
+transitivity from one bare walk from 0 kept at steps 2^j (a first return
+divides any return time), read at every compatible level, other levels
+checked alone; bijectivity from the top level down, a compatible level
+read off that walk or a bijective level above it, other levels one set
+each; the parity criterion that decides whether a single cycle lifts one
+level; and orbit iteration.  Each table computes its compatibility
+levels and walk once.
 """
 
 import functools
@@ -108,23 +108,40 @@ class LevelVerdicts(Record):
         return {str(m): v for m, v in enumerate(self.levels, start=1)}
 
 
-class FunctionTable(Record):
+class PackedRecord(Record):
+    """A record of precision k whose body is 2^k residues, checked once and kept as pack_residues' pair `packed`.
+
+    Subclasses derive the body by `functools.cached_property(_unpacked)`; equality and hash read (precision,
+    packed), one pair per body at k + 1 bits a slot, and repr takes the body's size from the precision.
+    """
+
+    def _check(self):
+        k, values = self.precision, tuple(getattr(self, self._bodies[0]))
+        check_residues(k)
+        if len(values) != 1 << k:
+            raise ValueError(self._wrong_size % k)
+        self.__dict__.update({self._bodies[0]: values, "packed": pack_residues(k, values, self._entry)})
+
+    def _unpacked(self):
+        return unpack(self.packed[0], 1 << self.precision, self.packed[1])
+
+    def _key(self):
+        return self.precision, self.packed
+
+    def _entries(self, body):
+        return 1 << self.precision
+
+
+class FunctionTable(PackedRecord):
     """Transformation of F2[[T]]/T^k as a table: entry m is f(residue m).
 
-    `packed` is the table packed by pack_residues, not a field; nor are
-    `_compatible` and `_checkpoints`, computed on first use by an oracle.
+    `table` is unpacked on first read; `_compatible` and `_checkpoints`, memos of the oracles, are no fields.
     """
 
     ring = "F2T"
     _fields, _bodies = ("precision", "table"), ("table",)
-
-    def _check(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        k = self.precision
-        check_residues(k)
-        if len(self.table) != 1 << k:
-            raise ValueError("table must have exactly 2^%d entries" % k)
-        object.__setattr__(self, "packed", pack_residues(k, self.table, "table entry"))
+    _wrong_size, _entry = "table must have exactly 2^%d entries", "table entry"
+    table = functools.cached_property(PackedRecord._unpacked)
 
     @functools.cached_property
     def _compatible(self):

@@ -80,13 +80,8 @@ def pack(values, bits):
     bits.  The layout is little-endian in the bytes and in the int, so it
     does not depend on the host's byte order.
     """
-    width = _slot_width(bits)
+    width = 1 << max((bits - 1).bit_length() - 3, 0)
     return int.from_bytes(struct.pack("<%d%s" % (len(values), _SLOT_CODES[width]), *values), "little"), width
-
-
-def _slot_width(bits):
-    """The least power of two bytes that holds `bits` bits."""
-    return 1 << max((bits - 1).bit_length() - 3, 0)
 
 
 def unpack(w, n, width):
@@ -207,8 +202,8 @@ def read_coeffs_document(cls, obj, most):
 class Record:
     """Frozen value record, the base of every value type: positional `_fields`, checked by `_check`.
 
-    Records compare and hash by exact class and fields, refuse assignment,
-    pickle and copy by their fields, and show only the size of `_bodies`.
+    Records compare and hash by exact class and `_key` (by default the fields), refuse
+    assignment, pickle and copy by their fields, and show only the size of `_bodies`.
     """
 
     __slots__ = ()
@@ -217,15 +212,16 @@ class Record:
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(self._fields)))
-        for name, v in zip(self._fields, values):
-            object.__setattr__(self, name, v)
+        self.__dict__.update(zip(self._fields, values))
         self._check()
 
     @classmethod
     def _trusted(cls, *values, **attrs):
-        """A record whose fields a kernel has already checked, with derived attributes such as `packed`; no `_check`."""
+        """A kernel's record: checked fields (a derived one may be left out), attributes such as `packed`, no `_check`."""
         self = object.__new__(cls)
         self.__dict__.update(zip(cls._fields, values), **attrs)
+        if len(values) > len(cls._fields) or not all(n in self.__dict__ or hasattr(cls, n) for n in cls._fields):
+            raise TypeError("%s._trusted takes the fields %s" % (cls.__name__, ", ".join(cls._fields)))
         return self
 
     def _check(self):
@@ -234,11 +230,13 @@ class Record:
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
 
+    _key = _values
+
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash((type(self), self._values()))
+        return hash((type(self), self._key()))
 
     def __setattr__(self, name, value=None):
         raise AttributeError("cannot change %r of a frozen %s" % (name, type(self).__name__))
@@ -248,9 +246,12 @@ class Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    def _entries(self, body):
+        return len(getattr(self, body))
+
     def __repr__(self):
-        shown = ("%s=<%d entries>" % (n, len(v)) if n in self._bodies else "%s=%r" % (n, v)
-                 for n, v in zip(self._fields, self._values()))
+        shown = ("%s=<%d entries>" % (n, self._entries(n)) if n in self._bodies else "%s=%r" % (n, getattr(self, n))
+                 for n in self._fields)
         return "%s(%s)" % (type(self).__name__, ", ".join(shown))
 
 

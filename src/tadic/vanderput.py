@@ -18,19 +18,16 @@ coefficients b_alpha: one split of the packed bands per set, the
 import functools
 import operator
 
-from .dynamics import TABLE_BUDGET, FunctionTable, Z2FunctionTable, clause_levels, truncation_mask
+from .dynamics import TABLE_BUDGET, FunctionTable, PackedRecord, Z2FunctionTable, clause_levels, truncation_mask
 from .dynamics import check_ergodic, check_lipschitz, check_mp
 from .gf2ps import (
-    Record,
     check_residues,
     coeffs_document,
     fold,
     order,
-    pack_residues,
     read_coeffs_document,
     split_bands,
     tile,
-    unpack,
 )
 
 __all__ = [
@@ -46,26 +43,20 @@ __all__ = [
 ]
 
 
-class VdpCoefficients(Record):
+class VdpCoefficients(PackedRecord):
     """Coefficients B_alpha indexed by the canonical integer of alpha.
 
     Class tags: the ring's `table_type`, `add` and `sub`, and `lift`, the
     value mod pi^2 of level m's lift clause for m > 3 (both rings ask 2 at
-    m = 3).  `packed` is B packed by pack_residues, as a table's, not a
-    field; nor are the memos `_top` (the floor) and `_scanned` (the scan).
+    m = 3).  B is unpacked from `packed` on first read, as a table's; the
+    memos `_top` (the floor) and `_scanned` (the scan) are no fields.
     """
 
     ring, basis = "F2T", "vanderput"
     table_type, add, sub, lift = FunctionTable, operator.xor, operator.xor, 2
     _fields, _bodies = ("precision", "B"), ("B",)
-
-    def _check(self):
-        object.__setattr__(self, "B", tuple(self.B))
-        k = self.precision
-        check_residues(k)
-        if len(self.B) != 1 << k:
-            raise ValueError("need exactly 2^%d coefficients" % k)
-        object.__setattr__(self, "packed", pack_residues(k, self.B, "coefficient"))
+    _wrong_size, _entry = "need exactly 2^%d coefficients", "coefficient"
+    B = functools.cached_property(PackedRecord._unpacked)
 
     @functools.cached_property
     def _top(self):
@@ -77,7 +68,7 @@ class VdpCoefficients(Record):
 
     @functools.cached_property
     def _scanned(self):
-        """_scan's (top, mp levels, raw ergodic levels), computed at most once per set; B is a tuple, so it cannot go stale."""
+        """_scan's (top, mp levels, raw ergodic levels), computed at most once per set; its int cannot go stale."""
         return _scan(self)
 
     def json_dict(self):
@@ -116,7 +107,7 @@ def _sweep(r, cls, synthesize):
     those come from the source table, so every band is done in one
     difference; synthesizing, from the output built so far, one band at a
     time from d = 1 up.  The result is reduced mod pi^k, so its int is
-    pack's form of the values and the record built on it skips its check.
+    pack's form of the values, all that the record built on it gets.
     """
     (w, width), k = r.packed, r.precision
     n = 1 << k
@@ -132,7 +123,7 @@ def _sweep(r, cls, synthesize):
             s |= (w & ((1 << cut) - 1)) << cut
         # 2^k in every slot: no Z2 difference borrows from the slot above
         w = cls.sub(w | tile(n, n, width), s) & full
-    return (cls.table_type if synthesize else cls)._trusted(k, unpack(w, n, width), packed=(w, width))
+    return (cls.table_type if synthesize else cls)._trusted(k, packed=(w, width))
 
 
 def to_vdp(t):
@@ -179,19 +170,20 @@ def _scan(c):
     pi^2 at m = 2, and above it the sum of b_alpha over deg alpha = m - 2
     equal to 2 mod pi^2 at m = 3 and to the type's `lift` tag beyond (T
     in F2[[T]], 0 in Z2): bits m - 2 and m - 1 of the sum of band m - 2,
-    so m bits of each partial sum suffice.  The bands go with the call.
+    so m bits of each partial sum suffice.  b_0 and b_1 are slots 0 and 1
+    of `packed`, so B is never unpacked; the bands go with the call.
     """
-    cls, k, B, top = type(c), c.precision, c.B, c._top
-    w, width = c.packed
+    cls, k, top, (w, width) = type(c), c.precision, c._top, c.packed
+    b0, b1 = w & (ones := (1 << (width << 3)) - 1), w >> (width << 3) & ones
     bands = {d: band for d, band, _ in split_bands(w, k, width)}
 
     def lifts(m):
         if m == 2:
-            return bool(cls.add(B[0], B[1]) & 2)
+            return bool(cls.add(b0, b1) & 2)
         s = fold(bands[m - 2], 1 << (m - 2), width, cls.add, tile((1 << m) - 1, 1 << (m - 3), width))
         return (s >> (m - 2)) & 3 == (2 if m == 3 else cls.lift)
 
-    return (top, *clause_levels(k, top, (bool((B[0] ^ B[1]) & 1), bool(B[0] & 1)),
+    return (top, *clause_levels(k, top, (bool((b0 ^ b1) & 1), bool(b0 & 1)),
                                 lambda d: bands[d] & (unit := tile(1 << d, 1 << d, width)) == unit, lifts))
 
 

@@ -23,7 +23,7 @@ from operator import add, lshift, mul, sub
 
 # restrict_sparse is the Mahler restrictor, which the CLI's format table looks up here
 from .dynamics import SparseCoefficients, Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod, restrict_sparse
-from .gf2ps import check_residues, pack, tile, unpack
+from .gf2ps import check_residues, pack, tile
 from .vanderput import Z2VdpCoefficients, to_vdp, vdp_table
 
 __all__ = [
@@ -207,7 +207,7 @@ def mahler_table(c):
     if n:
         columns = _binomial_columns([(i, c.a[i]) for i in stored[:n]], k)
         w = (w + pack([v & mask for v in columns], k + 1)[0]) & full
-    return Z2FunctionTable._trusted(k, unpack(w, size, width), packed=(w, width))
+    return Z2FunctionTable._trusted(k, packed=(w, width))
 
 
 def check_ergodic_mahler_z2(c):

@@ -508,6 +508,18 @@ def butterfly_by_products(values, k, synthesize):
     return v
 
 
+def digit_masks_by_bytes(k, size):
+    """The butterfly's masks built byte by byte: the oracle of the masks it derives by shifts.
+
+    The tile of the low k bits of 2^k slots of `size` bytes, and per digit i
+    those bits of only the slots whose index has digit i set: runs of 2^i
+    slots, 2^i apart, from slot 2^i.
+    """
+    mask = ((1 << k) - 1).to_bytes(size, "little")
+    digit = [int.from_bytes((bytes(size << i) + mask * (1 << i)) * (1 << (k - 1 - i)), "little") for i in range(k)]
+    return int.from_bytes(mask * (1 << k), "little"), digit
+
+
 def dense_lipschitz_carlitz(rng, k):
     """A 1-Lipschitz set storing every index below 2^k: a_n random above its floor T^floor(log2 n)."""
     a = {}

@@ -17,6 +17,7 @@ from helpers import (
     compatible_through,
     constants,
     dense_lipschitz_carlitz,
+    digit_masks_by_bytes,
     dual_basis_coefficients,
     eval_E,
     eval_G,
@@ -263,6 +264,14 @@ def test_level_shifts_are_the_set_bits_of_the_exact_E_values():
     assert sum(len(spills) for _, spills in shifts) == 20
     # the table's slots already hold every product at k = 8 and 16: no shift is masked there
     assert not any(spills for k in (8, 16) for level in carlitz._level_shifts(k, pack((), k + 1)[1])[1] for _, spills in level)
+
+
+def test_digit_masks_derived_by_shifts_equal_the_byte_built_ones():
+    # every slot width that holds k bits, not only the table's: 1, 2, 4 and 8 bytes up to k = 17
+    for k in range(1, 18):
+        for size in (1, 2, 4, 8):
+            if k <= size << 3:
+                assert carlitz._digit_masks(k, size) == digit_masks_by_bytes(k, size), (k, size)
 
 
 def test_dense_round_trip_at_k16_stays_fast_and_small():

@@ -1,11 +1,16 @@
 """Packed table records: every 2^k table and van der Put set is checked and packed once, when it is built.
 
 `packed` is pack of the values in slots of k + 1 bits.  It is not a
-field, so equality, hashing, pickling, copying and repr see only the
-values, and the residue rule's error is the same whichever way a value
-breaks it.  The kernels (`to_vdp`, `vdp_table`, `carlitz_table` and
-`to_carlitz`) build their records through the private constructor that
-skips the check, and those records equal the public constructor's.  The
+field: pickling and copying go by the values, and repr shows only their
+count.  Equality and hashing read (class, precision, packed), one pair
+per table, so they agree with the values.  The residue rule's error is
+the same whichever way a value breaks it.  The kernels (`to_vdp`,
+`vdp_table`, `carlitz_table`, `mahler_table` and `to_carlitz`) build
+their records through the private constructor that skips the check, and
+those records equal the public constructor's.  The table kernels hand
+their records only `packed`: `table` and `B` are unpacked on first read,
+and the criteria, the compatibility oracle, repr, equality and hashing
+never read them.  The
 compatibility levels and walk checkpoints that the table oracles cache on
 a table are no fields either, nor is the scan that the Carlitz, Mahler or
 van der Put criteria cache on a coefficient set.  A sparse set's coefficients are
@@ -31,7 +36,9 @@ from helpers import (
 from tadic.carlitz import CarlitzCoefficients, carlitz_table, check_ergodic_carlitz, check_lipschitz_carlitz, to_carlitz
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable, Z2FunctionTable, is_bijective_mod, is_compatible, is_transitive_mod
-from tadic.gf2ps import pack
+from tadic.cyclegen import CycleData
+from tadic.dynamics import LevelVerdicts
+from tadic.gf2ps import pack, unpack
 from tadic.vanderput import (
     VdpCoefficients,
     Z2VdpCoefficients,
@@ -249,3 +256,83 @@ def test_the_carlitz_scan_memo_cannot_be_fooled():
     source[2] = 1  # the caller's dict is copied, not kept
     assert c.a == {0: 1, 1: 1} and check_lipschitz_carlitz(c) == check_lipschitz_carlitz(CarlitzCoefficients(3, c.a))
     assert not check_lipschitz_carlitz(CarlitzCoefficients(3, source))
+
+
+def _lazy_records():
+    """Records of every kernel that hands its record only `packed`, across the slot widths, in both rings."""
+    rng = random.Random(25)
+    for k in (1, 2, 4, 7, 8, 9, 15, 16):
+        t, z2 = random_table(rng, k), random_z2_compatible(rng, k)
+        yield to_vdp(t)
+        yield to_vdp(z2)
+        yield vdp_table(random_lipschitz_vdp(rng, k))
+        yield vdp_table(z2)
+        yield carlitz_table(dense_lipschitz_carlitz(rng, k))
+        yield mahler_table(random_mahler(rng, k, 6))
+
+
+def _body(r):
+    return "B" if isinstance(r, VdpCoefficients) else "table"
+
+
+def test_kernel_records_keep_only_their_packed_form_until_read():
+    for r in _lazy_records():
+        body, k = _body(r), r.precision
+        assert body not in vars(r) and "packed" in vars(r)
+        if isinstance(r, VdpCoefficients):
+            check_lipschitz_vdp(r), check_mp_vdp(r), check_ergodic_vdp(r)
+        else:
+            is_compatible(r)
+        seen = (repr(r), r == r, r == type(r)._trusted(k, packed=r.packed), hash(r))
+        assert body not in vars(r) and seen[0] == "%s(precision=%d, %s=<%d entries>)" % (type(r).__name__, k, body, 1 << k)
+        values = getattr(r, body)
+        assert values == unpack(r.packed[0], 1 << k, r.packed[1]) and type(values) is tuple
+        assert getattr(r, body) is values and vars(r)[body] is values
+        assert (repr(r), r == r, hash(r)) == (seen[0], True, seen[3])
+
+
+def test_kernel_records_and_their_public_twins_agree_on_bytes():
+    for r in _lazy_records():
+        body, k = _body(r), r.precision
+        public = type(r)(k, list(unpack(r.packed[0], 1 << k, r.packed[1])))
+        assert body not in vars(r) and body in vars(public)
+        assert r == public and public == r and hash(r) == hash(public) and len({r, public}) == 1
+        assert body not in vars(r)
+        assert pickle.dumps(r) == pickle.dumps(public) and pickle.loads(pickle.dumps(r)) == public
+        # another precision or another ring is another record, even with the same packed int
+        assert r != type(r)._trusted(k + 1, packed=r.packed)
+        other = {FunctionTable: Z2FunctionTable, Z2FunctionTable: FunctionTable,
+                 VdpCoefficients: Z2VdpCoefficients, Z2VdpCoefficients: VdpCoefficients}[type(r)]
+        assert r != other._trusted(k, packed=r.packed)
+
+
+def test_equal_values_are_equal_records_and_one_value_apart_are_not():
+    rng = random.Random(26)
+    for cls in TYPES:
+        for k in (1, 3, 8, 9):
+            values = [rng.randrange(1 << k) for _ in range(1 << k)]
+            r = cls(k, values)
+            assert r == cls(k, tuple(values)) and hash(r) == hash(cls(k, tuple(values)))
+            for at in (0, (1 << k) - 1):
+                changed = cls(k, values[:at] + [values[at] ^ 1] + values[at + 1:])
+                assert changed != r and changed.packed != r.packed
+
+
+def test_trusted_refuses_a_field_the_class_does_not_derive():
+    t = FunctionTable(3, range(8))
+    # the table and van der Put types derive their body from `packed`
+    assert FunctionTable._trusted(3, packed=t.packed) == t
+    assert VdpCoefficients._trusted(3, packed=t.packed) == VdpCoefficients(3, range(8))
+    refused = [
+        lambda: FunctionTable._trusted(packed=t.packed),
+        lambda: FunctionTable._trusted(3, t.table, 0, packed=t.packed),
+        lambda: CarlitzCoefficients._trusted(3),
+        lambda: MahlerCoefficients._trusted(3),
+        lambda: LevelVerdicts._trusted(),
+        lambda: CycleData._trusted(2),
+    ]
+    for make in refused:
+        with pytest.raises(TypeError, match="_trusted takes the fields"):
+            make()
+    assert CarlitzCoefficients._trusted(3, {1: 1}) == CarlitzCoefficients(3, {1: 1})
+    assert CycleData._trusted(1, ((0, 1),)).bits == ((0, 1),)
