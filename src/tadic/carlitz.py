@@ -1,9 +1,9 @@
 """Carlitz basis machinery over F2[T] at r=2.
 
-Coefficient extraction from a function table and evaluation back.  The
-criteria are dynamics' check_lipschitz, check_mp and check_ergodic, read
-off the sparse scan shared with Mahler with lift tag 1; two keep their
-Carlitz names, check_lipschitz_carlitz and check_ergodic_carlitz.  The
+Coefficient extraction from a function table and evaluation back.  A set
+is the one coefficient record with lift tag 1, and its criteria are
+dynamics' check_lipschitz, check_mp and check_ergodic; two keep Carlitz
+names, check_lipschitz_carlitz and check_ergodic_carlitz.  The
 transform pair and point evaluation work mod T^k with the recurrence
 E_i = (E_{i-1}^2 + E_{i-1}) / [i]: its division by T costs one digit per
 level, so E_0 carries k - 1 guard digits and every E_i, i < k, comes out
@@ -18,11 +18,9 @@ that survives mod T^k; the table's `packed` form goes in and out as is.
 """
 
 import functools
-from itertools import compress
-from types import MappingProxyType
 
-from .dynamics import FunctionTable, SparseCoefficients, check_ergodic, check_lipschitz, restrict_sparse
-from .gf2ps import check_residues, clmul, clmul_trunc, pack, tile, trunc, unpack
+from .dynamics import Coefficients, FunctionTable, check_ergodic, check_lipschitz, restrict
+from .gf2ps import check_residues, clmul, clmul_trunc, tile, trunc
 
 __all__ = [
     "CarlitzCoefficients",
@@ -35,8 +33,8 @@ __all__ = [
 ]
 
 
-class CarlitzCoefficients(SparseCoefficients):
-    """Sparse coefficients a_n mod T^k; missing indices are zero; the lift clauses want 1 digits."""
+class CarlitzCoefficients(Coefficients):
+    """Coefficients a_n mod T^k of the Carlitz basis G_n; missing indices are zero; the lift clauses want 1 digits."""
 
     ring, basis, lift = "F2T", "carlitz", 1
 
@@ -129,11 +127,9 @@ def _butterfly(w, size, k, synthesize):
 
 
 def to_carlitz(t):
-    """Extract a_n mod T^k for n < 2^k from the full table: the butterfly's nonzero values, already in range."""
+    """Extract a_n mod T^k for n < 2^k from the full table: the butterfly's packed slots, already in range."""
     k = t.precision
-    w, size = _butterfly(*t.packed, k, synthesize=False)
-    values = unpack(w, 1 << k, size)
-    return CarlitzCoefficients._trusted(k, MappingProxyType(dict(compress(enumerate(values), values))))
+    return CarlitzCoefficients._trusted(k, packed=_butterfly(*t.packed, k, synthesize=False))
 
 
 def from_carlitz(c, x):
@@ -157,16 +153,9 @@ def from_carlitz(c, x):
 
 
 def carlitz_table(c):
-    """Synthesize the full table at its own precision from one pass over the stored items; n >= 2^k vanish there."""
-    k, size = c.precision, 1 << c.precision
-    values = [0] * size
-    for n, v in c.a.items():
-        if n < size:
-            values[n] = v
-    return FunctionTable._trusted(k, packed=_butterfly(*pack(values, k + 1), k, synthesize=True))
-
-
-restrict = restrict_sparse
+    """Synthesize the full table at its own precision from the set's packed slots; n >= 2^k vanish there."""
+    k = c.precision
+    return FunctionTable._trusted(k, packed=_butterfly(*c.packed, k, synthesize=True))
 
 
 # the Carlitz names of two criteria, whose one body each is in dynamics

@@ -6,11 +6,12 @@ keystream emits plain hex lines, one write per block of the orbit.  All
 verdicts come straight from the library calls, the front end adds no logic
 of its own: every command looks its coefficient format up in one table
 keyed by (ring, basis), whose row names the format's module and its type,
-expansion, evaluator, synthesiser and restrictor, looked up on first use,
-so a run imports only the modules its command uses.  Each --check is one
-criterion for every format, read off the set's own scan, so every (ring,
-basis) row takes all three checks.  Each format's reader owns its document
-rules (header, body shape, index keys and precision cap); the front end
+expansion, evaluator and synthesiser, looked up on first use, so a run
+imports only the modules its command uses.  Every set is one coefficient
+record: one `restrict` serves --prec, and each --check is one criterion
+read off the set's own scan, so every row takes all three checks.  The
+record's one reader owns the document rules (header, body shape, index
+keys and the type's precision cap); the front end
 only reads the JSON text, refusing repeated keys, and checks the table
 budget where it builds a table itself (keystream and convert from a sparse
 file, gen-cycle --n).
@@ -122,20 +123,19 @@ class _Kind(Record):
 
     Fields: the coefficient type; expand, table -> coefficients (None when
     the basis has no expansion); evaluate, (coefficients, x) -> value;
-    synthesize, coefficients -> table; restrict, (coefficients, precision)
-    -> coefficients.
+    synthesize, coefficients -> table.
     """
 
-    _fields = ("coeffs", "expand", "evaluate", "synthesize", "restrict")
+    _fields = ("coeffs", "expand", "evaluate", "synthesize")
 
 
-# Each row names the module of its format and, in it, the five _Kind fields
+# Each row names the module of its format and, in it, the four _Kind fields
 # (None: no expansion); the first command that uses a row builds its _Kind.
 _KINDS = {
-    ("F2T", "vanderput"): ("vanderput", "VdpCoefficients", "to_vdp", "from_vdp", "vdp_table", "restrict"),
-    ("Z2", "vanderput"): ("vanderput", "Z2VdpCoefficients", "to_vdp", "from_vdp", "vdp_table", "restrict"),
-    ("F2T", "carlitz"): ("carlitz", "CarlitzCoefficients", "to_carlitz", "from_carlitz", "carlitz_table", "restrict"),
-    ("Z2", "mahler"): ("z2compare", "MahlerCoefficients", None, "mahler_eval", "mahler_table", "restrict_sparse"),
+    ("F2T", "vanderput"): ("vanderput", "VdpCoefficients", "to_vdp", "from_vdp", "vdp_table"),
+    ("Z2", "vanderput"): ("vanderput", "Z2VdpCoefficients", "to_vdp", "from_vdp", "vdp_table"),
+    ("F2T", "carlitz"): ("carlitz", "CarlitzCoefficients", "to_carlitz", "from_carlitz", "carlitz_table"),
+    ("Z2", "mahler"): ("z2compare", "MahlerCoefficients", None, "mahler_eval", "mahler_table"),
 }
 _TABLES = {t.ring: t for t in (dynamics.FunctionTable, dynamics.Z2FunctionTable)}
 
@@ -166,7 +166,7 @@ def _load_coeffs(path, prec=None):
     if not all(isinstance(tag, str) for tag in kind) or kind not in _KINDS:
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
     c = _kind(kind).coeffs.from_json_dict(obj)
-    return kind, c if prec is None else _kind(kind).restrict(c, prec)
+    return kind, c if prec is None else dynamics.restrict(c, prec)
 
 
 def _check_budget(k):

@@ -1,13 +1,13 @@
-"""Finite-model dynamics: function tables on F2[[T]]/T^k and Z/2^k and their oracles.
+"""Finite-model dynamics: function tables on F2[[T]]/T^k and Z/2^k, coefficient sets, and their oracles.
 
 A transformation is stored as an explicit table of 2^k residues.  The
 table type carries its ring as a tag: `Z2FunctionTable` is a
 `FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
 same bit mask on canonical values, so every check here serves both rings.
-The sparse coefficient type shared by the Carlitz and Mahler bases lives
-here too, with `clause_levels`, the one level recurrence of every
-coefficient criterion.  A table is checked and packed into one int once,
-when it is built: `packed`, pack's (int, slot width) in slots of k + 1
+`Coefficients`, the one coefficient record (basis as tags, body packed or
+a map), lives here too, with one scan per body, `restrict`, and
+`clause_levels`, the one level recurrence of every coefficient criterion.
+A table is checked and packed into one int once, when it is built: `packed`, pack's (int, slot width) in slots of k + 1
 bits, is read by every kernel, and `table` unpacked on first read.  The
 checks are exhaustive table oracles: compatibility in one O(2^k) pass;
 transitivity from one bare walk from 0 kept at steps 2^j (a first return
@@ -21,17 +21,20 @@ levels and walk once.
 
 import functools
 import itertools
+import operator
+from collections.abc import Mapping
 from types import MappingProxyType
 
 from .gf2ps import (
     Record,
     check_residues,
-    coeffs_document,
+    fold,
     order,
+    pack,
     pack_residues,
     parse_hex,
-    read_coeffs_document,
     read_header,
+    read_indexed,
     split_bands,
     tile,
     to_hex,
@@ -58,7 +61,7 @@ __all__ = [
 # Largest precision k of a 2^k-entry table that a file may hold or imply
 # (table, van der Put, steering bits) or a command may build.
 TABLE_BUDGET = 24
-# Largest precision of a sparse Carlitz or Mahler file: its cost is poly(k).
+# Largest precision of a Carlitz or Mahler file: its cost is poly(k) in the stored indices.
 _SPARSE_BUDGET = 1024
 
 
@@ -147,13 +150,9 @@ class FunctionTable(PackedRecord):
     def _compatible(self):
         """The levels of is_compatible, by one pass over the packed bands."""
         w, width = self.packed
-        out, seen, slot = [True], 0, width << 3
+        out, seen = [True], 0
         for d, band, lower in split_bands(w, self.precision, width):
-            x, cut = band ^ lower, slot << d
-            while cut > slot:
-                cut >>= 1
-                x = x >> cut | x & ((1 << cut) - 1)
-            seen |= x
+            seen |= fold(band ^ lower, 1 << d, width, operator.or_)
             out.append(not seen & ((1 << d) - 1))
         return tuple(reversed(out))
 
@@ -231,85 +230,184 @@ def check_ergodic(c):
     return LevelVerdicts.below_precision(c._scanned[2])
 
 
-class SparseCoefficients(Record):
-    """Sparse coefficients a_n mod T^k or 2^k; missing indices are zero.
+class Coefficients(PackedRecord):
+    """Coefficients c_n mod pi^k, n >= 0, in one basis; missing indices are zero.
 
-    `a` is a read-only view of the nonzero values, so a set cannot change
-    under its memos; it hashes by its items and pickles as a plain dict.
-    Subclasses set the `ring` and `basis` tags that their JSON carries and
-    the `lift` tag, the digit m - 1 of a_{2^(m-1)-1} that level m's lift
-    clause asks for.  `_floor` and `_scanned`, the scans that the criteria
-    read, are no fields.
+    The basis is class tags: `ring`, `basis`, `add`, `unit` (the bit d that
+    mp asks of each c_n, 2^d <= n < 2^(d+1)), `start` (mp asks c_start + ...
+    + c_1 a unit, ergodicity c_0), `lift_clause` with its digits `lift`,
+    `cap` (a file's largest precision) and `residue_index` (an index is a
+    residue mod pi^k); the floor ord(c_n) >= floor(log2 n) is every basis's.
+    The body is `packed` (kernels, 2^k values given) or `a`, a read-only map
+    of the nonzero values (files, a mapping given, truncations).  A set
+    keeps its body and scans it; `a` and `B`, the 2^k values, are kept once
+    read, `packed` of a map is built anew.  Equality and hash go by
+    (precision, nonzero items), pickle and repr by the body.
     """
 
     ring = basis = lift = None
-    _fields, _bodies = ("precision", "a"), ("a",)
+    add, unit, start, cap, residue_index = operator.xor, 0, 1, _SPARSE_BUDGET, False
+    _fields, _bodies = ("precision", "a"), ("B", "a")
+    _wrong_size, _entry = "need exactly 2^%d coefficients", "coefficient"
 
     def _check(self):
-        k = self.precision
-        a = {int(n): int(v) for n, v in self.a.items()}
+        k, body = self.precision, self.__dict__.pop("a")
+        if not isinstance(body, Mapping):
+            self.__dict__["B"] = body
+            return super()._check()
+        check_residues(k)
+        try:
+            a = {operator.index(n): operator.index(v) for n, v in body.items()}
+        except TypeError:
+            raise ValueError("coefficient indices and values must be integers") from None
+        if a and (min(a) < 0 or self.residue_index and max(a) >> k):
+            raise ValueError("coefficient index out of range for precision %d" % k)
         check_residues(k, a.values(), "coefficient")
-        if a and min(a) < 0:
-            raise ValueError("index must be non-negative")
-        object.__setattr__(self, "a", MappingProxyType({n: v for n, v in a.items() if v}))
+        self.__dict__["a"] = MappingProxyType({n: v for n, v in a.items() if v})
+
+    _sparse = property(lambda self: "packed" not in self.__dict__)
+
+    @property
+    def packed(self):
+        """pack's (int, slot width) of the 2^k values: the packed body, or a new pack of the map's."""
+        return self.__dict__.get("packed") or pack(self._spread(), self.precision + 1)
+
+    @functools.cached_property
+    def a(self):
+        """The read-only map of the nonzero values, read off a packed body."""
+        values = self._unpacked()
+        return MappingProxyType(dict(itertools.compress(enumerate(values), values)))
+
+    @functools.cached_property
+    def B(self):
+        """The 2^k values c_0, ..., c_(2^k - 1) as a tuple."""
+        return tuple(self._spread()) if self._sparse else self._unpacked()
+
+    def _spread(self):
+        """The map's values in a list of 2^k slots; an index from 2^k up vanishes at every canonical point."""
+        size = 1 << self.precision
+        values = [0] * size
+        for n, v in self.a.items():
+            if n < size:
+                values[n] = v
+        return values
+
+    def _slots(self, indices):
+        """The values at a few indices, read off the held body: map lookups, or one shift of the packed int each."""
+        if self._sparse:
+            return [self.a.get(n, 0) for n in indices]
+        (w, width), mask = self.packed, (1 << self.precision) - 1
+        return [w >> (n * width << 3) & mask for n in indices]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # two packed bodies compare as their ints, in O(2^k) bytes with no map built
+        held = (self.packed, other.packed) if not (self._sparse or other._sparse) else (self.a, other.a)
+        return self.precision == other.precision and held[0] == held[1]
 
     def __hash__(self):
         return hash((type(self), self.precision, frozenset(self.a.items())))
 
-    def __reduce__(self):
-        return type(self), (self.precision, dict(self.a))
+    def _values(self):
+        return self.precision, dict(self.a) if self._sparse else self.B
 
-    def coeff(self, n):
-        return self.a.get(n, 0)
+    def __repr__(self):
+        body = ("a", len(self.a)) if self._sparse else ("B", 1 << self.precision)
+        return "%s(precision=%d, %s=<%d entries>)" % (type(self).__name__, self.precision, *body)
 
     @functools.cached_property
     def _floor(self):
-        """(top, the stored a_n ORed by bit length): the one pass over them, all that check_lipschitz reads.
-
-        top is k, or the least order of an a_n below its floor
-        ord(a_n) >= floor(log2 n); as a_n < 2^k, past the precision the
-        floor refutes any stored a_n.
-        """
-        k, ors = self.precision, {}
-        for n, v in self.a.items():
-            b = n.bit_length()
-            ors[b] = ors.get(b, 0) | v
-        return min([k, *(order(off) for b, v in ors.items() if b > 1 and (off := v & ((1 << (b - 1)) - 1)))]), ors
+        """The held body's scan (top, clauses), all that check_lipschitz reads; it holds no reference to the set."""
+        return (_map_scan if self._sparse else _packed_scan)(self)
 
     _top = property(lambda self: self._floor[0])
 
     @functools.cached_property
     def _scanned(self):
-        """(top, raw mp levels, raw ergodic levels), read off the floor pass's ORs by clause_levels.
+        """(top, raw mp levels, raw ergodic levels): the tags' clauses on the held body, read by clause_levels."""
+        top, clauses = self._floor
+        band, total = clauses()
+        start = bool(total(self.start, 2) & 1), bool(total(0, 1) & 1)
+        return (top, *clause_levels(self.precision, top, start, band, functools.partial(self.lift_clause, total)))
 
-        Band d's unit clause is ord(a_n) >= d + 1 for 2^d <= n < 2^(d+1),
-        mp starts from a_1 odd and ergodicity from a_0 odd, and level m's
-        lift clause asks digit m - 1 of a_{2^(m-1)-1} to be the `lift` tag.
-        """
-        (top, ors), a = self._floor, self.a
-        return (top, *clause_levels(self.precision, top, (bool(a.get(1, 0) & 1), bool(a.get(0, 0) & 1)),
-                                    lambda d: not ors.get(d + 1, 0) & ((2 << d) - 1),
-                                    lambda m: (a.get((1 << (m - 1)) - 1, 0) >> (m - 1)) & 1 == self.lift))
+    @classmethod
+    def lift_clause(cls, total, m):
+        """Level m's lift clause off total(lo, hi), the ring sum of slots lo..hi-1: digit m - 1 of c_(2^(m-1)-1) is `lift`."""
+        return total((1 << (m - 1)) - 1, 1 << (m - 1)) >> (m - 1) & 1 == cls.lift
 
     def json_dict(self):
-        return coeffs_document(self, sorted(self.a.items()))
+        return {"ring": self.ring, "basis": self.basis, "precision": self.precision,
+                "coeffs": {str(n): to_hex(v) for n, v in sorted(self.a.items())}}
 
     @classmethod
     def from_json_dict(cls, obj):
-        return cls(*read_coeffs_document(cls, obj, _SPARSE_BUDGET))
+        return cls(read_header(obj, most=cls.cap, ring=cls.ring, basis=cls.basis), read_indexed(obj, "coeffs", parse_hex))
 
 
-def truncation_mask(c, prec):
-    """The mask that truncates c's values mod pi^prec, for a precision 1..c.precision."""
+def _packed_scan(c):
+    """The scan of a packed body: (top, clauses), clauses() giving the (band, total) that clause_levels reads.
+
+    top is by one AND with a tile of the floor bits; band(d), bit d of each slot of band d equal to `unit`,
+    and total(lo, hi), the ring sum of slots lo..hi-1 mod pi^k, read one split of the bands made by clauses().
+    """
+    (w, width), k, unit, add = c.packed, c.precision, c.unit, c.add
+    floor = b"".join(((1 << d) - 1).to_bytes(width, "little") * (1 << d) for d in range(k))
+    low = w & int.from_bytes(bytes(width) + floor, "little")
+    top = order(fold(low, 1 << k, width, operator.or_)) if low else k
+
+    def clauses():
+        # per d: band d, the 2^d slots from slot 2^d, and the first 2^d slots, each shifted down to slot 0
+        split = {d: (band, lower) for d, band, lower in split_bands(w, k, width)}
+        split.update({k: (0, w), 0: (0, w & ((1 << (width << 3)) - 1))})
+        # the low k bits of every slot: each partial sum is cut back to them, so none leaves its slot
+        full = tile((1 << k) - 1, 1 << k, width)
+
+        def band(d):
+            mask = tile(1 << d, 1 << d, width)
+            return split[d][0] & mask == mask * unit
+
+        def total(lo, hi):
+            # slots lo..hi-1 are the top of the first hi = 2^j
+            return fold(split[(hi - 1).bit_length()][1] >> (lo * width << 3), hi - lo, width, add, full)
+
+        return band, total
+
+    return top, clauses
+
+
+def _map_scan(c):
+    """The scan of a map body: (top, clauses) as _packed_scan's, from one pass ORing the values by index length.
+
+    band(d) reads band d's OR if `unit` is 0, else its 2^d entries, where a missing one fails.
+    """
+    k, a, unit, add, ors = c.precision, c.a, c.unit, c.add, {}
+    for n, v in a.items():
+        b = n.bit_length()
+        ors[b] = ors.get(b, 0) | v
+    top = min([k, *(order(off) for b, v in ors.items() if b > 1 and (off := v & ((1 << (b - 1)) - 1)))])
+    get, full = a.get, (1 << k) - 1
+
+    def band(d):
+        if unit:
+            return all(get(n, 0) >> d & 1 for n in range(1 << d, 2 << d))
+        return not ors.get(d + 1, 0) >> d & 1
+
+    def total(lo, hi):
+        s = get(lo, 0)
+        for n in range(lo + 1, hi):
+            s = add(s, get(n, 0))
+        return s & full
+
+    return top, lambda: (band, total)
+
+
+def restrict(c, prec):
+    """The set mod pi^prec, for a precision 1..c.precision, as a map; a van der Put set drops its indices from 2^prec up."""
     if not 1 <= prec <= c.precision:
         raise ValueError("precision must be between 1 and %d" % c.precision)
-    return (1 << prec) - 1
-
-
-def restrict_sparse(c, prec):
-    """Truncate sparse coefficients to a lower precision."""
-    mask = truncation_mask(c, prec)
-    return type(c)(prec, {n: v & mask for n, v in c.a.items()})
+    mask = (1 << prec) - 1
+    return type(c)(prec, {n: v & mask for n, v in c.a.items() if not (c.residue_index and n >> prec)})
 
 
 def is_compatible(t):

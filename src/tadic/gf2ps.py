@@ -6,9 +6,9 @@ division, and a residue mod T^k is an int in 0..2^k - 1.  The encoding
 makes the digit-for-digit correspondence with 2-adic integers the
 identity on bit patterns, and it is the encoding used by every file
 format and hex flag.  So a point of either ring is a plain int, one
-residue rule (`check_residues` for points and sparse sets, `pack_residues`
-for 2^k tables, and `read_header` and `read_indexed` for files) serves both
-rings, and one codec pair writes and reads every coefficient file.  A whole
+residue rule (`check_residues` for points and coefficient maps,
+`pack_residues` for 2^k slots, and `read_header` and `read_indexed` for
+files) serves both rings.  A whole
 table runs as one int too: `pack` puts value i in slot i, a power of two
 bytes wide, little-endian on every host, so the table transforms and band
 criteria are a few big-int operations per band; `unpack` gives the values
@@ -25,13 +25,11 @@ __all__ = [
     "check_residues",
     "clmul",
     "clmul_trunc",
-    "coeffs_document",
     "fold",
     "order",
     "pack",
     "pack_residues",
     "parse_hex",
-    "read_coeffs_document",
     "read_header",
     "read_indexed",
     "split_bands",
@@ -187,18 +185,6 @@ def read_indexed(obj, key, parse):
     return out
 
 
-def coeffs_document(c, items):
-    """The coefficient-file document of c: its ring and basis tags, precision, and hex values of (index, value) items."""
-    return {"ring": c.ring, "basis": c.basis, "precision": c.precision,
-            "coeffs": {str(n): to_hex(v) for n, v in items}}
-
-
-def read_coeffs_document(cls, obj, most):
-    """Precision (at most `most`) and {index: value} of a coefficient-file document tagged as cls."""
-    k = read_header(obj, most=most, ring=cls.ring, basis=cls.basis)
-    return k, read_indexed(obj, "coeffs", parse_hex)
-
-
 class Record:
     """Frozen value record, the base of every value type: positional `_fields`, checked by `_check`.
 
@@ -217,10 +203,11 @@ class Record:
 
     @classmethod
     def _trusted(cls, *values, **attrs):
-        """A kernel's record: checked fields (a derived one may be left out), attributes such as `packed`, no `_check`."""
+        """A kernel's record: checked fields (a body may be left out when `packed` is given), attributes, no `_check`."""
         self = object.__new__(cls)
         self.__dict__.update(zip(cls._fields, values), **attrs)
-        if len(values) > len(cls._fields) or not all(n in self.__dict__ or hasattr(cls, n) for n in cls._fields):
+        if len(values) > len(cls._fields) or not all(
+                n in self.__dict__ or n in cls._bodies and "packed" in attrs for n in cls._fields):
             raise TypeError("%s._trusted takes the fields %s" % (cls.__name__, ", ".join(cls._fields)))
         return self
 

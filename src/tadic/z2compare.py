@@ -8,9 +8,9 @@ the F2[[T]] ones tagged "Z2"; they live beside their parents and are
 re-exported here.  The Z2 names to_vdp_z2, vdp_table_z2, check_ergodic_z2
 and is_transitive_mod_z2 are the generic functions under other names;
 check_mp_z2 and check_ergodic_mahler_z2 are bool views of the criteria.
-What is 2-adic only lives here: the Mahler basis, whose sets take every
-criterion off the sparse scan with lift tag 0.  Neither Mahler path
-builds a binomial C(x, i).  A point takes each C(x, i) mod 2^k in poly(k)
+What is 2-adic only lives here: the Mahler basis, the coefficient record
+with Z2's addition and lift tag 0.  Neither Mahler path builds a
+binomial C(x, i).  A point takes each C(x, i) mod 2^k in poly(k)
 from Kummer's carry count and the odd parts of three factorials
 (Granville, "Arithmetic properties of binomial coefficients I", 1997).
 The table is a Horner scheme of running sums on the table packed in one
@@ -21,8 +21,7 @@ index up to L, and one O(2^k) column of products per stored index above L.
 from itertools import accumulate, repeat
 from operator import add, lshift, mul, sub
 
-# restrict_sparse is the Mahler restrictor, which the CLI's format table looks up here
-from .dynamics import SparseCoefficients, Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod, restrict_sparse
+from .dynamics import Coefficients, Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod
 from .gf2ps import check_residues, pack, tile
 from .vanderput import Z2VdpCoefficients, to_vdp, vdp_table
 
@@ -47,15 +46,15 @@ check_ergodic_z2 = check_ergodic
 is_transitive_mod_z2 = is_transitive_mod
 
 
-class MahlerCoefficients(SparseCoefficients):
-    """Sparse binomial-basis coefficients a_i mod 2^k; missing indices are zero; the lift clauses want 0 digits.
+class MahlerCoefficients(Coefficients):
+    """Binomial-basis coefficients a_i mod 2^k; missing indices are zero; the lift clauses want 0 digits.
 
     So the scan reads Anashin's clauses, each modulus capped at 2^k: mp iff
     a_1 is odd and ord(a_i) >= floor(log2 i) + 1 for i >= 2, 1-Lipschitz
     with floor(log2 i) in place of floor(log2 i) + 1.
     """
 
-    ring, basis, lift = "Z2", "mahler", 0
+    ring, basis, add, lift = "Z2", "mahler", add, 0
 
 
 def check_mp_z2(c):

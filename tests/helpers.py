@@ -382,12 +382,12 @@ def ergodic_by_band_scan(c):
     unless a clause fails.
     """
     k = c.precision
-    ok = sparse_floor(c, 1) and bool(c.coeff(0) & 1) and bool(c.coeff(1) & 1)
+    ok = sparse_floor(c, 1) and bool(c.a.get(0, 0) & 1) and bool(c.a.get(1, 0) & 1)
     raw = [ok]
     for m in range(2, k + 1):
         ok = ok and sparse_floor(c, m)
-        ok = ok and all(not c.coeff(n) & ((1 << m) - 1) for n in range(1 << (m - 1), 1 << m))
-        ok = ok and bool(c.coeff((1 << (m - 1)) - 1) >> (m - 1) & 1)
+        ok = ok and all(not c.a.get(n, 0) & ((1 << m) - 1) for n in range(1 << (m - 1), 1 << m))
+        ok = ok and bool(c.a.get((1 << (m - 1)) - 1, 0) >> (m - 1) & 1)
         raw.append(ok)
     return tuple(v if (v is False or m < k) else None for m, v in enumerate(raw, start=1))
 
@@ -399,9 +399,9 @@ def mahler_ergodic_by_indices(c):
     i >= 2, each modulus capped at 2^k; an index from 2^k up must vanish.
     """
     k = c.precision
-    if not c.coeff(0) & 1:
+    if not c.a.get(0, 0) & 1:
         return False
-    if c.coeff(1) % min(4, 1 << k) != 1:
+    if c.a.get(1, 0) % min(4, 1 << k) != 1:
         return False
     for i, v in c.a.items():
         if i < 2:

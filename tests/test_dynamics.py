@@ -9,17 +9,21 @@ import pytest
 
 from helpers import (
     REFERENCE_TABLE_K4,
+    band_scans,
     bijective_by_sets,
     break_floor,
     brute_compatible,
     compatible_through,
     corrupt_vdp,
     corrupt_z2,
+    ergodic_by_band_scan,
+    mahler_ergodic_by_indices,
     random_ergodic_vdp,
     random_mahler,
     random_table,
     random_z2_ergodic,
     reference_coefficients,
+    sparse_floor,
     steered_sparse,
     transitive_by_walks,
 )
@@ -38,7 +42,7 @@ from tadic.dynamics import (
 )
 from tadic import dynamics
 from tadic.gf2ps import clmul_trunc, unpack
-from tadic.vanderput import Z2VdpCoefficients, from_vdp, to_vdp, vdp_table
+from tadic.vanderput import VdpCoefficients, Z2VdpCoefficients, from_vdp, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, mahler_eval, mahler_table
 
 CYCLE_K2 = FunctionTable(2, (1, 2, 3, 0))
@@ -396,18 +400,44 @@ def test_clause_levels_reads_a_clause_only_while_its_level_can_hold():
     assert dynamics.clause_levels(1, 1, (True, False), *always) == ((True,), (False,))
 
 
-SPARSE_BASES = [(CarlitzCoefficients, carlitz_table), (MahlerCoefficients, mahler_table)]
+# every coefficient type and its table; each set goes through both bodies, a map and 2^k packed slots
+SPARSE_BASES = [(VdpCoefficients, vdp_table), (Z2VdpCoefficients, vdp_table),
+                (CarlitzCoefficients, carlitz_table), (MahlerCoefficients, mahler_table)]
+
+
+def _bodies_scan_alike(c):
+    """c as a map and as packed slots: equal scans, whichever memo is read first, and the basis's coefficient oracles.
+
+    Returns the scan.  The oracles read the coefficients one at a time:
+    band_scans for van der Put, sparse_floor and ergodic_by_band_scan for
+    Carlitz, sparse_floor and mahler_ergodic_by_indices for Mahler.
+    """
+    k = c.precision
+    sparse, packed = type(c)(k, dict(c.a)), type(c)(k, c.B)
+    assert "packed" not in vars(sparse) and "packed" in vars(packed) and sparse == packed == c
+    tops = sparse._top, packed._scanned[0]
+    assert tops == (packed._top, sparse._scanned[0]) and sparse._scanned == packed._scanned
+    top, mp, raw = packed._scanned
+    if isinstance(c, VdpCoefficients):
+        assert band_scans(c) == (top, LevelVerdicts(mp), LevelVerdicts.below_precision(raw))
+    else:
+        assert (top == k) == sparse_floor(c, k)
+        if isinstance(c, CarlitzCoefficients):
+            assert LevelVerdicts.below_precision(raw).levels == ergodic_by_band_scan(c)
+        else:
+            assert all(raw) == mahler_ergodic_by_indices(c)
+    return packed._scanned
 
 
 def _scan_equals_the_table_oracles(c, table):
-    """The sparse scan of c against the table oracles on table(c); returns the verdicts it saw.
+    """The scan of c, held both ways, against the table oracles on table(c); returns the verdicts it saw.
 
     mp level m: compatible through m and bijective mod pi^m; ergodic below
     k: compatible through m and transitive; top == k: compatible at every
     level.
     """
     t, k = table(c), c.precision
-    top, mp, raw = c._scanned
+    top, mp, raw = _bodies_scan_alike(c)
     assert mp == compatible_through(t, is_bijective_mod(t)).levels
     assert raw[:-1] == compatible_through(t, is_transitive_mod(t)).levels[:-1]
     assert (top == k) == all(brute_compatible(t).levels)
@@ -420,15 +450,38 @@ def _both_verdicts_at_every_level(k):
             for v in (True, False)} | {("top", True), ("top", False)}
 
 
+def _uniform(rng, cls, k):
+    """A uniform set of cls below 2^k: Carlitz read off a random table, every other basis uniform values."""
+    if cls is CarlitzCoefficients:
+        return to_carlitz(random_table(rng, k))
+    return cls(k, {n: rng.getrandbits(k) for n in range(1 << k)})
+
+
+def _steered(rng, cls, k, keep=1.0):
+    """A set of cls passing every clause, then broken at 0 to 2 of them; each index from 2 up kept with chance `keep`.
+
+    A van der Put set missing an entry fails that band's unit clause.
+    """
+    if cls in (CarlitzCoefficients, MahlerCoefficients):
+        return steered_sparse(rng, cls, k, keep)
+    if k < 2:
+        return _uniform(rng, cls, k)
+    z2 = cls is Z2VdpCoefficients
+    c = (random_z2_ergodic if z2 else random_ergodic_vdp)(rng, k)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        c = rng.choice((break_floor, corrupt_z2 if z2 else corrupt_vdp))(rng, c)
+    return cls(k, {n: v for n, v in c.a.items() if n < 2 or rng.random() < keep})
+
+
 @pytest.mark.parametrize("cls, table", SPARSE_BASES)
 def test_the_sparse_scan_equals_the_table_oracles_in_both_bases(cls, table):
-    # on steered sets and on uniform ones
+    # on steered sets and on uniform ones, in every basis
     rng = random.Random(22)
     seen = set()
     for k in range(1, 8):
-        uniform = [to_carlitz(random_table(rng, k)) if cls is CarlitzCoefficients else
-                   random_mahler(rng, k, (1 << k) - 1) for _ in range(10)]
-        for c in uniform + [steered_sparse(rng, cls, k, keep=rng.choice((1.0, 0.7))) for _ in range(290)]:
+        uniform = [_uniform(rng, cls, k) for _ in range(10)]
+        steered = [_steered(rng, cls, k, keep=rng.choice((1.0, 0.7, 1.0 - 1 / k))) for _ in range(290)]
+        for c in uniform + steered:
             seen |= _scan_equals_the_table_oracles(c, table)
     assert seen == _both_verdicts_at_every_level(7)
 
@@ -436,7 +489,7 @@ def test_the_sparse_scan_equals_the_table_oracles_in_both_bases(cls, table):
 @pytest.mark.parametrize("cls, table", SPARSE_BASES)
 def test_the_sparse_scan_equals_the_table_oracles_on_every_small_set(cls, table):
     # every set at k <= 2 with indices below 2^k, and every set on its floor at k = 3: a_n a multiple of
-    # pi^floor(log2 n), 8 * 8 * 4^2 * 2^4 sets
+    # pi^floor(log2 n), 8 * 8 * 4^2 * 2^4 sets; each through both bodies
     seen = {1: set(), 2: set(), 3: set()}
     for k in (1, 2):
         for a in itertools.product(range(1 << k), repeat=1 << k):
@@ -457,7 +510,7 @@ def test_the_sparse_scan_equals_the_table_oracles_on_steered_sets_to_k10(cls, ta
     for k in (8, 9, 10):
         seen = set()
         for _ in range(20):
-            seen |= _scan_equals_the_table_oracles(steered_sparse(rng, cls, k, keep=rng.choice((1.0, 0.3))), table)
+            seen |= _scan_equals_the_table_oracles(_steered(rng, cls, k, keep=rng.choice((1.0, 1.0, 0.3))), table)
         # steered sets pass every clause unless broken, so they reach level k
         assert ("mp", k, True) in seen and ("ergodic", k - 1, True) in seen
 
@@ -480,7 +533,7 @@ def _flipped_chain(rng, k):
     """A steered Carlitz set with the lift digit that level k reads, digit k - 1 of a_{2^(k-1)-1}, flipped at random."""
     c = steered_sparse(rng, CarlitzCoefficients, k)
     n = (1 << (k - 1)) - 1
-    return CarlitzCoefficients(k, {**c.a, n: c.coeff(n) ^ rng.getrandbits(1) << (k - 1)})
+    return CarlitzCoefficients(k, {**c.a, n: c.a.get(n, 0) ^ rng.getrandbits(1) << (k - 1)})
 
 
 @pytest.mark.parametrize("build, table", [

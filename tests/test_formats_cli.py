@@ -26,8 +26,7 @@ from tadic import cli
 from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
-from tadic.dynamics import FunctionTable, check_ergodic, check_lipschitz, check_mp, trajectory
-from tadic.gf2ps import coeffs_document, read_coeffs_document
+from tadic.dynamics import Coefficients, FunctionTable, check_ergodic, check_lipschitz, check_mp, trajectory
 from tadic.vanderput import VdpCoefficients, check_mp_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, check_mp_z2, to_vdp_z2
 
@@ -68,7 +67,7 @@ def test_every_format_row_resolves_to_its_type_and_functions(key):
     kind = cli._kind(key)
     assert (kind.coeffs.ring, kind.coeffs.basis) == key
     fields = kind._values()
-    assert [f is None for f in fields] == [False, key == ("Z2", "mahler"), False, False, False]
+    assert [f is None for f in fields] == [False, key == ("Z2", "mahler"), False, False]
     assert all(callable(f) for f in fields if f is not None)
 
 
@@ -769,15 +768,18 @@ def test_well_formed_documents_read_back(kind):
 
 @pytest.mark.parametrize("kind", ["vdp", "z2vdp", "carlitz", "mahler"])
 def test_coefficient_files_share_one_codec(kind):
+    # the one record's reader and writer serve every basis: a file is read as a map of its stored values, each type
+    # holding files to its own precision cap
     doc, _ = _DOCS[kind]
     cls = _READERS[kind]
     assert (cls.ring, cls.basis) == (doc["ring"], doc["basis"])
+    assert cls.json_dict is Coefficients.json_dict and cls.from_json_dict.__func__ is Coefficients.from_json_dict.__func__
     stored = {int(n): int(v, 16) for n, v in doc["coeffs"].items()}
-    assert read_coeffs_document(cls, doc, 2) == (2, stored)
-    with pytest.raises(ValueError, match="over the limit"):
-        read_coeffs_document(cls, doc, 1)
     c = cls.from_json_dict(doc)
-    assert c.json_dict() == coeffs_document(c, sorted(stored.items())) == doc
+    assert (c.precision, c.a) == (2, stored) and "packed" not in vars(c)
+    with pytest.raises(ValueError, match="over the limit of %d" % cls.cap):
+        cls.from_json_dict({**doc, "precision": cls.cap + 1})
+    assert c.json_dict() == doc and cls(2, c.B).json_dict() == doc
 
 
 @pytest.mark.parametrize("kind, doc", _wrong_shapes())

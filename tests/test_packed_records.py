@@ -127,19 +127,21 @@ def test_kernel_records_equal_the_public_constructors_records():
         assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
         assert pickle.loads(pickle.dumps(r)) == public and pickle.dumps(r) == pickle.dumps(public)
         assert r.packed == public.packed == pack(_values(r), r.precision + 1)
-        assert type(r)._trusted(r.precision, _values(r), packed=r.packed) == public
+        assert type(r)._trusted(r.precision, packed=r.packed) == public
 
 
 def test_to_carlitz_equals_the_public_constructors_set():
-    # the butterfly's output keeps its zero values; the record, like the public check, drops them
+    # to_carlitz hands its set the butterfly's packed slots, zero values and all: the dense constructor's body; the
+    # map of its nonzero values, as the sparse constructor keeps it, is an equal set
     rng = random.Random(17)
     for k in (1, 2, 4, 7, 8, 9):
         zero = FunctionTable(k, (0,) * (1 << k))
         for t in (random_table(rng, k), carlitz_table(dense_lipschitz_carlitz(rng, k)), zero):
             values = butterfly_by_products(t.table, k, synthesize=False)
-            c, public = to_carlitz(t), CarlitzCoefficients(k, dict(enumerate(values)))
-            assert c == public and pickle.loads(pickle.dumps(c)) == public and repr(c) == repr(public)
-            assert c.a == {n: v for n, v in enumerate(values) if v} and c.json_dict() == public.json_dict()
+            c, public, sparse = to_carlitz(t), CarlitzCoefficients(k, values), CarlitzCoefficients(k, dict(enumerate(values)))
+            assert c == public == sparse and hash(c) == hash(sparse)
+            assert pickle.loads(pickle.dumps(c)) == public and repr(c) == repr(public) and c.packed == public.packed
+            assert c.a == {n: v for n, v in enumerate(values) if v} and c.json_dict() == sparse.json_dict()
         assert to_carlitz(zero).a == {}
 
 
@@ -162,6 +164,11 @@ def test_the_oracles_memo_is_not_a_field():
                 t._checkpoints = []
 
 
+def _held(c):
+    """The body a coefficient set holds: "packed" (kernels, 2^k values) or "a" (a map of the nonzero values)."""
+    return "packed" if "packed" in vars(c) else "a"
+
+
 # the criteria that read a sparse set's scan, per basis
 SPARSE_CRITERIA = {
     CarlitzCoefficients: (check_lipschitz_carlitz, check_ergodic_carlitz),
@@ -178,7 +185,8 @@ def test_the_carlitz_scan_memo_is_not_a_field():
         sets += [cls(k, {0: 1, 1: 1, (1 << k) - 1: 1}) for cls in SPARSE_CRITERIA]  # off the floor
         for c in sets:
             criteria = SPARSE_CRITERIA[type(c)]
-            trusted = type(c)._trusted(k, dict(c.a))
+            # a twin of the same body: to_carlitz's sets are packed, the others maps
+            trusted = type(c)._trusted(k, dict(c.a)) if _held(c) == "a" else type(c)._trusted(k, packed=c.packed)
             seen = (hash(c), repr(c), pickle.dumps(c), c.json_dict())
             verdicts = [check(c) for check in criteria]
             assert "_scanned" in vars(c)
@@ -198,7 +206,7 @@ def test_the_vdp_scan_memo_is_not_a_field():
     for k in (1, 2, 3, 4, 9):
         off_floor = VdpCoefficients(k, (1,) * (1 << k))
         for c in (to_vdp(random_table(rng, k)), random_lipschitz_vdp(rng, k), random_z2_compatible(rng, k), off_floor):
-            trusted = type(c)._trusted(k, c.B, packed=c.packed)
+            trusted = type(c)._trusted(k, packed=c.packed)
             seen = (hash(c), repr(c), pickle.dumps(c), c.json_dict())
             verdicts = (check_lipschitz_vdp(c), check_mp_vdp(c), check_ergodic_vdp(c))
             assert "_scanned" in vars(c)
@@ -235,7 +243,8 @@ def test_equal_sparse_sets_hash_equal_and_survive_pickle_and_copy():
         twin = type(c)(c.precision, {**c.a, 1 << 12: 0})
         assert c == twin and hash(c) == hash(twin) and c.a == dict(c.a) == twin.a
         assert len({c, twin}) == 1
-        assert c.__reduce__() == (type(c), (c.precision, dict(c.a)))
+        # a set pickles by the body it holds: a map as a dict, packed slots as the tuple of 2^k values
+        assert c.__reduce__() == (type(c), (c.precision, dict(c.a) if _held(c) == "a" else c.B))
         for copied in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
             assert copied == c and hash(copied) == hash(c) and repr(copied) == repr(c)
             assert copied.json_dict() == c.json_dict()
@@ -336,3 +345,16 @@ def test_trusted_refuses_a_field_the_class_does_not_derive():
             make()
     assert CarlitzCoefficients._trusted(3, {1: 1}) == CarlitzCoefficients(3, {1: 1})
     assert CycleData._trusted(1, ((0, 1),)).bits == ((0, 1),)
+
+
+@pytest.mark.parametrize("cls", [VdpCoefficients, Z2VdpCoefficients, CarlitzCoefficients, MahlerCoefficients],
+                         ids=lambda c: c.__name__)
+def test_a_coefficient_set_refuses_non_integers_in_either_body(cls):
+    # a float or a string is refused as an index or a value, whether the set is given as a map or as 2^k values
+    for a in ({0: 2.9}, {1.7: 2}, {"1": "3"}, {1: "3"}, {"1": 3}, {0: 1.0}):
+        with pytest.raises(ValueError, match="must be integers"):
+            cls(3, a)
+    for values in ((1.5, 0, 0, 0), ("1", 0, 0, 0)):
+        with pytest.raises(ValueError, match="out of range for precision 2"):
+            cls(2, values)
+    assert cls(3, {0: 2, 1: 0}).a == {0: 2} and cls(2, (2, 0, 0, 0)) == cls(2, {0: 2})

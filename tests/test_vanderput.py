@@ -1,6 +1,7 @@
 """Ball-indicator basis: expansion, evaluation, and the per-level criteria."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -37,7 +38,8 @@ from tadic.dynamics import (
     is_compatible,
     is_transitive_mod,
 )
-from tadic import vanderput
+from tadic import dynamics
+from tadic.cli import run
 from tadic.vanderput import (
     VdpCoefficients,
     Z2VdpCoefficients,
@@ -207,6 +209,31 @@ def test_json_roundtrip_omits_zero_entries():
     assert VdpCoefficients.from_json_dict(obj) == c
     with pytest.raises(ValueError):
         VdpCoefficients.from_json_dict({"ring": "F2T", "basis": "carlitz", "precision": 1, "coeffs": {}})
+
+
+@pytest.mark.parametrize("cls", [VdpCoefficients, Z2VdpCoefficients], ids=["F2T", "Z2"])
+def test_a_sparse_van_der_put_file_stays_sparse(cls, capsys, tmp_path):
+    # two entries at the file cap: the set stays a map through the reader, a point evaluation and the three criteria
+    doc = {"ring": cls.ring, "basis": "vanderput", "precision": 24, "coeffs": {"0": "0x1", "6": "0x4"}}
+    c = cls.from_json_dict(doc)
+    # x = 6 mod T^3 lies in the balls of B_0 and B_6, and in no other stored one
+    x = 0xABCDEE
+    assert from_vdp(c, x) == 5 and from_vdp(c, x ^ 4) == 1 and from_vdp(c, 1) == 0
+    assert check_lipschitz_vdp(c) and check_mp_vdp(c).levels == (True,) + (False,) * 23
+    assert check_ergodic_vdp(c).levels == (True,) + (False,) * 23
+    assert "B" not in vars(c) and "packed" not in vars(c)
+    assert c == cls(24, {0: 1, 6: 4}) and c.json_dict() == doc
+    # the CLI decides both commands on the same file without a 2^24 table
+    path = tmp_path / "vdp24.json"
+    path.write_text(json.dumps(doc))
+    ring = cls.ring.lower()
+    assert run(["eval", "--coeffs", str(path), "--x", hex(x)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == hex(from_vdp(c, x))
+    assert run(["verify", "--ring", ring, "--basis", "vdp", "--check", "ergodic", "--coeffs", str(path), "--quiet"]) == 1
+    # an index is a residue mod pi^k: the file refuses one from 2^k up, and a truncation drops it
+    with pytest.raises(ValueError, match="coefficient index out of range for precision 3"):
+        cls.from_json_dict({**doc, "precision": 3, "coeffs": {"8": "0x1"}})
+    assert restrict(cls(4, {0: 1, 9: 3, 3: 2}), 3).a == {0: 1, 3: 2}
 
 
 def test_exhaustive_level_bridges_at_k3():
@@ -382,8 +409,8 @@ def test_the_floor_memo_is_the_band_scans_top_on_sampled_sets(k):
 def test_a_lipschitz_check_on_a_van_der_put_set_splits_no_band(monkeypatch):
     # check_lipschitz reads the floor memo alone; a later mp or ergodic check splits the bands once
     splits = []
-    real = vanderput.split_bands
-    monkeypatch.setattr(vanderput, "split_bands", lambda w, k, width: splits.append(k) or real(w, k, width))
+    real = dynamics.split_bands
+    monkeypatch.setattr(dynamics, "split_bands", lambda w, k, width: splits.append(k) or real(w, k, width))
     rng = random.Random(21)
     for k in (2, 9, 14):
         for c in _sampled_sets(rng, k):

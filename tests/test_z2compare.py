@@ -22,7 +22,7 @@ from helpers import (
     steered_sparse,
 )
 from tadic import z2compare
-from tadic.dynamics import is_bijective_mod, is_compatible, restrict_sparse
+from tadic.dynamics import is_bijective_mod, is_compatible
 from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import (
     MahlerCoefficients,
@@ -177,12 +177,12 @@ def test_restrictions_truncate_consistently():
     assert cut.precision == 3
     assert cut.B == tuple(v & 7 for v in c.B[:8])
     m = MahlerCoefficients(5, {0: 9, 1: 17, 3: 8})
-    mcut = restrict_sparse(m, 3)
+    mcut = restrict(m, 3)
     assert mcut.a == {0: 1, 1: 1}
     with pytest.raises(ValueError):
         restrict(c, 0)
     with pytest.raises(ValueError):
-        restrict_sparse(m, 6)
+        restrict(m, 6)
 
 
 def test_json_roundtrips():
@@ -205,7 +205,7 @@ def test_table_and_coefficient_validation():
         Z2FunctionTable(2, (0, 1, 2))
     with pytest.raises(ValueError):
         MahlerCoefficients(2, {0: 4})
-    assert MahlerCoefficients(2, {0: 0, 5: 1}).coeff(5) == 1
+    assert MahlerCoefficients(2, {0: 0, 5: 1}).a == {5: 1}
 
 
 def test_mahler_table_matches_pointwise_evaluation():
