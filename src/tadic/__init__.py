@@ -24,8 +24,8 @@ _EXPORTS = {
     "dynamics": "FunctionTable LevelVerdicts Z2FunctionTable check_ergodic check_lipschitz check_mp is_bijective_mod "
                 "is_compatible is_transitive_mod orbit parity_lift",
     "gf2ps": "clmul clmul_trunc order trunc",
+    "mahler": "MahlerCoefficients mahler_eval",
     "vanderput": "VdpCoefficients Z2VdpCoefficients from_vdp to_vdp vdp_table",
-    "z2compare": "MahlerCoefficients mahler_eval",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -33,12 +33,6 @@ __all__ = [
 ]
 
 
-class CarlitzCoefficients(Coefficients):
-    """Coefficients a_n mod T^k of the Carlitz basis G_n; missing indices are zero; the lift clauses want 1 digits."""
-
-    ring, basis, lift = "F2T", "carlitz", 1
-
-
 def _E_values(x, k):
     """E_0(x), ..., E_{k-1}(x) mod T^k at one point, by the Carlitz recurrence.
 
@@ -156,6 +150,13 @@ def carlitz_table(c):
     """Synthesize the full table at its own precision from the set's packed slots; n >= 2^k vanish there."""
     k = c.precision
     return FunctionTable._trusted(k, packed=_butterfly(*c.packed, k, synthesize=True))
+
+
+class CarlitzCoefficients(Coefficients):
+    """Coefficients a_n mod T^k of the Carlitz basis G_n; missing indices are zero; the lift clauses want 1 digits."""
+
+    ring, basis, lift = "F2T", "carlitz", 1
+    expand, evaluate, synthesize = staticmethod(to_carlitz), staticmethod(from_carlitz), staticmethod(carlitz_table)
 
 
 # the Carlitz names of two criteria, whose one body each is in dynamics

@@ -4,17 +4,18 @@ Exit codes: 0 the property holds (or the product was emitted), 1 the
 property fails, 2 usage or data errors.  Reports are JSON on stdout;
 keystream emits plain hex lines, one write per block of the orbit.  All
 verdicts come straight from the library calls, the front end adds no logic
-of its own: every command looks its coefficient format up in one table
-keyed by (ring, basis), whose row names the format's module and its type,
-expansion, evaluator and synthesiser, looked up on first use, so a run
-imports only the modules its command uses.  Every set is one coefficient
-record: one `restrict` serves --prec, and each --check is one criterion
-read off the set's own scan, so every row takes all three checks.  The
-record's one reader owns the document rules (header, body shape, index
-keys and the type's precision cap); the front end
-only reads the JSON text, refusing repeated keys, and checks the table
-budget where it builds a table itself (keystream and convert from a sparse
-file, gen-cycle --n).
+of its own: a file's (ring, basis) row is the coefficient type that
+declares those tags, found in dynamics.FORMATS once the module its basis
+tag names is imported, and the type's own tags name its expansion,
+evaluator and synthesiser.  A basis tag is checked against the known
+bases before any import, so a run imports only the modules its command
+uses.  Every set is one coefficient record: one `restrict` serves
+--prec, and each --check is one criterion read off the set's own scan, so
+every row takes all three checks.  The record's one reader owns the
+document rules (header, body shape, index keys and the type's precision
+cap); the front end only reads the JSON text, refusing repeated keys, and
+checks the table budget where it builds a table itself (keystream and
+convert from a sparse file, gen-cycle --n).
 """
 
 import argparse
@@ -25,7 +26,7 @@ import os
 import sys
 
 from . import dynamics
-from .gf2ps import Record, check_residues, parse_hex, to_hex
+from .gf2ps import check_residues, parse_hex, to_hex
 
 __all__ = ["main", "run"]
 
@@ -118,35 +119,15 @@ def _read_json(path):
     return obj
 
 
-class _Kind(Record):
-    """What the front end does with one (ring, basis) coefficient format.
-
-    Fields: the coefficient type; expand, table -> coefficients (None when
-    the basis has no expansion); evaluate, (coefficients, x) -> value;
-    synthesize, coefficients -> table.
-    """
-
-    _fields = ("coeffs", "expand", "evaluate", "synthesize")
-
-
-# Each row names the module of its format and, in it, the four _Kind fields
-# (None: no expansion); the first command that uses a row builds its _Kind.
-_KINDS = {
-    ("F2T", "vanderput"): ("vanderput", "VdpCoefficients", "to_vdp", "from_vdp", "vdp_table"),
-    ("Z2", "vanderput"): ("vanderput", "Z2VdpCoefficients", "to_vdp", "from_vdp", "vdp_table"),
-    ("F2T", "carlitz"): ("carlitz", "CarlitzCoefficients", "to_carlitz", "from_carlitz", "carlitz_table"),
-    ("Z2", "mahler"): ("z2compare", "MahlerCoefficients", None, "mahler_eval", "mahler_table"),
-}
 _TABLES = {t.ring: t for t in (dynamics.FunctionTable, dynamics.Z2FunctionTable)}
 
 
-def _kind(key):
-    """The _Kind of a (ring, basis) format, importing its module on first use."""
-    row = _KINDS[key]
-    if not isinstance(row, _Kind):
-        module = importlib.import_module("." + row[0], __package__)
-        row = _KINDS[key] = _Kind(*(name and getattr(module, name) for name in row[1:]))
-    return row
+def _format(ring, basis):
+    """The coefficient type of a (ring, basis) format, or None; a known basis's module is imported first."""
+    # a tag is checked before it is imported or looked up: a list or an object is unhashable
+    if isinstance(ring, str) and basis in _BASIS.values():
+        importlib.import_module("." + basis, __package__)
+        return dynamics.FORMATS.get((ring, basis))
 
 
 def _load_table(path):
@@ -160,13 +141,13 @@ def _load_table(path):
 
 
 def _load_coeffs(path, prec=None):
-    """The coefficient file and its (ring, basis) kind, truncated to precision `prec` when given (--prec)."""
+    """The coefficient file as the set of its format's type, truncated to precision `prec` when given (--prec)."""
     obj = _read_json(path)
     kind = (obj.get("ring"), obj.get("basis"))
-    if not all(isinstance(tag, str) for tag in kind) or kind not in _KINDS:
+    if (cls := _format(*kind)) is None:
         raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
-    c = _kind(kind).coeffs.from_json_dict(obj)
-    return kind, c if prec is None else dynamics.restrict(c, prec)
+    c = cls.from_json_dict(obj)
+    return c if prec is None else dynamics.restrict(c, prec)
 
 
 def _check_budget(k):
@@ -175,9 +156,9 @@ def _check_budget(k):
         raise _CliError("precision %d needs a table of 2^%d entries, over the budget of 2^%d" % (k, k, dynamics.TABLE_BUDGET))
 
 
-def _synthesize(kind, c):
+def _synthesize(c):
     _check_budget(c.precision)
-    return _kind(kind).synthesize(c)
+    return type(c).synthesize(c)
 
 
 def _emit(args, report):
@@ -207,7 +188,8 @@ def _cmd_verify(args):
         return 0 if verdict else 1
     if not (args.ring and args.basis and args.check and args.coeffs):
         raise _CliError("verify needs --ring, --basis, --check and --coeffs (or --exhaustive --table)")
-    kind, c = _load_coeffs(args.coeffs)
+    c = _load_coeffs(args.coeffs)
+    kind = (c.ring, c.basis)
     want = (_RING[args.ring], _BASIS[args.basis])
     if kind != want:
         raise _CliError("coefficient file is %s/%s but flags say %s/%s" % (kind + want))
@@ -231,21 +213,20 @@ def _cmd_verify(args):
 
 def _cmd_expand(args):
     t = _load_table(args.table)
-    key = (t.ring, _BASIS[args.basis])
-    if key not in _KINDS or _kind(key).expand is None:
+    if (cls := _format(t.ring, _BASIS[args.basis])) is None or cls.expand is None:
         raise _CliError("%s expansion needs an F2T table" % args.basis)
-    _emit(args, _kind(key).expand(t).json_dict())
+    _emit(args, cls.expand(t).json_dict())
     return 0
 
 
 def _cmd_eval(args):
-    kind, c = _load_coeffs(args.coeffs, args.prec)
+    c = _load_coeffs(args.coeffs, args.prec)
     x = parse_hex(args.x)
-    value = _kind(kind).evaluate(c, x)
+    value = type(c).evaluate(c, x)
     _emit(args, {
         "command": "eval",
-        "ring": _FLAG_OF[kind[0]],
-        "basis": _FLAG_OF[kind[1]],
+        "ring": _FLAG_OF[c.ring],
+        "basis": _FLAG_OF[c.basis],
         "precision": c.precision,
         "x": to_hex(x),
         "value": to_hex(value),
@@ -256,10 +237,10 @@ def _cmd_eval(args):
 def _cmd_convert(args):
     if args.from_basis == args.to_basis:
         raise _CliError("--from and --to must differ")
-    kind, c = _load_coeffs(args.coeffs)
-    if kind != ("F2T", _BASIS[args.from_basis]):
-        raise _CliError("coefficient file is %s/%s but --from says %s" % (kind + (args.from_basis,)))
-    out = _kind(("F2T", _BASIS[args.to_basis])).expand(_synthesize(kind, c))
+    c = _load_coeffs(args.coeffs)
+    if (c.ring, c.basis) != ("F2T", _BASIS[args.from_basis]):
+        raise _CliError("coefficient file is %s/%s but --from says %s" % (c.ring, c.basis, args.from_basis))
+    out = _format("F2T", _BASIS[args.to_basis]).expand(_synthesize(c))
     _emit(args, out.json_dict())
     return 0
 
@@ -284,7 +265,7 @@ def _cmd_gen_cycle(args):
 
 
 def _cmd_keystream(args):
-    kind, c = _load_coeffs(args.coeffs, args.prec)
+    c = _load_coeffs(args.coeffs, args.prec)
     k = c.precision
     x0 = parse_hex(args.x0)
     check_residues(k, (x0,), "--x0")
@@ -293,7 +274,7 @@ def _cmd_keystream(args):
     if args.bit is not None and not 0 <= args.bit < k:
         raise _CliError("--bit must be between 0 and %d" % (k - 1))
     line = to_hex if args.bit is None else lambda x: "%d" % ((x >> args.bit) & 1)
-    orbit = itertools.islice(dynamics.trajectory(_synthesize(kind, c), x0), args.steps)
+    orbit = itertools.islice(dynamics.trajectory(_synthesize(c), x0), args.steps)
     # one write per block of the orbit: memory is bounded by the block, whatever --steps is
     for block in iter(lambda: list(itertools.islice(orbit, _BLOCK)), []):
         if not args.quiet:

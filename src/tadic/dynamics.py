@@ -4,9 +4,10 @@ A transformation is stored as an explicit table of 2^k residues.  The
 table type carries its ring as a tag: `Z2FunctionTable` is a
 `FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
 same bit mask on canonical values, so every check here serves both rings.
-`Coefficients`, the one coefficient record (basis as tags, body packed or
-a map), lives here too, with one scan per body, `restrict`, and
-`clause_levels`, the one level recurrence of every coefficient criterion.
+`Coefficients`, the one coefficient record (basis and kernels as tags,
+body packed or a map, each type filed in `FORMATS`), lives here too, with
+one scan per body, `restrict`, and `clause_levels`, the one level
+recurrence of every coefficient criterion.
 A table is checked and packed into one int once, when it is built: `packed`, pack's (int, slot width) in slots of k + 1
 bits, is read by every kernel, and `table` unpacked on first read.  The
 checks are exhaustive table oracles: compatibility in one O(2^k) pass;
@@ -42,6 +43,7 @@ from .gf2ps import (
 )
 
 __all__ = [
+    "FORMATS",
     "FunctionTable",
     "LevelVerdicts",
     "TABLE_BUDGET",
@@ -63,6 +65,8 @@ __all__ = [
 TABLE_BUDGET = 24
 # Largest precision of a Carlitz or Mahler file: its cost is poly(k) in the stored indices.
 _SPARSE_BUDGET = 1024
+# (ring, basis) -> the coefficient type that declares those tags, filed when its module is imported
+FORMATS = {}
 
 
 class LevelVerdicts(Record):
@@ -238,17 +242,27 @@ class Coefficients(PackedRecord):
     + c_1 a unit, ergodicity c_0), `lift_clause` with its digits `lift`,
     `cap` (a file's largest precision) and `residue_index` (an index is a
     residue mod pi^k); the floor ord(c_n) >= floor(log2 n) is every basis's.
-    The body is `packed` (kernels, 2^k values given) or `a`, a read-only map
-    of the nonzero values (files, a mapping given, truncations).  A set
-    keeps its body and scans it; `a` and `B`, the 2^k values, are kept once
-    read, `packed` of a map is built anew.  Equality and hash go by
-    (precision, nonzero items), pickle and repr by the body.
+    So are the kernels: `expand` (table -> set, or None), `evaluate`
+    ((set, x) -> value) and `synthesize` (set -> table).  A subclass that
+    declares `ring` or `basis` itself is filed in FORMATS, and one whose
+    (ring, basis) is filed already is refused.  The body is `packed`
+    (kernels, 2^k values given) or `a`, a read-only map of the nonzero
+    values (files, a mapping given, truncations).  A set keeps its body and
+    scans it; `a` and `B`, the 2^k values, are kept once read, `packed` of
+    a map is built anew.  Equality goes by (precision,
+    nonzero items), hash by the precision and slots 0 and 1, pickle and
+    repr by the body.
     """
 
-    ring = basis = lift = None
+    ring = basis = lift = expand = evaluate = synthesize = None
     add, unit, start, cap, residue_index = operator.xor, 0, 1, _SPARSE_BUDGET, False
     _fields, _bodies = ("precision", "a"), ("B", "a")
     _wrong_size, _entry = "need exactly 2^%d coefficients", "coefficient"
+
+    def __init_subclass__(cls):
+        if {"ring", "basis"} & vars(cls).keys():
+            if FORMATS.setdefault((cls.ring, cls.basis), cls) is not cls:
+                raise TypeError("%s/%s is %s's format" % (cls.ring, cls.basis, FORMATS[cls.ring, cls.basis].__name__))
 
     def _check(self):
         k, body = self.precision, self.__dict__.pop("a")
@@ -307,7 +321,8 @@ class Coefficients(PackedRecord):
         return self.precision == other.precision and held[0] == held[1]
 
     def __hash__(self):
-        return hash((type(self), self.precision, frozenset(self.a.items())))
+        # equal sets agree on every slot, so two slots read off either body will do
+        return hash((type(self), self.precision, *self._slots((0, 1))))
 
     def _values(self):
         return self.precision, dict(self.a) if self._sparse else self.B

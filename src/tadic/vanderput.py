@@ -6,9 +6,10 @@ indicator of the ball x = alpha mod T^{deg alpha + 1}.  Coefficients are
 finite differences of f, so expansion and evaluation accumulate with the
 ring's addition: XOR in F2[[T]], carrying addition in Z2.  A set is
 dynamics' one coefficient record, packed from `to_vdp` and a map from a
-file, so a sparse file stays sparse.  Its type carries the basis and ring
-as class tags (`Z2VdpCoefficients` is a `VdpCoefficients` with Z2's tag,
-addition and table type), read off the argument's type.  The criteria are
+file, so a sparse file stays sparse.  Its type carries the basis, ring
+and kernels as class tags (`Z2VdpCoefficients` is a `VdpCoefficients` with
+Z2's tag, addition and table type), read off the argument's type; to_vdp
+finds its table's ring's type in dynamics.FORMATS.  The criteria are
 dynamics' check_lipschitz, check_mp and check_ergodic under van der Put
 names; the tags hold the clauses that are van der Put's own.
 """
@@ -16,7 +17,7 @@ names; the tags hold the clauses that are van der Put's own.
 import functools
 import operator
 
-from .dynamics import TABLE_BUDGET, Coefficients, FunctionTable, Z2FunctionTable, restrict
+from .dynamics import FORMATS, TABLE_BUDGET, Coefficients, FunctionTable, Z2FunctionTable, restrict
 from .dynamics import check_ergodic, check_lipschitz, check_mp
 from .gf2ps import check_residues, tile
 
@@ -31,40 +32,6 @@ __all__ = [
     "to_vdp",
     "vdp_table",
 ]
-
-
-class VdpCoefficients(Coefficients):
-    """Coefficients B_alpha indexed by the canonical integer of alpha, itself a residue mod pi^k.
-
-    On the scaled b_alpha = B_alpha / pi^(deg alpha), mp asks b_alpha a unit in every band (bit d set) and
-    starts from b_0 + b_1 a unit.  Tags beyond the record's: `table_type` and `sub` for the transform pair.
-    """
-
-    ring, basis = "F2T", "vanderput"
-    table_type, add, sub, lift = FunctionTable, operator.xor, operator.xor, 2
-    unit, start, cap, residue_index = 1, 0, TABLE_BUDGET, True
-
-    @classmethod
-    def lift_clause(cls, total, m):
-        """Level m's lift clause off total(lo, hi), the ring sum of slots lo..hi-1: b_0 + b_1 = 1 + pi mod pi^2 at m = 2.
-
-        Beyond, the sum of b_alpha over deg alpha = m - 2 (bits m - 2, m - 1 of band m - 2's sum) is 2 mod pi^2
-        at m = 3 and the `lift` tag above (T in F2[[T]], 0 in Z2).
-        """
-        if m == 2:
-            return bool(total(0, 2) & 2)
-        return total(1 << (m - 2), 1 << (m - 1)) >> (m - 2) & 3 == (2 if m == 3 else cls.lift)
-
-
-class Z2VdpCoefficients(VdpCoefficients):
-    """Coefficients B_m of the ball-indicator expansion mod 2^k."""
-
-    ring = "Z2"
-    table_type, add, sub, lift = Z2FunctionTable, operator.add, operator.sub, 0
-
-
-# the coefficient type that to_vdp gives a table of each ring
-_VDP = {cls.ring: cls for cls in (VdpCoefficients, Z2VdpCoefficients)}
 
 
 def _sweep(r, cls, synthesize):
@@ -98,7 +65,7 @@ def _sweep(r, cls, synthesize):
 
 def to_vdp(t):
     """Read coefficients off the table: values at 0 and 1, then top-bit differences."""
-    return _sweep(t, _VDP[t.ring], synthesize=False)
+    return _sweep(t, FORMATS[t.ring, "vanderput"], synthesize=False)
 
 
 def from_vdp(c, x):
@@ -111,6 +78,37 @@ def from_vdp(c, x):
 def vdp_table(c):
     """Synthesize the full table of the expansion at its own precision: the sweep of to_vdp inverted."""
     return _sweep(c, type(c), synthesize=True)
+
+
+class VdpCoefficients(Coefficients):
+    """Coefficients B_alpha indexed by the canonical integer of alpha, itself a residue mod pi^k.
+
+    On the scaled b_alpha = B_alpha / pi^(deg alpha), mp asks b_alpha a unit in every band (bit d set) and
+    starts from b_0 + b_1 a unit.  Tags beyond the record's: `table_type` and `sub` for the transform pair.
+    """
+
+    ring, basis = "F2T", "vanderput"
+    table_type, add, sub, lift = FunctionTable, operator.xor, operator.xor, 2
+    unit, start, cap, residue_index = 1, 0, TABLE_BUDGET, True
+    expand, evaluate, synthesize = staticmethod(to_vdp), staticmethod(from_vdp), staticmethod(vdp_table)
+
+    @classmethod
+    def lift_clause(cls, total, m):
+        """Level m's lift clause off total(lo, hi), the ring sum of slots lo..hi-1: b_0 + b_1 = 1 + pi mod pi^2 at m = 2.
+
+        Beyond, the sum of b_alpha over deg alpha = m - 2 (bits m - 2, m - 1 of band m - 2's sum) is 2 mod pi^2
+        at m = 3 and the `lift` tag above (T in F2[[T]], 0 in Z2).
+        """
+        if m == 2:
+            return bool(total(0, 2) & 2)
+        return total(1 << (m - 2), 1 << (m - 1)) >> (m - 2) & 3 == (2 if m == 3 else cls.lift)
+
+
+class Z2VdpCoefficients(VdpCoefficients):
+    """Coefficients B_m of the ball-indicator expansion mod 2^k."""
+
+    ring = "Z2"
+    table_type, add, sub, lift = Z2FunctionTable, operator.add, operator.sub, 0
 
 
 # the van der Put names of the criteria, whose one body each is in dynamics

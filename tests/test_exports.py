@@ -16,7 +16,7 @@ from tadic.cyclegen import gen_cycle, random_data
 from tadic.vanderput import to_vdp
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable
 
-MODULES = ["tadic", "tadic.gf2ps", "tadic.dynamics", "tadic.vanderput", "tadic.carlitz",
+MODULES = ["tadic", "tadic.gf2ps", "tadic.dynamics", "tadic.vanderput", "tadic.carlitz", "tadic.mahler",
            "tadic.cyclegen", "tadic.z2compare", "tadic.cli"]
 
 
@@ -88,17 +88,18 @@ def test_importing_the_package_loads_no_submodule():
     assert _python("-c", probe).split() == []
 
 
-# `python -m tadic ARGS` in one process, then the exit code and the tadic modules it left loaded, as JSON on stdout
+# `python -m tadic ARGS` in one process, then the exit code, the tadic modules it left loaded and its stderr, as JSON
+# on stdout
 _FOOTPRINT = """
-import json, os, runpy, sys
+import io, json, os, runpy, sys
 sys.argv, code = ["tadic", *sys.argv[1:]], None
-sys.stdout = open(os.devnull, "w")
+sys.stdout, sys.stderr = open(os.devnull, "w"), io.StringIO()
 try:
     runpy.run_module("tadic", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-sys.stdout = sys.__stdout__
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tadic"))]))
+err, sys.stdout, sys.stderr = sys.stderr.getvalue(), sys.__stdout__, sys.__stderr__
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tadic")), err]))
 """
 _BASE = {"tadic", "tadic.cli", "tadic.gf2ps", "tadic.dynamics"}
 
@@ -129,9 +130,9 @@ FOOTPRINTS = [
     ("verify --ring f2t --basis vdp --check ergodic --coeffs {vdp}", 0, {"vanderput"}),
     ("verify --ring z2 --basis vdp --check ergodic --coeffs {z2vdp}", 0, {"vanderput"}),
     ("verify --ring f2t --basis carlitz --check ergodic --coeffs {carlitz}", 0, {"carlitz"}),
-    ("verify --ring z2 --basis mahler --check ergodic --coeffs {mahler}", 0, {"z2compare", "vanderput"}),
+    ("verify --ring z2 --basis mahler --check ergodic --coeffs {mahler}", 0, {"mahler"}),
     ("verify --ring f2t --basis carlitz --check mp --coeffs {carlitz}", 0, {"carlitz"}),
-    ("verify --ring z2 --basis mahler --check lipschitz --coeffs {mahler}", 0, {"z2compare", "vanderput"}),
+    ("verify --ring z2 --basis mahler --check lipschitz --coeffs {mahler}", 0, {"mahler"}),
     ("convert --from carlitz --to vdp --coeffs {carlitz}", 0, {"carlitz", "vanderput"}),
     ("eval --coeffs {carlitz} --x 0x5", 0, {"carlitz"}),
     ("eval --coeffs {vdp} --x 0x5", 0, {"vanderput"}),
@@ -146,9 +147,20 @@ FOOTPRINTS = [
 @pytest.mark.parametrize("argv, code, extra", FOOTPRINTS, ids=[f[0] for f in FOOTPRINTS])
 def test_each_cli_run_loads_only_the_modules_its_command_uses(cli_files, argv, code, extra):
     args = argv.format(**{p.stem: str(p) for p in cli_files.iterdir()}).split()
-    got_code, modules = json.loads(_python("-c", _FOOTPRINT, *args))
+    got_code, modules, _ = json.loads(_python("-c", _FOOTPRINT, *args))
     assert got_code == code
     assert set(modules) == _BASE | {"tadic." + m for m in extra}
+
+
+@pytest.mark.parametrize("basis", ["cli", "__main__", "dynamics", "gf2ps", "cyclegen"])
+def test_a_basis_tag_is_checked_before_any_import(tmp_path, basis):
+    # a tag that names a module but no basis is refused as it stands, with no module imported on its word
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps({"ring": "F2T", "basis": basis, "precision": 2, "coeffs": {"0": "0x1"}}))
+    got_code, modules, err = json.loads(_python("-c", _FOOTPRINT, "eval", "--coeffs", str(path), "--x", "0x1"))
+    assert got_code == 2
+    assert err == "error: unsupported ring/basis ('F2T', %r) in %s\n" % (basis, path)
+    assert set(modules) == _BASE
 
 
 # the Z2 names of generic jobs; the ring travels with the argument, so only z2compare binds them

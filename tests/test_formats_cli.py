@@ -22,7 +22,7 @@ from helpers import (
     reference_coefficients,
     reference_table,
 )
-from tadic import cli
+from tadic import cli, dynamics
 from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
@@ -61,14 +61,53 @@ def _json_out(capsys):
     return json.loads(out)
 
 
-@pytest.mark.parametrize("key", sorted(cli._KINDS), ids="/".join)
+def test_the_formats_are_the_four_coefficient_types():
+    assert dynamics.FORMATS == {("F2T", "vanderput"): VdpCoefficients, ("Z2", "vanderput"): Z2VdpCoefficients,
+                                ("F2T", "carlitz"): CarlitzCoefficients, ("Z2", "mahler"): MahlerCoefficients}
+
+
+@pytest.mark.parametrize("key", sorted(dynamics.FORMATS), ids="/".join)
 def test_every_format_row_resolves_to_its_type_and_functions(key):
-    # a misspelt name in a row fails here, not only in the commands that use the row
-    kind = cli._kind(key)
-    assert (kind.coeffs.ring, kind.coeffs.basis) == key
-    fields = kind._values()
-    assert [f is None for f in fields] == [False, key == ("Z2", "mahler"), False, False]
-    assert all(callable(f) for f in fields if f is not None)
+    # a missing kernel tag fails here, not only in the commands that use the row
+    cls = dynamics.FORMATS[key]
+    assert (cls.ring, cls.basis) == key and cli._format(*key) is cls
+    # every basis tag names the module of its type and kernels
+    assert cls.__module__ == "tadic." + key[1]
+    kernels = (cls.expand, cls.evaluate, cls.synthesize)
+    assert [f is None for f in kernels] == [key == ("Z2", "mahler"), False, False]
+    assert all(callable(f) and f.__module__ == cls.__module__ for f in kernels if f is not None)
+
+
+def test_only_a_subclass_that_declares_a_tag_is_filed():
+    before = dict(dynamics.FORMATS)
+
+    class Untagged(CarlitzCoefficients):
+        pass
+
+    assert dynamics.FORMATS == before and dynamics.FORMATS[("F2T", "carlitz")] is CarlitzCoefficients
+    try:
+        class Probe(CarlitzCoefficients):
+            basis = "probe"
+
+        assert dynamics.FORMATS[("F2T", "probe")] is Probe
+        # a known ring with an unknown basis tag is still no file format: the basis is checked before FORMATS
+        assert cli._format("F2T", "probe") is None
+    finally:
+        dynamics.FORMATS.pop(("F2T", "probe"), None)
+    assert dynamics.FORMATS == before
+
+
+@pytest.mark.parametrize("base, tags", [(VdpCoefficients, {"ring": "F2T"}), (VdpCoefficients, {"ring": "Z2"}),
+                                        (CarlitzCoefficients, {"basis": "carlitz"}),
+                                        (Z2VdpCoefficients, {"ring": "Z2", "basis": "mahler"})])
+def test_a_second_type_for_a_filed_format_is_refused(base, tags):
+    # re-declaring a filed (ring, basis), even with the same values, would take over every file and to_vdp of it
+    before = dict(dynamics.FORMATS)
+    owner = before[tags.get("ring", base.ring), tags.get("basis", base.basis)]
+    with pytest.raises(TypeError, match="is %s's format" % owner.__name__):
+        type("Hijack", (base,), tags)
+    assert dynamics.FORMATS == before
+    assert type(to_vdp(reference_table(3))) is VdpCoefficients
 
 
 def test_verify_exhaustive_accepts_the_reference_table(files, capsys):

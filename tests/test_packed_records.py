@@ -358,3 +358,14 @@ def test_a_coefficient_set_refuses_non_integers_in_either_body(cls):
         with pytest.raises(ValueError, match="out of range for precision 2"):
             cls(2, values)
     assert cls(3, {0: 2, 1: 0}).a == {0: 2} and cls(2, (2, 0, 0, 0)) == cls(2, {0: 2})
+
+
+def test_hashing_a_packed_set_builds_no_map():
+    # the hash reads the type, the precision and slots 0 and 1 off the packed body, so the 2^16 values stay packed
+    _, t = gen_cycle(random_data(7, 15))
+    z2 = Z2FunctionTable(16, tuple((5 * x + 3) & 0xFFFF for x in range(1 << 16)))
+    for c in (to_vdp(t), to_vdp(z2)):
+        h = hash(c)
+        assert "a" not in vars(c) and "B" not in vars(c)
+        twin = type(c)(16, dict(c.a))
+        assert twin == c and hash(twin) == h == hash(type(c)._trusted(16, packed=c.packed))

@@ -21,7 +21,7 @@ from helpers import (
     scaled_vdp,
     steered_sparse,
 )
-from tadic import z2compare
+from tadic import mahler
 from tadic.dynamics import is_bijective_mod, is_compatible
 from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
 from tadic.z2compare import (
@@ -233,8 +233,8 @@ def test_mahler_table_matches_pointwise_evaluation():
 def split(request, monkeypatch):
     """mahler_table's own split of the stored indices, or (column, factorial) costs that make every one a column or a sum."""
     if request.param:
-        monkeypatch.setattr(z2compare, "_COLUMN_PASSES", request.param[0])
-        monkeypatch.setattr(z2compare, "_FACTORIAL_PASSES", request.param[1])
+        monkeypatch.setattr(mahler, "_COLUMN_PASSES", request.param[0])
+        monkeypatch.setattr(mahler, "_FACTORIAL_PASSES", request.param[1])
 
 
 def _agrees_with_exact_binomials(c):
