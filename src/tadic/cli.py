@@ -13,9 +13,9 @@ uses.  Every set is one coefficient record: one `restrict` serves
 --prec, and each --check is one criterion read off the set's own scan, so
 every row takes all three checks.  The record's one reader owns the
 document rules (header, body shape, index keys and the type's precision
-cap); the front end only reads the JSON text, refusing repeated keys, and
-checks the table budget where it builds a table itself (keystream and
-convert from a sparse file, gen-cycle --n).
+cap); the front end only reads the JSON text, refusing repeated keys.  The
+library refuses a table past the budget (keystream and convert from a
+sparse file, gen-cycle --n), and that ValueError is exit 2 like any other.
 """
 
 import argparse
@@ -150,17 +150,6 @@ def _load_coeffs(path, prec=None):
     return c if prec is None else dynamics.restrict(c, prec)
 
 
-def _check_budget(k):
-    """Refuse a table the command itself would build past the table budget."""
-    if k > dynamics.TABLE_BUDGET:
-        raise _CliError("precision %d needs a table of 2^%d entries, over the budget of 2^%d" % (k, k, dynamics.TABLE_BUDGET))
-
-
-def _synthesize(c):
-    _check_budget(c.precision)
-    return type(c).synthesize(c)
-
-
 def _emit(args, report):
     if not args.quiet:
         print(json.dumps(report, indent=2))
@@ -240,7 +229,7 @@ def _cmd_convert(args):
     c = _load_coeffs(args.coeffs)
     if (c.ring, c.basis) != ("F2T", _BASIS[args.from_basis]):
         raise _CliError("coefficient file is %s/%s but --from says %s" % (c.ring, c.basis, args.from_basis))
-    out = _format("F2T", _BASIS[args.to_basis]).expand(_synthesize(c))
+    out = _format("F2T", _BASIS[args.to_basis]).expand(type(c).synthesize(c))
     _emit(args, out.json_dict())
     return 0
 
@@ -255,7 +244,6 @@ def _cmd_gen_cycle(args):
     elif args.n is None:
         raise _CliError("gen-cycle needs --n N or --data FILE")
     else:
-        _check_budget(args.n + 1)
         d = cyclegen.random_data(args.seed, args.n)
     seq, t = cyclegen.gen_cycle(d)
     # the generator and its checks run either way; --quiet skips only the report
@@ -274,7 +262,7 @@ def _cmd_keystream(args):
     if args.bit is not None and not 0 <= args.bit < k:
         raise _CliError("--bit must be between 0 and %d" % (k - 1))
     line = to_hex if args.bit is None else lambda x: "%d" % ((x >> args.bit) & 1)
-    orbit = itertools.islice(dynamics.trajectory(_synthesize(c), x0), args.steps)
+    orbit = itertools.islice(dynamics.trajectory(type(c).synthesize(c), x0), args.steps)
     # one write per block of the orbit: memory is bounded by the block, whatever --steps is
     for block in iter(lambda: list(itertools.islice(orbit, _BLOCK)), []):
         if not args.quiet:

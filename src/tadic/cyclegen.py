@@ -11,7 +11,7 @@ operations per level.
 import itertools
 import random
 
-from .dynamics import TABLE_BUDGET, FunctionTable
+from .dynamics import TABLE_BUDGET, FunctionTable, check_budget
 from .gf2ps import Record, pack, read_header, read_indexed, tile, unpack
 
 __all__ = ["CycleData", "gen_cycle", "random_data"]
@@ -88,9 +88,10 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def random_data(seed, n):
-    """Deterministic steering bits from a seed."""
+    """Deterministic steering bits from a seed, for a table of precision n + 1 within the budget."""
     if n < 0:
         raise ValueError("depth must be non-negative")
+    check_budget(n + 1)
     rng = random.Random(seed)
     bits = []
     for k in range(1, n + 1):

@@ -6,8 +6,10 @@ table type carries its ring as a tag: `Z2FunctionTable` is a
 same bit mask on canonical values, so every check here serves both rings.
 `Coefficients`, the one coefficient record (basis and kernels as tags,
 body packed or a map, each type filed in `FORMATS`), lives here too, with
-one scan per body, `restrict`, and `clause_levels`, the one level
-recurrence of every coefficient criterion.
+one scan per body, memoised once per set whichever criterion asks first,
+`restrict`, and `clause_levels`, the one level recurrence of every
+coefficient criterion.  `check_budget` refuses a table past `TABLE_BUDGET`
+from its precision alone.
 A table is checked and packed into one int once, when it is built: `packed`, pack's (int, slot width) in slots of k + 1
 bits, is read by every kernel, and `table` unpacked on first read.  The
 checks are exhaustive table oracles: compatibility in one O(2^k) pass;
@@ -67,6 +69,12 @@ TABLE_BUDGET = 24
 _SPARSE_BUDGET = 1024
 # (ring, basis) -> the coefficient type that declares those tags, filed when its module is imported
 FORMATS = {}
+
+
+def check_budget(k):
+    """Refuse a table of precision k past the table budget, before anything of its size is allocated."""
+    if k > TABLE_BUDGET:
+        raise ValueError("precision %d needs a table of 2^%d entries, over the budget of 2^%d" % (k, k, TABLE_BUDGET))
 
 
 class LevelVerdicts(Record):
@@ -212,8 +220,8 @@ def clause_levels(k, top, start, band, lift):
 
 
 def check_lipschitz(c):
-    """True iff the coefficient set c, in any basis, is 1-Lipschitz through level k: its floor's top is k."""
-    return c._top == c.precision
+    """True iff the coefficient set c, in any basis, is 1-Lipschitz through level k: its scan's floor top is k."""
+    return c._scanned[0] == c.precision
 
 
 def check_mp(c):
@@ -299,6 +307,7 @@ class Coefficients(PackedRecord):
 
     def _spread(self):
         """The map's values in a list of 2^k slots; an index from 2^k up vanishes at every canonical point."""
+        check_budget(self.precision)
         size = 1 << self.precision
         values = [0] * size
         for n, v in self.a.items():
@@ -332,17 +341,9 @@ class Coefficients(PackedRecord):
         return "%s(precision=%d, %s=<%d entries>)" % (type(self).__name__, self.precision, *body)
 
     @functools.cached_property
-    def _floor(self):
-        """The held body's scan (top, clauses), all that check_lipschitz reads; it holds no reference to the set."""
-        return (_map_scan if self._sparse else _packed_scan)(self)
-
-    _top = property(lambda self: self._floor[0])
-
-    @functools.cached_property
     def _scanned(self):
-        """(top, raw mp levels, raw ergodic levels): the tags' clauses on the held body, read by clause_levels."""
-        top, clauses = self._floor
-        band, total = clauses()
+        """(top, raw mp levels, raw ergodic levels): the held body's scan, whose clauses clause_levels reads."""
+        top, band, total = (_map_scan if self._sparse else _packed_scan)(self)
         start = bool(total(self.start, 2) & 1), bool(total(0, 1) & 1)
         return (top, *clause_levels(self.precision, top, start, band, functools.partial(self.lift_clause, total)))
 
@@ -361,38 +362,34 @@ class Coefficients(PackedRecord):
 
 
 def _packed_scan(c):
-    """The scan of a packed body: (top, clauses), clauses() giving the (band, total) that clause_levels reads.
+    """The scan of a packed body: (top, band, total), the floor's top and the two clauses that clause_levels reads.
 
     top is by one AND with a tile of the floor bits; band(d), bit d of each slot of band d equal to `unit`,
-    and total(lo, hi), the ring sum of slots lo..hi-1 mod pi^k, read one split of the bands made by clauses().
+    and total(lo, hi), the ring sum of slots lo..hi-1 mod pi^k, read one split of the bands.
     """
     (w, width), k, unit, add = c.packed, c.precision, c.unit, c.add
     floor = b"".join(((1 << d) - 1).to_bytes(width, "little") * (1 << d) for d in range(k))
     low = w & int.from_bytes(bytes(width) + floor, "little")
     top = order(fold(low, 1 << k, width, operator.or_)) if low else k
+    # per d: band d, the 2^d slots from slot 2^d, and the first 2^d slots, each shifted down to slot 0
+    split = {d: (band, lower) for d, band, lower in split_bands(w, k, width)}
+    split.update({k: (0, w), 0: (0, w & ((1 << (width << 3)) - 1))})
+    # the low k bits of every slot: each partial sum is cut back to them, so none leaves its slot
+    full = tile((1 << k) - 1, 1 << k, width)
 
-    def clauses():
-        # per d: band d, the 2^d slots from slot 2^d, and the first 2^d slots, each shifted down to slot 0
-        split = {d: (band, lower) for d, band, lower in split_bands(w, k, width)}
-        split.update({k: (0, w), 0: (0, w & ((1 << (width << 3)) - 1))})
-        # the low k bits of every slot: each partial sum is cut back to them, so none leaves its slot
-        full = tile((1 << k) - 1, 1 << k, width)
+    def band(d):
+        mask = tile(1 << d, 1 << d, width)
+        return split[d][0] & mask == mask * unit
 
-        def band(d):
-            mask = tile(1 << d, 1 << d, width)
-            return split[d][0] & mask == mask * unit
+    def total(lo, hi):
+        # slots lo..hi-1 are the top of the first hi = 2^j
+        return fold(split[(hi - 1).bit_length()][1] >> (lo * width << 3), hi - lo, width, add, full)
 
-        def total(lo, hi):
-            # slots lo..hi-1 are the top of the first hi = 2^j
-            return fold(split[(hi - 1).bit_length()][1] >> (lo * width << 3), hi - lo, width, add, full)
-
-        return band, total
-
-    return top, clauses
+    return top, band, total
 
 
 def _map_scan(c):
-    """The scan of a map body: (top, clauses) as _packed_scan's, from one pass ORing the values by index length.
+    """The scan of a map body: (top, band, total) as _packed_scan's, from one pass ORing the values by index length.
 
     band(d) reads band d's OR if `unit` is 0, else its 2^d entries, where a missing one fails.
     """
@@ -414,7 +411,7 @@ def _map_scan(c):
             s = add(s, get(n, 0))
         return s & full
 
-    return top, lambda: (band, total)
+    return top, band, total
 
 
 def restrict(c, prec):
@@ -435,7 +432,7 @@ def is_compatible(t):
     return LevelVerdicts(t._compatible)
 
 
-def _first_return_at_top(p, m):
+def _full_first_return(p, m):
     """True iff the walk mod T^m with checkpoints p first returns at step 2^m: it divides 2^m, not 2^(m-1)."""
     mask = (1 << m) - 1
     return p[m] & mask == 0 < p[m - 1] & mask
@@ -455,7 +452,7 @@ def is_bijective_mod(t):
     out, onto = [], False
     for m in range(k, 0, -1):
         n = 1 << m
-        ok = t._compatible[m - 1] and (onto or _first_return_at_top(p, m)) or len(set(
+        ok = t._compatible[m - 1] and (onto or _full_first_return(p, m)) or len(set(
             t.table if m == k else unpack(w & tile(n - 1, n, width), n, width))) == n
         onto = onto or ok
         out.append(ok)
@@ -480,7 +477,7 @@ def is_transitive_mod(t):
     holds iff it first returns at step 2^m, which two checkpoints decide.  Other levels walk their own.
     """
     p = t._checkpoints
-    return LevelVerdicts(tuple(_first_return_at_top(p, m) if ok else _single_cycle(t.table, m)
+    return LevelVerdicts(tuple(_full_first_return(p, m) if ok else _single_cycle(t.table, m)
                                for m, ok in enumerate(t._compatible, start=1)))
 
 

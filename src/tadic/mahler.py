@@ -14,7 +14,7 @@ products per stored index above L.
 from itertools import accumulate, repeat
 from operator import add, lshift, mul, sub
 
-from .dynamics import Coefficients, Z2FunctionTable
+from .dynamics import Coefficients, Z2FunctionTable, check_budget
 from .gf2ps import check_residues, pack, tile
 
 __all__ = [
@@ -154,6 +154,7 @@ def mahler_table(c):
     so dense low indices run as sums and a few high ones as columns.
     """
     k = c.precision
+    check_budget(k)
     size = 1 << k
     mask = size - 1
     stored = sorted((i for i in c.a if i < size), reverse=True) + [-1]

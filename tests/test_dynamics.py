@@ -2,7 +2,10 @@
 
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -406,7 +409,7 @@ SPARSE_BASES = [(VdpCoefficients, vdp_table), (Z2VdpCoefficients, vdp_table),
 
 
 def _bodies_scan_alike(c):
-    """c as a map and as packed slots: equal scans, whichever memo is read first, and the basis's coefficient oracles.
+    """c as a map and as packed slots: equal scans, and the basis's coefficient oracles.
 
     Returns the scan.  The oracles read the coefficients one at a time:
     band_scans for van der Put, sparse_floor and ergodic_by_band_scan for
@@ -415,8 +418,7 @@ def _bodies_scan_alike(c):
     k = c.precision
     sparse, packed = type(c)(k, dict(c.a)), type(c)(k, c.B)
     assert "packed" not in vars(sparse) and "packed" in vars(packed) and sparse == packed == c
-    tops = sparse._top, packed._scanned[0]
-    assert tops == (packed._top, sparse._scanned[0]) and sparse._scanned == packed._scanned
+    assert sparse._scanned == packed._scanned
     top, mp, raw = packed._scanned
     if isinstance(c, VdpCoefficients):
         assert band_scans(c) == (top, LevelVerdicts(mp), LevelVerdicts.below_precision(raw))
@@ -559,12 +561,16 @@ def test_the_raw_level_k_clause_decides_transitivity_at_level_k(build, table):
     assert seen == {(k, v) for k in range(2, 11) for v in (True, False)}
 
 
+@pytest.mark.parametrize("first", ["lipschitz", "mp", "ergodic"])
 @pytest.mark.parametrize("cls", [CarlitzCoefficients, MahlerCoefficients])
-def test_a_lipschitz_check_on_a_sparse_set_reads_only_its_floor(monkeypatch, cls):
-    # check_lipschitz never runs the level loop; a later mp or ergodic check runs it once, on the same floor pass
-    loops = []
-    real = dynamics.clause_levels
-    monkeypatch.setattr(dynamics, "clause_levels", lambda k, *rest: loops.append(k) or real(k, *rest))
+def test_the_first_criterion_on_a_sparse_set_scans_it_once(monkeypatch, cls, first):
+    # whichever criterion comes first runs the level loop once, on one pass over a map or one split of the packed
+    # bands, and leaves the scan as the set's one memo; the later criteria read it and run neither
+    criteria = {"lipschitz": dynamics.check_lipschitz, "mp": dynamics.check_mp, "ergodic": dynamics.check_ergodic}
+    loops, splits = [], []
+    real_levels, real_split = dynamics.clause_levels, dynamics.split_bands
+    monkeypatch.setattr(dynamics, "clause_levels", lambda k, *rest: loops.append(k) or real_levels(k, *rest))
+    monkeypatch.setattr(dynamics, "split_bands", lambda w, k, width: splits.append(k) or real_split(w, k, width))
     rng = random.Random(24)
     # the chain a_{2^j-1} that passes every clause at precision 1024: digit j is the lift tag, digits below j are 0
     chain = {0: 1, 1: 1 | cls.lift << 1, **{(1 << j) - 1: (1 << j if cls.lift else 2 << j) & ((1 << 1024) - 1)
@@ -581,12 +587,41 @@ def test_a_lipschitz_check_on_a_sparse_set_reads_only_its_floor(monkeypatch, cls
 
     for c in sets:
         k = c.precision
-        c = cls._trusted(k, Passes(c.a))
-        lipschitz = dynamics.check_lipschitz(c)
-        assert loops == [] and "_scanned" not in vars(c)
-        dynamics.check_mp(c), dynamics.check_ergodic(c)
-        assert loops == [k] and c.a.passes == 1
-        assert lipschitz is (c._scanned[0] == k)
-        loops.clear()
+        # the map, counting its passes, and for a set of table size its 2^k packed slots
+        for body in (cls._trusted(k, Passes(c.a)), *([cls(k, c.B)] if k <= 6 else [])):
+            verdict = criteria[first](body)
+            memos = vars(body).keys() - {"precision", "a", "B", "packed"}
+            assert loops == [k] and splits == ([] if body._sparse else [k]) and memos == {"_scanned"}
+            verdicts = {name: check(body) for name, check in criteria.items()}
+            assert loops == [k] and len(splits) <= 1 and verdicts[first] == verdict
+            assert not body._sparse or body.a.passes == 1
+            assert verdicts["lipschitz"] is (body._scanned[0] == k)
+            loops.clear(), splits.clear()
     assert [dynamics.check_lipschitz(c) for c in sets[:2]] == [True, False]
     assert (dynamics.check_mp(sets[0]).overall, dynamics.check_ergodic(sets[0]).overall) == (True, None)
+
+
+# four tables past the budget, asked for under a 1 GB address-space cap: the precision alone refuses each of them
+_OVER_BUDGET = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from tadic.carlitz import CarlitzCoefficients, carlitz_table
+from tadic.cyclegen import random_data
+from tadic.mahler import MahlerCoefficients, mahler_table
+for call in (lambda: carlitz_table(CarlitzCoefficients(40, {0: 1})), lambda: random_data(0, 40),
+             lambda: CarlitzCoefficients(1024, {0: 1}).B, lambda: mahler_table(MahlerCoefficients(1024, {0: 1}))):
+    start = time.perf_counter()
+    try:
+        call()
+    except ValueError as exc:
+        print(exc, time.perf_counter() - start < 1)
+"""
+
+
+def test_a_table_past_the_budget_is_refused_before_it_is_allocated():
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    got = subprocess.run([sys.executable, "-c", _OVER_BUDGET], env=env, capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    refusal = "precision %d needs a table of 2^%d entries, over the budget of 2^24 True"
+    assert got.stdout.splitlines() == [refusal % (k, k) for k in (40, 41, 1024, 1024)]

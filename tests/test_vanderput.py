@@ -401,25 +401,32 @@ def test_the_floor_memo_is_the_band_scans_top_on_sampled_sets(k):
     tops = set()
     for _ in range(3 if k < 12 else 1):
         for c in _sampled_sets(rng, k):
-            assert c._top == band_scans(c)[0] == type(c)(k, c.B)._scanned[0]
-            tops.add(c._top)
+            assert c._scanned[0] == band_scans(c)[0] == type(c)(k, c.B)._scanned[0]
+            tops.add(c._scanned[0])
     assert k in tops and len(tops) > 1
 
 
-def test_a_lipschitz_check_on_a_van_der_put_set_splits_no_band(monkeypatch):
-    # check_lipschitz reads the floor memo alone; a later mp or ergodic check splits the bands once
-    splits = []
-    real = dynamics.split_bands
-    monkeypatch.setattr(dynamics, "split_bands", lambda w, k, width: splits.append(k) or real(w, k, width))
+@pytest.mark.parametrize("first", ["lipschitz", "mp", "ergodic"])
+def test_the_first_criterion_on_a_van_der_put_set_scans_it_once(monkeypatch, first):
+    # whichever criterion comes first splits the packed bands and runs the level loop once, and leaves the scan as
+    # the set's one memo; the later criteria read it and run neither
+    criteria = {"lipschitz": check_lipschitz_vdp, "mp": check_mp_vdp, "ergodic": check_ergodic_vdp}
+    loops, splits = [], []
+    real_levels, real_split = dynamics.clause_levels, dynamics.split_bands
+    monkeypatch.setattr(dynamics, "clause_levels", lambda k, *rest: loops.append(k) or real_levels(k, *rest))
+    monkeypatch.setattr(dynamics, "split_bands", lambda w, k, width: splits.append(k) or real_split(w, k, width))
     rng = random.Random(21)
     for k in (2, 9, 14):
         for c in _sampled_sets(rng, k):
-            fresh = type(c)(k, c.B)
-            lipschitz = check_lipschitz_vdp(fresh)
-            assert splits == [] and "_scanned" not in vars(fresh)
-            check_mp_vdp(fresh), check_ergodic_vdp(fresh)
-            assert splits == [k] and lipschitz is (band_scans(c)[0] == k)
-            splits.clear()
+            # the 2^k packed slots, and the map, which no split reads
+            for fresh in (type(c)(k, c.B), type(c)(k, dict(c.a))):
+                verdict = criteria[first](fresh)
+                memos = vars(fresh).keys() - {"precision", "a", "B", "packed"}
+                assert loops == [k] and splits == ([] if fresh._sparse else [k]) and memos == {"_scanned"}
+                verdicts = {name: check(fresh) for name, check in criteria.items()}
+                assert loops == [k] and len(splits) <= 1 and verdicts[first] == verdict
+                assert verdicts["lipschitz"] is (band_scans(c)[0] == k)
+                loops.clear(), splits.clear()
 
 
 @pytest.mark.parametrize("k", range(3, 13))
