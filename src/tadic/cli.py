@@ -33,6 +33,8 @@ __all__ = ["main", "run"]
 _RING = {"f2t": "F2T", "z2": "Z2"}
 _BASIS = {"vdp": "vanderput", "carlitz": "carlitz", "mahler": "mahler"}
 _FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
+# the bases whose types have an `expand` kernel: the choices of expand and convert, in their usage order
+_EXPANDABLE = ["vdp", "carlitz"]
 # --check name -> criterion, which returns a bool or per-level verdicts
 _CHECKS = {"lipschitz": dynamics.check_lipschitz, "mp": dynamics.check_mp, "ergodic": dynamics.check_ergodic}
 # keystream lines per write
@@ -66,7 +68,7 @@ def _build_parser():
     v.add_argument("--table", metavar="FILE")
 
     e = sub.add_parser("expand", parents=[common], help="extract basis coefficients from a table")
-    e.add_argument("--basis", choices=["vdp", "carlitz"], required=True)
+    e.add_argument("--basis", choices=_EXPANDABLE, required=True)
     e.add_argument("--table", metavar="FILE", required=True)
 
     ev = sub.add_parser("eval", parents=[common], help="evaluate a coefficient file at one point")
@@ -75,8 +77,8 @@ def _build_parser():
     ev.add_argument("--prec", type=int, metavar="K")
 
     c = sub.add_parser("convert", parents=[common], help="convert coefficients between bases via the table")
-    c.add_argument("--from", dest="from_basis", choices=["vdp", "carlitz"], required=True)
-    c.add_argument("--to", dest="to_basis", choices=["vdp", "carlitz"], required=True)
+    c.add_argument("--from", dest="from_basis", choices=_EXPANDABLE, required=True)
+    c.add_argument("--to", dest="to_basis", choices=_EXPANDABLE, required=True)
     c.add_argument("--coeffs", metavar="FILE", required=True)
 
     g = sub.add_parser("gen-cycle", parents=[common], help="generate a single-cycle table from steering bits")

@@ -315,12 +315,13 @@ class Coefficients(PackedRecord):
                 values[n] = v
         return values
 
-    def _slots(self, indices):
-        """The values at a few indices, read off the held body: map lookups, or one shift of the packed int each."""
+    def _slot_reader(self):
+        """The reader of single values off the held body, n -> c_n: a map lookup, or a cut of the packed int to slot n."""
         if self._sparse:
-            return [self.a.get(n, 0) for n in indices]
+            get = self.a.get
+            return lambda n: get(n, 0)
         (w, width), mask = self.packed, (1 << self.precision) - 1
-        return [w >> (n * width << 3) & mask for n in indices]
+        return lambda n: (w & mask << (n * width << 3)) >> (n * width << 3)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -331,7 +332,7 @@ class Coefficients(PackedRecord):
 
     def __hash__(self):
         # equal sets agree on every slot, so two slots read off either body will do
-        return hash((type(self), self.precision, *self._slots((0, 1))))
+        return hash((type(self), self.precision, *map(self._slot_reader(), (0, 1))))
 
     def _values(self):
         return self.precision, dict(self.a) if self._sparse else self.B
@@ -342,15 +343,20 @@ class Coefficients(PackedRecord):
 
     @functools.cached_property
     def _scanned(self):
-        """(top, raw mp levels, raw ergodic levels): the held body's scan, whose clauses clause_levels reads."""
-        top, band, total = (_map_scan if self._sparse else _packed_scan)(self)
-        start = bool(total(self.start, 2) & 1), bool(total(0, 1) & 1)
-        return (top, *clause_levels(self.precision, top, start, band, functools.partial(self.lift_clause, total)))
+        """(top, raw mp levels, raw ergodic levels): the floor, unit, start and lift clauses off the body's band data."""
+        k = self.precision
+        ors, ones, band_sum = (_map_scan if self._sparse else _packed_scan)(self)
+        # the floor's top: the least order of a band d's OR below bit d, or k
+        top = min([k, *(order(low) for d, v in ors.items() if (low := v & ((1 << d) - 1)))])
+        slot = self._slot_reader()
+        start = bool(self.add(slot(1), 0 if self.start else slot(0)) & 1), bool(slot(0) & 1)
+        band = ones if self.unit else lambda d: not ors.get(d, 0) >> d & 1
+        return (top, *clause_levels(k, top, start, band, functools.partial(self.lift_clause, slot, band_sum)))
 
     @classmethod
-    def lift_clause(cls, total, m):
-        """Level m's lift clause off total(lo, hi), the ring sum of slots lo..hi-1: digit m - 1 of c_(2^(m-1)-1) is `lift`."""
-        return total((1 << (m - 1)) - 1, 1 << (m - 1)) >> (m - 1) & 1 == cls.lift
+    def lift_clause(cls, slot, band_sum, m):
+        """Level m's lift clause off slot(n), the value c_n, and band_sum(d): digit m - 1 of c_(2^(m-1)-1) is `lift`."""
+        return slot((1 << (m - 1)) - 1) >> (m - 1) & 1 == cls.lift
 
     def json_dict(self):
         return {"ring": self.ring, "basis": self.basis, "precision": self.precision,
@@ -362,56 +368,47 @@ class Coefficients(PackedRecord):
 
 
 def _packed_scan(c):
-    """The scan of a packed body: (top, band, total), the floor's top and the two clauses that clause_levels reads.
+    """The scan of a packed body: (ors, ones, band_sum), band d's data for d = 1..k-1, off one split of the bands.
 
-    top is by one AND with a tile of the floor bits; band(d), bit d of each slot of band d equal to `unit`,
-    and total(lo, hi), the ring sum of slots lo..hi-1 mod pi^k, read one split of the bands.
+    ors maps each band holding a value to the OR of its slots; ones(d), bit d set in every slot of band d,
+    is one masked compare, and band_sum(d), the ring sum of band d mod pi^k, one fold with the ring's addition.
     """
-    (w, width), k, unit, add = c.packed, c.precision, c.unit, c.add
-    floor = b"".join(((1 << d) - 1).to_bytes(width, "little") * (1 << d) for d in range(k))
-    low = w & int.from_bytes(bytes(width) + floor, "little")
-    top = order(fold(low, 1 << k, width, operator.or_)) if low else k
-    # per d: band d, the 2^d slots from slot 2^d, and the first 2^d slots, each shifted down to slot 0
-    split = {d: (band, lower) for d, band, lower in split_bands(w, k, width)}
-    split.update({k: (0, w), 0: (0, w & ((1 << (width << 3)) - 1))})
-    # the low k bits of every slot: each partial sum is cut back to them, so none leaves its slot
-    full = tile((1 << k) - 1, 1 << k, width)
+    (w, width), k, add = c.packed, c.precision, c.add
+    split = {d: band for d, band, _ in split_bands(w, k, width)}
+    ors = {d: v for d, band in split.items() if (v := fold(band, 1 << d, width, operator.or_))}
 
-    def band(d):
+    def ones(d):
         mask = tile(1 << d, 1 << d, width)
-        return split[d][0] & mask == mask * unit
+        return split[d] & mask == mask
 
-    def total(lo, hi):
-        # slots lo..hi-1 are the top of the first hi = 2^j
-        return fold(split[(hi - 1).bit_length()][1] >> (lo * width << 3), hi - lo, width, add, full)
+    def band_sum(d):
+        # the low k bits of the upper half's slots: each partial sum is cut back to them, so none leaves its slot
+        return fold(split[d], 1 << d, width, add, tile((1 << k) - 1, 1 << (d - 1), width))
 
-    return top, band, total
+    return ors, ones, band_sum
 
 
 def _map_scan(c):
-    """The scan of a map body: (top, band, total) as _packed_scan's, from one pass ORing the values by index length.
+    """The scan of a map body: (ors, ones, band_sum) as _packed_scan's, from one pass ORing the values by index length.
 
-    band(d) reads band d's OR if `unit` is 0, else its 2^d entries, where a missing one fails.
+    A band from k up holds only indices that vanish at every canonical point, and its OR is kept too.
+    ones(d) and band_sum(d) read band d's 2^d entries, where a missing one is 0 and so fails ones(d).
     """
-    k, a, unit, add, ors = c.precision, c.a, c.unit, c.add, {}
-    for n, v in a.items():
+    k, add, get, ors = c.precision, c.add, c.a.get, {}
+    for n, v in c.a.items():
         b = n.bit_length()
         ors[b] = ors.get(b, 0) | v
-    top = min([k, *(order(off) for b, v in ors.items() if b > 1 and (off := v & ((1 << (b - 1)) - 1)))])
-    get, full = a.get, (1 << k) - 1
 
     def band(d):
-        if unit:
-            return all(get(n, 0) >> d & 1 for n in range(1 << d, 2 << d))
-        return not ors.get(d + 1, 0) >> d & 1
+        return [get(n, 0) for n in range(1 << d, 2 << d)]
 
-    def total(lo, hi):
-        s = get(lo, 0)
-        for n in range(lo + 1, hi):
-            s = add(s, get(n, 0))
-        return s & full
+    def ones(d):
+        return functools.reduce(operator.and_, band(d)) >> d & 1 == 1
 
-    return top, band, total
+    def band_sum(d):
+        return functools.reduce(add, band(d)) & ((1 << k) - 1)
+
+    return {b - 1: v for b, v in ors.items() if b > 1}, ones, band_sum
 
 
 def restrict(c, prec):

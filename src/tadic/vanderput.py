@@ -72,7 +72,7 @@ def from_vdp(c, x):
     """Evaluate the expansion at x: the ring sum of B_alpha over the at most k balls alpha = x mod T^(d+1) around x."""
     check_residues(c.precision, (x,), "point")
     balls = [x & 1] + [x & ((2 << d) - 1) for d in range(1, x.bit_length()) if x >> d & 1]
-    return functools.reduce(c.add, c._slots(balls)) & ((1 << c.precision) - 1)
+    return functools.reduce(c.add, map(c._slot_reader(), balls)) & ((1 << c.precision) - 1)
 
 
 def vdp_table(c):
@@ -93,15 +93,15 @@ class VdpCoefficients(Coefficients):
     expand, evaluate, synthesize = staticmethod(to_vdp), staticmethod(from_vdp), staticmethod(vdp_table)
 
     @classmethod
-    def lift_clause(cls, total, m):
-        """Level m's lift clause off total(lo, hi), the ring sum of slots lo..hi-1: b_0 + b_1 = 1 + pi mod pi^2 at m = 2.
+    def lift_clause(cls, slot, band_sum, m):
+        """Level m's lift clause off slot(n), the value b_n, and band_sum(d): b_0 + b_1 = 1 + pi mod pi^2 at m = 2.
 
-        Beyond, the sum of b_alpha over deg alpha = m - 2 (bits m - 2, m - 1 of band m - 2's sum) is 2 mod pi^2
-        at m = 3 and the `lift` tag above (T in F2[[T]], 0 in Z2).
+        Beyond, band_sum(m - 2), the sum of b_alpha over deg alpha = m - 2 (its bits m - 2 and m - 1), is 2 mod
+        pi^2 at m = 3 and the `lift` tag above (T in F2[[T]], 0 in Z2).
         """
         if m == 2:
-            return bool(total(0, 2) & 2)
-        return total(1 << (m - 2), 1 << (m - 1)) >> (m - 2) & 3 == (2 if m == 3 else cls.lift)
+            return bool(cls.add(slot(0), slot(1)) & 2)
+        return band_sum(m - 2) >> (m - 2) & 3 == (2 if m == 3 else cls.lift)
 
 
 class Z2VdpCoefficients(VdpCoefficients):

@@ -1,5 +1,6 @@
 """Table oracles: compatibility, bijectivity, transitivity, parity lift, orbits, and the point rule of every evaluator."""
 
+import functools
 import itertools
 import operator
 import os
@@ -44,7 +45,7 @@ from tadic.dynamics import (
     trajectory,
 )
 from tadic import dynamics
-from tadic.gf2ps import clmul_trunc, unpack
+from tadic.gf2ps import clmul_trunc, order, unpack
 from tadic.vanderput import VdpCoefficients, Z2VdpCoefficients, from_vdp, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, mahler_eval, mahler_table
 
@@ -515,6 +516,64 @@ def test_the_sparse_scan_equals_the_table_oracles_on_steered_sets_to_k10(cls, ta
             seen |= _scan_equals_the_table_oracles(_steered(rng, cls, k, keep=rng.choice((1.0, 1.0, 0.3))), table)
         # steered sets pass every clause unless broken, so they reach level k
         assert ("mp", k, True) in seen and ("ergodic", k - 1, True) in seen
+
+
+def _band_data(c):
+    """The band data of c's values, read one at a time: (ors, ones, sums) as _scan_data lays them out.
+
+    ors holds the OR of each band d >= 1 holding a value, a map's indices from 2^k up included; ones and sums
+    hold, for d = 1..k-1, whether bit d is set in every slot of band d and the band's ring sum mod pi^k.
+    """
+    k, B, ors = c.precision, c.B, {}
+    for n, v in itertools.chain(enumerate(B), ((n, v) for n, v in c.a.items() if n >> k)):
+        if n > 1 and v:
+            ors[n.bit_length() - 1] = ors.get(n.bit_length() - 1, 0) | v
+    bands = [B[1 << d:2 << d] for d in range(1, k)]
+    return (ors, [all(v >> d & 1 for v in band) for d, band in enumerate(bands, start=1)],
+            [functools.reduce(c.add, band) % (1 << k) for band in bands])
+
+
+def _scan_data(c):
+    """The held body's scan: its ors, and ones(d) and band_sum(d) for d = 1..k-1."""
+    ors, ones, band_sum = (dynamics._map_scan if c._sparse else dynamics._packed_scan)(c)
+    return ors, [ones(d) for d in range(1, c.precision)], [band_sum(d) for d in range(1, c.precision)]
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in SPARSE_BASES], ids=lambda cls: cls.__name__)
+def test_both_scans_return_the_band_data_of_the_values(cls):
+    # every set at k <= 2, every set on its floor at k = 3, and sampled sets to k = 10, each as a map and as packed
+    # slots: the scan's per-band ORs, all-ones tests and ring sums are those of the values
+    rng = random.Random(29)
+    sets = [cls(k, dict(enumerate(a))) for k in (1, 2) for a in itertools.product(range(1 << k), repeat=1 << k)]
+    floors = [0, 0] + [n.bit_length() - 1 for n in range(2, 8)]
+    sets += [cls(3, dict(enumerate(a))) for a in itertools.product(*(range(0, 8, 1 << d) for d in floors))]
+    sets += [_uniform(rng, cls, k) for k in range(4, 11) for _ in range(3)]
+    sets += [_steered(rng, cls, k, keep=rng.choice((1.0, 0.7))) for k in range(4, 11) for _ in range(6)]
+    seen = set()
+    for c in sets:
+        k = c.precision
+        for body in (type(c)(k, dict(c.a)), type(c)(k, c.B)):
+            ors, ones, sums = _scan_data(body)
+            assert (ors, ones, sums) == _band_data(body)
+            # the unit clause that the band data decides: bit d in every slot, or in none when `unit` is 0
+            seen |= set(enumerate(ones if cls.unit else [not ors.get(d, 0) >> d & 1 for d in range(1, k)], start=1))
+    assert seen == {(d, holds) for d in range(1, 10) for holds in (True, False)}
+
+
+@pytest.mark.parametrize("cls", [CarlitzCoefficients, MahlerCoefficients])
+def test_a_map_keeps_the_band_of_an_index_from_2_to_the_k_up(cls):
+    # such an index vanishes at every canonical point, so the packed twin drops it, but its value is off its floor
+    rng = random.Random(30)
+    for k in (1, 2, 5, 9):
+        for _ in range(10):
+            base = steered_sparse(rng, cls, k)
+            high = {(1 << d) + rng.randrange(1 << d): 1 + rng.getrandbits(k) % ((1 << k) - 1)
+                    for d in rng.sample(range(k, 3 * k + 2), 2)}
+            c, twin = cls(k, {**base.a, **high}), cls(k, base.B)
+            ors = _scan_data(c)[0]
+            assert ors == _band_data(c)[0] and ors.keys() - _scan_data(twin)[0].keys() == {
+                n.bit_length() - 1 for n in high}
+            assert c._scanned[0] == min(twin._scanned[0], *(order(v) for v in high.values())) < k
 
 
 def _redrawn_cycle(rng, ring, k):

@@ -1,5 +1,6 @@
 """Front end: flag handling, file formats, verdict plumbing, exit codes."""
 
+import argparse
 import itertools
 import json
 import os
@@ -77,6 +78,18 @@ def test_every_format_row_resolves_to_its_type_and_functions(key):
     assert [f is None for f in kernels] == [key == ("Z2", "mahler"), False, False]
     assert all(callable(f) and f.__module__ == cls.__module__ for f in kernels if f is not None)
 
+
+
+def test_expand_and_convert_offer_exactly_the_bases_with_an_expansion():
+    # the three basis modules are imported above, so FORMATS holds every type; one that gains an `expand` tag gains
+    # its flags in expand and convert too
+    flags = {cli._FLAG_OF[basis] for (_, basis), cls in dynamics.FORMATS.items() if cls.expand is not None}
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {(name, option): action.choices for name in ("expand", "convert") for action in commands[name]._actions
+               for option in action.option_strings if option in ("--basis", "--from", "--to")}
+    assert options.keys() == {("expand", "--basis"), ("convert", "--from"), ("convert", "--to")}
+    for choices in options.values():
+        assert len(choices) == len(flags) and set(choices) == flags
 
 def test_only_a_subclass_that_declares_a_tag_is_filed():
     before = dict(dynamics.FORMATS)
