@@ -5,11 +5,11 @@ table type carries its ring as a tag: `Z2FunctionTable` is a
 `FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
 same bit mask on canonical values, so every check here serves both rings.
 `Coefficients`, the one coefficient record (basis and kernels as tags,
-body packed or a map, each type filed in `FORMATS`), lives here too, with
-one scan per body, memoised once per set whichever criterion asks first,
-`restrict`, and `clause_levels`, the one level recurrence of every
-coefficient criterion.  `check_budget` refuses a table past `TABLE_BUDGET`
-from its precision alone.
+clauses as a method, body packed or a map, each type filed in `FORMATS`),
+lives here too, with one scan of band data per body, memoised once per set
+whichever criterion asks first, `restrict`, and `clause_levels`, the one
+level recurrence of every coefficient criterion.  `check_budget` refuses a
+table past `TABLE_BUDGET` from its precision alone.
 A table is checked and packed into one int once, when it is built: `packed`, pack's (int, slot width) in slots of k + 1
 bits, is read by every kernel, and `table` unpacked on first read.  The
 checks are exhaustive table oracles: compatibility in one O(2^k) pass;
@@ -200,12 +200,12 @@ class Z2FunctionTable(FunctionTable):
     ring = "Z2"
 
 
-def clause_levels(k, top, start, band, lift):
+def clause_levels(k, top, start, unit, lift):
     """The raw mp and ergodic levels of a coefficient criterion: the one level recurrence of every basis.
 
     Level 1 needs top >= 1 (1-Lipschitz mod pi) and the start clauses,
     start = (mp, ergodic).  Level m adds m <= top and the unit clause
-    band(m - 1) of degree band m - 1, and for ergodicity the lift clause
+    unit(m - 1) of degree band m - 1, and for ergodicity the lift clause
     lift(m).  A level needs the one below it, so a clause is read only
     while its level can still hold.
     """
@@ -213,7 +213,7 @@ def clause_levels(k, top, start, band, lift):
     ergodic = mp and start[1]
     levels = [(mp, ergodic)]
     for m in range(2, k + 1):
-        mp = mp and m <= top and band(m - 1)
+        mp = mp and m <= top and unit(m - 1)
         ergodic = ergodic and mp and lift(m)
         levels.append((mp, ergodic))
     return tuple(zip(*levels))
@@ -245,12 +245,12 @@ def check_ergodic(c):
 class Coefficients(PackedRecord):
     """Coefficients c_n mod pi^k, n >= 0, in one basis; missing indices are zero.
 
-    The basis is class tags: `ring`, `basis`, `add`, `unit` (the bit d that
-    mp asks of each c_n, 2^d <= n < 2^(d+1)), `start` (mp asks c_start + ...
-    + c_1 a unit, ergodicity c_0), `lift_clause` with its digits `lift`,
-    `cap` (a file's largest precision) and `residue_index` (an index is a
-    residue mod pi^k); the floor ord(c_n) >= floor(log2 n) is every basis's.
-    So are the kernels: `expand` (table -> set, or None), `evaluate`
+    The basis is class tags: `ring`, `basis`, `add`, `lift` (the digit the
+    lift clauses ask), `cap` (a file's largest precision) and
+    `residue_index` (an index is a residue mod pi^k).  Its start, unit and
+    lift clauses are one method, `clauses`, read off the scan's band data;
+    the floor ord(c_n) >= floor(log2 n) is every basis's.  The kernels
+    are tags too: `expand` (table -> set, or None), `evaluate`
     ((set, x) -> value) and `synthesize` (set -> table).  A subclass that
     declares `ring` or `basis` itself is filed in FORMATS, and one whose
     (ring, basis) is filed already is refused.  The body is `packed`
@@ -263,7 +263,7 @@ class Coefficients(PackedRecord):
     """
 
     ring = basis = lift = expand = evaluate = synthesize = None
-    add, unit, start, cap, residue_index = operator.xor, 0, 1, _SPARSE_BUDGET, False
+    add, cap, residue_index = operator.xor, _SPARSE_BUDGET, False
     _fields, _bodies = ("precision", "a"), ("B", "a")
     _wrong_size, _entry = "need exactly 2^%d coefficients", "coefficient"
 
@@ -343,20 +343,22 @@ class Coefficients(PackedRecord):
 
     @functools.cached_property
     def _scanned(self):
-        """(top, raw mp levels, raw ergodic levels): the floor, unit, start and lift clauses off the body's band data."""
+        """(top, raw mp levels, raw ergodic levels): the floor off the scan's band ORs, then the basis's clauses."""
         k = self.precision
-        ors, ones, band_sum = (_map_scan if self._sparse else _packed_scan)(self)
+        ors, band = (_map_scan if self._sparse else _packed_scan)(self)
         # the floor's top: the least order of a band d's OR below bit d, or k
         top = min([k, *(order(low) for d, v in ors.items() if (low := v & ((1 << d) - 1)))])
-        slot = self._slot_reader()
-        start = bool(self.add(slot(1), 0 if self.start else slot(0)) & 1), bool(slot(0) & 1)
-        band = ones if self.unit else lambda d: not ors.get(d, 0) >> d & 1
-        return (top, *clause_levels(k, top, start, band, functools.partial(self.lift_clause, slot, band_sum)))
+        return (top, *clause_levels(k, top, *self.clauses(ors, band)))
 
-    @classmethod
-    def lift_clause(cls, slot, band_sum, m):
-        """Level m's lift clause off slot(n), the value c_n, and band_sum(d): digit m - 1 of c_(2^(m-1)-1) is `lift`."""
-        return slot((1 << (m - 1)) - 1) >> (m - 1) & 1 == cls.lift
+    def clauses(self, ors, band):
+        """The start pair, unit(d) and lift(m) that clause_levels takes, off the scan's (ors, band): Carlitz's and Mahler's.
+
+        mp starts from c_1 odd and ergodicity from c_0 odd; unit(d) asks no bit d in band d's OR (ord(c_n) > d), and
+        lift(m) digit m - 1 of c_(2^(m-1)-1) equal to `lift`.  Single values come off the held body; band is unread.
+        """
+        slot = self._slot_reader()
+        return ((bool(slot(1) & 1), bool(slot(0) & 1)), lambda d: not ors.get(d, 0) >> d & 1,
+                lambda m: slot((1 << (m - 1)) - 1) >> (m - 1) & 1 == self.lift)
 
     def json_dict(self):
         return {"ring": self.ring, "basis": self.basis, "precision": self.precision,
@@ -368,47 +370,31 @@ class Coefficients(PackedRecord):
 
 
 def _packed_scan(c):
-    """The scan of a packed body: (ors, ones, band_sum), band d's data for d = 1..k-1, off one split of the bands.
+    """The scan of a packed body: (ors, band) off one split of the bands d = 1..k-1.
 
-    ors maps each band holding a value to the OR of its slots; ones(d), bit d set in every slot of band d,
-    is one masked compare, and band_sum(d), the ring sum of band d mod pi^k, one fold with the ring's addition.
+    ors maps each band holding a value to the OR of its slots, and band(d) is the split's band d: its 2^d slots
+    shifted down to slot 0, at the body's slot width.
     """
-    (w, width), k, add = c.packed, c.precision, c.add
+    (w, width), k = c.packed, c.precision
     split = {d: band for d, band, _ in split_bands(w, k, width)}
-    ors = {d: v for d, band in split.items() if (v := fold(band, 1 << d, width, operator.or_))}
-
-    def ones(d):
-        mask = tile(1 << d, 1 << d, width)
-        return split[d] & mask == mask
-
-    def band_sum(d):
-        # the low k bits of the upper half's slots: each partial sum is cut back to them, so none leaves its slot
-        return fold(split[d], 1 << d, width, add, tile((1 << k) - 1, 1 << (d - 1), width))
-
-    return ors, ones, band_sum
+    return {d: v for d, band in split.items() if (v := fold(band, 1 << d, width, operator.or_))}, split.__getitem__
 
 
 def _map_scan(c):
-    """The scan of a map body: (ors, ones, band_sum) as _packed_scan's, from one pass ORing the values by index length.
+    """The scan of a map body: (ors, band) as _packed_scan's, from one pass ORing the values by index length.
 
-    A band from k up holds only indices that vanish at every canonical point, and its OR is kept too.
-    ones(d) and band_sum(d) read band d's 2^d entries, where a missing one is 0 and so fails ones(d).
+    A band from k up holds only indices that vanish at every canonical point, and its OR is kept too.  band(d)
+    packs band d's 2^d entries on demand at k + 1 bits a slot, a missing one read as 0.
     """
-    k, add, get, ors = c.precision, c.add, c.a.get, {}
+    k, get, ors = c.precision, c.a.get, {}
     for n, v in c.a.items():
         b = n.bit_length()
         ors[b] = ors.get(b, 0) | v
 
     def band(d):
-        return [get(n, 0) for n in range(1 << d, 2 << d)]
+        return pack([get(n, 0) for n in range(1 << d, 2 << d)], k + 1)[0]
 
-    def ones(d):
-        return functools.reduce(operator.and_, band(d)) >> d & 1 == 1
-
-    def band_sum(d):
-        return functools.reduce(add, band(d)) & ((1 << k) - 1)
-
-    return {b - 1: v for b, v in ors.items() if b > 1}, ones, band_sum
+    return {b - 1: v for b, v in ors.items() if b > 1}, band
 
 
 def restrict(c, prec):

@@ -11,7 +11,7 @@ and kernels as class tags (`Z2VdpCoefficients` is a `VdpCoefficients` with
 Z2's tag, addition and table type), read off the argument's type; to_vdp
 finds its table's ring's type in dynamics.FORMATS.  The criteria are
 dynamics' check_lipschitz, check_mp and check_ergodic under van der Put
-names; the tags hold the clauses that are van der Put's own.
+names; `VdpCoefficients.clauses` states the clauses that are van der Put's own.
 """
 
 import functools
@@ -19,7 +19,7 @@ import operator
 
 from .dynamics import FORMATS, TABLE_BUDGET, Coefficients, FunctionTable, Z2FunctionTable, restrict
 from .dynamics import check_ergodic, check_lipschitz, check_mp
-from .gf2ps import check_residues, tile
+from .gf2ps import check_residues, fold, pack, tile
 
 __all__ = [
     "VdpCoefficients",
@@ -83,25 +83,36 @@ def vdp_table(c):
 class VdpCoefficients(Coefficients):
     """Coefficients B_alpha indexed by the canonical integer of alpha, itself a residue mod pi^k.
 
-    On the scaled b_alpha = B_alpha / pi^(deg alpha), mp asks b_alpha a unit in every band (bit d set) and
-    starts from b_0 + b_1 a unit.  Tags beyond the record's: `table_type` and `sub` for the transform pair.
+    Tags beyond the record's: `table_type` and `sub` for the transform pair.
     """
 
     ring, basis = "F2T", "vanderput"
     table_type, add, sub, lift = FunctionTable, operator.xor, operator.xor, 2
-    unit, start, cap, residue_index = 1, 0, TABLE_BUDGET, True
+    cap, residue_index = TABLE_BUDGET, True
     expand, evaluate, synthesize = staticmethod(to_vdp), staticmethod(from_vdp), staticmethod(vdp_table)
 
-    @classmethod
-    def lift_clause(cls, slot, band_sum, m):
-        """Level m's lift clause off slot(n), the value b_n, and band_sum(d): b_0 + b_1 = 1 + pi mod pi^2 at m = 2.
+    def clauses(self, ors, band):
+        """Van der Put's clauses on the scaled b_alpha = B_alpha / pi^(deg alpha), off band(d), band d's packed slots.
 
-        Beyond, band_sum(m - 2), the sum of b_alpha over deg alpha = m - 2 (its bits m - 2 and m - 1), is 2 mod
-        pi^2 at m = 3 and the `lift` tag above (T in F2[[T]], 0 in Z2).
+        mp starts from b_0 + b_1 a unit, ergodicity from b_0; unit(d) asks each b_alpha of band d a unit (bit d set).
+        lift(m) asks b_0 + b_1 = 1 + pi mod pi^2 at m = 2, and beyond, the ring sum of band m - 2 mod pi^k (its bits
+        m - 2 and m - 1) is 2 mod pi^2 at m = 3 and `lift` above (T in F2[[T]], 0 in Z2).
         """
-        if m == 2:
-            return bool(cls.add(slot(0), slot(1)) & 2)
-        return band_sum(m - 2) >> (m - 2) & 3 == (2 if m == 3 else cls.lift)
+        k, add, slot = self.precision, self.add, self._slot_reader()
+        width, low = pack((), k + 1)[1], add(slot(0), slot(1))
+
+        def unit(d):
+            mask = tile(1 << d, 1 << d, width)
+            return band(d) & mask == mask
+
+        def lift(m):
+            if m == 2:
+                return bool(low & 2)
+            # the low k bits of the upper half's slots: each partial sum is cut back to them, so none leaves its slot
+            total = fold(band(m - 2), 1 << (m - 2), width, add, tile((1 << k) - 1, 1 << (m - 3), width))
+            return total >> (m - 2) & 3 == (2 if m == 3 else self.lift)
+
+        return (bool(low & 1), bool(slot(0) & 1)), unit, lift
 
 
 class Z2VdpCoefficients(VdpCoefficients):

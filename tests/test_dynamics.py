@@ -45,7 +45,7 @@ from tadic.dynamics import (
     trajectory,
 )
 from tadic import dynamics
-from tadic.gf2ps import clmul_trunc, order, unpack
+from tadic.gf2ps import clmul_trunc, order, pack, unpack
 from tadic.vanderput import VdpCoefficients, Z2VdpCoefficients, from_vdp, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, mahler_eval, mahler_table
 
@@ -519,45 +519,88 @@ def test_the_sparse_scan_equals_the_table_oracles_on_steered_sets_to_k10(cls, ta
 
 
 def _band_data(c):
-    """The band data of c's values, read one at a time: (ors, ones, sums) as _scan_data lays them out.
+    """The band data of c's values, read one at a time: (ors, bands) as _scan_data lays them out.
 
-    ors holds the OR of each band d >= 1 holding a value, a map's indices from 2^k up included; ones and sums
-    hold, for d = 1..k-1, whether bit d is set in every slot of band d and the band's ring sum mod pi^k.
+    ors holds the OR of each band d >= 1 holding a value, a map's indices from 2^k up included; bands holds, for
+    d = 1..k-1, band d's values B[2^d:2^(d+1)] packed at k + 1 bits a slot.
     """
     k, B, ors = c.precision, c.B, {}
     for n, v in itertools.chain(enumerate(B), ((n, v) for n, v in c.a.items() if n >> k)):
         if n > 1 and v:
             ors[n.bit_length() - 1] = ors.get(n.bit_length() - 1, 0) | v
-    bands = [B[1 << d:2 << d] for d in range(1, k)]
-    return (ors, [all(v >> d & 1 for v in band) for d, band in enumerate(bands, start=1)],
-            [functools.reduce(c.add, band) % (1 << k) for band in bands])
+    return ors, [pack(B[1 << d:2 << d], k + 1)[0] for d in range(1, k)]
+
+
+def _scan(c):
+    """The held body's scan, (ors, band)."""
+    return (dynamics._map_scan if c._sparse else dynamics._packed_scan)(c)
 
 
 def _scan_data(c):
-    """The held body's scan: its ors, and ones(d) and band_sum(d) for d = 1..k-1."""
-    ors, ones, band_sum = (dynamics._map_scan if c._sparse else dynamics._packed_scan)(c)
-    return ors, [ones(d) for d in range(1, c.precision)], [band_sum(d) for d in range(1, c.precision)]
+    """The held body's scan: its ors, and band(d) for d = 1..k-1."""
+    ors, band = _scan(c)
+    return ors, [band(d) for d in range(1, c.precision)]
 
 
-@pytest.mark.parametrize("cls", [cls for cls, _ in SPARSE_BASES], ids=lambda cls: cls.__name__)
-def test_both_scans_return_the_band_data_of_the_values(cls):
-    # every set at k <= 2, every set on its floor at k = 3, and sampled sets to k = 10, each as a map and as packed
-    # slots: the scan's per-band ORs, all-ones tests and ring sums are those of the values
-    rng = random.Random(29)
+def _band_sets(rng, cls):
+    """Every set of cls at k <= 2, every set on its floor at k = 3, and uniform and steered sets for k = 4..10."""
     sets = [cls(k, dict(enumerate(a))) for k in (1, 2) for a in itertools.product(range(1 << k), repeat=1 << k)]
     floors = [0, 0] + [n.bit_length() - 1 for n in range(2, 8)]
     sets += [cls(3, dict(enumerate(a))) for a in itertools.product(*(range(0, 8, 1 << d) for d in floors))]
     sets += [_uniform(rng, cls, k) for k in range(4, 11) for _ in range(3)]
-    sets += [_steered(rng, cls, k, keep=rng.choice((1.0, 0.7))) for k in range(4, 11) for _ in range(6)]
+    return sets + [_steered(rng, cls, k, keep=rng.choice((1.0, 0.7))) for k in range(4, 11) for _ in range(6)]
+
+
+def _bodies(c):
+    """c as a map and as 2^k packed slots."""
+    return type(c)(c.precision, dict(c.a)), type(c)(c.precision, c.B)
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in SPARSE_BASES], ids=lambda cls: cls.__name__)
+def test_both_scans_return_the_band_data_of_the_values(cls):
+    # each set as a map and as packed slots: the scan's per-band ORs and packed bands are those of the values
+    for c in _band_sets(random.Random(29), cls):
+        for body in _bodies(c):
+            assert _scan_data(body) == _band_data(body)
+
+
+def _clauses_by_values(c):
+    """c's start pair, unit(d) for d = 1..k-1 and lift(m) for m = 2..k, read off its 2^k values one at a time.
+
+    Van der Put: b_0 + b_1 and b_0 odd, bit d in every value of band d, and at m = 2 bit 1 of b_0 + b_1, beyond
+    bits m - 2 and m - 1 of band m - 2's ring sum mod pi^k against 2 (m = 3) or the `lift` tag.  Carlitz and
+    Mahler: c_1 and c_0 odd, bit d in no value of band d, and digit m - 1 of c_(2^(m-1)-1) equal to `lift`.
+    """
+    k, B = c.precision, c.B
+    bands = {d: B[1 << d:2 << d] for d in range(1, k)}
+    if isinstance(c, VdpCoefficients):
+        low = c.add(B[0], B[1])
+        sums = {d: functools.reduce(c.add, band) % (1 << k) for d, band in bands.items()}
+        return ((low & 1 == 1, B[0] & 1 == 1), [all(v >> d & 1 for v in bands[d]) for d in range(1, k)],
+                [low >> 1 & 1 == 1 if m == 2 else sums[m - 2] >> (m - 2) & 3 == (2 if m == 3 else c.lift)
+                 for m in range(2, k + 1)])
+    return ((B[1] & 1 == 1, B[0] & 1 == 1), [not any(v >> d & 1 for v in bands[d]) for d in range(1, k)],
+            [B[(1 << (m - 1)) - 1] >> (m - 1) & 1 == c.lift for m in range(2, k + 1)])
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in SPARSE_BASES], ids=lambda cls: cls.__name__)
+def test_each_type_states_the_same_clauses_on_both_bodies(cls):
+    # clauses() reads single values off the held body and bands off its scan: the start pair, unit(d) for every
+    # band d and lift(m) for every level m agree between a map and its packed slots, and with the values read one
+    # at a time, on every set, also where the floor or a lower level keeps the criteria from reading a clause; more
+    # uniform sets at k = 6 and 7, whose one-byte slots a Z2 band sum runs past unless each partial sum is cut
+    rng = random.Random(31)
     seen = set()
-    for c in sets:
+    for c in _band_sets(rng, cls) + [_uniform(rng, cls, k) for k in (6, 7) for _ in range(20)]:
         k = c.precision
-        for body in (type(c)(k, dict(c.a)), type(c)(k, c.B)):
-            ors, ones, sums = _scan_data(body)
-            assert (ors, ones, sums) == _band_data(body)
-            # the unit clause that the band data decides: bit d in every slot, or in none when `unit` is 0
-            seen |= set(enumerate(ones if cls.unit else [not ors.get(d, 0) >> d & 1 for d in range(1, k)], start=1))
-    assert seen == {(d, holds) for d in range(1, 10) for holds in (True, False)}
+        for body in _bodies(c):
+            start, unit, lift = body.clauses(*_scan(body))
+            got = start, [unit(d) for d in range(1, k)], [lift(m) for m in range(2, k + 1)]
+            assert got == _clauses_by_values(c)
+        seen |= {("start", v) for v in got[0]} | {("lift", v) for v in got[2]}
+        seen |= {("unit", d, v) for d, v in enumerate(got[1], start=1)}
+    assert seen == {(clause, v) for clause in ("start", "lift") for v in (True, False)} | {
+        ("unit", d, v) for d in range(1, 10) for v in (True, False)}
 
 
 @pytest.mark.parametrize("cls", [CarlitzCoefficients, MahlerCoefficients])
