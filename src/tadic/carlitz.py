@@ -19,7 +19,7 @@ that survives mod T^k; the table's `packed` form goes in and out as is.
 
 import functools
 
-from .dynamics import Coefficients, FunctionTable, check_ergodic, check_lipschitz, restrict
+from .dynamics import Coefficients, check_ergodic, check_lipschitz
 from .gf2ps import check_residues, clmul, clmul_trunc, tile, trunc
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "check_ergodic_carlitz",
     "check_lipschitz_carlitz",
     "from_carlitz",
-    "restrict",
     "to_carlitz",
 ]
 
@@ -148,8 +147,7 @@ def from_carlitz(c, x):
 
 def carlitz_table(c):
     """Synthesize the full table at its own precision from the set's packed slots; n >= 2^k vanish there."""
-    k = c.precision
-    return FunctionTable._trusted(k, packed=_butterfly(*c.packed, k, synthesize=True))
+    return type(c).table_type._trusted(c.precision, packed=_butterfly(*c.packed, c.precision, synthesize=True))
 
 
 class CarlitzCoefficients(Coefficients):

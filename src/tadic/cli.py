@@ -121,9 +121,6 @@ def _read_json(path):
     return obj
 
 
-_TABLES = {t.ring: t for t in (dynamics.FunctionTable, dynamics.Z2FunctionTable)}
-
-
 def _format(ring, basis):
     """The coefficient type of a (ring, basis) format, or None; a known basis's module is imported first."""
     # a tag is checked before it is imported or looked up: a list or an object is unhashable
@@ -136,7 +133,7 @@ def _load_table(path):
     obj = _read_json(path)
     ring = obj.get("ring")
     # a tag must be a string before it is looked up: a list or an object is unhashable
-    table = _TABLES.get(ring) if isinstance(ring, str) else None
+    table = dynamics.TABLES.get(ring) if isinstance(ring, str) else None
     if table is None:
         raise _CliError("unsupported ring %r in %s" % (ring, path))
     return table.from_json_dict(obj)

@@ -65,6 +65,7 @@ def gen_cycle(d):
     the first 2^k slots with bit k flipped, 2^k slots up.
     """
     bits = d.n + 1
+    check_budget(bits)
     w, width = pack((0, 1), bits)
     for k, level in enumerate(d.bits, start=1):
         half = 1 << k

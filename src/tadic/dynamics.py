@@ -1,9 +1,9 @@
 """Finite-model dynamics: function tables on F2[[T]]/T^k and Z/2^k, coefficient sets, and their oracles.
 
 A transformation is stored as an explicit table of 2^k residues.  The
-table type carries its ring as a tag: `Z2FunctionTable` is a
-`FunctionTable` whose tag is "Z2".  Reduction mod T^m and mod 2^m are the
-same bit mask on canonical values, so every check here serves both rings.
+table type is its ring's one row, in `TABLES`: `Z2FunctionTable` is a
+`FunctionTable` tagged "Z2" whose `add` and `sub` carry instead of XOR.
+Reduction mod T^m and mod 2^m are one bit mask, so every check serves both rings.
 `Coefficients`, the one coefficient record (basis and kernels as tags,
 clauses as a method, body packed or a map, each type filed in `FORMATS`),
 lives here too, with one scan of band data per body, memoised once per set
@@ -48,6 +48,7 @@ __all__ = [
     "FORMATS",
     "FunctionTable",
     "LevelVerdicts",
+    "TABLES",
     "TABLE_BUDGET",
     "Z2FunctionTable",
     "check_ergodic",
@@ -58,6 +59,7 @@ __all__ = [
     "is_transitive_mod",
     "orbit",
     "parity_lift",
+    "restrict",
     "trajectory",
 ]
 
@@ -153,7 +155,7 @@ class FunctionTable(PackedRecord):
     `table` is unpacked on first read; `_compatible` and `_checkpoints`, memos of the oracles, are no fields.
     """
 
-    ring = "F2T"
+    ring, add, sub = "F2T", operator.xor, operator.xor
     _fields, _bodies = ("precision", "table"), ("table",)
     _wrong_size, _entry = "table must have exactly 2^%d entries", "table entry"
     table = functools.cached_property(PackedRecord._unpacked)
@@ -195,9 +197,19 @@ class FunctionTable(PackedRecord):
 
 
 class Z2FunctionTable(FunctionTable):
-    """Values of f on all residues mod 2^k, canonically indexed."""
+    """Values of f on all residues mod 2^k, canonically indexed, with the carrying `add` and `sub`."""
 
-    ring = "Z2"
+    ring, add, sub = "Z2", operator.add, operator.sub
+
+
+TABLES = {t.ring: t for t in (FunctionTable, Z2FunctionTable)}  # ring -> its table type, which adds
+
+
+class _RingTable:
+    """A coefficient type's `table_type`, its ring's row of TABLES: read off the ring, so no type declares one."""
+
+    def __get__(self, obj, owner):
+        return TABLES[owner.ring]
 
 
 def clause_levels(k, top, start, unit, lift):
@@ -245,12 +257,12 @@ def check_ergodic(c):
 class Coefficients(PackedRecord):
     """Coefficients c_n mod pi^k, n >= 0, in one basis; missing indices are zero.
 
-    The basis is class tags: `ring`, `basis`, `add`, `lift` (the digit the
-    lift clauses ask), `cap` (a file's largest precision) and
-    `residue_index` (an index is a residue mod pi^k).  Its start, unit and
-    lift clauses are one method, `clauses`, read off the scan's band data;
-    the floor ord(c_n) >= floor(log2 n) is every basis's.  The kernels
-    are tags too: `expand` (table -> set, or None), `evaluate`
+    The basis is class tags: `ring`, `basis`, `lift` (the digit the lift clauses
+    ask), `cap` (a file's largest precision) and `residue_index` (an index is a
+    residue mod pi^k); `table_type`, which adds, is the ring's row of TABLES.
+    Its start, unit and lift clauses are one method, `clauses`, read off the
+    scan's band data; the floor ord(c_n) >= floor(log2 n) is every basis's.
+    The kernels are tags too: `expand` (table -> set, or None), `evaluate`
     ((set, x) -> value) and `synthesize` (set -> table).  A subclass that
     declares `ring` or `basis` itself is filed in FORMATS, and one whose
     (ring, basis) is filed already is refused.  The body is `packed`
@@ -263,7 +275,7 @@ class Coefficients(PackedRecord):
     """
 
     ring = basis = lift = expand = evaluate = synthesize = None
-    add, cap, residue_index = operator.xor, _SPARSE_BUDGET, False
+    table_type, cap, residue_index = _RingTable(), _SPARSE_BUDGET, False
     _fields, _bodies = ("precision", "a"), ("B", "a")
     _wrong_size, _entry = "need exactly 2^%d coefficients", "coefficient"
 

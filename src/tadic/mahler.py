@@ -1,6 +1,6 @@
 """The Mahler (binomial) basis on Z2, f(x) = sum of a_i * C(x, i) mod 2^k: its coefficient set, evaluator and table.
 
-A set is dynamics' one coefficient record with Z2's addition and lift tag
+A set is dynamics' one coefficient record with Z2's ring tag and lift tag
 0, so its criteria are Anashin's clauses read by the scan; the basis has
 no expansion yet.  Neither path builds a binomial C(x, i).  A point takes
 each C(x, i) mod 2^k in poly(k) from Kummer's carry count and the odd
@@ -14,7 +14,7 @@ products per stored index above L.
 from itertools import accumulate, repeat
 from operator import add, lshift, mul, sub
 
-from .dynamics import Coefficients, Z2FunctionTable, check_budget
+from .dynamics import Coefficients, check_budget
 from .gf2ps import check_residues, pack, tile
 
 __all__ = [
@@ -169,7 +169,7 @@ def mahler_table(c):
     if n:
         columns = _binomial_columns([(i, c.a[i]) for i in stored[:n]], k)
         w = (w + pack([v & mask for v in columns], k + 1)[0]) & full
-    return Z2FunctionTable._trusted(k, packed=(w, width))
+    return type(c).table_type._trusted(k, packed=(w, width))
 
 
 class MahlerCoefficients(Coefficients):
@@ -180,5 +180,5 @@ class MahlerCoefficients(Coefficients):
     with floor(log2 i) in place of floor(log2 i) + 1.
     """
 
-    ring, basis, add, lift = "Z2", "mahler", add, 0
+    ring, basis, lift = "Z2", "mahler", 0
     evaluate, synthesize = staticmethod(mahler_eval), staticmethod(mahler_table)

@@ -8,17 +8,15 @@ ring's addition: XOR in F2[[T]], carrying addition in Z2.  A set is
 dynamics' one coefficient record, packed from `to_vdp` and a map from a
 file, so a sparse file stays sparse.  Its type carries the basis, ring
 and kernels as class tags (`Z2VdpCoefficients` is a `VdpCoefficients` with
-Z2's tag, addition and table type), read off the argument's type; to_vdp
-finds its table's ring's type in dynamics.FORMATS.  The criteria are
-dynamics' check_lipschitz, check_mp and check_ergodic under van der Put
-names; `VdpCoefficients.clauses` states the clauses that are van der Put's own.
+Z2's ring and lift tags), read off the argument's type, which adds with its
+`table_type`; to_vdp finds its table's ring's type in dynamics.FORMATS.
+The criteria are dynamics' check_lipschitz, check_mp and check_ergodic
+under van der Put names; `VdpCoefficients.clauses` states van der Put's own.
 """
 
 import functools
-import operator
 
-from .dynamics import FORMATS, TABLE_BUDGET, Coefficients, FunctionTable, Z2FunctionTable, restrict
-from .dynamics import check_ergodic, check_lipschitz, check_mp
+from .dynamics import FORMATS, TABLE_BUDGET, Coefficients, check_ergodic, check_lipschitz, check_mp
 from .gf2ps import check_residues, fold, pack, tile
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "check_lipschitz_vdp",
     "check_mp_vdp",
     "from_vdp",
-    "restrict",
     "to_vdp",
     "vdp_table",
 ]
@@ -46,21 +43,21 @@ def _sweep(r, cls, synthesize):
     time from d = 1 up.  The result is reduced mod pi^k, so its int is
     pack's form of the values, all that the record built on it gets.
     """
-    (w, width), k = r.packed, r.precision
+    (w, width), k, table = r.packed, r.precision, cls.table_type
     n = 1 << k
     full = tile(n - 1, n, width)
     if synthesize:
         for d in range(1, k):
             cut = width << (d + 3)
-            w = cls.add(w, (w & ((1 << cut) - 1)) << cut) & full
+            w = table.add(w, (w & ((1 << cut) - 1)) << cut) & full
     else:
         s = 0
         for d in range(1, k):
             cut = width << (d + 3)
             s |= (w & ((1 << cut) - 1)) << cut
         # 2^k in every slot: no Z2 difference borrows from the slot above
-        w = cls.sub(w | tile(n, n, width), s) & full
-    return (cls.table_type if synthesize else cls)._trusted(k, packed=(w, width))
+        w = table.sub(w | tile(n, n, width), s) & full
+    return (table if synthesize else cls)._trusted(k, packed=(w, width))
 
 
 def to_vdp(t):
@@ -72,7 +69,7 @@ def from_vdp(c, x):
     """Evaluate the expansion at x: the ring sum of B_alpha over the at most k balls alpha = x mod T^(d+1) around x."""
     check_residues(c.precision, (x,), "point")
     balls = [x & 1] + [x & ((2 << d) - 1) for d in range(1, x.bit_length()) if x >> d & 1]
-    return functools.reduce(c.add, map(c._slot_reader(), balls)) & ((1 << c.precision) - 1)
+    return functools.reduce(c.table_type.add, map(c._slot_reader(), balls)) & ((1 << c.precision) - 1)
 
 
 def vdp_table(c):
@@ -81,14 +78,9 @@ def vdp_table(c):
 
 
 class VdpCoefficients(Coefficients):
-    """Coefficients B_alpha indexed by the canonical integer of alpha, itself a residue mod pi^k.
+    """Coefficients B_alpha indexed by the canonical integer of alpha, itself a residue mod pi^k."""
 
-    Tags beyond the record's: `table_type` and `sub` for the transform pair.
-    """
-
-    ring, basis = "F2T", "vanderput"
-    table_type, add, sub, lift = FunctionTable, operator.xor, operator.xor, 2
-    cap, residue_index = TABLE_BUDGET, True
+    ring, basis, lift, cap, residue_index = "F2T", "vanderput", 2, TABLE_BUDGET, True
     expand, evaluate, synthesize = staticmethod(to_vdp), staticmethod(from_vdp), staticmethod(vdp_table)
 
     def clauses(self, ors, band):
@@ -98,7 +90,7 @@ class VdpCoefficients(Coefficients):
         lift(m) asks b_0 + b_1 = 1 + pi mod pi^2 at m = 2, and beyond, the ring sum of band m - 2 mod pi^k (its bits
         m - 2 and m - 1) is 2 mod pi^2 at m = 3 and `lift` above (T in F2[[T]], 0 in Z2).
         """
-        k, add, slot = self.precision, self.add, self._slot_reader()
+        k, add, slot = self.precision, self.table_type.add, self._slot_reader()
         width, low = pack((), k + 1)[1], add(slot(0), slot(1))
 
         def unit(d):
@@ -118,8 +110,7 @@ class VdpCoefficients(Coefficients):
 class Z2VdpCoefficients(VdpCoefficients):
     """Coefficients B_m of the ball-indicator expansion mod 2^k."""
 
-    ring = "Z2"
-    table_type, add, sub, lift = Z2FunctionTable, operator.add, operator.sub, 0
+    ring, lift = "Z2", 0
 
 
 # the van der Put names of the criteria, whose one body each is in dynamics

@@ -3,9 +3,10 @@
 Integers mod 2^k share their bit patterns with the series side, so a
 point is a plain int in both rings and the mask-based compatibility,
 bijectivity, and cycle walks carry over as is; only the ring addition
-differs (carries instead of XOR).  The Z2 table and Van der Put types are
-the F2[[T]] ones tagged "Z2"; they live beside their parents and are
-re-exported here, as is the Mahler basis from its own module.  The Z2
+differs, carries instead of XOR.  The Z2 table type is the F2[[T]] one
+tagged "Z2" whose `add` and `sub` carry, and every Z2 coefficient type
+adds with it; it and the Z2 Van der Put type live beside their parents and
+are re-exported here, as is the Mahler basis from its own module.  The Z2
 names to_vdp_z2, vdp_table_z2, check_ergodic_z2 and is_transitive_mod_z2
 are the generic functions under other names; check_mp_z2 and
 check_ergodic_mahler_z2 are bool views of the criteria.

@@ -35,6 +35,7 @@ Mutant = namedtuple("Mutant", "name file snippet replacement tests equivalent", 
 
 _VDP = "src/tadic/vanderput.py"
 _DYN = "src/tadic/dynamics.py"
+_CYC = "src/tadic/cyclegen.py"
 _CLAUSES = "tests/test_dynamics.py::test_each_type_states_the_same_clauses_on_both_bodies"
 _SMALL = "tests/test_dynamics.py::test_the_sparse_scan_equals_the_table_oracles_on_every_small_set"
 
@@ -62,6 +63,15 @@ MUTANTS = [
     Mutant("default-start-swap", _DYN, "return ((bool(slot(1) & 1), bool(slot(0) & 1)),",
            "return ((bool(slot(0) & 1), bool(slot(1) & 1)),",
            [_SMALL + "[CarlitzCoefficients-carlitz_table]"]),
+    # Z2's arithmetic, declared once on its table type
+    Mutant("z2-table-add-xor", _DYN, '"Z2", operator.add, operator.sub', '"Z2", operator.xor, operator.sub',
+           ["tests/test_z2compare.py::test_from_vdp_z2_adds_with_carries", _SMALL + "[Z2VdpCoefficients-vdp_table]"]),
+    Mutant("z2-table-sub-add", _DYN, '"Z2", operator.add, operator.sub', '"Z2", operator.add, operator.add',
+           ["tests/test_z2compare.py::test_to_vdp_z2_affine_and_identity",
+            "tests/test_z2compare.py::test_vdp_z2_roundtrip_on_random_compatible_sets"]),
+    # the budget
+    Mutant("gen-cycle-budget", _CYC, "    check_budget(bits)\n", "",
+           ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),
 ]
 
 

@@ -38,10 +38,9 @@ from tadic.carlitz import (
     check_ergodic_carlitz,
     check_lipschitz_carlitz,
     from_carlitz,
-    restrict,
     to_carlitz,
 )
-from tadic.dynamics import FunctionTable, LevelVerdicts, is_transitive_mod
+from tadic.dynamics import FunctionTable, LevelVerdicts, is_transitive_mod, restrict
 from tadic.gf2ps import clmul, pack, trunc
 from tadic.vanderput import check_ergodic_vdp, to_vdp, vdp_table
 

@@ -574,8 +574,8 @@ def _clauses_by_values(c):
     k, B = c.precision, c.B
     bands = {d: B[1 << d:2 << d] for d in range(1, k)}
     if isinstance(c, VdpCoefficients):
-        low = c.add(B[0], B[1])
-        sums = {d: functools.reduce(c.add, band) % (1 << k) for d, band in bands.items()}
+        low = c.table_type.add(B[0], B[1])
+        sums = {d: functools.reduce(c.table_type.add, band) % (1 << k) for d, band in bands.items()}
         return ((low & 1 == 1, B[0] & 1 == 1), [all(v >> d & 1 for v in bands[d]) for d in range(1, k)],
                 [low >> 1 & 1 == 1 if m == 2 else sums[m - 2] >> (m - 2) & 3 == (2 if m == 3 else c.lift)
                  for m in range(2, k + 1)])
@@ -703,15 +703,16 @@ def test_the_first_criterion_on_a_sparse_set_scans_it_once(monkeypatch, cls, fir
     assert (dynamics.check_mp(sets[0]).overall, dynamics.check_ergodic(sets[0]).overall) == (True, None)
 
 
-# four tables past the budget, asked for under a 1 GB address-space cap: the precision alone refuses each of them
+# five tables past the budget, asked for under a 1 GB address-space cap: the precision alone refuses each of them
 _OVER_BUDGET = """
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
 from tadic.carlitz import CarlitzCoefficients, carlitz_table
-from tadic.cyclegen import random_data
+from tadic.cyclegen import CycleData, gen_cycle, random_data
 from tadic.mahler import MahlerCoefficients, mahler_table
 for call in (lambda: carlitz_table(CarlitzCoefficients(40, {0: 1})), lambda: random_data(0, 40),
-             lambda: CarlitzCoefficients(1024, {0: 1}).B, lambda: mahler_table(MahlerCoefficients(1024, {0: 1}))):
+             lambda: CarlitzCoefficients(1024, {0: 1}).B, lambda: mahler_table(MahlerCoefficients(1024, {0: 1})),
+             lambda: gen_cycle(CycleData._trusted(40, ()))):
     start = time.perf_counter()
     try:
         call()
@@ -726,4 +727,4 @@ def test_a_table_past_the_budget_is_refused_before_it_is_allocated():
     got = subprocess.run([sys.executable, "-c", _OVER_BUDGET], env=env, capture_output=True, text=True)
     assert got.returncode == 0, got.stderr
     refusal = "precision %d needs a table of 2^%d entries, over the budget of 2^24 True"
-    assert got.stdout.splitlines() == [refusal % (k, k) for k in (40, 41, 1024, 1024)]
+    assert got.stdout.splitlines() == [refusal % (k, k) for k in (40, 41, 1024, 1024, 41)]

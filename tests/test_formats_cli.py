@@ -27,8 +27,8 @@ from tadic import cli, dynamics
 from tadic.cli import run
 from tadic.carlitz import CarlitzCoefficients, from_carlitz, to_carlitz
 from tadic.cyclegen import CycleData, gen_cycle, random_data
-from tadic.dynamics import Coefficients, FunctionTable, check_ergodic, check_lipschitz, check_mp, trajectory
-from tadic.vanderput import VdpCoefficients, check_mp_vdp, restrict, to_vdp, vdp_table
+from tadic.dynamics import Coefficients, FunctionTable, check_ergodic, check_lipschitz, check_mp, restrict, trajectory
+from tadic.vanderput import VdpCoefficients, check_mp_vdp, to_vdp, vdp_table
 from tadic.z2compare import MahlerCoefficients, Z2FunctionTable, Z2VdpCoefficients, check_mp_z2, to_vdp_z2
 
 
@@ -78,6 +78,14 @@ def test_every_format_row_resolves_to_its_type_and_functions(key):
     assert [f is None for f in kernels] == [key == ("Z2", "mahler"), False, False]
     assert all(callable(f) and f.__module__ == cls.__module__ for f in kernels if f is not None)
 
+
+@pytest.mark.parametrize("key", sorted(dynamics.FORMATS), ids="/".join)
+def test_every_format_reads_its_table_type_and_arithmetic_off_its_ring(key):
+    # a ring's table type and its addition are declared once, on the table type: no coefficient type declares them
+    cls = dynamics.FORMATS[key]
+    assert cls.table_type is dynamics.TABLES[cls.ring]
+    assert type(cls.synthesize(cls(3, {0: 1, 1: 3, 5: 6}))) is cls.table_type
+    assert not {"add", "sub", "table_type"} & vars(cls).keys()
 
 
 def test_expand_and_convert_offer_exactly_the_bases_with_an_expansion():

@@ -37,6 +37,7 @@ from tadic.dynamics import (
     is_bijective_mod,
     is_compatible,
     is_transitive_mod,
+    restrict,
 )
 from tadic import dynamics
 from tadic.cli import run
@@ -47,7 +48,6 @@ from tadic.vanderput import (
     check_lipschitz_vdp,
     check_mp_vdp,
     from_vdp,
-    restrict,
     to_vdp,
     vdp_table,
 )
@@ -278,9 +278,9 @@ def _agree_with_the_band_oracles(c, brute=True):
     """
     cls, k = type(c), c.precision
     t = cls.table_type(k, c.B)
-    assert to_vdp(t).B == sweep_by_bands(c.B, k, cls.sub, synthesize=False)
+    assert to_vdp(t).B == sweep_by_bands(c.B, k, cls.table_type.sub, synthesize=False)
     synthesized = vdp_table(c)
-    assert synthesized.table == sweep_by_bands(c.B, k, cls.add, synthesize=True)
+    assert synthesized.table == sweep_by_bands(c.B, k, cls.table_type.add, synthesize=True)
     top, mp, ergodic = band_scans(c)
     assert check_lipschitz_vdp(c) == (top == k)
     assert check_mp_vdp(c) == mp
@@ -486,5 +486,5 @@ def test_packed_transforms_peak_below_the_list_sweep_at_k16(cls):
     rng = random.Random(16)
     values = tuple(rng.getrandbits(k) for _ in range(1 << k))
     t, c = cls.table_type(k, values), cls(k, values)
-    assert _peak(lambda: to_vdp(t)) < _peak(lambda: cls(k, sweep_by_bands(values, k, cls.sub, False)))
-    assert _peak(lambda: vdp_table(c)) < _peak(lambda: cls.table_type(k, sweep_by_bands(values, k, cls.add, True)))
+    assert _peak(lambda: to_vdp(t)) < _peak(lambda: cls(k, sweep_by_bands(values, k, cls.table_type.sub, False)))
+    assert _peak(lambda: vdp_table(c)) < _peak(lambda: cls.table_type(k, sweep_by_bands(values, k, cls.table_type.add, True)))

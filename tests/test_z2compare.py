@@ -22,8 +22,8 @@ from helpers import (
     steered_sparse,
 )
 from tadic import mahler
-from tadic.dynamics import is_bijective_mod, is_compatible
-from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, restrict, to_vdp, vdp_table
+from tadic.dynamics import is_bijective_mod, is_compatible, restrict
+from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, to_vdp, vdp_table
 from tadic.z2compare import (
     MahlerCoefficients,
     Z2FunctionTable,
