@@ -15,7 +15,12 @@ every row takes all three checks.  The record's one reader owns the
 document rules (header, body shape, index keys and the type's precision
 cap); the front end only reads the JSON text, refusing repeated keys.  The
 library refuses a table past the budget (keystream and convert from a
-sparse file, gen-cycle --n), and that ValueError is exit 2 like any other.
+sparse file, gen-cycle --n).  The front end is its tables: each
+subparser carries its handler, `_CHECKS` names the criterion of each
+--check and `_ORACLES` the table oracles of --exhaustive, in report order.
+ValueError is the one error type, from a file reader, the library or the
+front end's own usage checks alike: `run` reports it as exit 2 with one
+`error:` line, and any other exception is a defect, not bad input.
 """
 
 import argparse
@@ -37,12 +42,11 @@ _FLAG_OF = {v: f for f, v in [*_RING.items(), *_BASIS.items()]}
 _EXPANDABLE = ["vdp", "carlitz"]
 # --check name -> criterion, which returns a bool or per-level verdicts
 _CHECKS = {"lipschitz": dynamics.check_lipschitz, "mp": dynamics.check_mp, "ergodic": dynamics.check_ergodic}
+# --exhaustive report key -> table oracle, in report order; the table holds iff every oracle holds at every level
+_ORACLES = {"compatible": dynamics.is_compatible, "bijective": dynamics.is_bijective_mod,
+            "transitive": dynamics.is_transitive_mod}
 # keystream lines per write
 _BLOCK = 4096
-
-
-class _CliError(Exception):
-    """Usage or data error carrying the one-line diagnostic."""
 
 
 class _OneLineParser(argparse.ArgumentParser):
@@ -60,6 +64,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     v = sub.add_parser("verify", parents=[common], help="check a criterion on coefficients, or a table exhaustively")
+    v.set_defaults(handler=_cmd_verify)
     v.add_argument("--ring", choices=sorted(_RING))
     v.add_argument("--basis", choices=sorted(_BASIS))
     v.add_argument("--check", choices=sorted(_CHECKS))
@@ -68,25 +73,30 @@ def _build_parser():
     v.add_argument("--table", metavar="FILE")
 
     e = sub.add_parser("expand", parents=[common], help="extract basis coefficients from a table")
+    e.set_defaults(handler=_cmd_expand)
     e.add_argument("--basis", choices=_EXPANDABLE, required=True)
     e.add_argument("--table", metavar="FILE", required=True)
 
     ev = sub.add_parser("eval", parents=[common], help="evaluate a coefficient file at one point")
+    ev.set_defaults(handler=_cmd_eval)
     ev.add_argument("--coeffs", metavar="FILE", required=True)
     ev.add_argument("--x", metavar="HEX", required=True)
     ev.add_argument("--prec", type=int, metavar="K")
 
     c = sub.add_parser("convert", parents=[common], help="convert coefficients between bases via the table")
+    c.set_defaults(handler=_cmd_convert)
     c.add_argument("--from", dest="from_basis", choices=_EXPANDABLE, required=True)
     c.add_argument("--to", dest="to_basis", choices=_EXPANDABLE, required=True)
     c.add_argument("--coeffs", metavar="FILE", required=True)
 
     g = sub.add_parser("gen-cycle", parents=[common], help="generate a single-cycle table from steering bits")
+    g.set_defaults(handler=_cmd_gen_cycle)
     g.add_argument("--n", type=int, metavar="N")
     g.add_argument("--seed", type=int, default=0, metavar="S")
     g.add_argument("--data", metavar="FILE")
 
     ks = sub.add_parser("keystream", parents=[common], help="emit orbit residues as hex lines")
+    ks.set_defaults(handler=_cmd_keystream)
     ks.add_argument("--coeffs", metavar="FILE", required=True)
     ks.add_argument("--x0", metavar="HEX", required=True)
     ks.add_argument("--prec", type=int, metavar="K")
@@ -110,14 +120,14 @@ def _read_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise _CliError("cannot read %s: %s" % (path, exc.strerror or exc))
+        raise ValueError("cannot read %s: %s" % (path, exc.strerror or exc))
     # ValueError: malformed JSON, a duplicate key, or text that is not UTF-8
     except ValueError as exc:
-        raise _CliError("invalid JSON in %s: %s" % (path, exc))
+        raise ValueError("invalid JSON in %s: %s" % (path, exc))
     except RecursionError:
-        raise _CliError("JSON nested too deeply in %s" % path)
+        raise ValueError("JSON nested too deeply in %s" % path)
     if not isinstance(obj, dict):
-        raise _CliError("expected a JSON object in %s" % path)
+        raise ValueError("expected a JSON object in %s" % path)
     return obj
 
 
@@ -135,7 +145,7 @@ def _load_table(path):
     # a tag must be a string before it is looked up: a list or an object is unhashable
     table = dynamics.TABLES.get(ring) if isinstance(ring, str) else None
     if table is None:
-        raise _CliError("unsupported ring %r in %s" % (ring, path))
+        raise ValueError("unsupported ring %r in %s" % (ring, path))
     return table.from_json_dict(obj)
 
 
@@ -144,7 +154,7 @@ def _load_coeffs(path, prec=None):
     obj = _read_json(path)
     kind = (obj.get("ring"), obj.get("basis"))
     if (cls := _format(*kind)) is None:
-        raise _CliError("unsupported ring/basis %r in %s" % (kind, path))
+        raise ValueError("unsupported ring/basis %r in %s" % (kind, path))
     c = cls.from_json_dict(obj)
     return c if prec is None else dynamics.restrict(c, prec)
 
@@ -157,52 +167,34 @@ def _emit(args, report):
 def _cmd_verify(args):
     if args.exhaustive:
         if not args.table:
-            raise _CliError("--exhaustive needs --table FILE")
+            raise ValueError("--exhaustive needs --table FILE")
         t = _load_table(args.table)
-        comp = dynamics.is_compatible(t)
-        bij = dynamics.is_bijective_mod(t)
-        trans = dynamics.is_transitive_mod(t)
-        verdict = comp.overall is True and bij.overall is True and trans.overall is True
-        _emit(args, {
-            "command": "verify",
-            "mode": "exhaustive",
-            "ring": _FLAG_OF[t.ring],
-            "precision": t.precision,
-            "compatible": comp.json_dict(),
-            "bijective": bij.json_dict(),
-            "transitive": trans.json_dict(),
-            "verdict": verdict,
-        })
-        return 0 if verdict else 1
-    if not (args.ring and args.basis and args.check and args.coeffs):
-        raise _CliError("verify needs --ring, --basis, --check and --coeffs (or --exhaustive --table)")
-    c = _load_coeffs(args.coeffs)
-    kind = (c.ring, c.basis)
-    want = (_RING[args.ring], _BASIS[args.basis])
-    if kind != want:
-        raise _CliError("coefficient file is %s/%s but flags say %s/%s" % (kind + want))
-    result = _CHECKS[args.check](c)
-    # a per-level criterion holds unless some level is False (check_mp decides them all)
-    per_level = isinstance(result, dynamics.LevelVerdicts)
-    verdict = result.overall is not False if per_level else result
-    report = {
-        "command": "verify",
-        "ring": args.ring,
-        "basis": args.basis,
-        "check": args.check,
-        "precision": c.precision,
-        "verdict": verdict,
-    }
-    if per_level:
-        report["levels"] = result.json_dict()
-    _emit(args, report)
+        results = {name: oracle(t) for name, oracle in _ORACLES.items()}
+        verdict = all(r.overall is True for r in results.values())
+        report = {"mode": "exhaustive", "ring": _FLAG_OF[t.ring], "precision": t.precision,
+                  **{name: r.json_dict() for name, r in results.items()}, "verdict": verdict}
+    else:
+        if not (args.ring and args.basis and args.check and args.coeffs):
+            raise ValueError("verify needs --ring, --basis, --check and --coeffs (or --exhaustive --table)")
+        c = _load_coeffs(args.coeffs)
+        kind = (c.ring, c.basis)
+        want = (_RING[args.ring], _BASIS[args.basis])
+        if kind != want:
+            raise ValueError("coefficient file is %s/%s but flags say %s/%s" % (kind + want))
+        result = _CHECKS[args.check](c)
+        # a per-level criterion holds unless some level is False (check_mp decides them all)
+        per_level = isinstance(result, dynamics.LevelVerdicts)
+        verdict = result.overall is not False if per_level else result
+        report = {"ring": args.ring, "basis": args.basis, "check": args.check, "precision": c.precision,
+                  "verdict": verdict, **({"levels": result.json_dict()} if per_level else {})}
+    _emit(args, {"command": "verify", **report})
     return 0 if verdict else 1
 
 
 def _cmd_expand(args):
     t = _load_table(args.table)
     if (cls := _format(t.ring, _BASIS[args.basis])) is None or cls.expand is None:
-        raise _CliError("%s expansion needs an F2T table" % args.basis)
+        raise ValueError("%s expansion needs an F2T table" % args.basis)
     _emit(args, cls.expand(t).json_dict())
     return 0
 
@@ -224,10 +216,10 @@ def _cmd_eval(args):
 
 def _cmd_convert(args):
     if args.from_basis == args.to_basis:
-        raise _CliError("--from and --to must differ")
+        raise ValueError("--from and --to must differ")
     c = _load_coeffs(args.coeffs)
     if (c.ring, c.basis) != ("F2T", _BASIS[args.from_basis]):
-        raise _CliError("coefficient file is %s/%s but --from says %s" % (c.ring, c.basis, args.from_basis))
+        raise ValueError("coefficient file is %s/%s but --from says %s" % (c.ring, c.basis, args.from_basis))
     out = _format("F2T", _BASIS[args.to_basis]).expand(type(c).synthesize(c))
     _emit(args, out.json_dict())
     return 0
@@ -239,9 +231,9 @@ def _cmd_gen_cycle(args):
     if args.data:
         d = cyclegen.CycleData.from_json_dict(_read_json(args.data))
         if args.n is not None and args.n != d.n:
-            raise _CliError("--n %d disagrees with the data file depth %d" % (args.n, d.n))
+            raise ValueError("--n %d disagrees with the data file depth %d" % (args.n, d.n))
     elif args.n is None:
-        raise _CliError("gen-cycle needs --n N or --data FILE")
+        raise ValueError("gen-cycle needs --n N or --data FILE")
     else:
         d = cyclegen.random_data(args.seed, args.n)
     seq, t = cyclegen.gen_cycle(d)
@@ -257,9 +249,9 @@ def _cmd_keystream(args):
     x0 = parse_hex(args.x0)
     check_residues(k, (x0,), "--x0")
     if args.steps < 1:
-        raise _CliError("--steps must be positive")
+        raise ValueError("--steps must be positive")
     if args.bit is not None and not 0 <= args.bit < k:
-        raise _CliError("--bit must be between 0 and %d" % (k - 1))
+        raise ValueError("--bit must be between 0 and %d" % (k - 1))
     line = to_hex if args.bit is None else lambda x: "%d" % ((x >> args.bit) & 1)
     orbit = itertools.islice(dynamics.trajectory(type(c).synthesize(c), x0), args.steps)
     # one write per block of the orbit: memory is bounded by the block, whatever --steps is
@@ -267,16 +259,6 @@ def _cmd_keystream(args):
         if not args.quiet:
             sys.stdout.write("\n".join(map(line, block)) + "\n")
     return 0
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "expand": _cmd_expand,
-    "eval": _cmd_eval,
-    "convert": _cmd_convert,
-    "gen-cycle": _cmd_gen_cycle,
-    "keystream": _cmd_keystream,
-}
 
 
 def run(argv=None):
@@ -287,10 +269,10 @@ def run(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
-    except (_CliError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -105,16 +105,16 @@ def split_bands(w, k, width):
         w = lower
 
 
-def fold(w, n, width, op, mask=-1):
-    """The n slots of w (n a power of two) combined into slot 0 by halving: op of the upper and lower half, then & mask.
+def fold(w, n, width, op):
+    """The n slots of w (n a power of two) combined into slot 0 by halving: op of the upper and lower half.
 
-    The caller picks slots wide enough that op carries no bit out of a
-    slot before the mask cuts it back.
+    A carry out of a slot is not cut: the caller picks slots wide enough,
+    or reads only bits that such carries cannot reach.
     """
     while n > 1:
         n >>= 1
         cut = width * n << 3
-        w = op(w >> cut, w & ((1 << cut) - 1)) & mask
+        w = op(w >> cut, w & ((1 << cut) - 1))
     return w
 
 

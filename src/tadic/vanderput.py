@@ -88,7 +88,9 @@ class VdpCoefficients(Coefficients):
 
         mp starts from b_0 + b_1 a unit, ergodicity from b_0; unit(d) asks each b_alpha of band d a unit (bit d set).
         lift(m) asks b_0 + b_1 = 1 + pi mod pi^2 at m = 2, and beyond, the ring sum of band m - 2 mod pi^k (its bits
-        m - 2 and m - 1) is 2 mod pi^2 at m = 3 and `lift` above (T in F2[[T]], 0 in Z2).
+        m - 2 and m - 1) is 2 mod pi^2 at m = 3 and `lift` above (T in F2[[T]], 0 in Z2).  The fold cuts no carry out
+        of a slot: a level reads lift(m) only when band m - 2 is on its floor, every value a multiple of pi^(m-2),
+        and there the fewer than 2^(m-2) carries that wrap into slot 0 cannot reach bit m - 2.
         """
         k, add, slot = self.precision, self.table_type.add, self._slot_reader()
         width, low = pack((), k + 1)[1], add(slot(0), slot(1))
@@ -100,8 +102,7 @@ class VdpCoefficients(Coefficients):
         def lift(m):
             if m == 2:
                 return bool(low & 2)
-            # the low k bits of the upper half's slots: each partial sum is cut back to them, so none leaves its slot
-            total = fold(band(m - 2), 1 << (m - 2), width, add, tile((1 << k) - 1, 1 << (m - 3), width))
+            total = fold(band(m - 2), 1 << (m - 2), width, add)
             return total >> (m - 2) & 3 == (2 if m == 3 else self.lift)
 
         return (bool(low & 1), bool(slot(0) & 1)), unit, lift

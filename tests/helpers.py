@@ -17,7 +17,8 @@ index at a time, the van der Put
 transform pair with one map per band, steering bits read off a
 random word one shift at a time, the cycle recurrence one entry at a
 time, bijectivity with one set per level, and transitivity as walks with
-a hand-kept step counter.  The
+a hand-kept step counter.  `compose` and `invert` build new maps from
+tables, for the relations that predict a verdict with no oracle.  The
 coefficient criteria answer on every set, so `compatible_through` gives
 their table oracle: compatible at every level up to m, and bijective or
 transitive mod T^m.
@@ -746,3 +747,16 @@ def random_data_by_shifts(seed, n):
         word = rng.getrandbits(1 << k)
         bits.append(tuple((word >> j) & 1 for j in range(1 << k)))
     return CycleData(n, tuple(bits))
+
+
+def compose(t, u):
+    """The table of x -> t(u(x)), in t's type and precision: the product of two maps of one ring."""
+    return type(t)(t.precision, tuple(map(t.table.__getitem__, u.table)))
+
+
+def invert(t):
+    """The table of the inverse of a bijective table, in its type and precision."""
+    inverse = [0] * len(t.table)
+    for x, y in enumerate(t.table):
+        inverse[y] = x
+    return type(t)(t.precision, tuple(inverse))

@@ -36,8 +36,10 @@ Mutant = namedtuple("Mutant", "name file snippet replacement tests equivalent", 
 _VDP = "src/tadic/vanderput.py"
 _DYN = "src/tadic/dynamics.py"
 _CYC = "src/tadic/cyclegen.py"
-_CLAUSES = "tests/test_dynamics.py::test_each_type_states_the_same_clauses_on_both_bodies"
+_CAR = "src/tadic/carlitz.py"
+_MAH = "src/tadic/mahler.py"
 _SMALL = "tests/test_dynamics.py::test_the_sparse_scan_equals_the_table_oracles_on_every_small_set"
+_ENTRY = "tests/test_dynamics.py::test_bijectivity_and_transitivity_equal_the_entry_oracles_on_samples"
 
 MUTANTS = [
     # van der Put's clauses
@@ -47,10 +49,6 @@ MUTANTS = [
            [_SMALL + "[VdpCoefficients-vdp_table]"]),
     Mutant("vdp-lift-m3-target", _VDP, "(2 if m == 3 else self.lift)", "(0 if m == 3 else self.lift)",
            [_SMALL + "[VdpCoefficients-vdp_table]"]),
-    Mutant("vdp-band-sum-cut", _VDP,
-           "fold(band(m - 2), 1 << (m - 2), width, add, tile((1 << k) - 1, 1 << (m - 3), width))",
-           "fold(band(m - 2), 1 << (m - 2), width, add)",
-           [_CLAUSES + "[Z2VdpCoefficients]"]),
     Mutant("vdp-start-swap", _VDP, "return (bool(low & 1), bool(slot(0) & 1)), unit, lift",
            "return (bool(slot(0) & 1), bool(low & 1)), unit, lift",
            [_SMALL + "[VdpCoefficients-vdp_table]"]),
@@ -69,8 +67,33 @@ MUTANTS = [
     Mutant("z2-table-sub-add", _DYN, '"Z2", operator.add, operator.sub', '"Z2", operator.add, operator.add',
            ["tests/test_z2compare.py::test_to_vdp_z2_affine_and_identity",
             "tests/test_z2compare.py::test_vdp_z2_roundtrip_on_random_compatible_sets"]),
+    # a lift clause broken only from level 15 up: the relations kill it with no second implementation
+    Mutant("vdp-lift-from-15", _VDP, "return total >> (m - 2) & 3 == (2 if m == 3 else self.lift)",
+           "return m < 15 and total >> (m - 2) & 3 == (2 if m == 3 else self.lift)",
+           ["tests/test_relations.py::test_the_inverse_and_conjugates_of_a_cycle_are_ergodic_at_every_level"]),
+    # the kernels: the van der Put sweep both ways, the Carlitz butterfly's spill mask, the table oracles, and
+    # the Mahler running sum
+    Mutant("vdp-sweep-synthesis-sub", _VDP, "w = table.add(w, (w & ((1 << cut) - 1)) << cut) & full",
+           "w = table.sub(w, (w & ((1 << cut) - 1)) << cut) & full",
+           ["tests/test_z2compare.py::test_vdp_z2_roundtrip_on_random_compatible_sets"]),
+    Mutant("vdp-sweep-expansion-unbiased", _VDP, "w = table.sub(w | tile(n, n, width), s) & full",
+           "w = table.sub(w, s) & full",
+           ["tests/test_z2compare.py::test_to_vdp_z2_affine_and_identity",
+            "tests/test_z2compare.py::test_vdp_z2_roundtrip_on_random_compatible_sets"]),
+    Mutant("carlitz-spill-unmasked", _CAR, "upper ^= (u & keep[s]) >> d", "upper ^= u >> d",
+           ["tests/test_carlitz.py::test_packed_butterfly_equals_products_on_all_ones_slots"]),
+    Mutant("compatible-band-alone", _DYN, "seen |= fold(band ^ lower, 1 << d, width, operator.or_)",
+           "seen = fold(band ^ lower, 1 << d, width, operator.or_)",
+           ["tests/test_dynamics.py::test_one_pass_compatibility_equals_the_definition_on_random_tables"]),
+    Mutant("first-return-any-return", _DYN, "return p[m] & mask == 0 < p[m - 1] & mask", "return p[m] & mask == 0",
+           [_ENTRY]),
+    Mutant("bijective-onto-always", _DYN, "onto = onto or ok", "onto = True", [_ENTRY]),
+    Mutant("mahler-running-sum-short", _MAH, "for j in range(k):", "for j in range(k - 1):",
+           ["tests/test_z2compare.py::test_mahler_table_equals_exact_binomials_on_every_small_set"]),
     # the budget
     Mutant("gen-cycle-budget", _CYC, "    check_budget(bits)\n", "",
+           ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),
+    Mutant("budget-off", _DYN, "if k > TABLE_BUDGET:", "if False:",
            ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),
 ]
 

@@ -583,22 +583,33 @@ def _clauses_by_values(c):
             [B[(1 << (m - 1)) - 1] >> (m - 1) & 1 == c.lift for m in range(2, k + 1)])
 
 
+def _lift_is_read(c, m):
+    """Whether a level can read lift(m) of c as far as the floor goes: van der Put's needs band m - 2 on its floor."""
+    return not isinstance(c, VdpCoefficients) or not any(v % (1 << (m - 2)) for v in c.B[1 << (m - 2):2 << (m - 2)])
+
+
 @pytest.mark.parametrize("cls", [cls for cls, _ in SPARSE_BASES], ids=lambda cls: cls.__name__)
 def test_each_type_states_the_same_clauses_on_both_bodies(cls):
     # clauses() reads single values off the held body and bands off its scan: the start pair, unit(d) for every
-    # band d and lift(m) for every level m agree between a map and its packed slots, and with the values read one
-    # at a time, on every set, also where the floor or a lower level keeps the criteria from reading a clause; more
-    # uniform sets at k = 6 and 7, whose one-byte slots a Z2 band sum runs past unless each partial sum is cut
+    # band d and lift(m) for every level m agree between a map and its packed slots on every set, also where the
+    # floor or a lower level keeps the criteria from reading a clause.  They agree with the values read one at a
+    # time too, lift(m) wherever a level can read it; more uniform sets at k = 6 and 7, whose one-byte slots a Z2
+    # band sum runs past
     rng = random.Random(31)
     seen = set()
     for c in _band_sets(rng, cls) + [_uniform(rng, cls, k) for k in (6, 7) for _ in range(20)]:
         k = c.precision
+        got = []
         for body in _bodies(c):
             start, unit, lift = body.clauses(*_scan(body))
-            got = start, [unit(d) for d in range(1, k)], [lift(m) for m in range(2, k + 1)]
-            assert got == _clauses_by_values(c)
-        seen |= {("start", v) for v in got[0]} | {("lift", v) for v in got[2]}
-        seen |= {("unit", d, v) for d, v in enumerate(got[1], start=1)}
+            got.append((start, [unit(d) for d in range(1, k)], [lift(m) for m in range(2, k + 1)]))
+        assert got[0] == got[1]
+        (start, units, lifts), want = got[0], _clauses_by_values(c)
+        read = [_lift_is_read(c, m) for m in range(2, k + 1)]
+        assert (start, units) == want[:2]
+        assert list(itertools.compress(lifts, read)) == list(itertools.compress(want[2], read))
+        seen |= {("start", v) for v in start} | {("lift", v) for v in itertools.compress(lifts, read)}
+        seen |= {("unit", d, v) for d, v in enumerate(units, start=1)}
     assert seen == {(clause, v) for clause in ("start", "lift") for v in (True, False)} | {
         ("unit", d, v) for d in range(1, 10) for v in (True, False)}
 

@@ -215,7 +215,8 @@ def test_tile_fold_and_split_bands_on_a_packed_table():
     assert width == 2
     assert tile(0x1FF, 4, 2) == pack((0x1FF,) * 4, 9)[0]
     assert fold(w, 1 << 5, width, operator.or_) == functools.reduce(operator.or_, values)
-    assert fold(w, 1 << 5, width, operator.add, tile(0xFF, 16, width)) == sum(values) & 0xFF
+    # the 32 sums of values below 2^8 stay inside a 16-bit slot, so fold's uncut additions give the whole sum
+    assert fold(w, 1 << 5, width, operator.add) == sum(values)
     bands = list(split_bands(w, 5, width))
     assert [d for d, _, _ in bands] == [4, 3, 2, 1]
     for d, band, lower in bands:
