@@ -15,6 +15,10 @@ each per direction at k = 9), and one cut to k bits at the end.  A shift
 by s carries a k-bit value out of its slot only when k - 1 + s >= W, so
 only those shifts first keep the low k - s bits of their factor, all
 that survives mod T^k; the table's `packed` form goes in and out as is.
+The masks, each as large as the packed table, depend only on k and the
+slot size: they are built once and held for the last precision used, so
+a transform builds none, and they stay resident until a transform at
+another precision replaces them (12 KB at k = 9, 120 MB at k = 20).
 """
 
 import functools
@@ -79,6 +83,34 @@ def _digit_masks(k, size):
     return full, digit[::-1]
 
 
+# the butterfly's constants for the last (precision, slot size) it ran at: one entry, replaced whole
+_HELD = {}
+
+
+def _constants(k, size):
+    """The butterfly's constants at k and `size`: (final cut, levels bottom up, levels top down).
+
+    A level is (its digit's mask, its half-block width in bits, per factor
+    i the mask of digit i, the fitting shifts' d and the spilling shifts'
+    (d, mask of the low k - s bits of every slot)).  They depend only on
+    (k, size), so the last pair's are held.  The held entry is dropped
+    before another pair's are built, so no call holds two precisions'
+    masks at once, and a call returns what it built or found, never a
+    re-read of the record another call may have cleared.
+    """
+    held = _HELD.get((k, size))
+    if held is None:
+        _HELD.clear()
+        full, digit = _digit_masks(k, size)
+        first, levels = _level_shifts(k, size)
+        keep = {s: tile((1 << (k - s)) - 1, 1 << k, size) for s in range(first, k)}
+        up = tuple((digit[j], size << (j + 3),
+                    tuple((digit[i], fits, tuple((d, keep[s]) for d, s in spills)) for i, (fits, spills) in enumerate(shifts)))
+                   for j, shifts in enumerate(levels))
+        held = _HELD[k, size] = full, up, up[::-1]
+    return held
+
+
 def _butterfly(w, size, k, synthesize):
     """Coefficients to table (synthesize) or table to coefficients, on the 2^k values of indices 0..2^k - 1.
 
@@ -94,27 +126,26 @@ def _butterfly(w, size, k, synthesize):
     digit i set from what factor i - 1 left and, per set bit s of c_i, XORs
     them in 2^i slots down and s bits up.  Where k - 1 + s >= W that would
     spill into the next slot, so those shifts first keep the low k - s bits
-    of each slot, all that survives mod T^k.  What the other shifts put at
-    T^k and above stays in the slot until the one cut at the end.  The
+    of each slot, all that survives mod T^k; each carries its own mask.
+    What the other shifts put at T^k and above stays in the slot until the
+    one cut at the end.  Every mask comes from `_constants`, built once per
+    (k, size) and held for the last pair, so a call builds none.  The
     values come as pack's int w and slot width and go back as pack's pair.
     """
-    full, digit = _digit_masks(k, size)
-    first, levels = _level_shifts(k, size)
-    # keep[s]: the low k - s bits of every slot, for the shifts by s that would spill
-    keep = {s: tile((1 << (k - s)) - 1, 1 << k, size) for s in range(first, k)}
-    for j, shifts in sorted(enumerate(levels), reverse=synthesize):
-        upper = w & digit[j]
+    full, up, down = _constants(k, size)
+    for top, cut, factors in down if synthesize else up:
+        upper = w & top
         lower = w ^ upper
         if synthesize:
-            upper ^= lower << (size << (j + 3))
-        for i, (fits, spills) in enumerate(shifts):
-            u = upper & digit[i]
+            upper ^= lower << cut
+        for digit, fits, spills in factors:
+            u = upper & digit
             for d in fits:
                 upper ^= u >> d
-            for d, s in spills:
-                upper ^= (u & keep[s]) >> d
+            for d, keep in spills:
+                upper ^= (u & keep) >> d
         if not synthesize:
-            upper ^= lower << (size << (j + 3))
+            upper ^= lower << cut
         w = lower | upper
     return w & full, size
 

@@ -71,11 +71,12 @@ def gen_cycle(d):
         half = 1 << k
         w ^= pack(level, bits)[0] << k
         w |= (w ^ tile(half, half, width)) << (width * half << 3)
+    # bits of 0 and 1 keep every entry below 2^bits, so the table skips its range check: one AND of the
+    # bits from `bits` up in every slot finds any entry past it
+    if w & tile((1 << (width << 3)) - (1 << bits), 1 << bits, width):
+        raise ValueError("steering bits must be 0 or 1")
     xs = unpack(w, 1 << bits, width)
     del w  # the packed sequence goes before the table packs its successors
-    # bits of 0 and 1 keep every entry below 2^bits, so the table skips its range check
-    if max(xs) >> bits:
-        raise ValueError("steering bits must be 0 or 1")
     # the last entry's successor is the first; the loop sets every other one
     succ = [xs[0]] * len(xs)
     for x, y in zip(xs, itertools.islice(xs, 1, None)):

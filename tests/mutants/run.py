@@ -80,8 +80,13 @@ MUTANTS = [
            "w = table.sub(w, s) & full",
            ["tests/test_z2compare.py::test_to_vdp_z2_affine_and_identity",
             "tests/test_z2compare.py::test_vdp_z2_roundtrip_on_random_compatible_sets"]),
-    Mutant("carlitz-spill-unmasked", _CAR, "upper ^= (u & keep[s]) >> d", "upper ^= u >> d",
+    Mutant("carlitz-spill-unmasked", _CAR, "upper ^= (u & keep) >> d", "upper ^= u >> d",
            ["tests/test_carlitz.py::test_packed_butterfly_equals_products_on_all_ones_slots"]),
+    # the butterfly's held masks: read whatever the key, and never dropped
+    Mutant("carlitz-held-stale", _CAR, "held = _HELD.get((k, size))", "held = next(iter(_HELD.values()), None)",
+           ["tests/test_carlitz.py::test_round_trips_at_alternating_precisions_equal_products"]),
+    Mutant("carlitz-held-never-cleared", _CAR, "        _HELD.clear()\n", "",
+           ["tests/test_carlitz.py::test_the_butterfly_holds_the_masks_of_one_precision"]),
     Mutant("compatible-band-alone", _DYN, "seen |= fold(band ^ lower, 1 << d, width, operator.or_)",
            "seen = fold(band ^ lower, 1 << d, width, operator.or_)",
            ["tests/test_dynamics.py::test_one_pass_compatibility_equals_the_definition_on_random_tables"]),

@@ -279,6 +279,8 @@ def test_dense_round_trip_at_k16_stays_fast_and_small():
     start = time.perf_counter()
     assert to_carlitz(carlitz_table(c)) == c
     assert time.perf_counter() - start < 3.0
+    # a transform at another precision drops the held k = 16 masks, so the traced call builds them again
+    carlitz_table(CarlitzCoefficients(1, {}))
     tracemalloc.start()
     try:
         carlitz_table(c)
@@ -287,6 +289,19 @@ def test_dense_round_trip_at_k16_stays_fast_and_small():
         tracemalloc.stop()
     # a mask kept per pair of digits (i, j) peaks at about 40 MB here
     assert peak < 16e6
+
+
+def test_round_trips_at_alternating_precisions_equal_products():
+    # each change of precision replaces the held masks; a stale entry read at the next precision fails here
+    rng = random.Random(39)
+    for k in (3, 9, 3, 10, 9):
+        _agree_with_products(tuple(rng.getrandbits(k) for _ in range(1 << k)), k)
+
+
+def test_the_butterfly_holds_the_masks_of_one_precision():
+    to_carlitz(FunctionTable(5, tuple(range(32))))
+    carlitz_table(CarlitzCoefficients(7, {1: 1}))
+    assert list(carlitz._HELD) == [(7, pack((), 8)[1])]
 
 
 def _word_precision_set(rng, k):
