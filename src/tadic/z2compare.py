@@ -6,14 +6,15 @@ bijectivity, and cycle walks carry over as is; only the ring addition
 differs, carries instead of XOR.  The Z2 table type is the F2[[T]] one
 tagged "Z2" whose `add` and `sub` carry, and every Z2 coefficient type
 adds with it; it and the Z2 Van der Put type live beside their parents and
-are re-exported here, as is the Mahler basis from its own module.  The Z2
+are re-exported here, with the Mahler record and table; the Mahler point
+evaluator, mahler_eval, is imported from `tadic.mahler` alone.  The Z2
 names to_vdp_z2, vdp_table_z2, check_ergodic_z2 and is_transitive_mod_z2
 are the generic functions under other names; check_mp_z2 and
 check_ergodic_mahler_z2 are bool views of the criteria.
 """
 
 from .dynamics import Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod
-from .mahler import MahlerCoefficients, mahler_eval, mahler_table
+from .mahler import MahlerCoefficients, mahler_table
 from .vanderput import Z2VdpCoefficients, to_vdp, vdp_table
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "check_ergodic_z2",
     "check_mp_z2",
     "is_transitive_mod_z2",
-    "mahler_eval",
     "mahler_table",
     "to_vdp_z2",
     "vdp_table_z2",

@@ -28,7 +28,7 @@ import time
 from collections import namedtuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-# seconds allowed to one pytest run: the longest, the unmutated run of every named test, takes about 10 s
+# seconds allowed to one pytest run: the longest, the unmutated run of every named test, takes about 15 s
 _TIMEOUT = 300
 
 Mutant = namedtuple("Mutant", "name file snippet replacement tests equivalent", defaults=(None,))
@@ -95,6 +95,32 @@ MUTANTS = [
     Mutant("bijective-onto-always", _DYN, "onto = onto or ok", "onto = True", [_ENTRY]),
     Mutant("mahler-running-sum-short", _MAH, "for j in range(k):", "for j in range(k - 1):",
            ["tests/test_z2compare.py::test_mahler_table_equals_exact_binomials_on_every_small_set"]),
+    # the Carlitz point evaluator, E's guard digits and the butterfly's level shifts
+    Mutant("carlitz-eval-or", _CAR, "acc ^= v", "acc |= v",
+           ["tests/test_carlitz.py::test_from_carlitz_equals_the_exact_sum_at_word_precision"]),
+    # E_0 has k - 1 guard digits: at k = 1 one fewer cuts its only digit; from k = 2 up it changes no value
+    Mutant("carlitz-E-guard-short", _CAR, "p = 2 * k - 1", "p = 2 * k - 2",
+           ["tests/test_carlitz.py::test_dense_and_sparse_table_paths_agree"]),
+    Mutant("carlitz-spill-late", _CAR, "first = (size << 3) - k + 1", "first = (size << 3) - k + 2",
+           ["tests/test_carlitz.py::test_packed_butterfly_equals_products_on_all_ones_slots"]),
+    # masking one shift that fits as well leaves every value right, since what it cuts lands at T^k or above; the
+    # level-shift test kills it, because it pins `first` as the least shift that would spill
+    Mutant("carlitz-spill-early", _CAR, "first = (size << 3) - k + 1", "first = (size << 3) - k",
+           ["tests/test_carlitz.py::test_level_shifts_are_the_set_bits_of_the_exact_E_values"]),
+    Mutant("carlitz-spill-keep-wide", _CAR, "keep = {s: tile((1 << (k - s)) - 1, 1 << k, size)",
+           "keep = {s: tile((1 << (k - s + 1)) - 1, 1 << k, size)", [],
+           "the extra kept bit, k - s, lands at T^k after the shift up by s, still below bit W >= k + 1 of its slot, "
+           "and the final cut to k bits removes it; no other factor reads it, since each takes only the low k bits"),
+    # the Mahler columns
+    Mutant("mahler-column-carries", _MAH, "repeat(i.bit_count())", "repeat(i.bit_count() + 1)",
+           ["tests/test_z2compare.py::test_mahler_table_cost_follows_the_stored_indices_near_the_top"]),
+    # the cycle generator: the steering bits, the lifted half and random_data's bit order
+    Mutant("gen-cycle-steer-low", _CYC, "w ^= pack(level, bits)[0] << k", "w ^= pack(level, bits)[0] << (k - 1)",
+           ["tests/test_cyclegen.py::test_packed_recurrence_equals_the_entry_oracle_on_every_small_steering_set"]),
+    Mutant("gen-cycle-lift-unflipped", _CYC, "w |= (w ^ tile(half, half, width))", "w |= w",
+           ["tests/test_cyclegen.py::test_packed_recurrence_equals_the_entry_oracle_on_every_small_steering_set"]),
+    Mutant("random-data-unreversed", _CYC, '"0%db" % (1 << k))[::-1]', '"0%db" % (1 << k))',
+           ["tests/test_cyclegen.py::test_random_data_matches_the_shift_oracle"]),
     # the budget
     Mutant("gen-cycle-budget", _CYC, "    check_budget(bits)\n", "",
            ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),

@@ -47,7 +47,8 @@ from tadic.dynamics import (
 from tadic import dynamics
 from tadic.gf2ps import clmul_trunc, order, pack, unpack
 from tadic.vanderput import VdpCoefficients, Z2VdpCoefficients, from_vdp, to_vdp, vdp_table
-from tadic.z2compare import MahlerCoefficients, mahler_eval, mahler_table
+from tadic.mahler import mahler_eval
+from tadic.z2compare import MahlerCoefficients, mahler_table
 
 CYCLE_K2 = FunctionTable(2, (1, 2, 3, 0))
 XOR_ONE_K2 = FunctionTable(2, (1, 0, 3, 2))

@@ -1,10 +1,12 @@
-"""Public surface: every name a module exports resolves, the Z2 aliases stay in z2compare, and each CLI run loads only
-the modules its command uses."""
+"""Public surface: every name a module exports resolves, each is imported from its own module and not from the package,
+the Z2 aliases stay in z2compare, and each CLI run loads only the modules its command uses."""
 
 import importlib
 import json
 import os
 import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
 
@@ -28,24 +30,35 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-PUBLIC = [
-    "CarlitzCoefficients", "CycleData", "FunctionTable", "LevelVerdicts", "MahlerCoefficients", "VdpCoefficients",
-    "Z2FunctionTable", "Z2VdpCoefficients", "carlitz_table", "check_ergodic", "check_lipschitz", "check_mp", "clmul",
-    "clmul_trunc", "from_carlitz", "from_vdp", "gen_cycle", "is_bijective_mod", "is_compatible", "is_transitive_mod",
-    "mahler_eval", "orbit", "order", "parity_lift", "random_data", "to_carlitz", "to_vdp", "trunc", "vdp_table",
-]
+def test_the_package_exports_nothing():
+    # each name is declared once, in its own module's __all__, and is imported from there
+    assert tadic.__all__ == []
+    assert not {"__getattr__", "__dir__", "_EXPORTS", "_HOME", "importlib"} & set(vars(tadic))
 
 
-def test_package_exports_resolve_lazily_to_their_modules():
-    assert tadic.__all__ == PUBLIC
-    assert set(PUBLIC) <= set(dir(tadic))
-    for name in PUBLIC:
-        # __getattr__ itself, whether or not an earlier lookup has cached the name
-        value = tadic.__getattr__(name)
-        assert getattr(tadic, name) is value
-        assert getattr(importlib.import_module(value.__module__), name) is value
-    with pytest.raises(AttributeError):
-        tadic.__getattr__("invert_unit")
+# an import from the package itself, by its name or, inside it, relative, and the names it takes, parenthesised or not
+_PACKAGE_IMPORT = re.compile(r"\bfrom\s+(?:tadic|\.)\s+import\s+(\([^)]*\)|[^\n;\"]*)")
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _sources():
+    """Every Python file of the library, the tests and the benchmark, the README and the CI workflows."""
+    for part in ("src", "tests", "perfbench"):
+        yield from sorted((_ROOT / part).rglob("*.py"))
+    yield _ROOT / "README.md"
+    yield from sorted((_ROOT / ".github").rglob("*.yml"))
+
+
+def test_nothing_imports_a_name_from_the_package_but_a_submodule():
+    submodules = {m.name for m in pkgutil.iter_modules(tadic.__path__)}
+    found = {}
+    for path in _sources():
+        for names in _PACKAGE_IMPORT.findall(path.read_text(encoding="utf-8")):
+            for name in names.strip("()").split(","):
+                name = name.split(" as ")[0].strip()
+                if name and name not in submodules:
+                    found.setdefault(str(path.relative_to(_ROOT)), []).append(name)
+    assert found == {}
 
 
 # the per-basis names that the gate and the benchmark import: (module, name, the criterion of every basis it is)

@@ -40,7 +40,7 @@ def _criteria(t):
             for c in sets]
 
 
-_SAMPLES = [(ring, k) for ring in TABLES for k in range(8, 17)]
+_SAMPLES = [(ring, k) for ring in TABLES for k in range(8, 19)]
 
 
 @pytest.mark.parametrize("ring, k", _SAMPLES, ids=["%s-%d" % s for s in _SAMPLES])

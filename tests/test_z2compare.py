@@ -23,6 +23,7 @@ from helpers import (
 )
 from tadic import mahler
 from tadic.dynamics import is_bijective_mod, is_compatible, restrict
+from tadic.mahler import mahler_eval
 from tadic.vanderput import check_lipschitz_vdp, check_mp_vdp, from_vdp, to_vdp, vdp_table
 from tadic.z2compare import (
     MahlerCoefficients,
@@ -32,7 +33,6 @@ from tadic.z2compare import (
     check_ergodic_z2,
     check_mp_z2,
     is_transitive_mod_z2,
-    mahler_eval,
     mahler_table,
     to_vdp_z2,
     vdp_table_z2,
