@@ -15,13 +15,13 @@ each per direction at k = 9), and one cut to k bits at the end.  A shift
 by s carries a k-bit value out of its slot only when k - 1 + s >= W, so
 only those shifts first keep the low k - s bits of their factor, all
 that survives mod T^k; the table's `packed` form goes in and out as is.
-The masks, each as large as the packed table, depend only on k and the
-slot size: they are built once and held for the last precision used, so
-a transform builds none, and they stay resident until a transform at
-another precision replaces them (12 KB at k = 9, 120 MB at k = 20).
+The shifts and masks, each mask as large as the packed table, depend
+only on k and the slot size: one builder, `_constants`, makes them, and
+one held entry keeps them for the last precision used, with no other
+cache.  So a transform builds none, and they stay resident until a
+transform at another precision replaces them (12 KB at k = 9, 120 MB at
+k = 20).
 """
-
-import functools
 
 from .dynamics import Coefficients, check_ergodic, check_lipschitz
 from .gf2ps import check_residues, clmul, clmul_trunc, tile, trunc
@@ -58,21 +58,6 @@ def _E_values(x, k):
     return out + [0] * (k - len(out))
 
 
-@functools.lru_cache(maxsize=None)
-def _level_shifts(k, size):
-    """c_i = E_i(T^j) mod T^k, per level j < k and i < j, as right shifts of a table in slots of `size` bytes.
-
-    A product by c_i moves a value 2^i slots down and s bits up per set bit
-    s: one right shift by d = 8 * size * 2^i - s.  Returns the least s whose
-    shift would carry a k-bit value out of its slot (k - 1 + s >= 8 * size),
-    and per level and i the d of the shifts below it and the (d, s) of the rest.
-    """
-    first = (size << 3) - k + 1
-    return first, tuple(tuple((tuple((size << (i + 3)) - s for s in range(min(first, k)) if c >> s & 1),
-                               tuple(((size << (i + 3)) - s, s) for s in range(first, k) if c >> s & 1))
-                              for i, c in enumerate(_E_values(1 << j, k)[:j])) for j in range(k))
-
-
 def _digit_masks(k, size):
     """The low k bits of 2^k slots of `size` bytes, and per digit i those of the slots whose index has digit i set."""
     full = tile((1 << k) - 1, 1 << k, size)
@@ -90,23 +75,30 @@ _HELD = {}
 def _constants(k, size):
     """The butterfly's constants at k and `size`: (final cut, levels bottom up, levels top down).
 
-    A level is (its digit's mask, its half-block width in bits, per factor
-    i the mask of digit i, the fitting shifts' d and the spilling shifts'
-    (d, mask of the low k - s bits of every slot)).  They depend only on
-    (k, size), so the last pair's are held.  The held entry is dropped
-    before another pair's are built, so no call holds two precisions'
-    masks at once, and a call returns what it built or found, never a
-    re-read of the record another call may have cleared.
+    Level j is (its digit's mask, its half-block width in bits, one factor
+    per i < j).  Factor i is the mask of digit i and the product by
+    c_i = E_i(T^j) mod T^k as right shifts of the table: per set bit s of
+    c_i a value moves 2^i slots down and s bits up, one shift by
+    d = 8 * size * 2^i - s.  Where k - 1 + s >= 8 * size the shift would
+    carry a k-bit value out of its slot, so it spills: it comes as (d, the
+    mask of the low k - s bits of every slot), all that survives mod T^k,
+    and the shifts that fit come as their d alone.  The constants depend
+    only on (k, size), so the last pair's are held in `_HELD`, the one
+    cache of the module.  The held entry is dropped before another pair's
+    are built, so no call holds two precisions' masks at once, and a call
+    returns what it built or found, never a re-read of the record another
+    call may have cleared.
     """
     held = _HELD.get((k, size))
     if held is None:
         _HELD.clear()
         full, digit = _digit_masks(k, size)
-        first, levels = _level_shifts(k, size)
+        first = (size << 3) - k + 1
         keep = {s: tile((1 << (k - s)) - 1, 1 << k, size) for s in range(first, k)}
-        up = tuple((digit[j], size << (j + 3),
-                    tuple((digit[i], fits, tuple((d, keep[s]) for d, s in spills)) for i, (fits, spills) in enumerate(shifts)))
-                   for j, shifts in enumerate(levels))
+        up = tuple((digit[j], size << (j + 3), tuple(
+            (digit[i], tuple((size << (i + 3)) - s for s in range(min(first, k)) if c >> s & 1),
+             tuple(((size << (i + 3)) - s, keep[s]) for s in keep if c >> s & 1))
+            for i, c in enumerate(_E_values(1 << j, k)[:j]))) for j in range(k))
         held = _HELD[k, size] = full, up, up[::-1]
     return held
 
@@ -122,15 +114,11 @@ def _butterfly(w, size, k, synthesize):
     Kronecker product of [[1, c_i], [0, 1]] over i < j) is its own inverse
     in characteristic 2.  Index n holds slot n of one int, the table's slot
     of W = 8 * size bits, and a level is a few whole-table operations:
-    factor i of the shift takes the low k bits of the upper-half slots with
-    digit i set from what factor i - 1 left and, per set bit s of c_i, XORs
-    them in 2^i slots down and s bits up.  Where k - 1 + s >= W that would
-    spill into the next slot, so those shifts first keep the low k - s bits
-    of each slot, all that survives mod T^k; each carries its own mask.
-    What the other shifts put at T^k and above stays in the slot until the
-    one cut at the end.  Every mask comes from `_constants`, built once per
-    (k, size) and held for the last pair, so a call builds none.  The
-    values come as pack's int w and slot width and go back as pack's pair.
+    factor i takes the low k bits of the upper-half slots with digit i set
+    from what factor i - 1 left and XORs in their product by c_i, one shift
+    per set bit, as `_constants` lays them out.  What a shift puts at T^k
+    and above stays in the slot until the one cut at the end.  The values
+    come as pack's int w and slot width and go back as pack's pair.
     """
     full, up, down = _constants(k, size)
     for top, cut, factors in down if synthesize else up:

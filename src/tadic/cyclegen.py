@@ -24,8 +24,8 @@ class CycleData(Record):
 
     def _check(self):
         object.__setattr__(self, "bits", tuple(tuple(level) for level in self.bits))
-        if self.n < 0:
-            raise ValueError("depth must be non-negative")
+        if not hasattr(self.n, "__index__") or self.n < 0:
+            raise ValueError("depth must be a non-negative integer")
         if len(self.bits) != self.n:
             raise ValueError("need one bit level per depth 1..%d" % self.n)
         for k, level in enumerate(self.bits, start=1):

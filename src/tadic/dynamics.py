@@ -411,7 +411,7 @@ def _map_scan(c):
 
 def restrict(c, prec):
     """The set mod pi^prec, for a precision 1..c.precision, as a map; a van der Put set drops its indices from 2^prec up."""
-    if not 1 <= prec <= c.precision:
+    if not hasattr(prec, "__index__") or not 1 <= prec <= c.precision:
         raise ValueError("precision must be between 1 and %d" % c.precision)
     mask = (1 << prec) - 1
     return type(c)(prec, {n: v & mask for n, v in c.a.items() if not (c.residue_index and n >> prec)})

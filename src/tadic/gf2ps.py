@@ -120,7 +120,7 @@ def fold(w, n, width, op):
 
 def check_residues(k, values=(), what="value"):
     """The residue rule: k is a positive integer and each of the sized `values` lies in 0..2^k - 1."""
-    if k < 1:
+    if not hasattr(k, "__index__") or k < 1:
         raise ValueError("precision must be a positive integer")
     if values and (min(values) < 0 or max(values) >> k):
         raise ValueError("%s out of range for precision %d" % (what, k))

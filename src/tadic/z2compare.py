@@ -5,12 +5,12 @@ point is a plain int in both rings and the mask-based compatibility,
 bijectivity, and cycle walks carry over as is; only the ring addition
 differs, carries instead of XOR.  The Z2 table type is the F2[[T]] one
 tagged "Z2" whose `add` and `sub` carry, and every Z2 coefficient type
-adds with it; it and the Z2 Van der Put type live beside their parents and
-are re-exported here, with the Mahler record and table; the Mahler point
-evaluator, mahler_eval, is imported from `tadic.mahler` alone.  The Z2
-names to_vdp_z2, vdp_table_z2, check_ergodic_z2 and is_transitive_mod_z2
-are the generic functions under other names; check_mp_z2 and
-check_ergodic_mahler_z2 are bool views of the criteria.
+adds with it.  This module holds the names of the Z2 side: the Z2 table
+and Van der Put types, defined beside their F2[[T]] parents, and the
+Mahler record and table, defined in `tadic.mahler`; to_vdp_z2,
+vdp_table_z2, check_ergodic_z2 and is_transitive_mod_z2, the generic
+functions under other names; and check_mp_z2 and
+check_ergodic_mahler_z2, bool views of the criteria.
 """
 
 from .dynamics import Z2FunctionTable, check_ergodic, check_mp, is_transitive_mod

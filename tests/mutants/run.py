@@ -82,7 +82,7 @@ MUTANTS = [
             "tests/test_z2compare.py::test_vdp_z2_roundtrip_on_random_compatible_sets"]),
     Mutant("carlitz-spill-unmasked", _CAR, "upper ^= (u & keep) >> d", "upper ^= u >> d",
            ["tests/test_carlitz.py::test_packed_butterfly_equals_products_on_all_ones_slots"]),
-    # the butterfly's held masks: read whatever the key, and never dropped
+    # the builder's one held entry: read whatever the key, and never dropped
     Mutant("carlitz-held-stale", _CAR, "held = _HELD.get((k, size))", "held = next(iter(_HELD.values()), None)",
            ["tests/test_carlitz.py::test_round_trips_at_alternating_precisions_equal_products"]),
     Mutant("carlitz-held-never-cleared", _CAR, "        _HELD.clear()\n", "",
@@ -95,7 +95,7 @@ MUTANTS = [
     Mutant("bijective-onto-always", _DYN, "onto = onto or ok", "onto = True", [_ENTRY]),
     Mutant("mahler-running-sum-short", _MAH, "for j in range(k):", "for j in range(k - 1):",
            ["tests/test_z2compare.py::test_mahler_table_equals_exact_binomials_on_every_small_set"]),
-    # the Carlitz point evaluator, E's guard digits and the butterfly's level shifts
+    # the Carlitz point evaluator, E's guard digits, and the spill rule of `_constants`, the butterfly's one builder
     Mutant("carlitz-eval-or", _CAR, "acc ^= v", "acc |= v",
            ["tests/test_carlitz.py::test_from_carlitz_equals_the_exact_sum_at_word_precision"]),
     # E_0 has k - 1 guard digits: at k = 1 one fewer cuts its only digit; from k = 2 up it changes no value
@@ -104,13 +104,15 @@ MUTANTS = [
     Mutant("carlitz-spill-late", _CAR, "first = (size << 3) - k + 1", "first = (size << 3) - k + 2",
            ["tests/test_carlitz.py::test_packed_butterfly_equals_products_on_all_ones_slots"]),
     # masking one shift that fits as well leaves every value right, since what it cuts lands at T^k or above; the
-    # level-shift test kills it, because it pins `first` as the least shift that would spill
+    # level-shift test kills it, because it reads the held levels and pins `first` as the least shift that would spill
     Mutant("carlitz-spill-early", _CAR, "first = (size << 3) - k + 1", "first = (size << 3) - k",
            ["tests/test_carlitz.py::test_level_shifts_are_the_set_bits_of_the_exact_E_values"]),
+    # a spill mask one bit wide leaves every value right too: the extra kept bit, k - s, lands at T^k after the shift
+    # up by s, still below bit W >= k + 1 of its slot, and the final cut removes it, since each factor takes only the
+    # low k bits; the level-shift test kills it, because it pins each held mask as the low k - s bits of every slot
     Mutant("carlitz-spill-keep-wide", _CAR, "keep = {s: tile((1 << (k - s)) - 1, 1 << k, size)",
-           "keep = {s: tile((1 << (k - s + 1)) - 1, 1 << k, size)", [],
-           "the extra kept bit, k - s, lands at T^k after the shift up by s, still below bit W >= k + 1 of its slot, "
-           "and the final cut to k bits removes it; no other factor reads it, since each takes only the low k bits"),
+           "keep = {s: tile((1 << (k - s + 1)) - 1, 1 << k, size)",
+           ["tests/test_carlitz.py::test_level_shifts_are_the_set_bits_of_the_exact_E_values"]),
     # the Mahler columns
     Mutant("mahler-column-carries", _MAH, "repeat(i.bit_count())", "repeat(i.bit_count() + 1)",
            ["tests/test_z2compare.py::test_mahler_table_cost_follows_the_stored_indices_near_the_top"]),

@@ -243,26 +243,42 @@ def test_packed_butterfly_equals_products_on_all_ones_slots(k, fill):
     _agree_with_products(tuple(ones if fill == "every-slot" or n.bit_count() & 1 else 0 for n in range(1 << k)), k)
 
 
-def test_level_shifts_are_the_set_bits_of_the_exact_E_values():
+def _held_factors(k, size):
+    """Per level, bottom up, the (digit mask, fitting shifts, spilling shifts) of each factor held at (k, size)."""
+    return [factors for _, _, factors in carlitz._constants(k, size)[1]]
+
+
+def test_level_shifts_are_the_set_bits_of_the_exact_E_values(monkeypatch):
     # E_i(T^j) from the defining product over F2[T], not from the recurrence the library runs
     for k in range(1, 11):
         size = pack((), k + 1)[1]
-        first, shifts = carlitz._level_shifts(k, size)
-        assert [len(level) for level in shifts] == list(range(k))
-        for j, level in enumerate(shifts):
-            for i, (fits, spills) in enumerate(level):
+        width = size << 3
+        levels = _held_factors(k, size)
+        assert [len(factors) for factors in levels] == list(range(k))
+        for j, factors in enumerate(levels):
+            for i, (_, fits, spills) in enumerate(factors):
                 c, cut = trunc(eval_E(i, 1 << j), k), size << (i + 3)
-                assert tuple(cut - d for d in fits) + tuple(s for _, s in spills) == tuple(s for s in range(k) if c >> s & 1)
-                # a shift spills exactly when it would carry a k-bit value out of its slot
-                assert all(k - 1 + cut - d < size << 3 for d in fits)
-                assert all(d == cut - s and k - 1 + s >= size << 3 for d, s in spills)
-        assert first == (size << 3) - k + 1
+                shifts = tuple(cut - d for d in fits) + tuple(cut - d for d, _ in spills)
+                assert shifts == tuple(s for s in range(k) if c >> s & 1)
+                # a shift spills exactly when it would carry a k-bit value out of its slot, and then keeps the low
+                # k - s bits of every one of the 2^k slots
+                assert all(k - 1 + cut - d < width for d in fits)
+                for d, keep in spills:
+                    s = cut - d
+                    assert k - 1 + s >= width
+                    assert keep == ((1 << (k - s)) - 1) * ((1 << (width << k)) - 1) // ((1 << width) - 1)
     # one shift and one XOR per set bit: 122 of each per direction at k = 9, 20 of them masked
-    shifts = [pair for level in carlitz._level_shifts(9, 2)[1] for pair in level]
-    assert sum(len(fits) + len(spills) for fits, spills in shifts) == 122
-    assert sum(len(spills) for _, spills in shifts) == 20
+    factors = [factor for level in _held_factors(9, 2) for factor in level]
+    assert sum(len(fits) + len(spills) for _, fits, spills in factors) == 122
+    assert sum(len(spills) for _, _, spills in factors) == 20
+    # the held entry answers a second call at the same pair: the same object, and no E value computed again
+    held, calls, E_values = carlitz._constants(9, 2), [], carlitz._E_values
+    monkeypatch.setattr(carlitz, "_E_values", lambda x, k: calls.append(x) or E_values(x, k))
+    assert carlitz._constants(9, 2) is held and calls == []
     # the table's slots already hold every product at k = 8 and 16: no shift is masked there
-    assert not any(spills for k in (8, 16) for level in carlitz._level_shifts(k, pack((), k + 1)[1])[1] for _, spills in level)
+    assert not any(spills for k in (8, 16) for level in _held_factors(k, pack((), k + 1)[1]) for _, _, spills in level)
+    # and those builds at other pairs went through the counted E values
+    assert calls
 
 
 def test_digit_masks_derived_by_shifts_equal_the_byte_built_ones():

@@ -37,7 +37,7 @@ from tadic.carlitz import CarlitzCoefficients, carlitz_table, check_ergodic_carl
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable, Z2FunctionTable, is_bijective_mod, is_compatible, is_transitive_mod
 from tadic.cyclegen import CycleData
-from tadic.dynamics import LevelVerdicts
+from tadic.dynamics import LevelVerdicts, restrict
 from tadic.gf2ps import pack, unpack
 from tadic.vanderput import (
     VdpCoefficients,
@@ -358,6 +358,31 @@ def test_a_coefficient_set_refuses_non_integers_in_either_body(cls):
         with pytest.raises(ValueError, match="out of range for precision 2"):
             cls(2, values)
     assert cls(3, {0: 2, 1: 0}).a == {0: 2} and cls(2, (2, 0, 0, 0)) == cls(2, {0: 2})
+
+
+_NON_INTEGER_SIZES = {
+    "carlitz-set": lambda k: CarlitzCoefficients(k, {}),
+    "table": lambda k: FunctionTable(k, (0, 1, 2, 3)),
+    "z2-table": lambda k: Z2FunctionTable(k, (0, 1, 2, 3)),
+    "vdp-set": lambda k: VdpCoefficients(k, (0, 1, 2, 3)),
+    "mahler-set": lambda k: MahlerCoefficients(k, {0: 1}),
+    "restrict": lambda k: restrict(CarlitzCoefficients(3, {1: 1}), k),
+    "cycle-data": lambda k: CycleData(k, ((0, 1), (0, 1, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("make", _NON_INTEGER_SIZES.values(), ids=_NON_INTEGER_SIZES)
+def test_a_non_integer_precision_or_depth_is_refused(make):
+    # 2.0 equals the size each body fits, and 1.5 and 2.5 fall beside it: each is refused as a size, not used
+    make(2)
+    for bad in (2.0, 1.5, 2.5, "2"):
+        with pytest.raises(ValueError, match="(precision|depth) must be"):
+            make(bad)
+
+
+def test_a_bool_precision_or_depth_is_still_an_integer():
+    assert FunctionTable(True, (0, 1)) == FunctionTable(1, (0, 1)) and CycleData(True, ((0, 1),)).n == 1
+    assert restrict(CarlitzCoefficients(3, {1: 7}), True) == CarlitzCoefficients(1, {1: 1})
 
 
 def test_hashing_a_packed_set_builds_no_map():
