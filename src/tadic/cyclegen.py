@@ -9,10 +9,11 @@ operations per level.
 """
 
 import itertools
+import math
 import random
 
 from .dynamics import TABLE_BUDGET, FunctionTable, check_budget
-from .gf2ps import Record, pack, read_header, read_indexed, tile, unpack
+from .gf2ps import Record, check_integer, pack, read_header, read_indexed, tile, unpack
 
 __all__ = ["CycleData", "gen_cycle", "random_data"]
 
@@ -24,8 +25,7 @@ class CycleData(Record):
 
     def _check(self):
         object.__setattr__(self, "bits", tuple(tuple(level) for level in self.bits))
-        if not hasattr(self.n, "__index__") or self.n < 0:
-            raise ValueError("depth must be a non-negative integer")
+        check_integer(self.n, 0, math.inf, "depth must be a non-negative integer")
         if len(self.bits) != self.n:
             raise ValueError("need one bit level per depth 1..%d" % self.n)
         for k, level in enumerate(self.bits, start=1):
@@ -91,8 +91,7 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 def random_data(seed, n):
     """Deterministic steering bits from a seed, for a table of precision n + 1 within the budget."""
-    if n < 0:
-        raise ValueError("depth must be non-negative")
+    check_integer(n, 0, math.inf, "depth must be non-negative")
     check_budget(n + 1)
     rng = random.Random(seed)
     bits = []

@@ -30,6 +30,7 @@ from types import MappingProxyType
 
 from .gf2ps import (
     Record,
+    check_integer,
     check_residues,
     fold,
     order,
@@ -100,8 +101,7 @@ class LevelVerdicts(Record):
         return cls((*below, None if top else False))
 
     def level(self, m):
-        if not 1 <= m <= len(self.levels):
-            raise ValueError("level must be between 1 and %d" % len(self.levels))
+        check_integer(m, 1, len(self.levels), "level must be between 1 and %d" % len(self.levels))
         return self.levels[m - 1]
 
     @property
@@ -411,8 +411,7 @@ def _map_scan(c):
 
 def restrict(c, prec):
     """The set mod pi^prec, for a precision 1..c.precision, as a map; a van der Put set drops its indices from 2^prec up."""
-    if not hasattr(prec, "__index__") or not 1 <= prec <= c.precision:
-        raise ValueError("precision must be between 1 and %d" % c.precision)
+    check_integer(prec, 1, c.precision, "precision must be between 1 and %d" % c.precision)
     mask = (1 << prec) - 1
     return type(c)(prec, {n: v & mask for n, v in c.a.items() if not (c.residue_index and n >> prec)})
 
@@ -485,10 +484,7 @@ def parity_lift(t, n):
     below n (zero included) whose image has T^n coefficient 1 is odd,
     which holds iff f is transitive mod T^{n+1}.
     """
-    if n < 1:
-        raise ValueError("precondition: n must be at least 1")
-    if t.precision < n + 1:
-        raise ValueError("precondition: need precision at least n+1")
+    check_integer(n, 1, t.precision - 1, "precondition: n must be at least 1", "precondition: need precision at least n+1")
     if not _single_cycle(t.table, n):
         raise ValueError("precondition: not transitive mod T^%d" % n)
     w, width = t.packed

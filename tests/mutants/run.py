@@ -38,6 +38,7 @@ _DYN = "src/tadic/dynamics.py"
 _CYC = "src/tadic/cyclegen.py"
 _CAR = "src/tadic/carlitz.py"
 _MAH = "src/tadic/mahler.py"
+_GF2 = "src/tadic/gf2ps.py"
 _SMALL = "tests/test_dynamics.py::test_the_sparse_scan_equals_the_table_oracles_on_every_small_set"
 _ENTRY = "tests/test_dynamics.py::test_bijectivity_and_transitivity_equal_the_entry_oracles_on_samples"
 
@@ -128,6 +129,11 @@ MUTANTS = [
            ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),
     Mutant("budget-off", _DYN, "if k > TABLE_BUDGET:", "if False:",
            ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),
+    # the integer rule, which every size and point goes through: a float within the range, and an integer at its top
+    Mutant("integer-rule-any-number", _GF2, 'if not hasattr(x, "__index__") or x < lo:', "if x < lo:",
+           ["tests/test_packed_records.py::test_a_non_integer_precision_or_depth_is_refused"]),
+    Mutant("integer-rule-top-exclusive", _GF2, "if x > hi:", "if x >= hi:",
+           ["tests/test_packed_records.py::test_a_bool_precision_or_depth_is_still_an_integer"]),
 ]
 
 

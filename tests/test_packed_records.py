@@ -33,18 +33,27 @@ from helpers import (
     reference_coefficients,
     steered_sparse,
 )
-from tadic.carlitz import CarlitzCoefficients, carlitz_table, check_ergodic_carlitz, check_lipschitz_carlitz, to_carlitz
+from tadic.carlitz import (
+    CarlitzCoefficients,
+    carlitz_table,
+    check_ergodic_carlitz,
+    check_lipschitz_carlitz,
+    from_carlitz,
+    to_carlitz,
+)
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable, Z2FunctionTable, is_bijective_mod, is_compatible, is_transitive_mod
 from tadic.cyclegen import CycleData
-from tadic.dynamics import LevelVerdicts, restrict
+from tadic.dynamics import LevelVerdicts, parity_lift, restrict, trajectory
 from tadic.gf2ps import pack, unpack
+from tadic.mahler import mahler_eval
 from tadic.vanderput import (
     VdpCoefficients,
     Z2VdpCoefficients,
     check_ergodic_vdp,
     check_lipschitz_vdp,
     check_mp_vdp,
+    from_vdp,
     to_vdp,
     vdp_table,
 )
@@ -368,21 +377,35 @@ _NON_INTEGER_SIZES = {
     "mahler-set": lambda k: MahlerCoefficients(k, {0: 1}),
     "restrict": lambda k: restrict(CarlitzCoefficients(3, {1: 1}), k),
     "cycle-data": lambda k: CycleData(k, ((0, 1), (0, 1, 0, 1))),
+    "random-data": lambda k: random_data(0, k),
+    "level": lambda m: LevelVerdicts((True, False, True)).level(m),
+    "parity-lift": lambda n: parity_lift(FunctionTable(4, (*range(1, 16), 0)), n),
+    "trajectory-point": lambda x: trajectory(FunctionTable(2, (1, 2, 3, 0)), x),
+    "vdp-point": lambda x: from_vdp(VdpCoefficients(2, (0, 1, 2, 3)), x),
+    "carlitz-point": lambda x: from_carlitz(CarlitzCoefficients(2, {1: 1}), x),
+    "mahler-point": lambda x: mahler_eval(MahlerCoefficients(2, {1: 1}), x),
 }
 
 
 @pytest.mark.parametrize("make", _NON_INTEGER_SIZES.values(), ids=_NON_INTEGER_SIZES)
 def test_a_non_integer_precision_or_depth_is_refused(make):
-    # 2.0 equals the size each body fits, and 1.5 and 2.5 fall beside it: each is refused as a size, not used
+    # 2.0 equals the size or point each call takes, and 1.5 and 2.5 fall beside it within its range: each is
+    # refused as an integer, not used
     make(2)
     for bad in (2.0, 1.5, 2.5, "2"):
-        with pytest.raises(ValueError, match="(precision|depth) must be"):
+        with pytest.raises(ValueError, match="(precision|depth|level|n) must be|point out of range"):
             make(bad)
 
 
 def test_a_bool_precision_or_depth_is_still_an_integer():
     assert FunctionTable(True, (0, 1)) == FunctionTable(1, (0, 1)) and CycleData(True, ((0, 1),)).n == 1
     assert restrict(CarlitzCoefficients(3, {1: 7}), True) == CarlitzCoefficients(1, {1: 1})
+    assert random_data(0, True) == random_data(0, 1)
+    t = FunctionTable(2, (1, 2, 3, 0))
+    # True is the top of each range here, which the range includes: one level, and n + 1 = precision 2
+    assert LevelVerdicts((False,)).level(True) is False and parity_lift(t, True) is True
+    assert next(trajectory(t, True)) == 1 and from_vdp(VdpCoefficients(2, (0, 1, 2, 3)), True) == 1
+    assert from_carlitz(CarlitzCoefficients(2, {1: 1}), True) == 1 and mahler_eval(MahlerCoefficients(2, {1: 1}), True) == 1
 
 
 def test_hashing_a_packed_set_builds_no_map():
