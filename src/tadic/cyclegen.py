@@ -25,7 +25,7 @@ class CycleData(Record):
 
     def _check(self):
         object.__setattr__(self, "bits", tuple(tuple(level) for level in self.bits))
-        check_integer(self.n, 0, math.inf, "depth must be a non-negative integer")
+        object.__setattr__(self, "n", check_integer(self.n, 0, math.inf, "depth must be a non-negative integer"))
         if len(self.bits) != self.n:
             raise ValueError("need one bit level per depth 1..%d" % self.n)
         for k, level in enumerate(self.bits, start=1):
@@ -91,7 +91,7 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 def random_data(seed, n):
     """Deterministic steering bits from a seed, for a table of precision n + 1 within the budget."""
-    check_integer(n, 0, math.inf, "depth must be non-negative")
+    n = check_integer(n, 0, math.inf, "depth must be non-negative")
     check_budget(n + 1)
     rng = random.Random(seed)
     bits = []

@@ -24,6 +24,7 @@ levels and walk once.
 
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -101,12 +102,8 @@ class LevelVerdicts(Record):
         return cls((*below, None if top else False))
 
     def level(self, m):
-        check_integer(m, 1, len(self.levels), "level must be between 1 and %d" % len(self.levels))
+        m = check_integer(m, 1, len(self.levels), "level must be between 1 and %d" % len(self.levels))
         return self.levels[m - 1]
-
-    @property
-    def precision(self):
-        return len(self.levels)
 
     @property
     def overall(self):
@@ -133,11 +130,11 @@ class PackedRecord(Record):
     """
 
     def _check(self):
-        k, values = self.precision, tuple(getattr(self, self._bodies[0]))
-        check_residues(k)
+        values = tuple(getattr(self, self._bodies[0]))
+        k = check_residues(self.precision)
         if len(values) != 1 << k:
             raise ValueError(self._wrong_size % k)
-        self.__dict__.update({self._bodies[0]: values, "packed": pack_residues(k, values, self._entry)})
+        self.__dict__.update({"precision": k, self._bodies[0]: values, "packed": pack_residues(k, values, self._entry)})
 
     def _unpacked(self):
         return unpack(self.packed[0], 1 << self.precision, self.packed[1])
@@ -289,7 +286,7 @@ class Coefficients(PackedRecord):
         if not isinstance(body, Mapping):
             self.__dict__["B"] = body
             return super()._check()
-        check_residues(k)
+        k = check_residues(k)
         try:
             a = {operator.index(n): operator.index(v) for n, v in body.items()}
         except TypeError:
@@ -297,7 +294,7 @@ class Coefficients(PackedRecord):
         if a and (min(a) < 0 or self.residue_index and max(a) >> k):
             raise ValueError("coefficient index out of range for precision %d" % k)
         check_residues(k, a.values(), "coefficient")
-        self.__dict__["a"] = MappingProxyType({n: v for n, v in a.items() if v})
+        self.__dict__.update(precision=k, a=MappingProxyType({n: v for n, v in a.items() if v}))
 
     _sparse = property(lambda self: "packed" not in self.__dict__)
 
@@ -411,7 +408,7 @@ def _map_scan(c):
 
 def restrict(c, prec):
     """The set mod pi^prec, for a precision 1..c.precision, as a map; a van der Put set drops its indices from 2^prec up."""
-    check_integer(prec, 1, c.precision, "precision must be between 1 and %d" % c.precision)
+    prec = check_integer(prec, 1, c.precision, "precision must be between 1 and %d" % c.precision)
     mask = (1 << prec) - 1
     return type(c)(prec, {n: v & mask for n, v in c.a.items() if not (c.residue_index and n >> prec)})
 
@@ -484,7 +481,8 @@ def parity_lift(t, n):
     below n (zero included) whose image has T^n coefficient 1 is odd,
     which holds iff f is transitive mod T^{n+1}.
     """
-    check_integer(n, 1, t.precision - 1, "precondition: n must be at least 1", "precondition: need precision at least n+1")
+    check_integer(n, 1, math.inf, "precondition: n must be at least 1")
+    check_integer(n, 1, t.precision - 1, "precondition: need precision at least n+1")
     if not _single_cycle(t.table, n):
         raise ValueError("precondition: not transitive mod T^%d" % n)
     w, width = t.packed

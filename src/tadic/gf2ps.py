@@ -10,7 +10,9 @@ residue rule (`check_residues` for points and coefficient maps,
 `pack_residues` for 2^k slots, and `read_header` and `read_indexed` for
 files) serves both rings, and beside it one integer rule, `check_integer`,
 checks every size and point the library takes: an integer (a bool is one)
-in a closed range, or `ValueError` with the caller's message.  A whole
+in a closed range, or `ValueError` with the caller's message.  The rule
+returns the int it accepts, and a record keeps that int, so a bool size is
+kept as the int 0 or 1 and its file reads back.  A whole
 table runs as one int too: `pack` puts value i in slot i, a power of two
 bytes wide, little-endian on every host, so the table transforms and band
 criteria are a few big-int operations per band; `unpack` gives the values
@@ -121,26 +123,26 @@ def fold(w, n, width, op):
     return w
 
 
-def check_integer(x, lo, hi, message, above=None):
+def check_integer(x, lo, hi, message):
     """The integer rule: x is an integer (it has __index__, so a bool is one) in lo..hi, else ValueError(message).
 
-    `above`, when given, is the message for an integer past hi.
+    Returns x as an int, so a bool comes back as 0 or 1.
     """
-    if not hasattr(x, "__index__") or x < lo:
+    if not (hasattr(x, "__index__") and lo <= x <= hi):
         raise ValueError(message)
-    if x > hi:
-        raise ValueError(above or message)
+    return x.__index__()
 
 
 def check_residues(k, values=(), what="value"):
     """The residue rule: k is a positive integer and each of the sized `values` lies in 0..2^k - 1.
 
-    The integer rule reads only the least and the greatest value: a point is both, and a coefficient body is
-    made of integers before it comes here.
+    Returns k as the integer rule returns it, an int.  The integer rule reads only the least and the greatest
+    value: a point is both, and a coefficient body is made of integers before it comes here.
     """
-    check_integer(k, 1, math.inf, "precision must be a positive integer")
+    k = check_integer(k, 1, math.inf, "precision must be a positive integer")
     for v in (min(values), max(values)) if values else ():
         check_integer(v, 0, (1 << k) - 1, "%s out of range for precision %d" % (what, k))
+    return k
 
 
 def pack_residues(k, values, what="value"):

@@ -129,11 +129,15 @@ MUTANTS = [
            ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),
     Mutant("budget-off", _DYN, "if k > TABLE_BUDGET:", "if False:",
            ["tests/test_dynamics.py::test_a_table_past_the_budget_is_refused_before_it_is_allocated"]),
-    # the integer rule, which every size and point goes through: a float within the range, and an integer at its top
-    Mutant("integer-rule-any-number", _GF2, 'if not hasattr(x, "__index__") or x < lo:', "if x < lo:",
+    # the integer rule, which every size and point goes through: a float within the range, an integer at its top,
+    # and a bool kept as it came
+    Mutant("integer-rule-any-number", _GF2, 'if not (hasattr(x, "__index__") and lo <= x <= hi):',
+           "if not lo <= x <= hi:",
            ["tests/test_packed_records.py::test_a_non_integer_precision_or_depth_is_refused"]),
-    Mutant("integer-rule-top-exclusive", _GF2, "if x > hi:", "if x >= hi:",
+    Mutant("integer-rule-top-exclusive", _GF2, "lo <= x <= hi)", "lo <= x < hi)",
            ["tests/test_packed_records.py::test_a_bool_precision_or_depth_is_still_an_integer"]),
+    Mutant("integer-rule-keeps-the-raw-value", _GF2, "return x.__index__()", "return x",
+           ["tests/test_packed_records.py::test_a_bool_size_is_kept_as_the_int_and_its_file_reads_back"]),
 ]
 
 

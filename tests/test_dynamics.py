@@ -120,9 +120,10 @@ def test_parity_lift_counts_the_next_coefficient():
 
 
 def test_parity_lift_validates_its_preconditions():
-    with pytest.raises(ValueError):
-        parity_lift(CYCLE_K2, 0)
-    with pytest.raises(ValueError):
+    for n in (0, 1.5):
+        with pytest.raises(ValueError, match="^precondition: n must be at least 1$"):
+            parity_lift(CYCLE_K2, n)
+    with pytest.raises(ValueError, match=r"^precondition: need precision at least n\+1$"):
         parity_lift(CYCLE_K2, 2)  # needs precision 3
     with pytest.raises(ValueError):
         parity_lift(IDENTITY_K3, 1)  # not transitive mod T
@@ -176,7 +177,7 @@ def test_level_verdicts_three_valued_overall():
     assert not LevelVerdicts((True, False)).all_determined_true()
     v = LevelVerdicts((True, False, None))
     assert v.level(2) is False
-    assert v.precision == 3
+    assert len(v.levels) == 3
     assert v.json_dict() == {"1": True, "2": False, "3": None}
 
 
