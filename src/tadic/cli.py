@@ -6,17 +6,19 @@ keystream emits plain hex lines, one write per block of the orbit.  All
 verdicts come straight from the library calls, the front end adds no logic
 of its own: a file's (ring, basis) row is the coefficient type that
 declares those tags, found in dynamics.FORMATS once the module its basis
-tag names is imported, and the type's own tags name its expansion,
-evaluator and synthesiser.  A basis tag is checked against the known
-bases before any import, so a run imports only the modules its command
-uses.  Every set is one coefficient record: one `restrict` serves
---prec, and each --check is one criterion read off the set's own scan, so
-every row takes all three checks.  The record's one reader owns the
-document rules (header, body shape, index keys and the type's precision
-cap); the front end only reads the JSON text, refusing repeated keys.  The
-library refuses a table past the budget (keystream and convert from a
-sparse file, gen-cycle --n).  The front end is its tables: each
-subparser carries its handler, `_CHECKS` names the criterion of each
+tag names is imported, and the type's own tags name its evaluator and
+synthesiser.  `expand` and `convert` read a table of either ring as its
+bit map with a basis's one expansion, its F2T type's `expand` tag: van der
+Put keeps the table's ring, Carlitz is F2T.  A basis tag is checked
+against the known bases before any import, so a run imports only the
+modules its command uses.  Every set is one coefficient record: one
+`restrict` serves --prec, and each --check is one criterion read off the
+set's own scan, so every row takes all three checks.  The record's one
+reader owns the document rules (header, body shape, index keys and the
+type's precision cap); the front end only reads the JSON text, refusing
+repeated keys.  The library refuses a table past the budget (keystream and
+convert from a sparse file, gen-cycle --n).  The front end is its tables:
+each subparser carries its handler, `_CHECKS` names the criterion of each
 --check and `_ORACLES` the table oracles of --exhaustive, in report order.
 ValueError is the one error type, from a file reader, the library or the
 front end's own usage checks alike: `run` reports it as exit 2 with one
@@ -193,9 +195,7 @@ def _cmd_verify(args):
 
 def _cmd_expand(args):
     t = _load_table(args.table)
-    if (cls := _format(t.ring, _BASIS[args.basis])) is None or cls.expand is None:
-        raise ValueError("%s expansion needs an F2T table" % args.basis)
-    _emit(args, cls.expand(t).json_dict())
+    _emit(args, _format("F2T", _BASIS[args.basis]).expand(t).json_dict())
     return 0
 
 
@@ -218,7 +218,7 @@ def _cmd_convert(args):
     if args.from_basis == args.to_basis:
         raise ValueError("--from and --to must differ")
     c = _load_coeffs(args.coeffs)
-    if (c.ring, c.basis) != ("F2T", _BASIS[args.from_basis]):
+    if c.basis != _BASIS[args.from_basis]:
         raise ValueError("coefficient file is %s/%s but --from says %s" % (c.ring, c.basis, args.from_basis))
     out = _format("F2T", _BASIS[args.to_basis]).expand(type(c).synthesize(c))
     _emit(args, out.json_dict())

@@ -491,8 +491,8 @@ def parity_lift(t, n):
 
 
 def trajectory(t, x0):
-    """x0, f(x0), f(f(x0)), ... as an endless iterator of ints; x0 is checked at once."""
-    check_residues(t.precision, (x0,), "point")
+    """x0, f(x0), f(f(x0)), ... as an endless iterator of ints; x0 is checked at once, and a bool walks as its int."""
+    x0 = check_integer(x0, 0, (1 << t.precision) - 1, "point out of range for precision %d" % t.precision)
     values = t.table
 
     def walk(x):

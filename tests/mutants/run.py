@@ -39,6 +39,7 @@ _CYC = "src/tadic/cyclegen.py"
 _CAR = "src/tadic/carlitz.py"
 _MAH = "src/tadic/mahler.py"
 _GF2 = "src/tadic/gf2ps.py"
+_CLI = "src/tadic/cli.py"
 _SMALL = "tests/test_dynamics.py::test_the_sparse_scan_equals_the_table_oracles_on_every_small_set"
 _ENTRY = "tests/test_dynamics.py::test_bijectivity_and_transitivity_equal_the_entry_oracles_on_samples"
 
@@ -138,6 +139,19 @@ MUTANTS = [
            ["tests/test_packed_records.py::test_a_bool_precision_or_depth_is_still_an_integer"]),
     Mutant("integer-rule-keeps-the-raw-value", _GF2, "return x.__index__()", "return x",
            ["tests/test_packed_records.py::test_a_bool_size_is_kept_as_the_int_and_its_file_reads_back"]),
+    Mutant("trajectory-walks-the-raw-point", _DYN, "    x0 = check_integer(x0, 0, (1 << t.precision) - 1,",
+           "    check_integer(x0, 0, (1 << t.precision) - 1,",
+           ["tests/test_packed_records.py::test_a_bool_precision_or_depth_is_still_an_integer"]),
+    # one bit map, both rings: an expansion looked up by the table's ring refuses a Z2 table again, and so does a
+    # convert that reads F2T files only
+    Mutant("expand-ring-keyed", _CLI, '    _emit(args, _format("F2T", _BASIS[args.basis]).expand(t).json_dict())',
+           '    if _format(t.ring, _BASIS[args.basis]) is None:\n'
+           '        raise ValueError("%s expansion needs an F2T table" % args.basis)\n'
+           '    _emit(args, _format(t.ring, _BASIS[args.basis]).expand(t).json_dict())',
+           ["tests/test_formats_cli.py::test_a_z2_table_gives_an_f2t_carlitz_set_with_its_exhaustive_levels"]),
+    Mutant("convert-f2t-only", _CLI, "if c.basis != _BASIS[args.from_basis]:",
+           'if (c.ring, c.basis) != ("F2T", _BASIS[args.from_basis]):',
+           ["tests/test_formats_cli.py::test_a_z2_table_gives_an_f2t_carlitz_set_with_its_exhaustive_levels"]),
 ]
 
 

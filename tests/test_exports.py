@@ -124,6 +124,7 @@ def cli_files(tmp_path_factory):
     z2 = Z2FunctionTable(4, tuple((5 * x + 3) & 15 for x in range(16)))
     docs = {
         "table": t.json_dict(),
+        "z2table": z2.json_dict(),
         "vdp": to_vdp(t).json_dict(),
         "z2vdp": to_vdp(z2).json_dict(),
         "carlitz": reference_coefficients(4).json_dict(),
@@ -134,12 +135,13 @@ def cli_files(tmp_path_factory):
     return tmp
 
 
-# every command form of the cli-batch benchmark job, two more cells of the (basis, check) matrix, and the runs that
-# stop at argparse: (argv, exit, modules past _BASE)
+# every command form of the cli-batch benchmark job, two more cells of the (basis, check) matrix, a Carlitz expansion
+# of a Z2 table, and the runs that stop at argparse: (argv, exit, modules past _BASE)
 FOOTPRINTS = [
     ("gen-cycle --n 3 --seed 7", 0, {"cyclegen"}),
     ("verify --exhaustive --table {table}", 0, set()),
     ("expand --basis vdp --table {table}", 0, {"vanderput"}),
+    ("expand --basis carlitz --table {z2table}", 0, {"carlitz"}),
     ("verify --ring f2t --basis vdp --check ergodic --coeffs {vdp}", 0, {"vanderput"}),
     ("verify --ring z2 --basis vdp --check ergodic --coeffs {z2vdp}", 0, {"vanderput"}),
     ("verify --ring f2t --basis carlitz --check ergodic --coeffs {carlitz}", 0, {"carlitz"}),

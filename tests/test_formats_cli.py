@@ -293,8 +293,10 @@ def test_expand_emits_loadable_coefficients(files, capsys):
     assert got == reference_coefficients(3)
     assert run(["expand", "--basis", "vdp", "--table", files["z2table"]]) == 0
     assert _json_out(capsys)["ring"] == "Z2"
-    assert run(["expand", "--basis", "carlitz", "--table", files["z2table"]]) == 2
-    capsys.readouterr()
+    # a Carlitz expansion reads a Z2 table as its bit map, and is F2T
+    assert run(["expand", "--basis", "carlitz", "--table", files["z2table"]]) == 0
+    got = CarlitzCoefficients.from_json_dict(_json_out(capsys))
+    assert got == to_carlitz(FunctionTable(4, tuple((x + 1) & 15 for x in range(16))))
 
 
 def test_eval_reads_any_coefficient_kind(files, capsys):
@@ -328,6 +330,48 @@ def test_convert_roundtrips_between_bases(files, capsys):
     assert run(["convert", "--from", "vdp", "--to", "vdp", "--coeffs", files["vdp4"]]) == 2
     assert run(["convert", "--from", "carlitz", "--to", "vdp", "--coeffs", files["vdp4"]]) == 2
     capsys.readouterr()
+
+
+# Z2 tables of every kind of verdict: single cycles, an mp map with no cycle (5x + 2 fixes 0 mod 2), a steered
+# ergodic set's table, that set pushed off its floor, and a random table
+_Z2_TABLES = {
+    "affine-cycle": lambda rng: Z2FunctionTable(5, tuple((5 * x + 3) & 31 for x in range(32))),
+    "affine-mp": lambda rng: Z2FunctionTable(5, tuple((5 * x + 2) & 31 for x in range(32))),
+    "steered": lambda rng: vdp_table(random_z2_ergodic(rng, 6)),
+    "off-floor": lambda rng: vdp_table(break_floor(rng, random_z2_ergodic(rng, 6))),
+    "random": lambda rng: Z2FunctionTable(4, tuple(rng.randrange(16) for _ in range(16))),
+}
+
+
+def _exhaustive_levels(report):
+    """The mp and ergodic levels a `verify --exhaustive` report gives: compatible at every level up to m, then
+    bijective or transitive at m; a criterion leaves the top ergodic level undecided unless it fails."""
+    through = list(itertools.accumulate(report["compatible"].values(), lambda a, b: a and b))
+    mp, ergodic = ({m: c and v for (m, v), c in zip(report[key].items(), through)} for key in ("bijective", "transitive"))
+    top = str(len(through))
+    return mp, {**ergodic, top: None if ergodic[top] else False}
+
+
+@pytest.mark.parametrize("route", ["expand", "convert"])
+@pytest.mark.parametrize("name", sorted(_Z2_TABLES))
+def test_a_z2_table_gives_an_f2t_carlitz_set_with_its_exhaustive_levels(files, capsys, name, route):
+    table = _write(files["tmp"], "z2.json", _Z2_TABLES[name](random.Random(name)).json_dict())
+    assert run(["verify", "--exhaustive", "--table", table]) in (0, 1)
+    want = dict(zip(("mp", "ergodic"), _exhaustive_levels(_json_out(capsys))))
+    if route == "expand":
+        assert run(["expand", "--basis", "carlitz", "--table", table]) == 0
+    else:
+        assert run(["expand", "--basis", "vdp", "--table", table]) == 0
+        vdp = _write(files["tmp"], "z2vdp_out.json", _json_out(capsys))
+        assert run(["convert", "--from", "vdp", "--to", "carlitz", "--coeffs", vdp]) == 0
+    out = _json_out(capsys)
+    assert (out["ring"], out["basis"]) == ("F2T", "carlitz")
+    path = _write(files["tmp"], "z2car.json", out)
+    for check, levels in want.items():
+        code = run(["verify", "--ring", "f2t", "--basis", "carlitz", "--check", check, "--coeffs", path])
+        report = _json_out(capsys)
+        assert report["levels"] == levels
+        assert code == (1 if False in levels.values() else 0)
 
 
 def test_gen_cycle_matches_the_library(files, capsys):

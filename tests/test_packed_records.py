@@ -45,7 +45,7 @@ from tadic.carlitz import (
 from tadic.cyclegen import gen_cycle, random_data
 from tadic.dynamics import FunctionTable, Z2FunctionTable, is_bijective_mod, is_compatible, is_transitive_mod
 from tadic.cyclegen import CycleData
-from tadic.dynamics import FORMATS, LevelVerdicts, parity_lift, restrict, trajectory
+from tadic.dynamics import FORMATS, LevelVerdicts, orbit, parity_lift, restrict, trajectory
 from tadic.gf2ps import pack, unpack
 from tadic.mahler import mahler_eval
 from tadic.vanderput import (
@@ -407,6 +407,9 @@ def test_a_bool_precision_or_depth_is_still_an_integer():
     assert LevelVerdicts((False,)).level(True) is False and parity_lift(t, True) is True
     assert next(trajectory(t, True)) == 1 and from_vdp(VdpCoefficients(2, (0, 1, 2, 3)), True) == 1
     assert from_carlitz(CarlitzCoefficients(2, {1: 1}), True) == 1 and mahler_eval(MahlerCoefficients(2, {1: 1}), True) == 1
+    # a bool point walks as the int the rule returns, as the evaluators already give ints
+    points = orbit(t, True, 3)
+    assert points == [1, 2, 3] and all(type(x) is int for x in points)
 
 
 # each record built at the size True, the precision or depth 1: from a mapping or a 2^k sequence for every format
